@@ -7,8 +7,6 @@ Exit codes: 0 every command passed; 1 at least one check failed; 2 the
 script did not parse (or could not be read); 3 a statement was ill-formed;
 4 an internal invariant broke.  The report JSON goes to stdout; errors go to
 stdout as a single {"error": ...} object so that callers always get JSON.
-The environment variable MVGAMMA_SEED is reserved and currently ignored —
-every check is exhaustive, nothing is sampled.
 """
 
 from __future__ import annotations

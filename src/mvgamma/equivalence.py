@@ -46,8 +46,8 @@ from .spectrum import (
     QuotientResult,
     Spectrum,
     ideal_violations,
+    induced_morphism,
     quotient,
-    restrict_morphism,
     spectrum,
 )
 
@@ -455,12 +455,7 @@ def star_morphism(
             raise InternalInvariantError(
                 "preimage of a prime is missing from the canonical listing"
             ) from exc
-        induced = restrict_morphism(hom, prime)
-        if (
-            induced.dom != dom_star.quotients[i].quotient
-            or induced.cod != cod_star.quotients[j].quotient
-        ):
-            raise InternalInvariantError("induced chain map landed off its fibers")
+        induced = induced_morphism(hom, dom_star.quotients[i], cod_star.quotients[j])
         source_fiber.append(i)
         fiber_maps.append(
             ChainStarMap(induced, dom_star.ambient.fibers[i], cod_star.ambient.fibers[j])
@@ -758,7 +753,8 @@ def coordinate_ideal_checks(
         raise ValueError("fiber index out of range")
     if segment is None:
         segment = gamma_segment(group, u)
-    members = coordinate_ideal_members(segment, zf)
+    zero_sets = [coordinate_ideal_members(segment, (j,)) for j in range(group.k)]
+    members = frozenset.intersection(*(zero_sets[j] for j in zf))
     ideal_ok = not ideal_violations(segment.algebra, members)
     quotient_iso_ok = False
     if ideal_ok:
@@ -792,12 +788,10 @@ def coordinate_ideal_checks(
             )
     if segment_primes is None:
         segment_primes = spectrum(segment.algebra).primes
-    zero_sets = {
-        coordinate_ideal_members(segment, (j,)) for j in range(group.k)
-    }
+    distinct_zero_sets = set(zero_sets)
     spectrum_bijection_ok = (
-        len(zero_sets) == group.k
-        and zero_sets == {p.members for p in segment_primes}
+        len(distinct_zero_sets) == group.k
+        and distinct_zero_sets == {p.members for p in segment_primes}
     )
     return SegmentIdealReport(
         zero_fibers=zf,

@@ -3,9 +3,10 @@
 An algebra is a carrier {0, .., size-1} together with a binary table for the
 truncated addition ``oplus`` and a unary table for the involution ``neg``.
 Element 0 is always the bottom.  Everything else (the product, the order, the
-lattice) is derived from those two tables.  Tables are numpy int arrays so the
-law checks and the quotient machinery can run vectorized; single-cell lookups
-in hot paths go through plain nested lists (see ``oplus_rows`` etc.).
+lattice) is derived from those two tables.  Tables are numpy int arrays so
+the law checks run vectorized and whole rows, columns and sub-tables can be
+gathered by index; single-cell lookups in hot paths go through plain nested
+lists (see ``oplus_rows`` etc.).
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ An ideal is a subset containing 0, downward closed, and closed under oplus.
 In a finite algebra every ideal is the downset of a unique oplus-idempotent,
 which is what makes the enumeration cheap: principal ideals are computed by
 squaring up to the idempotent, and joins of ideals add the idempotents.
+Quotients use the same fact: the class of a is keyed by a odot neg(e), where
+e is the ideal's idempotent.
 
 The spectrum is the set of proper prime ideals in a fixed canonical order
 (ascending membership bitmask), so everything downstream that says "the j-th
@@ -35,6 +37,7 @@ __all__ = [
     "quotient",
     "canonical_embedding",
     "preimage_ideal",
+    "induced_morphism",
     "restrict_morphism",
 ]
 
@@ -196,29 +199,28 @@ def quotient(algebra: FiniteMVAlgebra, ideal: Ideal) -> QuotientResult:
     """Quotient by the congruence a ~ b iff (a ominus b) oplus (b ominus a) lies
     in the ideal.  Classes are indexed by first appearance, so the class of 0
     is 0 and quotients of identity congruences reuse the original indexing.
+
+    The ideal is the downset of its largest member e, an idempotent, and
+    a |-> a odot neg(e) has kernel exactly that downset, so it keys the
+    classes without comparing pairs of elements.
     """
     bad = ideal_violations(algebra, ideal.members)
     if bad:
         raise ValueError("not an ideal: " + "; ".join(bad))
     if not ideal.proper:
         raise ValueError("quotient by the improper ideal would be the excluded one-element algebra")
-    mask = np.zeros(algebra.size, dtype=bool)
-    mask[list(ideal.members)] = True
-    om = algebra.ominus
-    sym = algebra.oplus[om, om.T]
-    rel = mask[sym]  # equivalence matrix
-    _, first, inv = np.unique(rel, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    class_of = rank[inv]
-    reps = first[order]
-    k = len(reps)
+    idx = np.fromiter(ideal.members, dtype=np.int64)
+    e = idx[algebra.leq[np.ix_(idx, idx)].all(axis=0)][0]
+    key = algebra.neg[algebra.oplus[algebra.neg, e]]
+    reps = np.fromiter(dict.fromkeys(key.tolist()), dtype=np.int64)
+    rank = np.empty(algebra.size, dtype=np.int64)
+    rank[reps] = np.arange(len(reps))
+    class_of = rank[key]
     q_oplus = class_of[algebra.oplus[np.ix_(reps, reps)]]
     q_neg = class_of[algebra.neg[reps]]
-    q = FiniteMVAlgebra(k, q_oplus, q_neg)
-    proj = MVMorphism(algebra, q, tuple(int(c) for c in class_of))
-    return QuotientResult(q, proj, tuple(int(c) for c in class_of))
+    q = FiniteMVAlgebra(len(reps), q_oplus, q_neg)
+    classes = tuple(class_of.tolist())
+    return QuotientResult(q, MVMorphism(algebra, q, classes), classes)
 
 
 def canonical_embedding(algebra: FiniteMVAlgebra) -> MVMorphism:
@@ -246,22 +248,25 @@ def preimage_ideal(h: MVMorphism, ideal: Ideal) -> Ideal:
     return Ideal(h.dom, members)
 
 
-def restrict_morphism(h: MVMorphism, prime: Ideal) -> MVMorphism:
-    """The induced map dom/h^{-1}(P) -> cod/P on quotient classes.
+def induced_morphism(h: MVMorphism, dom_q: QuotientResult, cod_q: QuotientResult) -> MVMorphism:
+    """The map dom_q -> cod_q sending the class of a to the class of h(a).
 
-    Raises if the induced assignment is not constant on classes, which would
-    signal a broken congruence rather than a legitimate outcome.
+    Raises if that assignment is not constant on classes, which would signal
+    a broken congruence rather than a legitimate outcome.
     """
-    pre = preimage_ideal(h, prime)
-    qd = quotient(h.dom, pre)
-    qc = quotient(h.cod, prime)
-    k = qd.quotient.size
-    assignment = [-1] * k
+    assignment = [-1] * dom_q.quotient.size
     for a in range(h.dom.size):
-        c = qd.class_of[a]
-        target = qc.class_of[h.map[a]]
+        c = dom_q.class_of[a]
+        target = cod_q.class_of[h.map[a]]
         if assignment[c] == -1:
             assignment[c] = target
         elif assignment[c] != target:
             raise RuntimeError("induced map not constant on congruence classes")
-    return MVMorphism(qd.quotient, qc.quotient, tuple(assignment))
+    return MVMorphism(dom_q.quotient, cod_q.quotient, tuple(assignment))
+
+
+def restrict_morphism(h: MVMorphism, prime: Ideal) -> MVMorphism:
+    """The induced map dom/h^{-1}(P) -> cod/P on quotient classes."""
+    return induced_morphism(
+        h, quotient(h.dom, preimage_ideal(h, prime)), quotient(h.cod, prime)
+    )

@@ -257,6 +257,17 @@ def test_cli_byte_identical_runs(tmp_path):
     assert first.stdout == second.stdout
 
 
+def test_python_m_mvgamma_matches_main(capsys):
+    assert main(["check-all", "--max-size", "6"]) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvgamma", "check-all", "--max-size", "6"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+
+
 def test_cli_entry_point_installed():
     proc = subprocess.run(["mvgamma", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0

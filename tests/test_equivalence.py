@@ -44,6 +44,8 @@ from mvgamma.mv_core import (
     make_chain,
     make_product,
 )
+from mvgamma.spectrum import restrict_morphism
+from mvgamma.sweeps import generated_algebras
 
 
 def z_group(u_phi):
@@ -274,6 +276,19 @@ def test_star_morphism_of_a_projection():
     assert len(sm.fiber_maps) == 1
     report = iota_naturality(proj, sm.dom_star, sm.cod_star)
     assert report.ok and report.checked == a.size
+
+
+def test_star_morphism_fiber_maps_match_restrict_morphism():
+    algebras = generated_algebras(6)
+    stars = {a: star_algebra(a) for a in algebras}
+    total = 0
+    for dom, cod in itertools.product(algebras, repeat=2):
+        for h in find_morphisms(dom, cod):
+            sm = star_morphism(h, stars[dom], stars[cod])
+            for j, prime in enumerate(stars[cod].spec.primes):
+                assert sm.fiber_maps[j].hom == restrict_morphism(h, prime)
+            total += 1
+    assert total == 40
 
 
 def test_iota_naturality_for_all_small_homs():

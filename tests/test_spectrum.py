@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from mvgamma.mv_core import (
+    FiniteMVAlgebra,
     MVMorphism,
     check_morphism,
     find_isomorphism,
@@ -26,6 +28,7 @@ from mvgamma.spectrum import (
     restrict_morphism,
     spectrum,
 )
+from mvgamma.sweeps import SweepContext, generated_algebras
 
 L1 = make_chain(1)
 L2 = make_chain(2)
@@ -118,6 +121,62 @@ def test_quotients_of_l2xl3_are_the_factors():
         assert check_morphism(q.projection).ok
         kernel = frozenset(a for a in range(L2xL3.size) if q.class_of[a] == 0)
         assert kernel == p.members
+
+
+def reference_quotient(algebra, ideal):
+    """Classes from the full relation matrix, numbered by first appearance.
+
+    Independent of the idempotent route in `quotient`: a ~ b iff
+    (a ominus b) oplus (b ominus a) lies in the ideal, decided for all pairs.
+    """
+    mask = np.zeros(algebra.size, dtype=bool)
+    mask[list(ideal.members)] = True
+    om = algebra.ominus
+    rel = mask[algebra.oplus[om, om.T]]
+    _, first, inv = np.unique(rel, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    class_of = rank[inv]
+    reps = first[order]
+    q = FiniteMVAlgebra(
+        len(reps),
+        class_of[algebra.oplus[np.ix_(reps, reps)]],
+        class_of[algebra.neg[reps]],
+    )
+    return q, tuple(int(c) for c in class_of)
+
+
+def shuffled_labels(algebra):
+    """The same algebra with its nonzero labels shuffled (fixed seed), so that
+    index order is no longer a linear extension of the algebra's order."""
+    rng = np.random.default_rng(algebra.size)
+    perm = np.concatenate([[0], 1 + rng.permutation(algebra.size - 1)])
+    inv = np.argsort(perm)
+    return FiniteMVAlgebra(
+        algebra.size,
+        perm[algebra.oplus[np.ix_(inv, inv)]],
+        perm[algebra.neg[inv]],
+    )
+
+
+def test_quotient_matches_the_relation_matrix_reference():
+    ctx = SweepContext(16, 4)
+    algebras = set(generated_algebras(64))
+    algebras |= {ctx.segment(ctx.group(*cfg)).algebra for cfg in ctx.group_configs()}
+    algebras |= {shuffled_labels(a) for a in generated_algebras(16)}
+    checked = 0
+    for algebra in algebras:
+        for ideal in enumerate_ideals(algebra):
+            if not ideal.proper:
+                continue
+            got = quotient(algebra, ideal)
+            q, class_of = reference_quotient(algebra, ideal)
+            assert got.class_of == class_of
+            assert got.quotient == q
+            assert got.projection.map == class_of
+            checked += 1
+    assert checked == 344
 
 
 def test_quotient_rejects_non_ideal_and_improper():
