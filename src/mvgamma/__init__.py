@@ -13,6 +13,10 @@ The package has three layers:
   ``script``, ``interp``, ``cli``, and ``sweeps`` layered on top.
 
 Everything is exact integer arithmetic; there is no floating point anywhere.
+The pure builders (``check_mv_axioms``, ``find_morphisms``, ``spectrum``,
+``quotient``, ``gamma_segment``, ``star_algebra``) are memoized by value with
+``functools.cache``: algebras, ideals and product groups compare and hash by
+value, so equal inputs share one result, and ``cache_info()`` counts the hits.
 """
 
 from .equivalence import (
@@ -48,9 +52,7 @@ from .lgroup import (
     ProductLuGroup,
     abs_decompose,
     gamma_segment,
-    group_spectrum,
     make_product_group,
-    unit_bound,
 )
 from .mv_core import (
     AxiomReport,
@@ -114,7 +116,6 @@ __all__ = [
     "gamma_segment",
     "generated_membership",
     "good_sequence_sum",
-    "group_spectrum",
     "identity_morphism",
     "import_json",
     "invariant_factors",
@@ -140,7 +141,6 @@ __all__ = [
     "star_membership",
     "star_morphism",
     "to_jsonable",
-    "unit_bound",
     "upsilon",
     "upsilon_inverse_chain",
     "upsilon_naturality",

@@ -19,6 +19,7 @@ checkers that exploit the factorization document it on the spot.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -32,6 +33,7 @@ from .lgroup import (
     ProductLuGroup,
     abs_decompose,
     gamma_segment,
+    require_positive_unit,
 )
 from .mv_core import (
     FiniteMVAlgebra,
@@ -114,18 +116,10 @@ class ChainStarMap:
         return self.cod.pair(x.m, self.hom.map[x.a])
 
 
-def star_chain_morphism(
-    hom: MVMorphism,
-    dom: ChangChainGroup | None = None,
-    cod: ChangChainGroup | None = None,
-) -> ChainStarMap:
+def star_chain_morphism(hom: MVMorphism) -> ChainStarMap:
     if not (is_totally_ordered(hom.dom) and is_totally_ordered(hom.cod)):
         raise ValueError("pair-level extension needs chains on both ends")
-    dom = dom if dom is not None else ChangChainGroup(hom.dom)
-    cod = cod if cod is not None else ChangChainGroup(hom.cod)
-    if dom.chain != hom.dom or cod.chain != hom.cod:
-        raise ValueError("supplied fiber groups do not match the morphism")
-    return ChainStarMap(hom, dom, cod)
+    return ChainStarMap(hom, ChangChainGroup(hom.dom), ChangChainGroup(hom.cod))
 
 
 # -- the star of a finite algebra ----------------------------------------------
@@ -160,6 +154,7 @@ class StarAlgebra:
         return len(self.circle_index) == self.source.size
 
 
+@functools.cache
 def star_algebra(algebra: FiniteMVAlgebra) -> StarAlgebra:
     """Build the enveloping-group presentation of a finite algebra."""
     spec = spectrum(algebra)
@@ -188,14 +183,6 @@ def star_algebra(algebra: FiniteMVAlgebra) -> StarAlgebra:
 # -- good sequences -------------------------------------------------------------
 
 
-def _require_positive_unit(group: ProductLuGroup, u: GroupElement) -> GroupElement:
-    u = group.validate(u)
-    for g, p in zip(group.fibers, u):
-        if not (g.leq(g.zero, p) and p != g.zero):
-            raise ValueError("unit must be strictly positive in every fiber")
-    return u
-
-
 def canonical_entries(
     group: ProductLuGroup, u: GroupElement, x: GroupElement
 ) -> tuple[GroupElement, ...]:
@@ -204,7 +191,8 @@ def canonical_entries(
     absorbs the next under the capped addition; trailing zeros never occur
     because the loop stops the moment the remainder vanishes.
     """
-    u = _require_positive_unit(group, u)
+    u = group.validate(u)
+    require_positive_unit(group.fibers, u)
     x = group.validate(x)
     if not group.leq(group.zero, x):
         raise ValueError("only nonnegative elements have good-sequence entries")
@@ -383,15 +371,14 @@ class IotaReport:
         return self.injective and self.onto_segment and self.is_morphism and self.members_match
 
 
-def iota_roundtrip(star: StarAlgebra, segment: GammaSegment | None = None) -> IotaReport:
+def iota_roundtrip(star: StarAlgebra) -> IotaReport:
     """Certify that iota is an isomorphism onto the member part of [0, u].
 
     Three facts are checked exhaustively: iota is injective; its image is
     exactly the set of segment elements that pass the membership test; and
     the index-level map carrier -> segment carrier preserves the operations.
     """
-    if segment is None:
-        segment = gamma_segment(star.ambient, star.u)
+    segment = gamma_segment(star.ambient)
     injective = star.injective
     circle = set(star.a_circle)
     members_match = True
@@ -419,32 +406,41 @@ def iota_roundtrip(star: StarAlgebra, segment: GammaSegment | None = None) -> Io
 
 
 @dataclass(frozen=True)
-class StarGroupMap:
-    """Ambient-level extension of an algebra morphism.
+class LGroupMap:
+    """A coordinatewise map between unital products of chain groups.
 
-    Each codomain fiber j is fed from the domain fiber holding the preimage
-    prime, through the pair-level extension of the induced chain morphism.
+    Each codomain fiber j reads from one domain fiber through a pair-level
+    chain-morphism extension; such maps are exactly the additive lattice maps
+    this package generates and checks.
     """
 
-    hom: MVMorphism
-    dom_star: StarAlgebra
-    cod_star: StarAlgebra
+    dom: ProductLuGroup
+    cod: ProductLuGroup
     source_fiber: tuple[int, ...]
     fiber_maps: tuple[ChainStarMap, ...]
 
     def __call__(self, x: GroupElement) -> GroupElement:
         return tuple(fm(x[i]) for i, fm in zip(self.source_fiber, self.fiber_maps))
 
+    @property
+    def unital(self) -> bool:
+        return self(self.dom.u) == self.cod.u
 
-def star_morphism(
-    hom: MVMorphism,
-    dom_star: StarAlgebra | None = None,
-    cod_star: StarAlgebra | None = None,
-) -> StarGroupMap:
-    dom_star = dom_star if dom_star is not None else star_algebra(hom.dom)
-    cod_star = cod_star if cod_star is not None else star_algebra(hom.cod)
-    if dom_star.source != hom.dom or cod_star.source != hom.cod:
-        raise ValueError("star data does not belong to the morphism endpoints")
+
+@dataclass(frozen=True)
+class StarGroupMap(LGroupMap):
+    """Ambient-level extension of an algebra morphism: the map between the
+    star ambients of its endpoints, carrying the morphism as `hom`.
+
+    Each codomain fiber j is fed from the domain fiber holding the preimage
+    prime, through the pair-level extension of the induced chain morphism.
+    """
+
+    hom: MVMorphism
+
+
+def star_morphism(hom: MVMorphism) -> StarGroupMap:
+    dom_star, cod_star = star_algebra(hom.dom), star_algebra(hom.cod)
     source_fiber = []
     fiber_maps = []
     for j, prime in enumerate(cod_star.spec.primes):
@@ -461,11 +457,11 @@ def star_morphism(
             ChainStarMap(induced, dom_star.ambient.fibers[i], cod_star.ambient.fibers[j])
         )
     return StarGroupMap(
-        hom=hom,
-        dom_star=dom_star,
-        cod_star=cod_star,
+        dom=dom_star.ambient,
+        cod=cod_star.ambient,
         source_fiber=tuple(source_fiber),
         fiber_maps=tuple(fiber_maps),
+        hom=hom,
     )
 
 
@@ -482,21 +478,12 @@ class UpsilonMap:
     its members (checked to be constant).
     """
 
-    def __init__(
-        self,
-        group: ProductLuGroup,
-        u: GroupElement | None = None,
-        segment: GammaSegment | None = None,
-        star: StarAlgebra | None = None,
-    ):
-        if segment is None:
-            segment = gamma_segment(group, u)
+    def __init__(self, group: ProductLuGroup):
+        segment = gamma_segment(group)
         self.group = group
         self.segment = segment
         self.u = segment.u
-        self.star = star if star is not None else star_algebra(segment.algebra)
-        if self.star.source != segment.algebra:
-            raise ValueError("star data does not belong to the segment algebra")
+        self.star = star_algebra(segment.algebra)
         k = group.k
         if self.star.ambient.k != k:
             raise InternalInvariantError(
@@ -589,13 +576,7 @@ class UpsilonResult:
         )
 
 
-def upsilon(
-    group: ProductLuGroup,
-    u: GroupElement | None = None,
-    window: int = 4,
-    segment: GammaSegment | None = None,
-    star: StarAlgebra | None = None,
-) -> UpsilonResult:
+def upsilon(group: ProductLuGroup, window: int = 4) -> UpsilonResult:
     """Build the evaluation map and certify it on the given window.
 
     Checks, each exhaustive per fiber: additivity on all pairs from the
@@ -605,7 +586,7 @@ def upsilon(
     surjectivity onto the group window, each target rebuilt from the peeled
     entries of its two halves through iota and re-evaluated.
     """
-    um = UpsilonMap(group, u, segment=segment, star=star)
+    um = UpsilonMap(group)
     seg = um.segment
     star_amb = um.star.ambient
     additive = True
@@ -681,8 +662,7 @@ def upsilon_inverse_chain(
     """Invert evaluation on one fiber: the unique (n, r) with x = n·u + r,
     0 <= r < u (equivalently n·u <= x <= (n+1)·u with maximal n).
     """
-    if not (fiber.leq(fiber.zero, u) and u != fiber.zero):
-        raise ValueError("unit must be strictly positive")
+    require_positive_unit((fiber,), (u,))
     n = 0
     while not fiber.leq(fiber.mul(n, u), x):
         n -= 1
@@ -731,28 +711,20 @@ def coordinate_ideal_members(segment: GammaSegment, zero_fibers: Iterable[int]) 
 
 
 def coordinate_ideal_checks(
-    group: ProductLuGroup,
-    zero_fibers: Iterable[int],
-    u: GroupElement | None = None,
-    segment: GammaSegment | None = None,
-    segment_primes: tuple[Ideal, ...] | None = None,
-    segment_cache: dict | None = None,
+    group: ProductLuGroup, zero_fibers: Iterable[int]
 ) -> SegmentIdealReport:
     """Check one coordinate ideal against its segment trace.
 
     `zero_fibers` must be a nonempty set of fiber indices; the corresponding
     group ideal is the kernel of the projection onto those coordinates, so
-    the quotient keeps exactly the named fibers.  A `segment_cache` (keyed by
-    fiber chain sizes and unit) lets sweeps share the restricted-group
-    segments across configurations.
+    the quotient keeps exactly the named fibers.
     """
     zf = tuple(sorted(set(zero_fibers)))
     if not zf:
         raise ValueError("the empty coordinate set names the whole group, not an ideal")
     if zf[0] < 0 or zf[-1] >= group.k:
         raise ValueError("fiber index out of range")
-    if segment is None:
-        segment = gamma_segment(group, u)
+    segment = gamma_segment(group)
     zero_sets = [coordinate_ideal_members(segment, (j,)) for j in range(group.k)]
     members = frozenset.intersection(*(zero_sets[j] for j in zf))
     ideal_ok = not ideal_violations(segment.algebra, members)
@@ -762,12 +734,7 @@ def coordinate_ideal_checks(
         kept = ProductLuGroup(
             [group.fibers[j] for j in zf], tuple(segment.u[j] for j in zf)
         )
-        kept_key = (tuple(f.chain.size for f in kept.fibers), kept.u)
-        kept_segment = segment_cache.get(kept_key) if segment_cache is not None else None
-        if kept_segment is None:
-            kept_segment = gamma_segment(kept)
-            if segment_cache is not None:
-                segment_cache[kept_key] = kept_segment
+        kept_segment = gamma_segment(kept)
         assignment: list[int | None] = [None] * q.quotient.size
         well_defined = True
         for idx in range(segment.algebra.size):
@@ -786,12 +753,10 @@ def coordinate_ideal_checks(
                 and restriction.is_injective()
                 and restriction.is_surjective()
             )
-    if segment_primes is None:
-        segment_primes = spectrum(segment.algebra).primes
     distinct_zero_sets = set(zero_sets)
     spectrum_bijection_ok = (
         len(distinct_zero_sets) == group.k
-        and distinct_zero_sets == {p.members for p in segment_primes}
+        and distinct_zero_sets == {p.members for p in spectrum(segment.algebra).primes}
     )
     return SegmentIdealReport(
         zero_fibers=zf,
@@ -803,28 +768,6 @@ def coordinate_ideal_checks(
 
 
 # -- maps between product groups -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LGroupMap:
-    """A coordinatewise map between unital products of chain groups.
-
-    Each codomain fiber j reads from one domain fiber through a pair-level
-    chain-morphism extension; such maps are exactly the additive lattice maps
-    this package generates and checks.
-    """
-
-    dom: ProductLuGroup
-    cod: ProductLuGroup
-    source_fiber: tuple[int, ...]
-    fiber_maps: tuple[ChainStarMap, ...]
-
-    def __call__(self, x: GroupElement) -> GroupElement:
-        return tuple(fm(x[i]) for i, fm in zip(self.source_fiber, self.fiber_maps))
-
-    @property
-    def unital(self) -> bool:
-        return self(self.dom.u) == self.cod.u
 
 
 def gamma_restriction(
@@ -852,16 +795,12 @@ class CommuteReport:
     failure: tuple | None = None
 
 
-def iota_naturality(
-    hom: MVMorphism,
-    dom_star: StarAlgebra | None = None,
-    cod_star: StarAlgebra | None = None,
-) -> CommuteReport:
+def iota_naturality(hom: MVMorphism) -> CommuteReport:
     """The two routes carrier -> codomain ambient agree on every element:
     through the morphism then iota, or through iota then the star map.
     """
-    sm = star_morphism(hom, dom_star, cod_star)
-    dom_star, cod_star = sm.dom_star, sm.cod_star
+    sm = star_morphism(hom)
+    dom_star, cod_star = star_algebra(hom.dom), star_algebra(hom.cod)
     for a in range(hom.dom.size):
         via_star = sm(dom_star.a_circle[a])
         via_hom = cod_star.a_circle[hom.map[a]]
@@ -871,23 +810,14 @@ def iota_naturality(
 
 
 def star_functoriality(
-    first: MVMorphism,
-    then: MVMorphism,
-    window: int = 4,
-    stars: Mapping[FiniteMVAlgebra, StarAlgebra] | None = None,
+    first: MVMorphism, then: MVMorphism, window: int = 4
 ) -> CommuteReport:
     """Star of a composite equals the composite of the stars, on a window."""
-    def star_of(algebra: FiniteMVAlgebra) -> StarAlgebra:
-        if stars is not None and algebra in stars:
-            return stars[algebra]
-        return star_algebra(algebra)
-
-    sa, sb, sc = star_of(first.dom), star_of(first.cod), star_of(then.cod)
-    sm_first = star_morphism(first, sa, sb)
-    sm_then = star_morphism(then, sb, sc)
-    sm_both = star_morphism(compose(first, then), sa, sc)
+    sm_first = star_morphism(first)
+    sm_then = star_morphism(then)
+    sm_both = star_morphism(compose(first, then))
     checked = 0
-    for x in sa.ambient.window(window):
+    for x in sm_first.dom.window(window):
         checked += 1
         lhs = sm_both(x)
         rhs = sm_then(sm_first(x))
@@ -896,12 +826,7 @@ def star_functoriality(
     return CommuteReport(ok=True, checked=checked)
 
 
-def upsilon_naturality(
-    phi: LGroupMap,
-    window: int = 4,
-    dom_data: tuple[GammaSegment, StarAlgebra] | None = None,
-    cod_data: tuple[GammaSegment, StarAlgebra] | None = None,
-) -> CommuteReport:
+def upsilon_naturality(phi: LGroupMap, window: int = 4) -> CommuteReport:
     """The square relating a group map to the star of its segment restriction.
 
     Both routes from the domain star ambient to the codomain group must
@@ -909,16 +834,13 @@ def upsilon_naturality(
     """
     if not phi.unital:
         raise ValueError("the square is stated for unit-preserving maps")
-    dom_segment, dom_star = dom_data if dom_data else (gamma_segment(phi.dom), None)
-    cod_segment, cod_star = cod_data if cod_data else (gamma_segment(phi.cod), None)
-    um_dom = UpsilonMap(phi.dom, segment=dom_segment, star=dom_star)
-    um_cod = UpsilonMap(phi.cod, segment=cod_segment, star=cod_star)
-    restricted = gamma_restriction(phi, dom_segment, cod_segment)
+    um_dom, um_cod = UpsilonMap(phi.dom), UpsilonMap(phi.cod)
+    restricted = gamma_restriction(phi, um_dom.segment, um_cod.segment)
     if not check_morphism(restricted).ok:
         return CommuteReport(ok=False, checked=0, failure=("restriction", restricted.map))
-    sm = star_morphism(restricted, um_dom.star, um_cod.star)
+    sm = star_morphism(restricted)
     checked = 0
-    for x in um_dom.star.ambient.window(window):
+    for x in sm.dom.window(window):
         checked += 1
         lhs = phi(um_dom(x))
         rhs = um_cod(sm(x))
@@ -954,9 +876,7 @@ class SNFReport:
 
 
 def free_quotient_experiment(
-    algebra: FiniteMVAlgebra,
-    identify_zero: bool = True,
-    star: StarAlgebra | None = None,
+    algebra: FiniteMVAlgebra, identify_zero: bool = True
 ) -> SNFReport:
     """Compare the pairwise-relation presentation with the actual star group.
 
@@ -983,8 +903,7 @@ def free_quotient_experiment(
         zero_row[0] = 1
         rows.append(zero_row)
     free_factors = tuple(invariant_factors(rows, ncols=n))
-    if star is None:
-        star = star_algebra(algebra)
+    star = star_algebra(algebra)
     generator_rows = [
         [f.phi(p) for f, p in zip(star.ambient.fibers, star.a_circle[a])]
         for a in range(n)

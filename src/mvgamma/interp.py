@@ -148,16 +148,8 @@ class _Runner:
         self.config = config
         self.env: dict[str, tuple[str, Any]] = {}
         self.report = RunReport(config)
-        self._stars: dict[FiniteMVAlgebra, Any] = {}
 
     # -- helpers --
-
-    def star_of(self, algebra: FiniteMVAlgebra):
-        s = self._stars.get(algebra)
-        if s is None:
-            s = star_algebra(algebra)
-            self._stars[algebra] = s
-        return s
 
     def value(self, name: str, kinds: tuple[str, ...], line: int):
         kind, value = self.env[name]
@@ -304,7 +296,7 @@ class _Runner:
 
     def cmd_star(self, cmd: Command):
         _, a = self.value(cmd.name, ("algebra",), cmd.line)
-        star = self.star_of(a)
+        star = star_algebra(a)
         detail = {
             "fibers": star.ambient.k,
             "heights": [f.height for f in star.ambient.fibers],
@@ -326,7 +318,7 @@ class _Runner:
     def cmd_roundtrip(self, cmd: Command):
         kind, value = self.value(cmd.name, ("algebra", "group"), cmd.line)
         if kind == "algebra":
-            star = self.star_of(value)
+            star = star_algebra(value)
             report = iota_roundtrip(star)
             gen = segment_generation_check(star, bound=min(2, self.config.window))
             detail = {
@@ -354,8 +346,8 @@ class _Runner:
         kind, value = self.value(cmd.name, ("algebra", "group"), cmd.line)
         if kind == "group":
             return value, gamma_segment(value)
-        star = self.star_of(value)
-        return star.ambient, gamma_segment(star.ambient, star.u)
+        star = star_algebra(value)
+        return star.ambient, gamma_segment(star.ambient)
 
     def cmd_goodseq(self, cmd: Command):
         group, seg = self._segment_context(cmd)
@@ -380,7 +372,7 @@ class _Runner:
     def cmd_member(self, cmd: Command):
         kind, value = self.value(cmd.name, ("algebra", "group", "hom"), cmd.line)
         if kind == "algebra":
-            star = self.star_of(value)
+            star = star_algebra(value)
             x = self.element_in(star.ambient, cmd.element, cmd.line)
             witness = star_membership(star, x)
         elif kind == "group":
@@ -388,7 +380,7 @@ class _Runner:
             x = self.element_in(value, cmd.element, cmd.line)
             witness = generated_membership(value, value.u, set(seg.elements), x)
         else:  # the subgroup generated by the image of a morphism
-            star = self.star_of(value.cod)
+            star = star_algebra(value.cod)
             allowed = {star.a_circle[value.map[a]]: a for a in range(value.dom.size)}
             x = self.element_in(star.ambient, cmd.element, cmd.line)
             witness = generated_membership(star.ambient, star.u, allowed, x)
@@ -403,9 +395,7 @@ class _Runner:
 
     def cmd_freequotient(self, cmd: Command):
         _, a = self.value(cmd.name, ("algebra",), cmd.line)
-        report = free_quotient_experiment(
-            a, identify_zero=not cmd.keep_zero, star=self.star_of(a)
-        )
+        report = free_quotient_experiment(a, identify_zero=not cmd.keep_zero)
         return report.isomorphic, to_jsonable(report)
 
     def cmd_check(self, cmd: Command):
@@ -418,7 +408,7 @@ class _Runner:
         kind, value = self.value(cmd.name, ("algebra", "group", "hom"), cmd.line)
         if kind == "algebra":
             axioms = check_mv_axioms(value).ok
-            round_trip = iota_roundtrip(self.star_of(value)).holds
+            round_trip = iota_roundtrip(star_algebra(value)).holds
             detail = {"axioms": axioms, "iota_roundtrip": round_trip}
             if value.size <= 12:
                 fast = {i.members for i in enumerate_ideals(value)}
@@ -431,9 +421,9 @@ class _Runner:
             detail = {"morphism_law": law, "iota_square": square}
             return law and square, detail
         seg = gamma_segment(value)
-        result = upsilon(value, window=window, segment=seg)
+        result = upsilon(value, window=window)
         ideals_ok = all(
-            coordinate_ideal_checks(value, zf, segment=seg).holds
+            coordinate_ideal_checks(value, zf).holds
             for r in range(1, value.k + 1)
             for zf in itertools.combinations(range(value.k), r)
         )

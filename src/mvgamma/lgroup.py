@@ -15,6 +15,7 @@ else in this package lives in.  All integer arithmetic here is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -22,7 +23,13 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InternalInvariantError
-from .mv_core import FiniteMVAlgebra, chain_rank, check_mv_axioms, is_totally_ordered
+from .mv_core import (
+    FiniteMVAlgebra,
+    chain_rank,
+    check_mv_axioms,
+    is_totally_ordered,
+    make_product_many,
+)
 
 __all__ = [
     "ChangPair",
@@ -30,12 +37,10 @@ __all__ = [
     "ChangChainGroup",
     "ProductLuGroup",
     "make_product_group",
-    "chang_arith",
+    "require_positive_unit",
     "abs_decompose",
-    "unit_bound",
     "GammaSegment",
     "gamma_segment",
-    "group_spectrum",
 ]
 
 
@@ -50,7 +55,8 @@ GroupElement = tuple[ChangPair, ...]
 
 
 class ChangChainGroup:
-    """The totally ordered group of pairs over one finite chain."""
+    """The totally ordered group of pairs over one finite chain; two such
+    groups are equal when their chains are."""
 
     def __init__(self, chain: FiniteMVAlgebra):
         if not is_totally_ordered(chain):
@@ -150,30 +156,30 @@ class ChangChainGroup:
                     out.append(p)
         return out
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChangChainGroup):
+            return NotImplemented
+        return self.chain == other.chain
+
+    def __hash__(self) -> int:
+        return hash(self.chain)
+
     def __repr__(self) -> str:
         return f"ChangChainGroup(height={self.height})"
 
 
-def chang_arith(group: ChangChainGroup, op: str, x: ChangPair, y: ChangPair | None = None):
-    """Named dispatch over the pair operations (add/neg/sub/leq/meet/join)."""
-    if op == "neg":
-        return group.neg(x)
-    if y is None:
-        raise ValueError(f"operation {op!r} needs two arguments")
-    fn = {
-        "add": group.add,
-        "sub": group.sub,
-        "leq": group.leq,
-        "meet": group.meet,
-        "join": group.join,
-    }.get(op)
-    if fn is None:
-        raise ValueError(f"unknown pair operation {op!r}")
-    return fn(x, y)
+def require_positive_unit(fibers: Sequence[ChangChainGroup], u: GroupElement) -> None:
+    """Raise ValueError unless u is strictly positive in every fiber."""
+    for g, p in zip(fibers, u):
+        if not (g.leq(g.zero, p) and p != g.zero):
+            raise ValueError("the unit must be strictly positive in every fiber")
 
 
 class ProductLuGroup:
-    """A finite product of chain groups with a strictly positive unit."""
+    """A finite product of chain groups with a strictly positive unit.
+
+    Two product groups are equal when their fibers and units are.
+    """
 
     def __init__(self, fibers: Sequence[ChangChainGroup], u: GroupElement):
         if not fibers:
@@ -185,9 +191,9 @@ class ProductLuGroup:
         for g, p in zip(self.fibers, u):
             if p != g.normalize(p.m, p.a):
                 raise ValueError("unit coordinates must be normalized pairs")
-            if not (g.leq(g.zero, p) and p != g.zero):
-                raise ValueError("the unit must be strictly positive in every fiber")
+        require_positive_unit(self.fibers, u)
         self.u = u
+        self._hash = hash((self.fibers, u))
 
     @property
     def k(self) -> int:
@@ -234,6 +240,14 @@ class ProductLuGroup:
             per_fiber.append(g.interval(g.neg(cap), cap))
         return itertools.product(*per_fiber)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProductLuGroup):
+            return NotImplemented
+        return self.fibers == other.fibers and self.u == other.u
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __repr__(self) -> str:
         heights = [g.height for g in self.fibers]
         return f"ProductLuGroup(heights={heights}, u={list(self.u)})"
@@ -263,27 +277,6 @@ def abs_decompose(
     return pos, neg_part, absolute
 
 
-def unit_bound(group: ProductLuGroup, u: GroupElement, x: GroupElement) -> int:
-    """Least n >= 0 with |x| <= n*u, found by adding u until it covers.
-
-    Iterating additively keeps this a pure consumer of the pair arithmetic.
-    Strict positivity of u in every fiber guarantees termination.
-    """
-    for g, up in zip(group.fibers, u):
-        if not (g.leq(g.zero, up) and up != g.zero):
-            raise ValueError("unit_bound needs a strictly positive u in every fiber")
-    _, _, absolute = abs_decompose(group, x)
-    n = 0
-    for g, up, ap in zip(group.fibers, u, absolute):
-        acc = g.zero
-        steps = 0
-        while not g.leq(ap, acc):
-            acc = g.add(acc, up)
-            steps += 1
-        n = max(n, steps)
-    return n
-
-
 @dataclass(frozen=True)
 class GammaSegment:
     """The unit segment [0, u] of a product group, packaged as an MV-algebra.
@@ -300,55 +293,25 @@ class GammaSegment:
     index: dict[GroupElement, int]
     fiber_values: tuple[tuple[ChangPair, ...], ...]
 
-    def element_of(self, i: int) -> GroupElement:
-        return self.elements[i]
 
-    def index_of(self, x: GroupElement) -> int:
-        return self.index[x]
-
-
-def gamma_segment(group: ProductLuGroup, u: GroupElement | None = None) -> GammaSegment:
+@functools.cache
+def gamma_segment(group: ProductLuGroup) -> GammaSegment:
     """Carve the MV-algebra out of [0, u]: x oplus y = u meet (x + y),
-    neg x = u - x.  Tables are assembled fiberwise (the operations act
-    coordinatewise) and the finished algebra is re-checked against the MV
-    laws before being returned.
+    neg x = u - x.  The operations act coordinatewise, so each fiber's
+    segment is an algebra of its own and the segment is their product; the
+    finished product is re-checked against the MV laws before being returned.
     """
-    if u is None:
-        u = group.u
-    u = group.validate(u)
-    for g, p in zip(group.fibers, u):
-        if not (g.leq(g.zero, p) and p != g.zero):
-            raise ValueError("segment endpoint must be strictly positive per fiber")
-
+    u = group.u
     per_fiber: list[list[ChangPair]] = []
-    add_tables: list[list[list[int]]] = []
-    neg_tables: list[list[int]] = []
+    factors: list[FiniteMVAlgebra] = []
     for g, up in zip(group.fibers, u):
         values = g.interval(g.zero, up)
         idx = {p: i for i, p in enumerate(values)}
-        t = len(values)
-        add_cap = [[0] * t for _ in range(t)]
-        for i, p in enumerate(values):
-            for j, q in enumerate(values):
-                add_cap[i][j] = idx[g.meet(up, g.add(p, q))]
+        add_cap = [[idx[g.meet(up, g.add(p, q))] for q in values] for p in values]
         neg_t = [idx[g.sub(up, p)] for p in values]
         per_fiber.append(values)
-        add_tables.append(add_cap)
-        neg_tables.append(neg_t)
-
-    sizes = [len(v) for v in per_fiber]
-    total = int(np.prod(sizes))
-    digits = np.array(np.unravel_index(np.arange(total), sizes))
-    strides = [int(np.prod(sizes[i + 1 :])) for i in range(len(sizes))]
-    oplus = np.zeros((total, total), dtype=np.int64)
-    neg = np.zeros(total, dtype=np.int64)
-    for f in range(len(sizes)):
-        d = digits[f]
-        add_arr = np.asarray(add_tables[f])
-        neg_arr = np.asarray(neg_tables[f])
-        oplus += strides[f] * add_arr[d[:, None], d[None, :]]
-        neg += strides[f] * neg_arr[d]
-    algebra = FiniteMVAlgebra(total, oplus, neg)
+        factors.append(FiniteMVAlgebra(len(values), add_cap, neg_t))
+    algebra = make_product_many(factors)
     report = check_mv_axioms(algebra)
     if not report.ok:
         raise InternalInvariantError(
@@ -366,13 +329,3 @@ def gamma_segment(group: ProductLuGroup, u: GroupElement | None = None) -> Gamma
         index=index,
         fiber_values=tuple(tuple(v) for v in per_fiber),
     )
-
-
-def group_spectrum(group: ProductLuGroup) -> list[frozenset[int]]:
-    """Prime kernels in fiber order, each given by its zero-coordinate set.
-
-    The ideal {x : x(i) = 0} is the kernel of the projection onto fiber i;
-    quotienting by it leaves that one totally ordered fiber, which is what
-    makes these exactly the primes among the coordinate ideals.
-    """
-    return [frozenset({i}) for i in range(group.k)]

@@ -11,6 +11,7 @@ lists (see ``oplus_rows`` etc.).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,9 +25,7 @@ __all__ = [
     "make_chain",
     "make_product",
     "make_product_many",
-    "product_projections",
     "check_mv_axioms",
-    "derived",
     "check_morphism",
     "compose",
     "identity_morphism",
@@ -39,13 +38,16 @@ __all__ = [
 _VIOLATION_CAP = 100  # per axiom; garbage tables can fail on O(size^3) triples
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_table(values, shape, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.int64)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    return _frozen(arr.copy())
 
 
 class FiniteMVAlgebra:
@@ -78,83 +80,45 @@ class FiniteMVAlgebra:
     def top(self) -> int:
         return int(self.neg[0])
 
-    # -- derived tables (cached; all follow from oplus and neg) --
+    # -- derived tables (computed once; all follow from oplus and neg) --
 
-    @property
+    @functools.cached_property
     def odot(self) -> np.ndarray:
         """odot[a,b] = neg(neg(a) oplus neg(b))."""
-        t = getattr(self, "_odot", None)
-        if t is None:
-            t = self.neg[self.oplus[self.neg[:, None], self.neg[None, :]]]
-            t.setflags(write=False)
-            self._odot = t
-        return t
+        return _frozen(self.neg[self.oplus[self.neg[:, None], self.neg[None, :]]])
 
-    @property
+    @functools.cached_property
     def ominus(self) -> np.ndarray:
         """ominus[a,b] = a odot neg(b); zero exactly when a <= b."""
-        t = getattr(self, "_ominus", None)
-        if t is None:
-            t = self.odot[:, self.neg]
-            t.setflags(write=False)
-            self._ominus = t
-        return t
+        return _frozen(self.odot[:, self.neg])
 
-    @property
+    @functools.cached_property
     def leq(self) -> np.ndarray:
         """Boolean matrix of the induced partial order."""
-        t = getattr(self, "_leq", None)
-        if t is None:
-            t = self.ominus == 0
-            t.setflags(write=False)
-            self._leq = t
-        return t
+        return _frozen(self.ominus == 0)
 
-    @property
+    @functools.cached_property
     def join(self) -> np.ndarray:
         """join[a,b] = (a ominus b) oplus b."""
-        t = getattr(self, "_join", None)
-        if t is None:
-            idx = np.arange(self.size)
-            t = self.oplus[self.ominus, idx[None, :]]
-            t.setflags(write=False)
-            self._join = t
-        return t
+        return _frozen(self.oplus[self.ominus, np.arange(self.size)[None, :]])
 
-    @property
+    @functools.cached_property
     def meet(self) -> np.ndarray:
-        t = getattr(self, "_meet", None)
-        if t is None:
-            t = self.neg[self.join[self.neg[:, None], self.neg[None, :]]]
-            t.setflags(write=False)
-            self._meet = t
-        return t
+        return _frozen(self.neg[self.join[self.neg[:, None], self.neg[None, :]]])
 
     # -- fast scalar access for backtracking searches and pair arithmetic --
 
-    @property
+    @functools.cached_property
     def oplus_rows(self) -> list[list[int]]:
-        r = getattr(self, "_oplus_rows", None)
-        if r is None:
-            r = self.oplus.tolist()
-            self._oplus_rows = r
-        return r
+        return self.oplus.tolist()
 
-    @property
+    @functools.cached_property
     def odot_rows(self) -> list[list[int]]:
-        r = getattr(self, "_odot_rows", None)
-        if r is None:
-            r = self.odot.tolist()
-            self._odot_rows = r
-        return r
+        return self.odot.tolist()
 
-    @property
+    @functools.cached_property
     def neg_list(self) -> list[int]:
-        r = getattr(self, "_neg_list", None)
-        if r is None:
-            r = self.neg.tolist()
-            self._neg_list = r
-        return r
+        return self.neg.tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMVAlgebra):
@@ -259,16 +223,6 @@ def make_product(a: FiniteMVAlgebra, b: FiniteMVAlgebra) -> FiniteMVAlgebra:
     return make_product_many([a, b])
 
 
-def product_projections(
-    a: FiniteMVAlgebra, b: FiniteMVAlgebra
-) -> tuple[MVMorphism, MVMorphism]:
-    prod = make_product(a, b)
-    idx = np.arange(prod.size)
-    p1 = MVMorphism(prod, a, tuple((idx // b.size).tolist()))
-    p2 = MVMorphism(prod, b, tuple((idx % b.size).tolist()))
-    return p1, p2
-
-
 def _collect(name: str, bad: np.ndarray, arity: int, out: list, size: int) -> bool:
     """Append up to the cap of violating argument tuples; return truncation."""
     where = np.argwhere(bad)
@@ -277,6 +231,7 @@ def _collect(name: str, bad: np.ndarray, arity: int, out: list, size: int) -> bo
     return len(where) > _VIOLATION_CAP
 
 
+@functools.cache
 def check_mv_axioms(algebra: FiniteMVAlgebra) -> AxiomReport:
     """Exhaustively check the six defining laws on the whole carrier.
 
@@ -301,30 +256,6 @@ def check_mv_axioms(algebra: FiniteMVAlgebra) -> AxiomReport:
     truncated |= _collect("characteristic", luk != luk.T, 2, out, s)
 
     return AxiomReport(ok=not out, violations=tuple(out), truncated=truncated)
-
-
-def derived(algebra: FiniteMVAlgebra, op: str, a: int, b: int | None = None):
-    """Evaluate a derived operation by name.
-
-    Binary: odot, ominus, join, meet, leq.  Unary: neg.  leq returns bool,
-    everything else a carrier element.
-    """
-    if op == "neg":
-        return int(algebra.neg[a])
-    if b is None:
-        raise ValueError(f"operation {op!r} needs two arguments")
-    tables = {
-        "oplus": algebra.oplus,
-        "odot": algebra.odot,
-        "ominus": algebra.ominus,
-        "join": algebra.join,
-        "meet": algebra.meet,
-    }
-    if op == "leq":
-        return bool(algebra.leq[a, b])
-    if op not in tables:
-        raise ValueError(f"unknown derived operation {op!r}")
-    return int(tables[op][a, b])
 
 
 def check_morphism(h: MVMorphism) -> MorphismReport:
@@ -373,9 +304,34 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when a backtracking enumeration exceeds its node budget."""
 
 
+def _prefix_consistent(img: list[int], k: int, op_d, ng_d, op_c, ng_c) -> bool:
+    """Whether the partial map img[0..k] respects every neg and oplus fact
+    whose arguments and value all lie in 0..k; img[k] is the fresh image.
+    The tables are the domain's and codomain's oplus rows and neg lists."""
+    y = img[k]
+    nk = ng_d[k]
+    if nk <= k and img[nk] != ng_c[y]:
+        return False
+    for a in range(k + 1):
+        xa = img[a]
+        r = op_d[a][k]
+        if r <= k and op_c[xa][y] != img[r]:
+            return False
+        r = op_d[k][a]
+        if r <= k and op_c[y][xa] != img[r]:
+            return False
+    # freshly assigned k may itself be the value of earlier pairs
+    for a in range(k):
+        for b in range(k):
+            if op_d[a][b] == k and op_c[img[a]][img[b]] != y:
+                return False
+    return True
+
+
+@functools.cache
 def find_morphisms(
     dom: FiniteMVAlgebra, cod: FiniteMVAlgebra, node_cap: int = 10**6
-) -> list[MVMorphism]:
+) -> tuple[MVMorphism, ...]:
     """All morphisms dom -> cod by backtracking over partial carrier maps.
 
     Images are assigned in carrier order; a constraint is checked as soon as
@@ -383,33 +339,11 @@ def find_morphisms(
     stay bounded and reproducible.
     """
     s = dom.size
-    op_d, ng_d = dom.oplus_rows, dom.neg_list
-    op_c, ng_c = cod.oplus_rows, cod.neg_list
+    op_d, ng_d, op_c, ng_c = dom.oplus_rows, dom.neg_list, cod.oplus_rows, cod.neg_list
     img = [-1] * s
     img[0] = 0
     found: list[MVMorphism] = []
     nodes = 0
-
-    def consistent(k: int) -> bool:
-        # all pairs (a,b) with a,b <= k whose oplus lands in the assigned range
-        y = img[k]
-        nk = ng_d[k]
-        if nk <= k and img[nk] != ng_c[y]:
-            return False
-        for a in range(k + 1):
-            xa = img[a]
-            r = op_d[a][k]
-            if r <= k and op_c[xa][y] != img[r]:
-                return False
-            r2 = op_d[k][a]
-            if r2 <= k and op_c[y][xa] != img[r2]:
-                return False
-        # freshly assigned k may itself be the value of earlier pairs
-        for a in range(k):
-            for b in range(k):
-                if op_d[a][b] == k and op_c[img[a]][img[b]] != y:
-                    return False
-        return True
 
     def rec(k: int):
         nonlocal nodes
@@ -421,14 +355,14 @@ def find_morphisms(
             if nodes > node_cap:
                 raise SearchBudgetExceeded(f"morphism search exceeded {node_cap} nodes")
             img[k] = y
-            if consistent(k):
+            if _prefix_consistent(img, k, op_d, ng_d, op_c, ng_c):
                 rec(k + 1)
             img[k] = -1
 
-    if not consistent(0):
-        return []
+    if not _prefix_consistent(img, 0, op_d, ng_d, op_c, ng_c):
+        return ()
     rec(1)
-    return found
+    return tuple(found)
 
 
 def _order_signature(algebra: FiniteMVAlgebra) -> list[tuple[int, ...]]:
@@ -462,29 +396,10 @@ def find_isomorphism(
     candidates = [
         [y for y in range(b.size) if sig_b[y] == sig_a[x]] for x in range(a.size)
     ]
-    op_a, ng_a = a.oplus_rows, a.neg_list
-    op_b, ng_b = b.oplus_rows, b.neg_list
+    op_a, ng_a, op_b, ng_b = a.oplus_rows, a.neg_list, b.oplus_rows, b.neg_list
     img = [-1] * a.size
     used = [False] * b.size
     nodes = 0
-
-    def consistent(k: int) -> bool:
-        y = img[k]
-        nk = ng_a[k]
-        if nk <= k and img[nk] != ng_b[y]:
-            return False
-        for x in range(k + 1):
-            r = op_a[x][k]
-            if r <= k and op_b[img[x]][y] != img[r]:
-                return False
-            r = op_a[k][x]
-            if r <= k and op_b[y][img[x]] != img[r]:
-                return False
-        for x in range(k):
-            for z in range(k):
-                if op_a[x][z] == k and op_b[img[x]][img[z]] != y:
-                    return False
-        return True
 
     def rec(k: int) -> bool:
         nonlocal nodes
@@ -498,7 +413,7 @@ def find_isomorphism(
                 raise SearchBudgetExceeded(f"iso search exceeded {node_cap} nodes")
             img[k] = y
             used[y] = True
-            if consistent(k) and rec(k + 1):
+            if _prefix_consistent(img, k, op_a, ng_a, op_b, ng_b) and rec(k + 1):
                 return True
             img[k] = -1
             used[y] = False

@@ -14,6 +14,7 @@ fiber" is reproducible across runs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +179,7 @@ def is_prime_ideal(algebra: FiniteMVAlgebra, ideal: Ideal) -> bool:
     return bool((mask[om] | mask[om.T]).all())
 
 
+@functools.cache
 def spectrum(algebra: FiniteMVAlgebra) -> Spectrum:
     """Proper prime ideals in canonical (bitmask-ascending) order."""
     primes = [
@@ -195,6 +197,7 @@ class QuotientResult:
     class_of: tuple[int, ...]
 
 
+@functools.cache
 def quotient(algebra: FiniteMVAlgebra, ideal: Ideal) -> QuotientResult:
     """Quotient by the congruence a ~ b iff (a ominus b) oplus (b ominus a) lies
     in the ideal.  Classes are indexed by first appearance, so the class of 0

@@ -19,12 +19,17 @@ suites verify each distinct fiber case once (they are heavily shared across
 configurations) and verify the factorization itself by running the direct
 product-level check on every configuration small enough to afford it.
 
+Work shared between suites and configurations (spectra, quotients, stars,
+unit segments, morphism lists, the per-fiber verdicts) is memoized by value
+in the builders themselves, so a sweep context holds only its configuration.
+
 Suite results carry no timing or environment data, so a sweep's report is
 byte-stable across runs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -34,7 +39,6 @@ from .equivalence import (
     canonical_good_sequence,
     coordinate_ideal_checks,
     free_quotient_experiment,
-    gamma_restriction,
     good_sequence_sum,
     iota_naturality,
     iota_roundtrip,
@@ -42,30 +46,23 @@ from .equivalence import (
     segment_generation_check,
     star_algebra,
     star_functoriality,
-    star_morphism,
     upsilon,
     upsilon_inverse_chain,
     upsilon_naturality,
     LGroupMap,
     ChainStarMap,
-    StarAlgebra,
 )
 from .lgroup import (
     ChangChainGroup,
     ChangPair,
-    GammaSegment,
     ProductLuGroup,
     abs_decompose,
     gamma_segment,
 )
 from .mv_core import (
     FiniteMVAlgebra,
-    MVMorphism,
-    check_morphism,
     check_mv_axioms,
-    compose,
     find_morphisms,
-    identity_morphism,
     make_chain,
     make_product,
 )
@@ -131,9 +128,14 @@ def group_shapes(
                 yield chains, heights
 
 
+@functools.cache
+def chain_fiber(n: int) -> ChangChainGroup:
+    """The fiber group over the chain of height n."""
+    return ChangChainGroup(make_chain(n))
+
+
 class SweepContext:
-    """Shared lazy caches for one sweep: fiber groups, segments, stars,
-    morphism lists, and per-fiber verdicts, all keyed by value shapes."""
+    """The configuration of one sweep and the families it generates."""
 
     def __init__(self, max_size: int = 12, window: int = 4):
         if max_size < 2:
@@ -147,41 +149,14 @@ class SweepContext:
         self.group_chain_cap = min(4, self.max_chain)
         self.group_height_cap = 3 if max_size >= 16 else 2
         self.map_chain_cap = min(3, self.group_chain_cap)
-        self._fibers: dict[int, ChangChainGroup] = {}
-        self._segments: dict[tuple, GammaSegment] = {}
-        self._stars: dict[FiniteMVAlgebra, StarAlgebra] = {}
-        self._homs: dict[tuple[int, int], list[MVMorphism]] = {}
-        self._fiber_upsilon: dict[tuple[int, int], bool] = {}
-        self._fiber_goodseq: dict[tuple[int, int], tuple[bool, int]] = {}
 
-    # -- caches --
-
-    def fiber(self, n: int) -> ChangChainGroup:
-        f = self._fibers.get(n)
-        if f is None:
-            f = ChangChainGroup(make_chain(n))
-            self._fibers[n] = f
-        return f
-
-    def group(self, chains: tuple[int, ...], heights: tuple[int, ...]) -> ProductLuGroup:
-        fibers = [self.fiber(n) for n in chains]
+    @staticmethod
+    def group(chains: tuple[int, ...], heights: tuple[int, ...]) -> ProductLuGroup:
+        """The product of the fibers over the given chain heights, with the
+        unit at the given height (fiber-group value) in each fiber."""
+        fibers = [chain_fiber(n) for n in chains]
         u = tuple(f.pair_of_phi(h) for f, h in zip(fibers, heights))
         return ProductLuGroup(fibers, u)
-
-    def segment(self, group: ProductLuGroup) -> GammaSegment:
-        key = (tuple(f.chain.size for f in group.fibers), group.u)
-        seg = self._segments.get(key)
-        if seg is None:
-            seg = gamma_segment(group)
-            self._segments[key] = seg
-        return seg
-
-    def star(self, algebra: FiniteMVAlgebra) -> StarAlgebra:
-        s = self._stars.get(algebra)
-        if s is None:
-            s = star_algebra(algebra)
-            self._stars[algebra] = s
-        return s
 
     def algebras(self, cap: int | None = None) -> list[FiniteMVAlgebra]:
         return generated_algebras(cap if cap is not None else self.max_size, self.max_chain)
@@ -191,72 +166,54 @@ class SweepContext:
             group_shapes(self.group_fibers, self.group_chain_cap, self.group_height_cap)
         )
 
-    def homs_between(self, algebras: list[FiniteMVAlgebra]) -> dict[tuple[int, int], list[MVMorphism]]:
-        out = {}
-        for i, a in enumerate(algebras):
-            for j, b in enumerate(algebras):
-                key = (i, j)
-                if key not in self._homs:
-                    self._homs[key] = find_morphisms(a, b)
-                out[key] = self._homs[key]
-        return out
 
-    # -- per-fiber verdicts (see the module docstring for why one case
-    #    certifies every configuration sharing the fiber shape) --
+# -- per-fiber verdicts (see the module docstring for why one case certifies
+#    every configuration sharing the fiber shape) --
 
-    def fiber_upsilon_holds(self, n: int, h: int) -> bool:
-        key = (n, h)
-        got = self._fiber_upsilon.get(key)
-        if got is None:
-            f = self.fiber(n)
-            g = ProductLuGroup([f], (f.pair_of_phi(h),))
-            got = upsilon(g, window=self.window, segment=self.segment(g), star=self.star(self.segment(g).algebra)).holds
-            self._fiber_upsilon[key] = got
-        return got
 
-    def fiber_goodseq_case(self, n: int, h: int) -> tuple[bool, int]:
-        """Canonical-sequence law, sum, and uniqueness over one fiber window.
+@functools.cache
+def fiber_upsilon_holds(n: int, h: int, window: int) -> bool:
+    return upsilon(SweepContext.group((n,), (h,)), window=window).holds
 
-        Uniqueness oracle: enumerate every normalized sequence over the
-        segment carrier satisfying the absorption law, up to one more than
-        the longest length a window sum can need, bucket them by their sum,
-        and require each nonnegative window element to own exactly its
-        canonical sequence.
-        """
-        key = (n, h)
-        got = self._fiber_goodseq.get(key)
-        if got is not None:
-            return got
-        f = self.fiber(n)
-        g = ProductLuGroup([f], (f.pair_of_phi(h),))
-        seg = self.segment(g)
-        a = seg.algebra
-        max_len = self.window + 1
-        by_sum: dict[tuple, list[tuple[int, ...]]] = {}
-        all_seqs: list[tuple[int, ...]] = [()]
-        for length in range(1, max_len + 1):
-            for tup in itertools.product(range(a.size), repeat=length):
-                if tup[-1] != 0 and is_good_sequence(a, tup):
-                    all_seqs.append(tup)
-        for s in all_seqs:
-            by_sum.setdefault(good_sequence_sum(seg, s), []).append(s)
-        ok = True
-        cases = 0
-        top = g.mul(self.window, g.u)
-        x = g.zero
-        while True:
-            cases += 1
-            canon = canonical_good_sequence(seg, x)
-            if good_sequence_sum(seg, canon.entries) != x:
-                ok = False
-            if by_sum.get(x, []) != [canon.entries]:
-                ok = False
-            if x == top:
-                break
-            x = (f.add(x[0], f.pair_of_phi(1)),)
-        got = (ok, cases)
-        self._fiber_goodseq[key] = got
-        return got
+
+@functools.cache
+def fiber_goodseq_case(n: int, h: int, window: int) -> tuple[bool, int]:
+    """Canonical-sequence law, sum, and uniqueness over one fiber window.
+
+    Uniqueness oracle: enumerate every normalized sequence over the
+    segment carrier satisfying the absorption law, up to one more than
+    the longest length a window sum can need, bucket them by their sum,
+    and require each nonnegative window element to own exactly its
+    canonical sequence.
+    """
+    g = SweepContext.group((n,), (h,))
+    f = g.fibers[0]
+    seg = gamma_segment(g)
+    a = seg.algebra
+    max_len = window + 1
+    by_sum: dict[tuple, list[tuple[int, ...]]] = {}
+    all_seqs: list[tuple[int, ...]] = [()]
+    for length in range(1, max_len + 1):
+        for tup in itertools.product(range(a.size), repeat=length):
+            if tup[-1] != 0 and is_good_sequence(a, tup):
+                all_seqs.append(tup)
+    for s in all_seqs:
+        by_sum.setdefault(good_sequence_sum(seg, s), []).append(s)
+    ok = True
+    cases = 0
+    top = g.mul(window, g.u)
+    x = g.zero
+    while True:
+        cases += 1
+        canon = canonical_good_sequence(seg, x)
+        if good_sequence_sum(seg, canon.entries) != x:
+            ok = False
+        if by_sum.get(x, []) != [canon.entries]:
+            ok = False
+        if x == top:
+            break
+        x = (f.add(x[0], f.pair_of_phi(1)),)
+    return ok, cases
 
 
 # -- suites ------------------------------------------------------------------------
@@ -279,7 +236,7 @@ def suite_pair_groups(ctx: SweepContext) -> SuiteResult:
     exhaustive over the window of copy index at most 4."""
     result = SuiteResult("pair_groups", True, 0)
     for n in range(1, min(5, ctx.max_chain) + 1):
-        f = ctx.fiber(n)
+        f = chain_fiber(n)
         lo, hi = ChangPair(-4, 0), ChangPair(4, 0)
         win = f.interval(lo, hi)
         g = ProductLuGroup([f], (f.unit,))
@@ -320,13 +277,12 @@ def suite_chain_roundtrip(ctx: SweepContext) -> SuiteResult:
     for n in range(1, ctx.max_chain + 1):
         result.cases += 1
         c = make_chain(n)
-        f = ctx.fiber(n)
+        f = chain_fiber(n)
         g = ProductLuGroup([f], (f.unit,))
-        seg = ctx.segment(g)
-        if seg.algebra != c:
+        if gamma_segment(g).algebra != c:
             result.note_failure(f"segment of the height-{n} fiber group is not the chain")
             continue
-        um = UpsilonMap(g, segment=seg, star=ctx.star(seg.algebra))
+        um = UpsilonMap(g)
         sf = um.star.ambient.fibers[0]
         ok = True
         for x in f.interval(f.mul(-4, f.unit), f.mul(4, f.unit)):
@@ -350,7 +306,7 @@ def suite_general_roundtrip(ctx: SweepContext) -> SuiteResult:
     result = SuiteResult("general_roundtrip", True, 0)
     for a in ctx.algebras(min(16, ctx.max_size)):
         result.cases += 1
-        star = ctx.star(a)
+        star = star_algebra(a)
         report = iota_roundtrip(star)
         if not report.holds:
             result.note_failure(f"iota round trip fails on a size-{a.size} algebra")
@@ -360,9 +316,8 @@ def suite_general_roundtrip(ctx: SweepContext) -> SuiteResult:
     for chains, heights in ctx.group_configs():
         result.cases += 1
         g = ctx.group(chains, heights)
-        seg = ctx.segment(g)
-        star = ctx.star(seg.algebra)
-        um = UpsilonMap(g, segment=seg, star=star)
+        um = UpsilonMap(g)
+        seg, star = um.segment, um.star
         box = 1
         for f in star.ambient.fibers:
             box *= f.height + 1
@@ -370,10 +325,10 @@ def suite_general_roundtrip(ctx: SweepContext) -> SuiteResult:
             result.note_failure(f"box mismatch at {chains}/{heights}")
         if um(star.u) != g.u:
             result.note_failure(f"unit not preserved at {chains}/{heights}")
-        if not all(ctx.fiber_upsilon_holds(n, h) for n, h in zip(chains, heights)):
+        if not all(fiber_upsilon_holds(n, h, ctx.window) for n, h in zip(chains, heights)):
             result.note_failure(f"fiber certificate fails at {chains}/{heights}")
         if len(chains) <= 2:
-            direct = upsilon(g, window=min(3, ctx.window), segment=seg, star=star)
+            direct = upsilon(g, window=min(3, ctx.window))
             if not direct.holds:
                 result.note_failure(f"direct product check fails at {chains}/{heights}")
     return result
@@ -389,12 +344,12 @@ def suite_good_sequences(ctx: SweepContext) -> SuiteResult:
     result = SuiteResult("good_sequences", True, 0)
     for chains, heights in ctx.group_configs():
         result.cases += 1
-        verdicts = [ctx.fiber_goodseq_case(n, h) for n, h in zip(chains, heights)]
+        verdicts = [fiber_goodseq_case(n, h, ctx.window) for n, h in zip(chains, heights)]
         if not all(ok for ok, _ in verdicts):
             result.note_failure(f"fiber sequence case fails at {chains}/{heights}")
         if len(chains) == 2 and max(heights) <= 2:
             g = ctx.group(chains, heights)
-            seg = ctx.segment(g)
+            seg = gamma_segment(g)
             ok = True
             for x in g.window(2):
                 if not g.leq(g.zero, x):
@@ -407,9 +362,7 @@ def suite_good_sequences(ctx: SweepContext) -> SuiteResult:
     return result
 
 
-def _generated_group_maps(
-    ctx: SweepContext, dom: ProductLuGroup, cod: ProductLuGroup
-) -> list[LGroupMap]:
+def _generated_group_maps(dom: ProductLuGroup, cod: ProductLuGroup) -> list[LGroupMap]:
     """Every unit-preserving coordinatewise chain-morphism map dom -> cod."""
     choices = []
     for j, fj in enumerate(cod.fibers):
@@ -437,21 +390,25 @@ def suite_naturality(ctx: SweepContext) -> SuiteResult:
     unit-preserving group map satisfies the evaluation square."""
     result = SuiteResult("naturality", True, 0)
     algebras = ctx.algebras(min(12, ctx.max_size))
-    homs = ctx.homs_between(algebras)
-    for (i, j), hs in sorted(homs.items()):
+    homs = {
+        (i, j): find_morphisms(a, b)
+        for i, a in enumerate(algebras)
+        for j, b in enumerate(algebras)
+    }
+    for (i, j), hs in homs.items():
         for h in hs:
             result.cases += 1
-            if not iota_naturality(h, ctx.star(h.dom), ctx.star(h.cod)).ok:
+            if not iota_naturality(h).ok:
                 result.note_failure(f"iota square fails for a map {i}->{j}")
     comp_window = min(2, ctx.window)
-    for (i, j), first_list in sorted(homs.items()):
-        for (j2, k), then_list in sorted(homs.items()):
+    for (i, j), first_list in homs.items():
+        for (j2, k), then_list in homs.items():
             if j2 != j:
                 continue
             for h1 in first_list:
                 for h2 in then_list:
                     result.cases += 1
-                    rep = star_functoriality(h1, h2, window=comp_window, stars=ctx._stars)
+                    rep = star_functoriality(h1, h2, window=comp_window)
                     if not rep.ok:
                         result.note_failure(f"composition square fails {i}->{j}->{k}")
     map_configs = [
@@ -461,21 +418,11 @@ def suite_naturality(ctx: SweepContext) -> SuiteResult:
         )
     ]
     groups = [ctx.group(c, h) for c, h in map_configs]
-    datas = []
-    for g in groups:
-        seg = ctx.segment(g)
-        datas.append((seg, ctx.star(seg.algebra)))
     for gi, g in enumerate(groups):
         for hi, hgrp in enumerate(groups):
-            for phi in _generated_group_maps(ctx, g, hgrp):
+            for phi in _generated_group_maps(g, hgrp):
                 result.cases += 1
-                rep = upsilon_naturality(
-                    phi,
-                    window=min(3, ctx.window),
-                    dom_data=datas[gi],
-                    cod_data=datas[hi],
-                )
-                if not rep.ok:
+                if not upsilon_naturality(phi, window=min(3, ctx.window)).ok:
                     result.note_failure(
                         f"evaluation square fails {map_configs[gi]}->{map_configs[hi]}"
                     )
@@ -489,16 +436,10 @@ def suite_segment_ideals(ctx: SweepContext) -> SuiteResult:
     result = SuiteResult("segment_ideals", True, 0)
     for chains, heights in ctx.group_configs():
         g = ctx.group(chains, heights)
-        seg = ctx.segment(g)
-        primes = ctx.star(seg.algebra).spec.primes
         for r in range(1, len(chains) + 1):
             for zf in itertools.combinations(range(len(chains)), r):
                 result.cases += 1
-                report = coordinate_ideal_checks(
-                    g, zf, segment=seg, segment_primes=primes,
-                    segment_cache=ctx._segments,
-                )
-                if not report.holds:
+                if not coordinate_ideal_checks(g, zf).holds:
                     result.note_failure(f"ideal {zf} fails at {chains}/{heights}")
     return result
 
@@ -522,8 +463,8 @@ def suite_free_quotient(ctx: SweepContext) -> SuiteResult:
     result = SuiteResult("free_quotient", True, 0)
     for a in ctx.algebras(min(9, ctx.max_size)):
         result.cases += 1
-        report = free_quotient_experiment(a, identify_zero=True, star=ctx.star(a))
-        expected = tuple([0] * len(ctx.star(a).spec.primes))
+        report = free_quotient_experiment(a, identify_zero=True)
+        expected = tuple([0] * len(spectrum(a).primes))
         if not (report.isomorphic and report.free_factors == expected):
             result.note_failure(f"factors {report.free_factors} on a size-{a.size} algebra")
     result.cases += 1
@@ -547,6 +488,6 @@ SUITE_ORDER = (
 
 
 def run_all_checks(max_size: int = 12, window: int = 4) -> list[SuiteResult]:
-    """Run every suite over one shared context, in canonical order."""
+    """Run every suite over one context, in canonical order."""
     ctx = SweepContext(max_size=max_size, window=window)
     return [suite(ctx) for suite in SUITE_ORDER]

@@ -2,9 +2,10 @@
 
 Each test drives one advertised guarantee at its full scale and budget,
 prints a single PASS/FAIL line (visible under ``pytest -s``), and fails
-loudly with the recorded counterexamples otherwise.  One shared sweep
-context keeps the fiber/segment/star caches warm across the gate, the
-same way ``mvgamma check-all`` runs them.
+loudly with the recorded counterexamples otherwise.  The suites run one
+after another over one sweep context, the same way ``mvgamma check-all``
+runs them, so later gates reuse the spectra, quotients, stars and segments
+that earlier ones built (the builders are memoized by value).
 """
 
 import io

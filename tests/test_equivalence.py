@@ -129,6 +129,14 @@ def test_star_of_a_product_splits_into_fibers():
     assert len(set(star.a_circle)) == a.size
 
 
+def test_star_is_shared_between_equal_algebras():
+    a = make_product(make_chain(1), make_chain(2))
+    b = make_product(make_chain(1), make_chain(2))
+    assert a is not b
+    assert star_algebra(a) is star_algebra(b)
+    assert star_algebra(make_chain(3)) is not star_algebra(a)
+
+
 def test_star_fibers_follow_spectrum_order():
     a = make_product(make_chain(1), make_chain(2))
     star = star_algebra(a)
@@ -274,18 +282,20 @@ def test_star_morphism_of_a_projection():
     assert check_morphism(proj).ok
     sm = star_morphism(proj)
     assert len(sm.fiber_maps) == 1
-    report = iota_naturality(proj, sm.dom_star, sm.cod_star)
+    assert isinstance(sm, LGroupMap) and sm.hom == proj
+    assert sm.dom == star_algebra(a).ambient and sm.cod == star_algebra(b).ambient
+    assert sm.unital
+    report = iota_naturality(proj)
     assert report.ok and report.checked == a.size
 
 
 def test_star_morphism_fiber_maps_match_restrict_morphism():
     algebras = generated_algebras(6)
-    stars = {a: star_algebra(a) for a in algebras}
     total = 0
     for dom, cod in itertools.product(algebras, repeat=2):
         for h in find_morphisms(dom, cod):
-            sm = star_morphism(h, stars[dom], stars[cod])
-            for j, prime in enumerate(stars[cod].spec.primes):
+            sm = star_morphism(h)
+            for j, prime in enumerate(star_algebra(cod).spec.primes):
                 assert sm.fiber_maps[j].hom == restrict_morphism(h, prime)
             total += 1
     assert total == 40
@@ -412,7 +422,7 @@ def test_coordinate_ideal_frozen_example():
         i for i, x in enumerate(seg.elements) if x[0] == ChangPair(0, 0)
     )
     assert len(members) == 3
-    report = coordinate_ideal_checks(g, (0,), segment=seg)
+    report = coordinate_ideal_checks(g, (0,))
     assert report.ideal_ok and report.quotient_iso_ok and report.spectrum_bijection_ok
     assert report.holds and report.segment_size == 6
 
@@ -422,10 +432,9 @@ def test_coordinate_ideals_all_subsets():
         [ChangChainGroup(make_chain(2)), ChangChainGroup(make_chain(1)), ChangChainGroup(make_chain(2))],
         [(0, 1), (1, 0), (1, 0)],
     )
-    seg = gamma_segment(g)
     for r in range(1, 4):
         for zf in itertools.combinations(range(3), r):
-            assert coordinate_ideal_checks(g, zf, segment=seg).holds
+            assert coordinate_ideal_checks(g, zf).holds
 
 
 def test_coordinate_ideal_rejects_bad_input():

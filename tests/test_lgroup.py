@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 from mvgamma.lgroup import (
     ChangChainGroup,
     ChangPair,
+    ProductLuGroup,
     abs_decompose,
-    chang_arith,
     gamma_segment,
-    group_spectrum,
     make_product_group,
-    unit_bound,
 )
 from mvgamma.mv_core import make_chain, make_product
+from mvgamma.spectrum import spectrum
 
 
 def fiber(n: int) -> ChangChainGroup:
@@ -68,16 +67,10 @@ def test_scalar_multiples_match_oracle(n):
             assert g.phi(g.mul(k, x)) == k * g.phi(x)
 
 
-def test_chang_arith_dispatch():
-    g = fiber(2)
-    x, y = ChangPair(0, 1), ChangPair(1, 1)
-    assert chang_arith(g, "add", x, y) == g.add(x, y)
-    assert chang_arith(g, "neg", x) == g.neg(x)
-    assert chang_arith(g, "leq", x, y) is True
-    with pytest.raises(ValueError):
-        chang_arith(g, "frobnicate", x, y)
-    with pytest.raises(ValueError):
-        chang_arith(g, "add", x)
+def test_fibers_are_equal_by_chain():
+    assert fiber(2) is not fiber(2)
+    assert fiber(2) == fiber(2) and hash(fiber(2)) == hash(fiber(2))
+    assert fiber(2) != fiber(3)
 
 
 def test_fiber_rejects_non_chain():
@@ -106,6 +99,14 @@ def test_unit_must_be_strictly_positive():
         make_product_group([fiber(1)], [(-1, 0)])
     with pytest.raises(ValueError):
         make_product_group([], [])
+
+
+def test_product_groups_are_equal_by_fibers_and_unit():
+    g, h = z2(), z2()
+    assert g is not h
+    assert g == h and hash(g) == hash(h)
+    assert z2(((1, 0), (2, 0))) != g
+    assert make_product_group([fiber(1), fiber(2)], [(1, 0), (1, 0)]) != g
 
 
 def test_componentwise_operations_match_oracle():
@@ -145,31 +146,6 @@ def test_abs_decompose_identities_on_window():
         assert g.sub(pos, neg) == x
         assert g.add(pos, neg) == absolute
         assert g.leq(g.zero, pos) and g.leq(g.zero, neg)
-
-
-def test_unit_bound_examples():
-    g = make_product_group([fiber(2)], [(0, 1)])
-    assert unit_bound(g, g.u, (ChangPair(2, 0),)) == 4
-    assert unit_bound(g, g.u, (ChangPair(0, 0),)) == 0
-    assert unit_bound(g, g.u, (ChangPair(0, 1),)) == 1
-    assert unit_bound(g, g.u, (ChangPair(-2, 0),)) == 4  # bound sees |x|
-    h = make_product_group([fiber(1), fiber(1)], [(1, 0), (2, 0)])
-    assert unit_bound(h, h.u, (ChangPair(1, 0), ChangPair(3, 0))) == 2
-
-
-def test_unit_bound_agrees_with_integer_ceiling():
-    g = make_product_group([fiber(3)], [(0, 2)])
-    f = g.fibers[0]
-    for t in range(-12, 13):
-        x = (f.pair_of_phi(t),)
-        n = unit_bound(g, g.u, x)
-        assert n == -(-abs(t) // 2)  # ceil(|t| / phi(u))
-
-
-def test_unit_bound_rejects_zero_direction():
-    g = z2()
-    with pytest.raises(ValueError):
-        unit_bound(g, (ChangPair(1, 0), ChangPair(0, 0)), g.zero)
 
 
 # -- segments -----------------------------------------------------------------
@@ -213,14 +189,31 @@ def test_segment_neg_is_unit_complement():
 
 
 def test_segment_requires_positive_endpoint():
-    g = z2()
-    with pytest.raises(ValueError):
-        gamma_segment(g, (ChangPair(1, 0), ChangPair(0, 0)))
+    # the segment's endpoint is the group's unit, checked when the group is built
+    with pytest.raises(ValueError, match="strictly positive in every fiber"):
+        ProductLuGroup([fiber(1), fiber(1)], (ChangPair(1, 0), ChangPair(0, 0)))
+    with pytest.raises(ValueError, match="strictly positive in every fiber"):
+        ProductLuGroup([fiber(2)], (ChangPair(-1, 1),))
+
+
+def test_segment_is_shared_between_equal_groups():
+    g, h = z2(((1, 0), (2, 0))), z2(((1, 0), (2, 0)))
+    assert g is not h
+    assert gamma_segment(g) is gamma_segment(h)
+    assert gamma_segment(z2()) is not gamma_segment(g)
 
 
 def test_group_spectrum_lists_fiber_kernels():
+    # the primes of the unit segment are exactly the kernels of the fiber
+    # projections, one per fiber
     g = make_product_group([fiber(1), fiber(2), fiber(3)], [(1, 0), (1, 0), (1, 0)])
-    assert group_spectrum(g) == [frozenset({0}), frozenset({1}), frozenset({2})]
+    seg = gamma_segment(g)
+    kernels = [
+        frozenset(i for i, x in enumerate(seg.elements) if x[j] == g.fibers[j].zero)
+        for j in range(g.k)
+    ]
+    assert len(set(kernels)) == 3
+    assert {p.members for p in spectrum(seg.algebra).primes} == set(kernels)
 
 
 # -- randomized laws -----------------------------------------------------------

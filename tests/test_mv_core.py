@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from mvgamma.mv_core import (
     FiniteMVAlgebra,
     MVMorphism,
+    SearchBudgetExceeded,
     check_morphism,
     check_mv_axioms,
     compose,
-    derived,
     find_isomorphism,
     find_morphisms,
     identity_morphism,
@@ -24,7 +24,6 @@ from mvgamma.mv_core import (
     make_chain,
     make_product,
     make_product_many,
-    product_projections,
 )
 
 
@@ -70,14 +69,14 @@ def test_chains_satisfy_axioms(n):
 def test_chain_derived_ops_match_integer_formulas(n):
     c = make_chain(n)
     for a in range(n + 1):
-        assert derived(c, "neg", a) == n - a
+        assert c.neg[a] == n - a
         for b in range(n + 1):
-            assert derived(c, "oplus", a, b) == min(n, a + b)
-            assert derived(c, "odot", a, b) == max(0, a + b - n)
-            assert derived(c, "ominus", a, b) == max(0, a - b)
-            assert derived(c, "join", a, b) == max(a, b)
-            assert derived(c, "meet", a, b) == min(a, b)
-            assert derived(c, "leq", a, b) == (a <= b)
+            assert c.oplus[a, b] == min(n, a + b)
+            assert c.odot[a, b] == max(0, a + b - n)
+            assert c.ominus[a, b] == max(0, a - b)
+            assert c.join[a, b] == max(a, b)
+            assert c.meet[a, b] == min(a, b)
+            assert c.leq[a, b] == (a <= b)
 
 
 def test_chain_is_totally_ordered_with_identity_rank():
@@ -134,7 +133,9 @@ def test_product_size_and_frozen_example():
 
 def test_product_projections_are_morphisms():
     a, b = make_chain(1), make_chain(3)
-    p1, p2 = product_projections(a, b)
+    prod = make_product(a, b)
+    p1 = MVMorphism(prod, a, tuple(i // b.size for i in range(prod.size)))
+    p2 = MVMorphism(prod, b, tuple(i % b.size for i in range(prod.size)))
     assert check_morphism(p1).ok and check_morphism(p2).ok
     assert p1.is_surjective() and p2.is_surjective()
 
@@ -205,6 +206,21 @@ def test_find_morphisms_agrees_with_brute_force(dom, cod):
     assert got == brute_morphisms(dom, cod)
     for h in find_morphisms(dom, cod):
         assert check_morphism(h).ok
+
+
+def test_find_morphisms_returns_a_shared_tuple():
+    sq = make_product(make_chain(1), make_chain(1))
+    found = find_morphisms(sq, make_chain(1))
+    assert isinstance(found, tuple)
+    assert find_morphisms(make_product(make_chain(1), make_chain(1)), make_chain(1)) is found
+
+
+def test_searches_stop_at_their_node_cap():
+    sq = make_product(make_chain(1), make_chain(1))
+    with pytest.raises(SearchBudgetExceeded, match="morphism search exceeded 3 nodes"):
+        find_morphisms(sq, sq, node_cap=3)
+    with pytest.raises(SearchBudgetExceeded, match="iso search exceeded 1 nodes"):
+        find_isomorphism(make_chain(3), make_chain(3), node_cap=1)
 
 
 def test_morphism_counts_frozen():

@@ -28,7 +28,8 @@ from mvgamma.spectrum import (
     restrict_morphism,
     spectrum,
 )
-from mvgamma.sweeps import SweepContext, generated_algebras
+from mvgamma.lgroup import gamma_segment
+from mvgamma.sweeps import SweepContext, generated_algebras, run_all_checks
 
 L1 = make_chain(1)
 L2 = make_chain(2)
@@ -163,7 +164,7 @@ def shuffled_labels(algebra):
 def test_quotient_matches_the_relation_matrix_reference():
     ctx = SweepContext(16, 4)
     algebras = set(generated_algebras(64))
-    algebras |= {ctx.segment(ctx.group(*cfg)).algebra for cfg in ctx.group_configs()}
+    algebras |= {gamma_segment(ctx.group(*cfg)).algebra for cfg in ctx.group_configs()}
     algebras |= {shuffled_labels(a) for a in generated_algebras(16)}
     checked = 0
     for algebra in algebras:
@@ -177,6 +178,22 @@ def test_quotient_matches_the_relation_matrix_reference():
             assert got.projection.map == class_of
             checked += 1
     assert checked == 344
+
+
+def test_quotient_is_shared_between_equal_inputs():
+    a, b = make_product(L2, L3), make_product(L2, L3)
+    assert a is not b
+    p = spectrum(a).primes[0]
+    got = quotient(a, p)
+    assert quotient(b, Ideal(b, frozenset(p.members))) is got
+    assert spectrum(b) is spectrum(a)
+    assert quotient(a, spectrum(a).primes[1]) is not got
+
+
+def test_sweep_reuses_quotients():
+    hits = quotient.cache_info().hits
+    assert all(suite.ok for suite in run_all_checks(6, 4))
+    assert quotient.cache_info().hits > hits
 
 
 def test_quotient_rejects_non_ideal_and_improper():
