@@ -35,8 +35,6 @@ from .equivalence import (
     is_good_sequence,
     segment_generation_check,
     star_algebra,
-    star_chain,
-    star_chain_morphism,
     star_functoriality,
     star_membership,
     star_morphism,
@@ -135,8 +133,6 @@ __all__ = [
     "smith_diagonal",
     "spectrum",
     "star_algebra",
-    "star_chain",
-    "star_chain_morphism",
     "star_functoriality",
     "star_membership",
     "star_morphism",

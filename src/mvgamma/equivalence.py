@@ -32,6 +32,7 @@ from .lgroup import (
     GroupElement,
     ProductLuGroup,
     abs_decompose,
+    coordinate_zero_sets,
     gamma_segment,
     require_positive_unit,
 )
@@ -40,23 +41,22 @@ from .mv_core import (
     MVMorphism,
     check_morphism,
     compose,
-    is_totally_ordered,
 )
 from .snf import invariant_factors, matrix_rank
 from .spectrum import (
     Ideal,
     QuotientResult,
     Spectrum,
+    class_values,
     ideal_violations,
     induced_morphism,
+    prime_alignment,
     quotient,
     spectrum,
 )
 
 __all__ = [
-    "star_chain",
     "ChainStarMap",
-    "star_chain_morphism",
     "StarAlgebra",
     "star_algebra",
     "canonical_entries",
@@ -64,6 +64,7 @@ __all__ = [
     "canonical_good_sequence",
     "is_good_sequence",
     "good_sequence_sum",
+    "good_sequence_sums_hold",
     "MembershipWitness",
     "generated_membership",
     "star_membership",
@@ -78,7 +79,6 @@ __all__ = [
     "upsilon",
     "upsilon_inverse_chain",
     "SegmentIdealReport",
-    "coordinate_ideal_members",
     "coordinate_ideal_checks",
     "LGroupMap",
     "gamma_restriction",
@@ -92,11 +92,6 @@ __all__ = [
 
 
 # -- chains -------------------------------------------------------------------
-
-
-def star_chain(chain: FiniteMVAlgebra) -> ChangChainGroup:
-    """The carry-pair group over a totally ordered algebra."""
-    return ChangChainGroup(chain)
 
 
 @dataclass(frozen=True)
@@ -114,12 +109,6 @@ class ChainStarMap:
 
     def __call__(self, x: ChangPair) -> ChangPair:
         return self.cod.pair(x.m, self.hom.map[x.a])
-
-
-def star_chain_morphism(hom: MVMorphism) -> ChainStarMap:
-    if not (is_totally_ordered(hom.dom) and is_totally_ordered(hom.cod)):
-        raise ValueError("pair-level extension needs chains on both ends")
-    return ChainStarMap(hom, ChangChainGroup(hom.dom), ChangChainGroup(hom.cod))
 
 
 # -- the star of a finite algebra ----------------------------------------------
@@ -145,9 +134,6 @@ class StarAlgebra:
     u: GroupElement
     a_circle: tuple[GroupElement, ...]
     circle_index: dict[GroupElement, int]
-
-    def iota(self, a: int) -> GroupElement:
-        return self.a_circle[a]
 
     @property
     def injective(self) -> bool:
@@ -252,6 +238,17 @@ def good_sequence_sum(segment: GammaSegment, entries: Iterable[int]) -> GroupEle
     for e in entries:
         acc = group.add(acc, segment.elements[e])
     return acc
+
+
+def good_sequence_sums_hold(group: ProductLuGroup, bound: int) -> bool:
+    """Every nonnegative x within bound·u has a canonical sequence that sums
+    back to x."""
+    segment = gamma_segment(group)
+    return all(
+        good_sequence_sum(segment, canonical_good_sequence(segment, x).entries) == x
+        for x in group.window(bound)
+        if group.leq(group.zero, x)
+    )
 
 
 # -- membership in the generated subgroup ---------------------------------------
@@ -484,49 +481,22 @@ class UpsilonMap:
         self.segment = segment
         self.u = segment.u
         self.star = star_algebra(segment.algebra)
-        k = group.k
-        if self.star.ambient.k != k:
+        alignment = prime_alignment(segment.algebra, coordinate_zero_sets(segment))
+        if alignment is None:
             raise InternalInvariantError(
-                "segment algebra has a different prime count than the fiber count"
+                "primes of the segment algebra are not the coordinate zero sets"
             )
-        zero_sets = []
-        for j, g in enumerate(group.fibers):
-            zero_sets.append(
-                frozenset(
-                    i for i, x in enumerate(segment.elements) if x[j] == g.zero
-                )
-            )
-        alignment = []
-        for prime in self.star.spec.primes:
-            hits = [j for j, z in enumerate(zero_sets) if z == prime.members]
-            if len(hits) != 1:
-                raise InternalInvariantError(
-                    "prime of the segment algebra is not a unique coordinate zero set"
-                )
-            alignment.append(hits[0])
-        if len(set(alignment)) != k:
-            raise InternalInvariantError("fiber alignment is not a bijection")
-        self.alignment = tuple(alignment)
+        self.alignment = alignment
         lifts = []
-        for t, q in enumerate(self.star.quotients):
-            j = alignment[t]
-            lift: list[ChangPair | None] = [None] * q.quotient.size
-            for idx in range(segment.algebra.size):
-                c = q.class_of[idx]
-                v = segment.elements[idx][j]
-                if lift[c] is None:
-                    lift[c] = v
-                elif lift[c] != v:
-                    raise InternalInvariantError(
-                        "coordinate is not constant on a quotient class"
-                    )
-            if any(v is None for v in lift):
-                raise InternalInvariantError("quotient class with no representative")
+        for j, q in zip(alignment, self.star.quotients):
+            lift = class_values(q, [x[j] for x in segment.elements])
+            if lift is None:
+                raise InternalInvariantError("coordinate is not constant on a quotient class")
             if len(set(lift)) != len(lift):
                 raise InternalInvariantError(
                     "two quotient classes share a coordinate value"
                 )
-            lifts.append(tuple(lift))
+            lifts.append(lift)
         self.lifts = tuple(lifts)
 
     def fiber_value(self, t: int, x: ChangPair) -> ChangPair:
@@ -685,7 +655,7 @@ class SegmentIdealReport:
     trace on [0, u] must be an algebra ideal, the quotient by that trace must
     match the segment of the restricted group (restriction to the named
     coordinates), and the coordinate zero sets must list exactly the primes
-    of the segment algebra.
+    of the segment algebra (a fact of the group, shared by all its reports).
     """
 
     zero_fibers: tuple[int, ...]
@@ -699,72 +669,51 @@ class SegmentIdealReport:
         return self.ideal_ok and self.quotient_iso_ok and self.spectrum_bijection_ok
 
 
-def coordinate_ideal_members(segment: GammaSegment, zero_fibers: Iterable[int]) -> frozenset[int]:
-    """Carrier indices of segment elements vanishing on the given fibers."""
-    zf = tuple(zero_fibers)
-    zeros = [segment.group.fibers[j].zero for j in zf]
-    return frozenset(
-        i
-        for i, x in enumerate(segment.elements)
-        if all(x[j] == z for j, z in zip(zf, zeros))
-    )
+def coordinate_ideal_checks(group: ProductLuGroup) -> tuple[SegmentIdealReport, ...]:
+    """Check every coordinate ideal of the group against its segment trace.
 
-
-def coordinate_ideal_checks(
-    group: ProductLuGroup, zero_fibers: Iterable[int]
-) -> SegmentIdealReport:
-    """Check one coordinate ideal against its segment trace.
-
-    `zero_fibers` must be a nonempty set of fiber indices; the corresponding
-    group ideal is the kernel of the projection onto those coordinates, so
-    the quotient keeps exactly the named fibers.
+    One report per nonempty set of zero fibers, by size and then
+    lexicographically; the ideal named by a set is the kernel of the
+    projection onto those coordinates, so its quotient keeps those fibers.
     """
-    zf = tuple(sorted(set(zero_fibers)))
-    if not zf:
-        raise ValueError("the empty coordinate set names the whole group, not an ideal")
-    if zf[0] < 0 or zf[-1] >= group.k:
-        raise ValueError("fiber index out of range")
     segment = gamma_segment(group)
-    zero_sets = [coordinate_ideal_members(segment, (j,)) for j in range(group.k)]
-    members = frozenset.intersection(*(zero_sets[j] for j in zf))
-    ideal_ok = not ideal_violations(segment.algebra, members)
-    quotient_iso_ok = False
-    if ideal_ok:
-        q = quotient(segment.algebra, Ideal(segment.algebra, members))
-        kept = ProductLuGroup(
-            [group.fibers[j] for j in zf], tuple(segment.u[j] for j in zf)
-        )
-        kept_segment = gamma_segment(kept)
-        assignment: list[int | None] = [None] * q.quotient.size
-        well_defined = True
-        for idx in range(segment.algebra.size):
-            c = q.class_of[idx]
-            target = kept_segment.index[tuple(segment.elements[idx][j] for j in zf)]
-            if assignment[c] is None:
-                assignment[c] = target
-            elif assignment[c] != target:
-                well_defined = False
-        if well_defined and None not in assignment:
-            restriction = MVMorphism(
-                q.quotient, kept_segment.algebra, tuple(assignment)  # type: ignore[arg-type]
+    algebra = segment.algebra
+    zero_sets = coordinate_zero_sets(segment)
+    spectrum_bijection_ok = prime_alignment(algebra, zero_sets) is not None
+    reports = []
+    for r in range(1, group.k + 1):
+        for zf in itertools.combinations(range(group.k), r):
+            members = frozenset.intersection(*(zero_sets[j] for j in zf))
+            ideal_ok = not ideal_violations(algebra, members)
+            quotient_iso_ok = False
+            if ideal_ok:
+                q = quotient(algebra, Ideal(algebra, members))
+                kept_segment = gamma_segment(
+                    ProductLuGroup(
+                        [group.fibers[j] for j in zf], tuple(group.u[j] for j in zf)
+                    )
+                )
+                assignment = class_values(
+                    q,
+                    [kept_segment.index[tuple(x[j] for j in zf)] for x in segment.elements],
+                )
+                if assignment is not None:
+                    restriction = MVMorphism(q.quotient, kept_segment.algebra, assignment)
+                    quotient_iso_ok = bool(
+                        check_morphism(restriction).ok
+                        and restriction.is_injective()
+                        and restriction.is_surjective()
+                    )
+            reports.append(
+                SegmentIdealReport(
+                    zero_fibers=zf,
+                    ideal_ok=ideal_ok,
+                    quotient_iso_ok=quotient_iso_ok,
+                    spectrum_bijection_ok=spectrum_bijection_ok,
+                    segment_size=algebra.size,
+                )
             )
-            quotient_iso_ok = bool(
-                check_morphism(restriction).ok
-                and restriction.is_injective()
-                and restriction.is_surjective()
-            )
-    distinct_zero_sets = set(zero_sets)
-    spectrum_bijection_ok = (
-        len(distinct_zero_sets) == group.k
-        and distinct_zero_sets == {p.members for p in spectrum(segment.algebra).primes}
-    )
-    return SegmentIdealReport(
-        zero_fibers=zf,
-        ideal_ok=ideal_ok,
-        quotient_iso_ok=quotient_iso_ok,
-        spectrum_bijection_ok=spectrum_bijection_ok,
-        segment_size=segment.algebra.size,
-    )
+    return tuple(reports)
 
 
 # -- maps between product groups -----------------------------------------------------

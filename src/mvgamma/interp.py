@@ -7,7 +7,7 @@ Failure taxonomy (process exit codes in parentheses):
     kind or break a law at binding time — a morphism that fails the morphism
     laws, a table that fails the axioms, a negative element where a
     nonnegative one is required, a fiber-count mismatch, an unwritable
-    export path;
+    export path, a window below 1 or a max size below 2;
   * command failures (1): well-posed checks whose verdict is negative — a
     non-member, a failed round trip, a non-isomorphic free quotient;
   * internal invariant breaches (4) propagate as InternalInvariantError.
@@ -20,7 +20,6 @@ byte-identical JSON.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -30,6 +29,7 @@ from .equivalence import (
     free_quotient_experiment,
     generated_membership,
     good_sequence_sum,
+    good_sequence_sums_hold,
     iota_naturality,
     iota_roundtrip,
     segment_generation_check,
@@ -139,10 +139,6 @@ class RunReport:
         return dumps(self.as_json())
 
 
-def _element_json(x) -> dict:
-    return to_jsonable(x)
-
-
 class _Runner:
     def __init__(self, config: RunConfig):
         self.config = config
@@ -161,6 +157,14 @@ class _Runner:
                 {"name": name, "kind": kind},
             )
         return kind, value
+
+    def bound(self, cmd: Command, name: str, least: int) -> int:
+        """A command's `window` or `max_size`: its own flag, else the config's."""
+        value = getattr(cmd, name)
+        value = getattr(self.config, name) if value is None else value
+        if value < least:
+            raise SemanticError(f"{name} must be at least {least}", cmd.line, {name: value})
+        return value
 
     def element_in(self, group: ProductLuGroup, raw: Any, line: int):
         try:
@@ -300,7 +304,7 @@ class _Runner:
         detail = {
             "fibers": star.ambient.k,
             "heights": [f.height for f in star.ambient.fibers],
-            "unit": _element_json(star.u),
+            "unit": to_jsonable(star.u),
             "injective": star.injective,
         }
         return star.injective, detail
@@ -320,7 +324,7 @@ class _Runner:
         if kind == "algebra":
             star = star_algebra(value)
             report = iota_roundtrip(star)
-            gen = segment_generation_check(star, bound=min(2, self.config.window))
+            gen = segment_generation_check(star, bound=min(2, self.bound(cmd, "window", 1)))
             detail = {
                 "injective": report.injective,
                 "onto_segment": report.onto_segment,
@@ -330,7 +334,7 @@ class _Runner:
                 "checked": report.checked,
             }
             return report.holds and gen.ok, detail
-        result = upsilon(value, window=self.config.window)
+        result = upsilon(value, window=self.bound(cmd, "window", 1))
         detail = {
             "additive": result.additive,
             "order_embedding": result.order_embedding,
@@ -356,7 +360,7 @@ class _Runner:
             raise SemanticError(
                 "only nonnegative elements have good sequences",
                 cmd.line,
-                _element_json(x),
+                to_jsonable(x),
             )
         gs = canonical_good_sequence(seg, x)
         back = good_sequence_sum(seg, gs.entries)
@@ -364,7 +368,7 @@ class _Runner:
             raise InternalInvariantError("canonical sequence lost its sum")
         detail = {
             "entries": list(gs.entries),
-            "elements": [_element_json(seg.elements[e]) for e in gs.entries],
+            "elements": [to_jsonable(seg.elements[e]) for e in gs.entries],
             "length": len(gs.entries),
         }
         return True, detail
@@ -386,11 +390,11 @@ class _Runner:
             witness = generated_membership(star.ambient, star.u, allowed, x)
         detail = {
             "member": witness.member,
-            "positive": [_element_json(e) for e in witness.positive],
-            "negative": [_element_json(e) for e in witness.negative],
+            "positive": [to_jsonable(e) for e in witness.positive],
+            "negative": [to_jsonable(e) for e in witness.negative],
         }
         if witness.missing is not None:
-            detail["missing"] = _element_json(witness.missing)
+            detail["missing"] = to_jsonable(witness.missing)
         return witness.member, detail
 
     def cmd_freequotient(self, cmd: Command):
@@ -399,9 +403,9 @@ class _Runner:
         return report.isomorphic, to_jsonable(report)
 
     def cmd_check(self, cmd: Command):
-        max_size = cmd.max_size if cmd.max_size is not None else self.config.max_size
-        window = cmd.window if cmd.window is not None else self.config.window
+        window = self.bound(cmd, "window", 1)
         if cmd.check_all:
+            max_size = self.bound(cmd, "max_size", 2)
             suites = run_all_checks(max_size=max_size, window=window)
             detail = {"suites": [s.as_json() for s in suites]}
             return all(s.ok for s in suites), detail
@@ -420,20 +424,9 @@ class _Runner:
             square = iota_naturality(value).ok
             detail = {"morphism_law": law, "iota_square": square}
             return law and square, detail
-        seg = gamma_segment(value)
         result = upsilon(value, window=window)
-        ideals_ok = all(
-            coordinate_ideal_checks(value, zf).holds
-            for r in range(1, value.k + 1)
-            for zf in itertools.combinations(range(value.k), r)
-        )
-        sums_ok = True
-        for x in value.window(min(2, window)):
-            if not value.leq(value.zero, x):
-                continue
-            gs = canonical_good_sequence(seg, x)
-            if good_sequence_sum(seg, gs.entries) != x:
-                sums_ok = False
+        ideals_ok = all(r.holds for r in coordinate_ideal_checks(value))
+        sums_ok = good_sequence_sums_hold(value, min(2, window))
         detail = {
             "upsilon": result.holds,
             "coordinate_ideals": ideals_ok,

@@ -41,6 +41,7 @@ __all__ = [
     "abs_decompose",
     "GammaSegment",
     "gamma_segment",
+    "coordinate_zero_sets",
 ]
 
 
@@ -281,9 +282,9 @@ def abs_decompose(
 class GammaSegment:
     """The unit segment [0, u] of a product group, packaged as an MV-algebra.
 
-    `elements[i]` is the group element behind carrier index i; `index` is the
-    inverse lookup; `fiber_values[f]` lists fiber f's segment values ascending
-    (carrier indices decompose row-major over these lists, so index 0 is 0).
+    `elements[i]` is the group element behind carrier index i (row-major over
+    the fibers' ascending segment values, so index 0 is 0); `index` is the
+    inverse lookup.
     """
 
     group: ProductLuGroup
@@ -291,7 +292,6 @@ class GammaSegment:
     algebra: FiniteMVAlgebra
     elements: tuple[GroupElement, ...]
     index: dict[GroupElement, int]
-    fiber_values: tuple[tuple[ChangPair, ...], ...]
 
 
 @functools.cache
@@ -327,5 +327,13 @@ def gamma_segment(group: ProductLuGroup) -> GammaSegment:
         algebra=algebra,
         elements=elements,
         index=index,
-        fiber_values=tuple(tuple(v) for v in per_fiber),
+    )
+
+
+def coordinate_zero_sets(segment: GammaSegment) -> tuple[frozenset[int], ...]:
+    """For each fiber, the carrier indices of the segment elements vanishing
+    on it: the segment traces of the fiber kernels."""
+    return tuple(
+        frozenset(i for i, x in enumerate(segment.elements) if x[j] == z)
+        for j, z in enumerate(segment.group.zero)
     )

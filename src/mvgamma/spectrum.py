@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -38,6 +39,8 @@ __all__ = [
     "quotient",
     "canonical_embedding",
     "preimage_ideal",
+    "prime_alignment",
+    "class_values",
     "induced_morphism",
     "restrict_morphism",
 ]
@@ -251,21 +254,37 @@ def preimage_ideal(h: MVMorphism, ideal: Ideal) -> Ideal:
     return Ideal(h.dom, members)
 
 
+def prime_alignment(
+    algebra: FiniteMVAlgebra, zero_sets: Sequence[frozenset[int]]
+) -> tuple[int, ...] | None:
+    """For each prime of the algebra, in spectrum order, the index of the zero
+    set equal to it; None unless primes and zero sets match one to one."""
+    primes = [p.members for p in spectrum(algebra).primes]
+    if len(set(zero_sets)) != len(zero_sets) or set(zero_sets) != set(primes):
+        return None
+    return tuple(zero_sets.index(p) for p in primes)
+
+
+def class_values(q: QuotientResult, values: Sequence[Hashable]) -> tuple | None:
+    """The value of each class of q, in class order, given one value per
+    carrier element; None when some class holds two different values."""
+    found: dict[int, Hashable] = {}
+    for c, v in zip(q.class_of, values):
+        if found.setdefault(c, v) != v:
+            return None
+    return tuple(found[c] for c in range(q.quotient.size))
+
+
 def induced_morphism(h: MVMorphism, dom_q: QuotientResult, cod_q: QuotientResult) -> MVMorphism:
     """The map dom_q -> cod_q sending the class of a to the class of h(a).
 
     Raises if that assignment is not constant on classes, which would signal
     a broken congruence rather than a legitimate outcome.
     """
-    assignment = [-1] * dom_q.quotient.size
-    for a in range(h.dom.size):
-        c = dom_q.class_of[a]
-        target = cod_q.class_of[h.map[a]]
-        if assignment[c] == -1:
-            assignment[c] = target
-        elif assignment[c] != target:
-            raise RuntimeError("induced map not constant on congruence classes")
-    return MVMorphism(dom_q.quotient, cod_q.quotient, tuple(assignment))
+    assignment = class_values(dom_q, [cod_q.class_of[b] for b in h.map])
+    if assignment is None:
+        raise RuntimeError("induced map not constant on congruence classes")
+    return MVMorphism(dom_q.quotient, cod_q.quotient, assignment)
 
 
 def restrict_morphism(h: MVMorphism, prime: Ideal) -> MVMorphism:

@@ -40,6 +40,7 @@ from .equivalence import (
     coordinate_ideal_checks,
     free_quotient_experiment,
     good_sequence_sum,
+    good_sequence_sums_hold,
     iota_naturality,
     iota_roundtrip,
     is_good_sequence,
@@ -348,16 +349,7 @@ def suite_good_sequences(ctx: SweepContext) -> SuiteResult:
         if not all(ok for ok, _ in verdicts):
             result.note_failure(f"fiber sequence case fails at {chains}/{heights}")
         if len(chains) == 2 and max(heights) <= 2:
-            g = ctx.group(chains, heights)
-            seg = gamma_segment(g)
-            ok = True
-            for x in g.window(2):
-                if not g.leq(g.zero, x):
-                    continue
-                gs = canonical_good_sequence(seg, x)
-                if good_sequence_sum(seg, gs.entries) != x:
-                    ok = False
-            if not ok:
+            if not good_sequence_sums_hold(ctx.group(chains, heights), 2):
                 result.note_failure(f"product-level sums drift at {chains}/{heights}")
     return result
 
@@ -435,12 +427,12 @@ def suite_segment_ideals(ctx: SweepContext) -> SuiteResult:
     coordinate zero sets are exactly the primes."""
     result = SuiteResult("segment_ideals", True, 0)
     for chains, heights in ctx.group_configs():
-        g = ctx.group(chains, heights)
-        for r in range(1, len(chains) + 1):
-            for zf in itertools.combinations(range(len(chains)), r):
-                result.cases += 1
-                if not coordinate_ideal_checks(g, zf).holds:
-                    result.note_failure(f"ideal {zf} fails at {chains}/{heights}")
+        for report in coordinate_ideal_checks(ctx.group(chains, heights)):
+            result.cases += 1
+            if not report.holds:
+                result.note_failure(
+                    f"ideal {report.zero_fibers} fails at {chains}/{heights}"
+                )
     return result
 
 

@@ -17,7 +17,9 @@ from mvgamma.script import parse_script
 from mvgamma.serialize import import_json
 
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+REPO = Path(__file__).resolve().parents[1]
+PYPROJECT = REPO / "pyproject.toml"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_text(text, **kwargs):
@@ -263,6 +265,45 @@ def test_cli_byte_identical_runs(tmp_path):
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+GROUP = "group G = fibers [2] unit [(1,0)]\n"
+
+
+@pytest.mark.parametrize(
+    "argv,script,line,field",
+    [
+        (["check-all", "--window", "0"], None, 1, "window"),
+        (["check-all", "--max-size", "1"], None, 1, "max_size"),
+        (["run"], GROUP + "check G --window 0\n", 2, "window"),
+        (["run"], GROUP + "check G --window -1\n", 2, "window"),
+        (["run", "--window", "0"], GROUP + "roundtrip G\n", 2, "window"),
+    ],
+)
+def test_out_of_range_window_or_max_size_is_three(tmp_path, capsys, argv, script, line, field):
+    if script is not None:
+        argv = argv[:1] + [write(tmp_path, "range.mvg", script)] + argv[1:]
+    assert main(argv) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "semantic"
+    assert error["line"] == line
+    assert field in error["counterexample"]
+
+
+def test_check_all_report_matches_golden(capsys):
+    assert main(["check-all", "--max-size", "6"]) == 0
+    expected = (GOLDEN / "check_all_max_size_6.out").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def test_tour_report_matches_golden(tmp_path, monkeypatch, capsys):
+    # the tour exports to demos/out/ relative to the working directory
+    (tmp_path / "demos" / "out").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(REPO / "demos" / "tour.mvg")]) == 0
+    expected = (GOLDEN / "tour.out").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+    assert (tmp_path / "demos" / "out" / "product_algebra.json").is_file()
 
 
 def test_python_m_mvgamma_matches_main(capsys):

@@ -6,12 +6,12 @@ import pytest
 
 from mvgamma.equivalence import (
     GoodSequence,
+    ChainStarMap,
     LGroupMap,
     UpsilonMap,
     canonical_entries,
     canonical_good_sequence,
     coordinate_ideal_checks,
-    coordinate_ideal_members,
     free_quotient_experiment,
     gamma_restriction,
     generated_membership,
@@ -21,8 +21,6 @@ from mvgamma.equivalence import (
     is_good_sequence,
     segment_generation_check,
     star_algebra,
-    star_chain,
-    star_chain_morphism,
     star_functoriality,
     star_membership,
     star_morphism,
@@ -33,6 +31,7 @@ from mvgamma.equivalence import (
 from mvgamma.lgroup import (
     ChangChainGroup,
     ChangPair,
+    coordinate_zero_sets,
     gamma_segment,
     make_product_group,
 )
@@ -66,9 +65,14 @@ def zpair(*ms):
 # -- star of a chain and of a morphism --
 
 
+def chain_star_map(h):
+    return ChainStarMap(h, ChangChainGroup(h.dom), ChangChainGroup(h.cod))
+
+
 def test_star_chain_is_the_pair_group():
-    g = star_chain(make_chain(3))
-    assert isinstance(g, ChangChainGroup)
+    chain = make_chain(3)
+    (g,) = star_algebra(chain).ambient.fibers
+    assert g == ChangChainGroup(chain)
     assert g.height == 3 and g.unit == ChangPair(1, 0)
 
 
@@ -76,7 +80,7 @@ def test_chain_star_map_doubles_the_integers():
     # the embedding of the two-element chain into the three-element one
     h = MVMorphism(make_chain(1), make_chain(2), (0, 2))
     assert check_morphism(h).ok
-    hs = star_chain_morphism(h)
+    hs = chain_star_map(h)
     dom, cod = hs.dom, hs.cod
     for m in range(-4, 5):
         x = dom.pair(m, 0)
@@ -86,7 +90,7 @@ def test_chain_star_map_doubles_the_integers():
 
 def test_chain_star_map_preserves_structure_on_a_window():
     h = MVMorphism(make_chain(2), make_chain(4), (0, 2, 4))
-    hs = star_chain_morphism(h)
+    hs = chain_star_map(h)
     dom, cod = hs.dom, hs.cod
     lo, hi = dom.pair(-3, 0), dom.pair(3, 0)
     win = dom.interval(lo, hi)
@@ -99,9 +103,8 @@ def test_chain_star_map_preserves_structure_on_a_window():
 
 def test_star_chain_morphism_rejects_non_chains():
     square = make_product(make_chain(1), make_chain(1))
-    h = identity_morphism(square)
-    with pytest.raises(ValueError):
-        star_chain_morphism(h)
+    with pytest.raises(ValueError, match="chains only"):
+        ChangChainGroup(square)
 
 
 # -- star algebras --
@@ -416,13 +419,15 @@ def test_upsilon_matches_direct_product_window():
 def test_coordinate_ideal_frozen_example():
     g = z2_group(1, 2)
     seg = gamma_segment(g)
-    members = coordinate_ideal_members(seg, (0,))
-    # segment elements (0, t): three of them
-    assert members == frozenset(
-        i for i, x in enumerate(seg.elements) if x[0] == ChangPair(0, 0)
+    zero_sets = coordinate_zero_sets(seg)
+    # a direct scan: segment elements (0, t) and (s, 0)
+    assert zero_sets == tuple(
+        frozenset(i for i, x in enumerate(seg.elements) if x[j] == ChangPair(0, 0))
+        for j in range(2)
     )
-    assert len(members) == 3
-    report = coordinate_ideal_checks(g, (0,))
+    assert [len(z) for z in zero_sets] == [3, 2]
+    report = coordinate_ideal_checks(g)[0]
+    assert report.zero_fibers == (0,)
     assert report.ideal_ok and report.quotient_iso_ok and report.spectrum_bijection_ok
     assert report.holds and report.segment_size == 6
 
@@ -432,17 +437,11 @@ def test_coordinate_ideals_all_subsets():
         [ChangChainGroup(make_chain(2)), ChangChainGroup(make_chain(1)), ChangChainGroup(make_chain(2))],
         [(0, 1), (1, 0), (1, 0)],
     )
-    for r in range(1, 4):
-        for zf in itertools.combinations(range(3), r):
-            assert coordinate_ideal_checks(g, zf).holds
-
-
-def test_coordinate_ideal_rejects_bad_input():
-    g = z_group(1)
-    with pytest.raises(ValueError):
-        coordinate_ideal_checks(g, ())
-    with pytest.raises(ValueError):
-        coordinate_ideal_checks(g, (1,))
+    reports = coordinate_ideal_checks(g)
+    expected = [zf for r in range(1, 4) for zf in itertools.combinations(range(3), r)]
+    assert len(reports) == 2**3 - 1
+    assert [r.zero_fibers for r in reports] == expected
+    assert all(r.holds for r in reports)
 
 
 # -- group maps and the remaining square --
@@ -451,8 +450,6 @@ def test_coordinate_ideal_rejects_bad_input():
 def swap_map(g):
     f = g.fibers[0]
     ident = identity_morphism(f.chain)
-    from mvgamma.equivalence import ChainStarMap
-
     return LGroupMap(
         dom=g,
         cod=g,
@@ -477,8 +474,6 @@ def test_upsilon_naturality_swap():
 
 
 def test_upsilon_naturality_doubling():
-    from mvgamma.equivalence import ChainStarMap
-
     f1 = ChangChainGroup(make_chain(1))
     f2 = ChangChainGroup(make_chain(2))
     dom = make_product_group([f1], [(1, 0)])
@@ -491,8 +486,6 @@ def test_upsilon_naturality_doubling():
 
 
 def test_upsilon_naturality_rejects_non_unital():
-    from mvgamma.equivalence import ChainStarMap
-
     f1 = ChangChainGroup(make_chain(1))
     dom = make_product_group([f1], [(2, 0)])
     cod = make_product_group([f1], [(1, 0)])

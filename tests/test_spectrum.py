@@ -19,11 +19,14 @@ from mvgamma.mv_core import (
 from mvgamma.spectrum import (
     Ideal,
     canonical_embedding,
+    class_values,
     enumerate_ideals,
     ideals_by_subset_filter,
+    induced_morphism,
     is_ideal,
     is_prime_ideal,
     preimage_ideal,
+    prime_alignment,
     quotient,
     restrict_morphism,
     spectrum,
@@ -254,6 +257,33 @@ def test_restrict_morphism_along_prime():
     assert restricted.dom.size == 3
     assert check_morphism(restricted).ok
     assert restricted.is_injective()
+
+
+def test_class_values_in_class_order():
+    q = quotient(L2xL3, Ideal(L2xL3, frozenset({0, 4, 8})))
+    assert class_values(q, [10 * c for c in q.class_of]) == tuple(
+        10 * c for c in range(q.quotient.size)
+    )
+    halves = quotient(SQ, Ideal(SQ, frozenset({0, 1})))  # classes {0, 1}, {2, 3}
+    assert class_values(halves, "aabb") == ("a", "b")
+    assert class_values(halves, "abbb") is None
+
+
+def test_induced_morphism_rejects_incompatible_quotients():
+    ident = MVMorphism(SQ, SQ, (0, 1, 2, 3))
+    coarse = quotient(SQ, Ideal(SQ, frozenset({0, 1})))
+    other = quotient(SQ, Ideal(SQ, frozenset({0, 2})))
+    assert induced_morphism(ident, quotient(SQ, Ideal(SQ, frozenset({0}))), coarse).map == (0, 0, 1, 1)
+    with pytest.raises(RuntimeError, match="not constant"):
+        induced_morphism(ident, coarse, other)
+
+
+def test_prime_alignment_matches_zero_sets_to_primes():
+    a, b = frozenset({0, 1}), frozenset({0, 2})  # the primes of SQ, in order
+    assert prime_alignment(SQ, (a, b)) == (0, 1)
+    assert prime_alignment(SQ, (b, a)) == (1, 0)
+    for zero_sets in [(a, a), (a,), (a, b, a), (a, frozenset({0})), (a, b, frozenset({0}))]:
+        assert prime_alignment(SQ, zero_sets) is None
 
 
 def test_is_ideal_helper():
