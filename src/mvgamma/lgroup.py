@@ -42,6 +42,7 @@ __all__ = [
     "GammaSegment",
     "gamma_segment",
     "coordinate_zero_sets",
+    "fiber_window",
 ]
 
 
@@ -169,6 +170,13 @@ class ChangChainGroup:
         return f"ChangChainGroup(height={self.height})"
 
 
+@functools.cache
+def fiber_window(g: ChangChainGroup, up: ChangPair, bound: int) -> tuple[ChangPair, ...]:
+    """The pairs p of g with -bound·up <= p <= bound·up, ascending."""
+    cap = g.mul(bound, up)
+    return tuple(g.interval(g.neg(cap), cap))
+
+
 def require_positive_unit(fibers: Sequence[ChangChainGroup], u: GroupElement) -> None:
     """Raise ValueError unless u is strictly positive in every fiber."""
     for g, p in zip(fibers, u):
@@ -235,11 +243,11 @@ class ProductLuGroup:
 
     def window(self, bound: int) -> Iterator[GroupElement]:
         """All x with |x| <= bound * u, coordinatewise product enumeration."""
-        per_fiber = []
-        for g, up in zip(self.fibers, self.u):
-            cap = g.mul(bound, up)
-            per_fiber.append(g.interval(g.neg(cap), cap))
-        return itertools.product(*per_fiber)
+        return itertools.product(*self.fiber_windows(bound))
+
+    def fiber_windows(self, bound: int) -> tuple[tuple[ChangPair, ...], ...]:
+        """The factors of the window: each fiber's pairs p with |p| <= bound * u."""
+        return tuple(fiber_window(g, up, bound) for g, up in zip(self.fibers, self.u))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProductLuGroup):

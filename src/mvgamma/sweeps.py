@@ -19,6 +19,14 @@ suites verify each distinct fiber case once (they are heavily shared across
 configurations) and verify the factorization itself by running the direct
 product-level check on every configuration small enough to afford it.
 
+The naturality squares compare coordinatewise maps: each output fiber of a
+star map, a generated group map or an evaluation map reads exactly one input
+fiber.  Two such maps that fix 0 and keep the unit positive agree on a
+product window exactly when, for every output fiber, they read the same
+input fiber and agree on that fiber's window, so `star_functoriality` and
+`upsilon_naturality` check one output fiber at a time; their product-window
+oracles live in the tests.
+
 Work shared between suites and configurations (spectra, quotients, stars,
 unit segments, morphism lists, the per-fiber verdicts) is memoized by value
 in the builders themselves, so a sweep context holds only its configuration.
@@ -379,7 +387,9 @@ def _generated_group_maps(dom: ProductLuGroup, cod: ProductLuGroup) -> list[LGro
 def suite_naturality(ctx: SweepContext) -> SuiteResult:
     """Every found morphism satisfies the iota square; star respects
     composition on windows for every composable pair; every generated
-    unit-preserving group map satisfies the evaluation square."""
+    unit-preserving group map satisfies the evaluation square.  Both window
+    squares are checked one output fiber at a time (see the module
+    docstring); each case still covers its whole product window."""
     result = SuiteResult("naturality", True, 0)
     algebras = ctx.algebras(min(12, ctx.max_size))
     homs = {

@@ -1,0 +1,240 @@
+"""The composition and evaluation squares, checked one fiber at a time,
+against product-window oracles that enumerate every window element."""
+
+import dataclasses
+import itertools
+
+import pytest
+
+from mvgamma import equivalence as eq
+from mvgamma.equivalence import ChainStarMap, LGroupMap, UpsilonMap
+from mvgamma.lgroup import ChangChainGroup, ChangPair, gamma_segment, make_product_group
+from mvgamma.mv_core import (
+    MVMorphism,
+    check_morphism,
+    compose,
+    find_morphisms,
+    identity_morphism,
+    make_chain,
+    make_product,
+)
+from mvgamma.sweeps import SweepContext, _generated_group_maps, generated_algebras, group_shapes
+
+# -- product-window oracles ------------------------------------------------------
+#
+# `eq.star_morphism` is looked up on the module at call time, so a test that
+# patches it reaches the oracles and the checks under test alike.
+
+
+def star_functoriality_oracle(first, then, window=4):
+    """Star of a composite equals the composite of the stars, element by
+    element over the whole product window."""
+    sm_first = eq.star_morphism(first)
+    sm_then = eq.star_morphism(then)
+    sm_both = eq.star_morphism(compose(first, then))
+    checked = 0
+    for x in sm_first.dom.window(window):
+        checked += 1
+        lhs = sm_both(x)
+        rhs = sm_then(sm_first(x))
+        if lhs != rhs:
+            return eq.CommuteReport(ok=False, checked=checked, failure=(x, lhs, rhs))
+    return eq.CommuteReport(ok=True, checked=checked)
+
+
+def upsilon_naturality_oracle(phi, window=4):
+    """The evaluation square, element by element over the whole product
+    window of the domain star ambient."""
+    if not phi.unital:
+        raise ValueError("the square is stated for unit-preserving maps")
+    um_dom, um_cod = UpsilonMap(phi.dom), UpsilonMap(phi.cod)
+    restricted = eq.gamma_restriction(phi, um_dom.segment, um_cod.segment)
+    if not check_morphism(restricted).ok:
+        return eq.CommuteReport(ok=False, checked=0, failure=("restriction", restricted.map))
+    sm = eq.star_morphism(restricted)
+    checked = 0
+    for x in sm.dom.window(window):
+        checked += 1
+        lhs = phi(um_dom(x))
+        rhs = um_cod(sm(x))
+        if lhs != rhs:
+            return eq.CommuteReport(ok=False, checked=checked, failure=(x, lhs, rhs))
+    return eq.CommuteReport(ok=True, checked=checked)
+
+
+# -- agreement on the generated families --------------------------------------------
+
+
+def composable_pairs(algebras):
+    homs = {(a, b): find_morphisms(a, b) for a in algebras for b in algebras}
+    for (a, b), firsts in homs.items():
+        for c in algebras:
+            for first in firsts:
+                for then in homs[(b, c)]:
+                    yield first, then
+
+
+def test_composition_square_matches_its_oracle():
+    total = 0
+    for first, then in composable_pairs(generated_algebras(6)):
+        fast = eq.star_functoriality(first, then, window=2)
+        slow = star_functoriality_oracle(first, then, window=2)
+        assert (fast.ok, fast.checked) == (slow.ok, slow.checked)
+        assert fast.ok
+        total += 1
+    assert total == 235
+
+
+def test_evaluation_square_matches_its_oracle():
+    groups = [SweepContext.group(c, h) for c, h in group_shapes(2, 2, 2)]
+    total = 0
+    for g, h in itertools.product(groups, repeat=2):
+        for phi in _generated_group_maps(g, h):
+            fast = eq.upsilon_naturality(phi, window=3)
+            slow = upsilon_naturality_oracle(phi, window=3)
+            assert (fast.ok, fast.checked) == (slow.ok, slow.checked)
+            assert fast.ok
+            total += 1
+    assert total == 158
+
+
+# -- mutants --------------------------------------------------------------------------
+
+
+def wrong_source(sm):
+    """The same fiber maps, fed from the reversed list of source fibers."""
+    return dataclasses.replace(sm, source_fiber=sm.source_fiber[::-1])
+
+
+def wrong_hom(sm):
+    """Fiber 0 maps one chain element strictly between 0 and the top to 0."""
+    fm = sm.fiber_maps[0]
+    table = list(fm.hom.map)
+    table[next(a for a in range(1, fm.hom.dom.size) if a != fm.hom.dom.top)] = 0
+    bad = ChainStarMap(MVMorphism(fm.hom.dom, fm.hom.cod, tuple(table)), fm.dom, fm.cod)
+    return dataclasses.replace(sm, fiber_maps=(bad, *sm.fiber_maps[1:]))
+
+
+def patch_star_morphism(monkeypatch, target, mutate):
+    """Make `eq.star_morphism` return a mutant for the morphisms `target` picks."""
+    original = eq.star_morphism
+
+    def patched(hom):
+        sm = original(hom)
+        return mutate(sm) if target(hom) else sm
+
+    monkeypatch.setattr(eq, "star_morphism", patched)
+
+
+def is_unit_on_one_fiber(star_ambient, x):
+    nonzero = [i for i, p in enumerate(x) if p != ChangPair(0, 0)]
+    return len(nonzero) == 1 and x[nonzero[0]] == star_ambient.u[nonzero[0]]
+
+
+# chain(2) x chain(2): two star fibers over the same chain, so a swapped
+# source list is still a well-typed map
+SQUARE = make_product(make_chain(2), make_chain(2))
+
+
+@pytest.mark.parametrize("mutate", [wrong_source, wrong_hom])
+@pytest.mark.parametrize("which", ["first", "then", "composite"])
+def test_composition_square_rejects_mutants(monkeypatch, mutate, which):
+    first, then = identity_morphism(SQUARE), identity_morphism(SQUARE)
+    target = {
+        "first": lambda h: h is first,
+        "then": lambda h: h is then,
+        "composite": lambda h: h is not first and h is not then,
+    }[which]
+    patch_star_morphism(monkeypatch, target, mutate)
+    dom = eq.star_morphism(first).dom
+    window = set(dom.window(2))
+    for report in (
+        eq.star_functoriality(first, then, window=2),
+        star_functoriality_oracle(first, then, window=2),
+    ):
+        assert not report.ok
+        x, lhs, rhs = report.failure
+        assert x in window
+        replay = (
+            eq.star_morphism(compose(first, then))(x),
+            eq.star_morphism(then)(eq.star_morphism(first)(x)),
+        )
+        assert replay == (lhs, rhs) and lhs != rhs
+    if mutate is wrong_source:
+        x = eq.star_functoriality(first, then, window=2).failure[0]
+        assert is_unit_on_one_fiber(dom, x)
+
+
+def square_group():
+    f = ChangChainGroup(make_chain(2))
+    return make_product_group([f, f], [(1, 0), (1, 0)])
+
+
+@pytest.mark.parametrize("mutate", [wrong_source, wrong_hom])
+def test_evaluation_square_rejects_mutants(monkeypatch, mutate):
+    g = square_group()
+    f = g.fibers[0]
+    ident = ChainStarMap(identity_morphism(f.chain), f, f)
+    phi = LGroupMap(dom=g, cod=g, source_fiber=(0, 1), fiber_maps=(ident, ident))
+    patch_star_morphism(monkeypatch, lambda h: True, mutate)
+    um_dom, um_cod = UpsilonMap(phi.dom), UpsilonMap(phi.cod)
+    segment = gamma_segment(g)
+    sm = eq.star_morphism(eq.gamma_restriction(phi, segment, segment))
+    window = set(sm.dom.window(2))
+    for report in (
+        eq.upsilon_naturality(phi, window=2),
+        upsilon_naturality_oracle(phi, window=2),
+    ):
+        assert not report.ok
+        x, lhs, rhs = report.failure
+        assert x in window
+        assert (phi(um_dom(x)), um_cod(sm(x))) == (lhs, rhs) and lhs != rhs
+    if mutate is wrong_source:
+        x = eq.upsilon_naturality(phi, window=2).failure[0]
+        assert is_unit_on_one_fiber(sm.dom, x)
+
+
+# fiber maps on the pair group over chain(2) that break the premise of the
+# unit probe (fix 0, keep the unit positive), so only the rest of the
+# per-fiber scan can tell whether two routes reading different fibers agree
+ODD_FIBER_MAPS = {
+    "zero": lambda p: ChangPair(0, 0),
+    "unit": lambda p: ChangPair(1, 0),
+    "shift": lambda p: ChangPair(p.m + 1, p.a),
+    "id": lambda p: p,
+}
+
+
+@pytest.mark.parametrize("left, right", itertools.product(ODD_FIBER_MAPS, repeat=2))
+def test_routes_reading_different_fibers_match_the_oracle(monkeypatch, left, right):
+    first, then = identity_morphism(SQUARE), identity_morphism(SQUARE)
+
+    def mutate(sm, swap, name):
+        source = sm.source_fiber[::-1] if swap else sm.source_fiber
+        fm = ODD_FIBER_MAPS[name]
+        return dataclasses.replace(sm, source_fiber=source, fiber_maps=(fm, fm))
+
+    original = eq.star_morphism
+
+    def patched(hom):
+        sm = original(hom)
+        if hom is first:
+            return mutate(sm, False, right)
+        if hom is then:
+            return sm
+        return mutate(sm, True, left)
+
+    monkeypatch.setattr(eq, "star_morphism", patched)
+    fast = eq.star_functoriality(first, then, window=2)
+    slow = star_functoriality_oracle(first, then, window=2)
+    assert fast.ok == slow.ok == (left == right and left in ("zero", "unit"))
+    if fast.ok:
+        assert fast.checked == slow.checked
+    else:
+        x, lhs, rhs = fast.failure
+        assert x in set(original(first).dom.window(2))
+        replay = (
+            eq.star_morphism(compose(first, then))(x),
+            eq.star_morphism(then)(eq.star_morphism(first)(x)),
+        )
+        assert replay == (lhs, rhs) and lhs != rhs
