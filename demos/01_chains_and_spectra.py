@@ -6,7 +6,9 @@ Run:  python3 demos/01_chains_and_spectra.py
 from mvgamma import (
     canonical_embedding,
     check_mv_axioms,
+    dumps,
     enumerate_ideals,
+    loads,
     make_chain,
     make_product,
     quotient,
@@ -62,3 +64,9 @@ def decode(idx):
 
 for a in [0, 1, 5, A.size - 1]:
     print(f"  a={a:2d}  image={decode(emb.map[a])}")
+print()
+
+# Every value has a canonical JSON form (what a script's `export` writes), and
+# `loads` reads it back as the same value.
+text = dumps(A)
+print("canonical JSON of the product:", len(text), "bytes; reads back equal:", loads(text) == A)

@@ -44,9 +44,9 @@ allowed = {e for e in seg.elements if e[0] == G.fibers[0].zero or e[1] == G.fibe
 print("allowed generators:", len(allowed), "of", len(seg.elements))
 
 inside = (G.fibers[0].pair(1, 0), G.fibers[1].zero)
-w = generated_membership(G, G.u, allowed, inside)
+w = generated_membership(G, allowed, inside)
 print("pure element member:", w.member)
 
 mixed = (G.fibers[0].pair(1, 0), G.fibers[1].pair(0, 1))
-w2 = generated_membership(G, G.u, allowed, mixed)
+w2 = generated_membership(G, allowed, mixed)
 print("mixed element member:", w2.member, "  first missing digit:", w2.missing)

@@ -13,6 +13,9 @@ The package has three layers:
   ``script``, ``interp``, ``cli``, and ``sweeps`` layered on top.
 
 Everything is exact integer arithmetic; there is no floating point anywhere.
+A product group carries its strong unit as ``ProductLuGroup.u``: whatever
+needs the unit (unit segments, stars, good sequences, membership, the
+evaluation map) reads it from the group, and no function takes it separately.
 The pure builders (``check_mv_axioms``, ``find_morphisms``, ``spectrum``,
 ``quotient``, ``gamma_segment``, ``star_algebra``) are memoized by value with
 ``functools.cache``: algebras, ideals and product groups compare and hash by
@@ -59,21 +62,18 @@ from .mv_core import (
     check_morphism,
     check_mv_axioms,
     compose,
-    find_isomorphism,
     find_morphisms,
-    identity_morphism,
     make_chain,
     make_product,
     make_product_many,
 )
-from .serialize import SchemaError, dumps, export_json, import_json, loads, to_jsonable
+from .serialize import SchemaError, dumps, export_json, loads, to_jsonable
 from .snf import invariant_factors, smith_diagonal
 from .spectrum import (
     Ideal,
     Spectrum,
     canonical_embedding,
     enumerate_ideals,
-    is_ideal,
     is_prime_ideal,
     quotient,
     spectrum,
@@ -107,20 +107,16 @@ __all__ = [
     "dumps",
     "enumerate_ideals",
     "export_json",
-    "find_isomorphism",
     "find_morphisms",
     "free_quotient_experiment",
     "gamma_restriction",
     "gamma_segment",
     "generated_membership",
     "good_sequence_sum",
-    "identity_morphism",
-    "import_json",
     "invariant_factors",
     "iota_naturality",
     "iota_roundtrip",
     "is_good_sequence",
-    "is_ideal",
     "is_prime_ideal",
     "loads",
     "make_chain",

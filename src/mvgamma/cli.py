@@ -55,7 +55,6 @@ def _run_text(text: str, config: RunConfig) -> int:
         _emit({"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}})
         return 4
     text_out = report.to_text()
-    sys.stdout.write(text_out)
     if config.json_out:
         try:
             with open(config.json_out, "w", encoding="utf-8") as fh:
@@ -63,6 +62,7 @@ def _run_text(text: str, config: RunConfig) -> int:
         except OSError as exc:
             _emit({"error": {"code": "semantic", "message": f"cannot write report: {exc}"}})
             return 3
+    sys.stdout.write(text_out)
     return report.exit_code
 
 

@@ -74,7 +74,6 @@ __all__ = [
     "segment_generation_check",
     "IotaReport",
     "iota_roundtrip",
-    "StarGroupMap",
     "star_morphism",
     "UpsilonMap",
     "UpsilonResult",
@@ -133,7 +132,6 @@ class StarAlgebra:
     spec: Spectrum
     quotients: tuple[QuotientResult, ...]
     ambient: ProductLuGroup
-    u: GroupElement
     a_circle: tuple[GroupElement, ...]
     circle_index: dict[GroupElement, int]
 
@@ -152,8 +150,7 @@ def star_algebra(algebra: FiniteMVAlgebra) -> StarAlgebra:
         tuple(f.pair(0, q.class_of[a]) for f, q in zip(fibers, quots))
         for a in range(algebra.size)
     )
-    u = a_circle[algebra.top]
-    ambient = ProductLuGroup(fibers, u)
+    ambient = ProductLuGroup(fibers, a_circle[algebra.top])
     circle_index: dict[GroupElement, int] = {}
     for a, x in enumerate(a_circle):
         circle_index.setdefault(x, a)
@@ -162,7 +159,6 @@ def star_algebra(algebra: FiniteMVAlgebra) -> StarAlgebra:
         spec=spec,
         quotients=quots,
         ambient=ambient,
-        u=u,
         a_circle=a_circle,
         circle_index=circle_index,
     )
@@ -171,16 +167,14 @@ def star_algebra(algebra: FiniteMVAlgebra) -> StarAlgebra:
 # -- good sequences -------------------------------------------------------------
 
 
-def canonical_entries(
-    group: ProductLuGroup, u: GroupElement, x: GroupElement
-) -> tuple[GroupElement, ...]:
+def canonical_entries(group: ProductLuGroup, x: GroupElement) -> tuple[GroupElement, ...]:
     """Peel x >= 0 into its canonical segment entries: repeatedly split off
-    u-meet-rest.  The entries land in [0, u], sum back to x, and each
-    absorbs the next under the capped addition; trailing zeros never occur
-    because the loop stops the moment the remainder vanishes.
+    u-meet-rest, with u the group's unit.  The entries land in [0, u], sum
+    back to x, and each absorbs the next under the capped addition; trailing
+    zeros never occur because the loop stops the moment the remainder
+    vanishes.
     """
-    u = group.validate(u)
-    require_positive_unit(group.fibers, u)
+    u = group.u
     x = group.validate(x)
     if not group.leq(group.zero, x):
         raise ValueError("only nonnegative elements have good-sequence entries")
@@ -225,7 +219,7 @@ def is_good_sequence(algebra: FiniteMVAlgebra, entries: Iterable[int]) -> bool:
 
 def canonical_good_sequence(segment: GammaSegment, x: GroupElement) -> GoodSequence:
     """The canonical decomposition of x >= 0 as segment carrier indices."""
-    raw = canonical_entries(segment.group, segment.u, x)
+    raw = canonical_entries(segment.group, x)
     try:
         entries = tuple(segment.index[e] for e in raw)
     except KeyError as exc:  # entries are u-meets of positives: always in [0,u]
@@ -281,11 +275,11 @@ class MembershipWitness:
 
 def generated_membership(
     group: ProductLuGroup,
-    u: GroupElement,
     allowed: Mapping[GroupElement, int] | frozenset | set,
     x: GroupElement,
 ) -> MembershipWitness:
-    """Is x in the subgroup generated by `allowed` (a subset of [0, u])?
+    """Is x in the subgroup generated by `allowed` (a subset of [0, u], u the
+    group's unit)?
 
     Split x into its two nonnegative halves and peel each canonically; x is
     generated exactly when every peeled entry belongs to the allowed set.
@@ -295,8 +289,8 @@ def generated_membership(
     """
     x = group.validate(x)
     pos, neg_part, _ = abs_decompose(group, x)
-    positive = canonical_entries(group, u, pos)
-    negative = canonical_entries(group, u, neg_part)
+    positive = canonical_entries(group, pos)
+    negative = canonical_entries(group, neg_part)
     lookup = allowed.__contains__
     for e in itertools.chain(positive, negative):
         if not lookup(e):
@@ -328,7 +322,7 @@ def generated_membership(
 
 def star_membership(star: StarAlgebra, x: GroupElement) -> MembershipWitness:
     """Membership of an ambient element in the subgroup generated by a_circle."""
-    return generated_membership(star.ambient, star.u, star.circle_index, x)
+    return generated_membership(star.ambient, star.circle_index, x)
 
 
 @dataclass(frozen=True)
@@ -408,15 +402,16 @@ def iota_roundtrip(star: StarAlgebra) -> IotaReport:
 class LGroupMap:
     """A coordinatewise map between unital products of chain groups.
 
-    Each codomain fiber j reads from one domain fiber through a pair-level
-    chain-morphism extension; such maps are exactly the additive lattice maps
-    this package generates and checks.
+    Codomain fiber j reads domain fiber `source_fiber[j]` through
+    `fiber_maps[j]`: the pair-level extension of a chain morphism for star
+    and generated maps, the evaluation of one star fiber for `UpsilonMap`,
+    or a chain of such fiber maps for a composite (`then`).
     """
 
     dom: ProductLuGroup
     cod: ProductLuGroup
     source_fiber: tuple[int, ...]
-    fiber_maps: tuple[ChainStarMap, ...]
+    fiber_maps: tuple[Callable[[ChangPair], ChangPair], ...]
 
     def __call__(self, x: GroupElement) -> GroupElement:
         return tuple(fm(x[i]) for i, fm in zip(self.source_fiber, self.fiber_maps))
@@ -425,20 +420,27 @@ class LGroupMap:
     def unital(self) -> bool:
         return self(self.dom.u) == self.cod.u
 
+    def then(self, other: LGroupMap) -> LGroupMap:
+        """The composite x -> other(self(x)): output fiber k reads input
+        fiber self.source_fiber[other.source_fiber[k]]."""
+        return LGroupMap(
+            dom=self.dom,
+            cod=other.cod,
+            source_fiber=tuple(self.source_fiber[j] for j in other.source_fiber),
+            fiber_maps=tuple(
+                lambda p, f=self.fiber_maps[j], g=g: g(f(p))
+                for j, g in zip(other.source_fiber, other.fiber_maps)
+            ),
+        )
 
-@dataclass(frozen=True)
-class StarGroupMap(LGroupMap):
+
+def star_morphism(hom: MVMorphism) -> LGroupMap:
     """Ambient-level extension of an algebra morphism: the map between the
-    star ambients of its endpoints, carrying the morphism as `hom`.
+    star ambients of its endpoints.
 
     Each codomain fiber j is fed from the domain fiber holding the preimage
     prime, through the pair-level extension of the induced chain morphism.
     """
-
-    hom: MVMorphism
-
-
-def star_morphism(hom: MVMorphism) -> StarGroupMap:
     dom_star, cod_star = star_algebra(hom.dom), star_algebra(hom.cod)
     source_fiber = []
     fiber_maps = []
@@ -455,12 +457,11 @@ def star_morphism(hom: MVMorphism) -> StarGroupMap:
         fiber_maps.append(
             ChainStarMap(induced, dom_star.ambient.fibers[i], cod_star.ambient.fibers[j])
         )
-    return StarGroupMap(
+    return LGroupMap(
         dom=dom_star.ambient,
         cod=cod_star.ambient,
         source_fiber=tuple(source_fiber),
         fiber_maps=tuple(fiber_maps),
-        hom=hom,
     )
 
 
@@ -470,31 +471,29 @@ def star_morphism(hom: MVMorphism) -> StarGroupMap:
 class UpsilonMap:
     """The evaluation map from the star ambient of a segment back to the group.
 
-    Star fibers are aligned with group fibers by matching each prime of the
-    segment algebra against the zero set of one coordinate.  On the fiber
-    over prime P, a pair (m, c) evaluates to m·u_j plus the lift of class c,
-    where the lift sends a quotient class to the common j-th coordinate of
-    its members (checked to be constant).  Like `LGroupMap`, the map is
-    coordinatewise: group fiber j reads star fiber `source_fiber[j]` through
-    `fiber_maps[j]`.
+    The primes of the segment algebra are its coordinate zero sets, and star
+    fiber t lies over the zero set of group fiber t.  On that fiber a pair
+    (m, c) evaluates to m·u_t plus the lift of class c, where the lift sends
+    a quotient class to the common t-th coordinate of its members (checked
+    to be constant).  `evaluation` is the map as an `LGroupMap`.
     """
 
     def __init__(self, group: ProductLuGroup):
         segment = gamma_segment(group)
         self.group = group
         self.segment = segment
-        self.u = segment.u
         self.star = star_algebra(segment.algebra)
+        # The segment lists elements row-major, first fiber slowest, so for
+        # j < l the largest element vanishing on fiber l lies above every
+        # element vanishing on fiber j: in the spectrum's bitmask order the
+        # zero set of fiber j comes first, and prime t is fiber t's.
         alignment = prime_alignment(segment.algebra, coordinate_zero_sets(segment))
-        if alignment is None:
+        if alignment != tuple(range(group.k)):
             raise InternalInvariantError(
-                "primes of the segment algebra are not the coordinate zero sets"
+                "primes of the segment algebra are not the coordinate zero sets in order"
             )
-        self.alignment = alignment
-        # the star fiber each group fiber reads: the alignment inverted
-        self.source_fiber = tuple(sorted(range(group.k), key=alignment.__getitem__))
         lifts = []
-        for j, q in zip(alignment, self.star.quotients):
+        for j, q in enumerate(self.star.quotients):
             lift = class_values(q, [x[j] for x in segment.elements])
             if lift is None:
                 raise InternalInvariantError("coordinate is not constant on a quotient class")
@@ -504,20 +503,17 @@ class UpsilonMap:
                 )
             lifts.append(lift)
         self.lifts = tuple(lifts)
+        self.evaluation = LGroupMap(
+            dom=self.star.ambient,
+            cod=group,
+            source_fiber=tuple(range(group.k)),
+            fiber_maps=tuple(functools.partial(self.fiber_value, t) for t in range(group.k)),
+        )
 
     def fiber_value(self, t: int, x: ChangPair) -> ChangPair:
-        """Evaluate star fiber t at pair x, landing in group fiber alignment[t]."""
-        j = self.alignment[t]
-        g = self.group.fibers[j]
-        return g.add(g.mul(x.m, self.u[j]), self.lifts[t][x.a])
-
-    @property
-    def fiber_maps(self) -> tuple[Callable[[ChangPair], ChangPair], ...]:
-        """Group fiber j as a map of its source star fiber's pairs."""
-        return tuple(functools.partial(self.fiber_value, t) for t in self.source_fiber)
-
-    def __call__(self, x: GroupElement) -> GroupElement:
-        return tuple(self.fiber_value(t, x[t]) for t in self.source_fiber)
+        """Evaluate star fiber t at pair x, landing in group fiber t."""
+        g = self.group.fibers[t]
+        return g.add(g.mul(x.m, self.group.u[t]), self.lifts[t][x.a])
 
 
 @dataclass(frozen=True)
@@ -573,9 +569,8 @@ def upsilon(group: ProductLuGroup, window: int = 4) -> UpsilonResult:
     surjective = True
     window_elements = 1
     for t, sf in enumerate(star_amb.fibers):
-        j = um.alignment[t]
-        g = group.fibers[j]
-        uj = um.u[j]
+        g = group.fibers[t]
+        uj = group.u[t]
         inner = fiber_window(sf, sf.unit, window)
         outer = fiber_window(sf, sf.unit, 2 * window)
         table = {x: um.fiber_value(t, x) for x in outer}
@@ -607,10 +602,10 @@ def upsilon(group: ProductLuGroup, window: int = 4) -> UpsilonResult:
                     rest = g.sub(rest, e)
                     entry = sf.pair(0, value_class[e])
                     acc = sf.add(acc, entry) if sign > 0 else sf.sub(acc, entry)
-            if table.get(acc, um.fiber_value(t, acc)) != v:
+            if um.fiber_value(t, acc) != v:
                 surjective = False
     segment_identity = all(
-        um(um.star.a_circle[i]) == seg.elements[i]
+        um.evaluation(um.star.a_circle[i]) == seg.elements[i]
         for i in range(seg.algebra.size)
     )
     box_size = 1
@@ -761,42 +756,8 @@ class CommuteReport:
     failure: tuple | None = None
 
 
-def _chain(f: Callable, g: Callable) -> Callable:
-    """The fiber map p -> g(f(p))."""
-    return lambda p: g(f(p))
-
-
-@dataclass(frozen=True)
-class _Composite:
-    """`then` after `first` for two coordinatewise maps, each given by
-    `source_fiber`, `fiber_maps` and a call: output fiber k reads input
-    fiber first.source_fiber[then.source_fiber[k]]."""
-
-    first: LGroupMap | UpsilonMap
-    then: LGroupMap | UpsilonMap
-
-    def __call__(self, x: GroupElement) -> GroupElement:
-        return self.then(self.first(x))
-
-    @property
-    def source_fiber(self) -> tuple[int, ...]:
-        return tuple(self.first.source_fiber[j] for j in self.then.source_fiber)
-
-    @property
-    def fiber_maps(self) -> tuple[Callable[[ChangPair], ChangPair], ...]:
-        return tuple(
-            _chain(self.first.fiber_maps[j], g)
-            for j, g in zip(self.then.source_fiber, self.then.fiber_maps)
-        )
-
-
-def _routes_agree(
-    dom: ProductLuGroup,
-    window: int,
-    lhs: LGroupMap | _Composite,
-    rhs: LGroupMap | _Composite,
-) -> CommuteReport:
-    """Do two coordinatewise maps out of `dom` agree on its window?
+def _routes_agree(lhs: LGroupMap, rhs: LGroupMap, window: int) -> CommuteReport:
+    """Do two coordinatewise maps out of the same domain agree on its window?
 
     Output fiber k is f(x[a]) on the left and g(x[b]) on the right, with a
     and b the input fibers read.  If a == b, the maps agree on fiber k over
@@ -807,6 +768,7 @@ def _routes_agree(
     0 and keep the unit positive.  A failing probe is extended by zero to a
     window element x, at which both whole maps are evaluated.
     """
+    dom = lhs.dom
     windows = dom.fiber_windows(window)
     zero = dom.zero
     compared = 0
@@ -850,7 +812,7 @@ def star_functoriality(
     sm_first = star_morphism(first)
     sm_then = star_morphism(then)
     sm_both = star_morphism(compose(first, then))
-    return _routes_agree(sm_first.dom, window, sm_both, _Composite(sm_first, sm_then))
+    return _routes_agree(sm_both, sm_first.then(sm_then), window)
 
 
 def upsilon_naturality(phi: LGroupMap, window: int = 4) -> CommuteReport:
@@ -859,8 +821,8 @@ def upsilon_naturality(phi: LGroupMap, window: int = 4) -> CommuteReport:
     Both routes from the domain star ambient to the codomain group must
     agree on the window: evaluate then map, or star-map then evaluate.  All
     three maps are coordinatewise, so the square is checked one codomain
-    fiber j at a time: both routes must read the same star fiber (through
-    the inverted alignments) and agree on its window.
+    fiber j at a time: both routes must read the same star fiber and agree
+    on its window.
     """
     if not phi.unital:
         raise ValueError("the square is stated for unit-preserving maps")
@@ -869,7 +831,7 @@ def upsilon_naturality(phi: LGroupMap, window: int = 4) -> CommuteReport:
     if not check_morphism(restricted).ok:
         return CommuteReport(ok=False, checked=0, failure=("restriction", restricted.map))
     sm = star_morphism(restricted)
-    return _routes_agree(sm.dom, window, _Composite(um_dom, phi), _Composite(sm, um_cod))
+    return _routes_agree(um_dom.evaluation.then(phi), sm.then(um_cod.evaluation), window)
 
 
 # -- free-presentation experiment -----------------------------------------------------

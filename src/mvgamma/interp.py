@@ -7,7 +7,9 @@ Failure taxonomy (process exit codes in parentheses):
     kind or break a law at binding time — a morphism that fails the morphism
     laws, a table that fails the axioms, a negative element where a
     nonnegative one is required, a fiber-count mismatch, an unwritable
-    export path, a window below 1 or a max size below 2;
+    export path, a window below 1 or a max size below 2, or a carrier above
+    MAX_CARRIER = 256 elements (a chain, product or table algebra, a fiber
+    chain, or a group's unit segment), rejected before it is built;
   * command failures (1): well-posed checks whose verdict is negative — a
     non-member, a failed round trip, a non-isomorphic free quotient;
   * internal invariant breaches (4) propagate as InternalInvariantError.
@@ -20,6 +22,7 @@ byte-identical JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -70,6 +73,10 @@ from .spectrum import canonical_embedding, enumerate_ideals, ideals_by_subset_fi
 from .sweeps import run_all_checks
 
 __all__ = ["RunConfig", "SemanticError", "CommandOutcome", "RunReport", "execute"]
+
+# Axiom checks hold s^3 table entries, so a carrier is capped well before
+# memory runs out; the cap sits above every carrier the benchmark builds.
+MAX_CARRIER = 256
 
 
 @dataclass(frozen=True)
@@ -166,6 +173,14 @@ class _Runner:
             raise SemanticError(f"{name} must be at least {least}", cmd.line, {name: value})
         return value
 
+    def check_carrier(self, size: int, line: int, what: str) -> None:
+        if size > MAX_CARRIER:
+            raise SemanticError(
+                f"{what} would have {size} elements, above the cap of {MAX_CARRIER}",
+                line,
+                {"size": size, "cap": MAX_CARRIER},
+            )
+
     def element_in(self, group: ProductLuGroup, raw: Any, line: int):
         try:
             coords = element_from_json(raw)
@@ -190,6 +205,7 @@ class _Runner:
                 raise SemanticError(
                     "chain height must be at least 1", line, {"height": expr.height}
                 )
+            self.check_carrier(expr.height + 1, line, "chain")
             return make_chain(expr.height)
         if isinstance(expr, NameExpr):
             kind, value = self.env[expr.name]
@@ -199,11 +215,14 @@ class _Runner:
                 )
             return value
         if isinstance(expr, ProductExpr):
-            return make_product(
-                self.eval_algebra_expr(expr.left, line),
-                self.eval_algebra_expr(expr.right, line),
-            )
+            left = self.eval_algebra_expr(expr.left, line)
+            right = self.eval_algebra_expr(expr.right, line)
+            self.check_carrier(left.size * right.size, line, "product")
+            return make_product(left, right)
         if isinstance(expr, TableExpr):
+            size = expr.obj.get("size") if isinstance(expr.obj, dict) else None
+            if isinstance(size, int):
+                self.check_carrier(size, line, "table")
             try:
                 a = algebra_from_json(expr.obj)
             except SchemaError as exc:
@@ -261,6 +280,7 @@ class _Runner:
         for s in stmt.sizes:
             if s < 2:
                 raise SemanticError(f"fiber chain size {s} is too small", stmt.line, s)
+            self.check_carrier(s, stmt.line, "fiber chain")
         fibers = [ChangChainGroup(make_chain(s - 1)) for s in stmt.sizes]
         try:
             u = tuple(f.pair(m, a) for f, (m, a) in zip(fibers, stmt.unit))
@@ -269,6 +289,8 @@ class _Runner:
             raise SemanticError(
                 f"bad unit: {exc}", stmt.line, [list(p) for p in stmt.unit]
             ) from exc
+        segment = math.prod(f.phi(p) + 1 for f, p in zip(g.fibers, g.u))
+        self.check_carrier(segment, stmt.line, "unit segment")
         self.env[stmt.name] = ("group", g)
 
     # -- commands --
@@ -304,7 +326,7 @@ class _Runner:
         detail = {
             "fibers": star.ambient.k,
             "heights": [f.height for f in star.ambient.fibers],
-            "unit": to_jsonable(star.u),
+            "unit": to_jsonable(star.ambient.u),
             "injective": star.injective,
         }
         return star.injective, detail
@@ -382,12 +404,12 @@ class _Runner:
         elif kind == "group":
             seg = gamma_segment(value)
             x = self.element_in(value, cmd.element, cmd.line)
-            witness = generated_membership(value, value.u, set(seg.elements), x)
+            witness = generated_membership(value, set(seg.elements), x)
         else:  # the subgroup generated by the image of a morphism
             star = star_algebra(value.cod)
             allowed = {star.a_circle[value.map[a]]: a for a in range(value.dom.size)}
             x = self.element_in(star.ambient, cmd.element, cmd.line)
-            witness = generated_membership(star.ambient, star.u, allowed, x)
+            witness = generated_membership(star.ambient, allowed, x)
         detail = {
             "member": witness.member,
             "positive": [to_jsonable(e) for e in witness.positive],

@@ -296,7 +296,6 @@ class GammaSegment:
     """
 
     group: ProductLuGroup
-    u: GroupElement
     algebra: FiniteMVAlgebra
     elements: tuple[GroupElement, ...]
     index: dict[GroupElement, int]
@@ -309,10 +308,9 @@ def gamma_segment(group: ProductLuGroup) -> GammaSegment:
     segment is an algebra of its own and the segment is their product; the
     finished product is re-checked against the MV laws before being returned.
     """
-    u = group.u
     per_fiber: list[list[ChangPair]] = []
     factors: list[FiniteMVAlgebra] = []
-    for g, up in zip(group.fibers, u):
+    for g, up in zip(group.fibers, group.u):
         values = g.interval(g.zero, up)
         idx = {p: i for i, p in enumerate(values)}
         add_cap = [[idx[g.meet(up, g.add(p, q))] for q in values] for p in values]
@@ -327,11 +325,10 @@ def gamma_segment(group: ProductLuGroup) -> GammaSegment:
         )
     elements = tuple(itertools.product(*per_fiber))
     index = {x: i for i, x in enumerate(elements)}
-    if elements[0] != group.zero or elements[-1] != u:
+    if elements[0] != group.zero or elements[-1] != group.u:
         raise InternalInvariantError("segment enumeration must run from 0 to u")
     return GammaSegment(
         group=group,
-        u=u,
         algebra=algebra,
         elements=elements,
         index=index,

@@ -28,9 +28,7 @@ __all__ = [
     "check_mv_axioms",
     "check_morphism",
     "compose",
-    "identity_morphism",
     "find_morphisms",
-    "find_isomorphism",
     "is_totally_ordered",
     "chain_rank",
 ]
@@ -280,10 +278,6 @@ def compose(first: MVMorphism, then: MVMorphism) -> MVMorphism:
     return MVMorphism(first.dom, then.cod, tuple(then.map[v] for v in first.map))
 
 
-def identity_morphism(algebra: FiniteMVAlgebra) -> MVMorphism:
-    return MVMorphism(algebra, algebra, tuple(range(algebra.size)))
-
-
 def is_totally_ordered(algebra: FiniteMVAlgebra) -> bool:
     return bool((algebra.leq | algebra.leq.T).all())
 
@@ -364,61 +358,3 @@ def find_morphisms(
     rec(1)
     return tuple(found)
 
-
-def _order_signature(algebra: FiniteMVAlgebra) -> list[tuple[int, ...]]:
-    leq = algebra.leq
-    down = leq.sum(axis=0)
-    up = leq.sum(axis=1)
-    idem = np.diag(algebra.oplus) == np.arange(algebra.size)
-    odot_idem = np.diag(algebra.odot) == np.arange(algebra.size)
-    return [
-        (int(down[a]), int(up[a]), bool(idem[a]), bool(odot_idem[a]))
-        for a in range(algebra.size)
-    ]
-
-
-def find_isomorphism(
-    a: FiniteMVAlgebra, b: FiniteMVAlgebra, node_cap: int = 10**6
-) -> MVMorphism | None:
-    """An isomorphism a -> b, or None.
-
-    Backtracking over bijections compatible with the order: candidates are
-    matched by per-element order signatures (downset and upset sizes plus
-    idempotency flags), which pins chains immediately and prunes products
-    hard.  Table consistency is enforced on the assigned prefix.
-    """
-    if a.size != b.size:
-        return None
-    sig_a = _order_signature(a)
-    sig_b = _order_signature(b)
-    if sorted(sig_a) != sorted(sig_b):
-        return None
-    candidates = [
-        [y for y in range(b.size) if sig_b[y] == sig_a[x]] for x in range(a.size)
-    ]
-    op_a, ng_a, op_b, ng_b = a.oplus_rows, a.neg_list, b.oplus_rows, b.neg_list
-    img = [-1] * a.size
-    used = [False] * b.size
-    nodes = 0
-
-    def rec(k: int) -> bool:
-        nonlocal nodes
-        if k == a.size:
-            return True
-        for y in candidates[k]:
-            if used[y]:
-                continue
-            nodes += 1
-            if nodes > node_cap:
-                raise SearchBudgetExceeded(f"iso search exceeded {node_cap} nodes")
-            img[k] = y
-            used[y] = True
-            if _prefix_consistent(img, k, op_a, ng_a, op_b, ng_b) and rec(k + 1):
-                return True
-            img[k] = -1
-            used[y] = False
-        return False
-
-    if rec(0):
-        return MVMorphism(a, b, tuple(img))
-    return None

@@ -11,11 +11,10 @@ indent, trailing newline):
   group      {"fibers": [chain sizes], "u": <element>}
   snf report {"free_factors": [...], "star_factors": [...], "isomorphic": bool, ...}
 
-`import_json` detects the kind from the key set and rebuilds the most
-structured standalone value: algebras, morphisms, elements, and groups come
-back as package objects; ideals and spectra come back as member sets (they
-need an algebra for full reconstruction — see `ideal_from_json`); reports
-come back as dicts.  Schema violations raise SchemaError carrying a JSON
+`loads` detects the kind from the key set and rebuilds the most structured
+standalone value: algebras, morphisms, elements, and groups come back as
+package objects; ideals and spectra come back as member sets (they need an
+algebra for full reconstruction); reports come back as dicts.  Schema violations raise SchemaError carrying a JSON
 pointer to the offending spot.
 """
 
@@ -34,13 +33,11 @@ __all__ = [
     "to_jsonable",
     "dumps",
     "export_json",
-    "import_json",
     "loads",
     "algebra_from_json",
     "morphism_from_json",
     "element_from_json",
     "group_from_json",
-    "ideal_from_json",
     "spectrum_members_from_json",
 ]
 
@@ -211,13 +208,6 @@ def group_from_json(obj: Any, where: str = "") -> ProductLuGroup:
         raise SchemaError(str(exc), f"{where}/u") from exc
 
 
-def ideal_from_json(obj: Any, algebra: FiniteMVAlgebra, where: str = "") -> Ideal:
-    _expect(isinstance(obj, dict) and "members" in obj, "expected an ideal object", where)
-    idx = _int_list(obj["members"], f"{where}/members")
-    _expect(all(0 <= v < algebra.size for v in idx), "member out of range", f"{where}/members")
-    return Ideal(algebra, frozenset(idx))
-
-
 def spectrum_members_from_json(obj: Any, where: str = "") -> tuple[frozenset[int], ...]:
     _expect(isinstance(obj, dict) and "primes" in obj, "expected a spectrum object", where)
     primes = obj["primes"]
@@ -251,7 +241,3 @@ def loads(text: str):
             return build(obj, "")
     raise SchemaError(f"unrecognized key set {sorted(obj)}", "/")
 
-
-def import_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())

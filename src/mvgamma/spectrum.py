@@ -30,7 +30,6 @@ __all__ = [
     "Ideal",
     "Spectrum",
     "QuotientResult",
-    "is_ideal",
     "ideal_violations",
     "enumerate_ideals",
     "ideals_by_subset_filter",
@@ -100,10 +99,6 @@ def ideal_violations(algebra: FiniteMVAlgebra, members: frozenset[int]) -> list[
     if idx and not mask[algebra.oplus[np.ix_(idx, idx)]].all():
         out.append("not closed under oplus")
     return out
-
-
-def is_ideal(algebra: FiniteMVAlgebra, members: frozenset[int]) -> bool:
-    return not ideal_violations(algebra, members)
 
 
 def _idempotent_above(algebra: FiniteMVAlgebra, a: int) -> int:

@@ -332,7 +332,7 @@ def suite_general_roundtrip(ctx: SweepContext) -> SuiteResult:
             box *= f.height + 1
         if not (star.injective and len(star.a_circle) == box == len(seg.elements)):
             result.note_failure(f"box mismatch at {chains}/{heights}")
-        if um(star.u) != g.u:
+        if not um.evaluation.unital:
             result.note_failure(f"unit not preserved at {chains}/{heights}")
         if not all(fiber_upsilon_holds(n, h, ctx.window) for n, h in zip(chains, heights)):
             result.note_failure(f"fiber certificate fails at {chains}/{heights}")

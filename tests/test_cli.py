@@ -12,9 +12,10 @@ import pytest
 
 import mvgamma
 from mvgamma.cli import main
-from mvgamma.interp import RunConfig, SemanticError, execute
+from mvgamma import interp
+from mvgamma.interp import MAX_CARRIER, RunConfig, SemanticError, execute
 from mvgamma.script import parse_script
-from mvgamma.serialize import import_json
+from mvgamma.serialize import loads
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -128,6 +129,42 @@ def test_element_out_of_range_is_semantic():
         run_text('group G = fibers [2] unit [(1,0)]\ngoodseq G {"coords":[{"m":0,"a":7}]}')
 
 
+def refuse(*_args):
+    raise AssertionError("a carrier above the cap reached construction")
+
+
+# One carrier over the cap per form; 257 is prime, so the smallest product of
+# two chains above the cap has 2 x 129 elements.
+@pytest.mark.parametrize(
+    "text,size,builder",
+    [
+        (f"algebra A = chain {MAX_CARRIER}", MAX_CARRIER + 1, "make_chain"),
+        ("algebra A = chain 1 * chain 128", 258, "make_product"),
+        (
+            f'algebra A = table {{"size": {MAX_CARRIER + 1}, "oplus": [], "neg": []}}',
+            MAX_CARRIER + 1,
+            "algebra_from_json",
+        ),
+        (f"group G = fibers [{MAX_CARRIER + 1}] unit [(1,0)]", MAX_CARRIER + 1, "make_chain"),
+        (f"group G = fibers [2] unit [({MAX_CARRIER},0)]\ngamma G", MAX_CARRIER + 1, "gamma_segment"),
+    ],
+)
+def test_carrier_above_the_cap_is_semantic(monkeypatch, text, size, builder):
+    monkeypatch.setattr(interp, builder, refuse)
+    with pytest.raises(SemanticError, match="above the cap") as err:
+        run_text(text)
+    assert err.value.line == 1
+    assert err.value.counterexample == {"size": size, "cap": MAX_CARRIER}
+
+
+def test_carrier_at_the_cap_is_accepted(monkeypatch):
+    monkeypatch.setattr(interp, "gamma_segment", refuse)
+    report = run_text(
+        f"algebra A = chain {MAX_CARRIER - 1}\ngroup G = fibers [2] unit [({MAX_CARRIER - 1},0)]"
+    )
+    assert report.exit_code == 0
+
+
 def test_check_single_group():
     report = run_text("group G = fibers [2, 3] unit [(1,0),(1,0)]\ncheck G")
     assert report.exit_code == 0
@@ -166,7 +203,7 @@ def test_export_writes_canonical_json(tmp_path):
     out = tmp_path / "алгебра.json"
     report = run_text(f'algebra A = chain 2\nexport A "{out}"')
     assert report.exit_code == 0
-    loaded = import_json(str(out))
+    loaded = loads(out.read_text(encoding="utf-8"))
     assert loaded.size == 3
 
 
@@ -232,6 +269,15 @@ def test_cli_json_out(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["run", path, "--json-out", str(out)]) == 0
     assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
+
+
+def test_cli_unwritable_json_out_prints_only_the_error(tmp_path, capsys):
+    path = write(tmp_path, "ok.mvg", "algebra A = chain 2\nspec A\n")
+    out = tmp_path / "no" / "such" / "dir" / "report.json"
+    assert main(["run", path, "--json-out", str(out)]) == 3
+    payload = json.loads(capsys.readouterr().out)  # exactly one JSON document
+    assert list(payload) == ["error"]
+    assert payload["error"]["code"] == "semantic"
 
 
 def test_cli_check_all(capsys):

@@ -39,12 +39,11 @@ from mvgamma.mv_core import (
     MVMorphism,
     check_morphism,
     find_morphisms,
-    identity_morphism,
     make_chain,
     make_product,
 )
-from mvgamma.spectrum import restrict_morphism
-from mvgamma.sweeps import generated_algebras
+from mvgamma.spectrum import prime_alignment, restrict_morphism
+from mvgamma.sweeps import SweepContext, generated_algebras, group_shapes
 
 
 def z_group(u_phi):
@@ -115,7 +114,7 @@ def test_star_of_a_chain_has_one_fiber():
     star = star_algebra(a)
     assert len(star.spec) == 1
     assert star.ambient.k == 1
-    assert star.u == (ChangPair(1, 0),)
+    assert star.ambient.u == (ChangPair(1, 0),)
     assert star.a_circle == tuple((ChangPair(0, i),) if i < 3 else (ChangPair(1, 0),) for i in range(4))
     assert star.injective
 
@@ -125,7 +124,7 @@ def test_star_of_a_product_splits_into_fibers():
     star = star_algebra(a)
     assert star.ambient.k == 2
     assert {f.height for f in star.ambient.fibers} == {2, 3}
-    assert star.u == (ChangPair(1, 0), ChangPair(1, 0))
+    assert star.ambient.u == (ChangPair(1, 0), ChangPair(1, 0))
     assert star.injective
     assert star.a_circle[0] == star.ambient.zero
     # the box [0, u] has exactly one slot per carrier element
@@ -152,20 +151,20 @@ def test_star_fibers_follow_spectrum_order():
 
 def test_canonical_entries_integers_frozen():
     g = z_group(2)
-    entries = canonical_entries(g, g.u, zpair(5))
+    entries = canonical_entries(g, zpair(5))
     assert entries == (zpair(2), zpair(2), zpair(1))
 
 
 def test_canonical_entries_two_fibers_frozen():
     g = z2_group(1, 2)
-    entries = canonical_entries(g, g.u, zpair(1, 3))
+    entries = canonical_entries(g, zpair(1, 3))
     assert entries == (zpair(1, 2), zpair(0, 1))
 
 
 def test_canonical_entries_reject_negatives():
     g = z_group(2)
     with pytest.raises(ValueError):
-        canonical_entries(g, g.u, zpair(-1))
+        canonical_entries(g, zpair(-1))
 
 
 def test_canonical_good_sequence_indices():
@@ -240,7 +239,7 @@ def test_non_member_against_a_proper_subalgebra():
     star = star_algebra(make_chain(2))
     allowed = frozenset({star.a_circle[0], star.a_circle[2]})
     middle = star.a_circle[1]
-    w = generated_membership(star.ambient, star.u, allowed, middle)
+    w = generated_membership(star.ambient, allowed, middle)
     assert not w.member
     assert w.missing == middle
     assert w.positive == (middle,) and w.negative == ()
@@ -285,7 +284,7 @@ def test_star_morphism_of_a_projection():
     assert check_morphism(proj).ok
     sm = star_morphism(proj)
     assert len(sm.fiber_maps) == 1
-    assert isinstance(sm, LGroupMap) and sm.hom == proj
+    assert isinstance(sm, LGroupMap)
     assert sm.dom == star_algebra(a).ambient and sm.cod == star_algebra(b).ambient
     assert sm.unital
     report = iota_naturality(proj)
@@ -339,12 +338,12 @@ def test_star_functoriality_through_a_product():
 
 def test_upsilon_map_frozen_values():
     g = z_group(3)
-    um = UpsilonMap(g)
-    assert um.alignment == (0,)
-    assert um((ChangPair(1, 2),)) == zpair(5)
-    assert um((ChangPair(0, 0),)) == g.zero
-    assert um((ChangPair(1, 0),)) == g.u
-    assert um((ChangPair(-1, 2),)) == zpair(-1)
+    ev = UpsilonMap(g).evaluation
+    assert ev.source_fiber == (0,)
+    assert ev((ChangPair(1, 2),)) == zpair(5)
+    assert ev((ChangPair(0, 0),)) == g.zero
+    assert ev((ChangPair(1, 0),)) == g.u
+    assert ev((ChangPair(-1, 2),)) == zpair(-1)
 
 
 def test_upsilon_inverse_chain_frozen():
@@ -401,8 +400,8 @@ def test_upsilon_matches_direct_product_window():
         [ChangChainGroup(make_chain(1)), ChangChainGroup(make_chain(2))],
         [(1, 0), (0, 1)],
     )
-    um = UpsilonMap(g)
-    amb = um.star.ambient
+    um = UpsilonMap(g).evaluation
+    amb = um.dom
     win = list(amb.window(2))
     for x in win:
         for y in win:
@@ -449,7 +448,7 @@ def test_coordinate_ideals_all_subsets():
 
 def swap_map(g):
     f = g.fibers[0]
-    ident = identity_morphism(f.chain)
+    ident = MVMorphism(f.chain, f.chain, tuple(range(f.chain.size)))
     return LGroupMap(
         dom=g,
         cod=g,
@@ -489,7 +488,7 @@ def test_upsilon_naturality_rejects_non_unital():
     f1 = ChangChainGroup(make_chain(1))
     dom = make_product_group([f1], [(2, 0)])
     cod = make_product_group([f1], [(1, 0)])
-    ident = identity_morphism(make_chain(1))
+    ident = MVMorphism(f1.chain, f1.chain, (0, 1))
     phi = LGroupMap(dom=dom, cod=cod, source_fiber=(0,), fiber_maps=(ChainStarMap(ident, f1, f1),))
     assert not phi.unital
     with pytest.raises(ValueError):
@@ -542,3 +541,25 @@ def test_free_quotient_isomorphism_survey_small():
         make_product(make_chain(1), make_chain(2)),
     ]:
         assert free_quotient_experiment(algebra, identify_zero=True).isomorphic
+
+
+# -- the evaluation map reads star fiber t into group fiber t --
+
+
+def test_primes_follow_the_coordinates_on_generated_groups():
+    # the spectrum lists the coordinate zero sets in fiber order, so the
+    # evaluation map needs no permutation of fibers
+    groups = [SweepContext.group(c, h) for c, h in group_shapes(3, 4, 3)]
+    groups += [
+        make_product_group([ChangChainGroup(make_chain(n)) for n in chains], u)
+        for chains, u in [
+            ([2], [(2, 1)]),
+            ([3, 1], [(2, 0), (3, 0)]),
+            ([2, 4, 3], [(1, 1), (2, 3), (2, 0)]),
+        ]
+    ]
+    for g in groups:
+        seg = gamma_segment(g)
+        assert prime_alignment(seg.algebra, coordinate_zero_sets(seg)) == tuple(range(g.k))
+        assert UpsilonMap(g).evaluation.source_fiber == tuple(range(g.k))
+    assert len(groups) == 1887

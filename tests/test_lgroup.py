@@ -185,7 +185,7 @@ def test_segment_neg_is_unit_complement():
     g = make_product_group([fiber(2), fiber(1)], [(1, 1), (2, 0)])
     seg = gamma_segment(g)
     for i, x in enumerate(seg.elements):
-        assert seg.elements[int(seg.algebra.neg[i])] == g.sub(seg.u, x)
+        assert seg.elements[int(seg.algebra.neg[i])] == g.sub(g.u, x)
 
 
 def test_segment_requires_positive_endpoint():

@@ -1,4 +1,4 @@
-"""Core algebra layer: tables, laws, morphisms, products, iso search."""
+"""Core algebra layer: tables, laws, morphisms, products, morphism search."""
 
 from __future__ import annotations
 
@@ -16,9 +16,7 @@ from mvgamma.mv_core import (
     check_morphism,
     check_mv_axioms,
     compose,
-    find_isomorphism,
     find_morphisms,
-    identity_morphism,
     is_totally_ordered,
     chain_rank,
     make_chain,
@@ -43,6 +41,11 @@ def brute_morphisms(dom: FiniteMVAlgebra, cod: FiniteMVAlgebra) -> set[tuple[int
             continue
         found.add(img)
     return found
+
+
+def isomorphisms(a: FiniteMVAlgebra, b: FiniteMVAlgebra) -> list[MVMorphism]:
+    """The bijective morphisms a -> b, filtered from the morphism search."""
+    return [h for h in find_morphisms(a, b) if h.is_injective() and h.is_surjective()]
 
 
 def permuted_copy(algebra: FiniteMVAlgebra, perm: list[int]) -> FiniteMVAlgebra:
@@ -173,8 +176,8 @@ def test_check_morphism_frozen_examples():
 def test_compose_and_identity():
     l1, l2 = make_chain(1), make_chain(2)
     h = MVMorphism(l1, l2, (0, 2))
-    assert compose(identity_morphism(l1), h).map == h.map
-    assert compose(h, identity_morphism(l2)).map == h.map
+    assert compose(MVMorphism(l1, l1, (0, 1)), h).map == h.map
+    assert compose(h, MVMorphism(l2, l2, (0, 1, 2))).map == h.map
     l4 = make_chain(4)
     g = MVMorphism(l2, l4, (0, 2, 4))
     assert check_morphism(g).ok
@@ -219,8 +222,6 @@ def test_searches_stop_at_their_node_cap():
     sq = make_product(make_chain(1), make_chain(1))
     with pytest.raises(SearchBudgetExceeded, match="morphism search exceeded 3 nodes"):
         find_morphisms(sq, sq, node_cap=3)
-    with pytest.raises(SearchBudgetExceeded, match="iso search exceeded 1 nodes"):
-        find_isomorphism(make_chain(3), make_chain(3), node_cap=1)
 
 
 def test_morphism_counts_frozen():
@@ -231,23 +232,22 @@ def test_morphism_counts_frozen():
     assert len(find_morphisms(sq, sq)) == 4
 
 
-# -- isomorphism search --------------------------------------------------------
+# -- isomorphisms as bijective morphisms ----------------------------------------
 
 
 def test_isomorphism_of_swapped_product_factors():
     a = make_product(make_chain(1), make_chain(3))
     b = make_product(make_chain(3), make_chain(1))
-    iso = find_isomorphism(a, b)
-    assert iso is not None
-    assert check_morphism(iso).ok and iso.is_injective() and iso.is_surjective()
+    # the factor swap (x, y) -> (y, x): index 4x + y goes to 2y + x
+    assert [h.map for h in isomorphisms(a, b)] == [tuple(2 * (i % 4) + i // 4 for i in range(8))]
 
 
 def test_non_isomorphic_same_size():
-    assert find_isomorphism(make_product(make_chain(1), make_chain(1)), make_chain(3)) is None
+    assert isomorphisms(make_product(make_chain(1), make_chain(1)), make_chain(3)) == []
 
 
 def test_isomorphism_rejects_size_mismatch():
-    assert find_isomorphism(make_chain(2), make_chain(3)) is None
+    assert isomorphisms(make_chain(2), make_chain(3)) == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -259,6 +259,4 @@ def test_permuted_chains_are_isomorphic(data):
     c = make_chain(n)
     shuffled = permuted_copy(c, perm)
     assert check_mv_axioms(shuffled).ok
-    iso = find_isomorphism(c, shuffled)
-    assert iso is not None
-    assert list(iso.map) == perm
+    assert [list(h.map) for h in isomorphisms(c, shuffled)] == [perm]

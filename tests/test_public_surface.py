@@ -1,0 +1,74 @@
+"""Every public name has a caller outside the tests.
+
+A name in a module's `__all__` counts as used when the package refers to it
+outside its own definition (the `__all__` lists and the re-exports in
+`__init__.py` do not count), when a demo refers to it, or when the
+benchmark's tracer names it in `TRACED`.  A name that only its unit test
+calls is not public API; the test fails on it.
+"""
+
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "mvgamma"
+
+
+def is_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def referenced(tree: ast.AST, skip: str | None = None) -> set[str]:
+    """Names and attributes read anywhere in the tree, leaving out `__all__`
+    and the function or class definition called `skip`."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if is_all(node):
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def traced_names() -> set[tuple[str, str]]:
+    """(module, top-level name) for every entry of the tracer's TRACED."""
+    tree = ast.parse((REPO / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED":
+            entries = ast.literal_eval(node.value)
+            return {(module, path.split(".")[0]) for _, module, path in entries}
+    raise AssertionError("perfbench/tracer.py defines no TRACED")
+
+
+def test_every_public_name_has_a_caller():
+    modules = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.stem != "__init__"
+    }
+    refs = {stem: referenced(tree) for stem, tree in modules.items()}
+    demos = set()
+    for path in sorted((REPO / "demos").glob("*.py")):
+        demos |= referenced(ast.parse(path.read_text(encoding="utf-8")))
+    traced = traced_names()
+    unused = []
+    for stem, tree in modules.items():
+        outside = demos.union(*(r for other, r in refs.items() if other != stem))
+        public = [ast.literal_eval(n.value) for n in tree.body if is_all(n)]
+        for name in public[0] if public else []:
+            if name in outside or (f"mvgamma.{stem}", name) in traced:
+                continue
+            if name not in referenced(tree, skip=name):
+                unused.append(f"{stem}.{name}")
+    assert unused == []

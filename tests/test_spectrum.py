@@ -11,7 +11,7 @@ from mvgamma.mv_core import (
     FiniteMVAlgebra,
     MVMorphism,
     check_morphism,
-    find_isomorphism,
+    find_morphisms,
     is_totally_ordered,
     make_chain,
     make_product,
@@ -22,8 +22,8 @@ from mvgamma.spectrum import (
     class_values,
     enumerate_ideals,
     ideals_by_subset_filter,
+    ideal_violations,
     induced_morphism,
-    is_ideal,
     is_prime_ideal,
     preimage_ideal,
     prime_alignment,
@@ -119,8 +119,10 @@ def test_quotients_of_l2xl3_are_the_factors():
     q0 = quotient(L2xL3, sp.primes[0])  # {0}xL3 is the kernel of the map onto L2
     q1 = quotient(L2xL3, sp.primes[1])  # L2x{0} is the kernel of the map onto L3
     assert is_totally_ordered(q0.quotient) and is_totally_ordered(q1.quotient)
-    assert find_isomorphism(q0.quotient, L2) is not None
-    assert find_isomorphism(q1.quotient, L3) is not None
+    # finite chains are rigid: the one morphism onto a same-size chain is an iso
+    for q, chain in ((q0, L2), (q1, L3)):
+        (iso,) = find_morphisms(q.quotient, chain)
+        assert iso.is_injective() and iso.is_surjective()
     for q, p in ((q0, sp.primes[0]), (q1, sp.primes[1])):
         assert check_morphism(q.projection).ok
         kernel = frozenset(a for a in range(L2xL3.size) if q.class_of[a] == 0)
@@ -286,7 +288,7 @@ def test_prime_alignment_matches_zero_sets_to_primes():
         assert prime_alignment(SQ, zero_sets) is None
 
 
-def test_is_ideal_helper():
-    assert is_ideal(SQ, frozenset({0, 1}))
-    assert not is_ideal(SQ, frozenset({1}))
-    assert not is_ideal(SQ, frozenset({0, 3}))
+def test_ideal_violations_name_each_failure():
+    assert ideal_violations(SQ, frozenset({0, 1})) == []
+    assert ideal_violations(SQ, frozenset({1})) == ["does not contain 0", "not downward closed"]
+    assert ideal_violations(SQ, frozenset({0, 3})) == ["not downward closed"]
