@@ -630,14 +630,19 @@ def upsilon_inverse_chain(
     fiber: ChangChainGroup, u: ChangPair, x: ChangPair
 ) -> tuple[int, ChangPair]:
     """Invert evaluation on one fiber: the unique (n, r) with x = n·u + r,
-    0 <= r < u (equivalently n·u <= x <= (n+1)·u with maximal n).
+    0 <= r < u (equivalently n·u <= x <= (n+1)·u with maximal n).  The
+    bracket n·u <= x < hi·u is found by doubling, then narrowed by
+    bisection: O(log² |n|) additions.
     """
     require_positive_unit((fiber,), (u,))
-    n = 0
+    n, hi = -1, 1
     while not fiber.leq(fiber.mul(n, u), x):
-        n -= 1
-    while fiber.leq(fiber.mul(n + 1, u), x):
-        n += 1
+        n *= 2
+    while fiber.leq(fiber.mul(hi, u), x):
+        hi *= 2
+    while hi - n > 1:
+        mid = (n + hi) // 2
+        n, hi = (mid, hi) if fiber.leq(fiber.mul(mid, u), x) else (n, mid)
     r = fiber.sub(x, fiber.mul(n, u))
     if not (fiber.leq(fiber.zero, r) and fiber.leq(x, fiber.mul(n + 1, u))):
         raise InternalInvariantError("division by the unit lost the sandwich")

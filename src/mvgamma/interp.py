@@ -67,7 +67,6 @@ from .serialize import (
     dumps,
     element_from_json,
     export_json,
-    to_jsonable,
 )
 from .spectrum import canonical_embedding, enumerate_ideals, ideals_by_subset_filter, spectrum
 from .sweeps import run_all_checks
@@ -88,7 +87,7 @@ class RunConfig:
 
 class SemanticError(ValueError):
     """A statement whose meaning is ill-formed; carries the line and a
-    JSON-ready counterexample payload."""
+    counterexample payload that `dumps` can write."""
 
     def __init__(self, message: str, line: int, counterexample: Any = None):
         self.line = line
@@ -106,11 +105,15 @@ class SemanticError(ValueError):
 
 @dataclass
 class CommandOutcome:
+    """One command's verdict.  `detail` is a dict or a report object and may
+    hold package values (pairs, group elements, reports) as they are; `dumps`
+    lowers them when the report is written."""
+
     command: str
     line: int
     target: str | None
     status: str  # "pass" | "fail"
-    detail: dict
+    detail: Any
 
     def as_json(self) -> dict:
         return {
@@ -326,7 +329,7 @@ class _Runner:
         detail = {
             "fibers": star.ambient.k,
             "heights": [f.height for f in star.ambient.fibers],
-            "unit": to_jsonable(star.ambient.u),
+            "unit": star.ambient.u,
             "injective": star.injective,
         }
         return star.injective, detail
@@ -379,18 +382,14 @@ class _Runner:
         group, seg = self._segment_context(cmd)
         x = self.element_in(group, cmd.element, cmd.line)
         if not group.leq(group.zero, x):
-            raise SemanticError(
-                "only nonnegative elements have good sequences",
-                cmd.line,
-                to_jsonable(x),
-            )
+            raise SemanticError("only nonnegative elements have good sequences", cmd.line, x)
         gs = canonical_good_sequence(seg, x)
         back = good_sequence_sum(seg, gs.entries)
         if back != x:
             raise InternalInvariantError("canonical sequence lost its sum")
         detail = {
             "entries": list(gs.entries),
-            "elements": [to_jsonable(seg.elements[e]) for e in gs.entries],
+            "elements": [seg.elements[e] for e in gs.entries],
             "length": len(gs.entries),
         }
         return True, detail
@@ -412,17 +411,17 @@ class _Runner:
             witness = generated_membership(star.ambient, allowed, x)
         detail = {
             "member": witness.member,
-            "positive": [to_jsonable(e) for e in witness.positive],
-            "negative": [to_jsonable(e) for e in witness.negative],
+            "positive": witness.positive,
+            "negative": witness.negative,
         }
         if witness.missing is not None:
-            detail["missing"] = to_jsonable(witness.missing)
+            detail["missing"] = witness.missing
         return witness.member, detail
 
     def cmd_freequotient(self, cmd: Command):
         _, a = self.value(cmd.name, ("algebra",), cmd.line)
         report = free_quotient_experiment(a, identify_zero=not cmd.keep_zero)
-        return report.isomorphic, to_jsonable(report)
+        return report.isomorphic, report
 
     def cmd_check(self, cmd: Command):
         window = self.bound(cmd, "window", 1)

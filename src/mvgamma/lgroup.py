@@ -125,12 +125,17 @@ class ChangChainGroup:
         return y if self.leq(x, y) else x
 
     def mul(self, k: int, x: ChangPair) -> ChangPair:
-        """k-fold sum by repeated addition (k may be negative)."""
+        """k-fold sum (k may be negative) by double-and-add: O(log |k|)
+        additions, built from `add` and `neg` alone."""
         if k < 0:
-            return self.mul(-k, self.neg(x))
+            k, x = -k, self.neg(x)
         acc = self.zero
-        for _ in range(k):
-            acc = self.add(acc, x)
+        while k:
+            if k & 1:
+                acc = self.add(acc, x)
+            k >>= 1
+            if k:
+                x = self.add(x, x)
         return acc
 
     # -- linearization: reserved for oracles and enumeration -------------

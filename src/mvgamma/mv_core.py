@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _VIOLATION_CAP = 100  # per axiom; garbage tables can fail on O(size^3) triples
+_ASSOC_BLOCK_CELLS = 1 << 20  # associativity is checked in row blocks of about this many cells
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -221,12 +222,25 @@ def make_product(a: FiniteMVAlgebra, b: FiniteMVAlgebra) -> FiniteMVAlgebra:
     return make_product_many([a, b])
 
 
-def _collect(name: str, bad: np.ndarray, arity: int, out: list, size: int) -> bool:
+def _collect(name: str, where: np.ndarray, arity: int, out: list) -> bool:
     """Append up to the cap of violating argument tuples; return truncation."""
-    where = np.argwhere(bad)
     for row in where[:_VIOLATION_CAP]:
         out.append((name, tuple(int(v) for v in row[:arity])))
     return len(where) > _VIOLATION_CAP
+
+
+def _assoc_failures(op: np.ndarray) -> np.ndarray:
+    """The (a, b, c) with (a+b)+c != a+(b+c) in row-major order, one block of
+    rows a at a time (memory O(size^2)), up to the block passing the cap."""
+    s = len(op)
+    step = max(1, _ASSOC_BLOCK_CELLS // (s * s))
+    found = []
+    for i in range(0, s, step):
+        rows = op[i : i + step]
+        found.append(np.argwhere(op[rows] != rows[:, op]) + [i, 0, 0])
+        if sum(map(len, found)) > _VIOLATION_CAP:
+            break
+    return np.concatenate(found)
 
 
 @functools.cache
@@ -243,15 +257,13 @@ def check_mv_axioms(algebra: FiniteMVAlgebra) -> AxiomReport:
     out: list[tuple[str, tuple[int, ...]]] = []
     truncated = False
 
-    lhs = op[op][:, :, :]  # [a,b,c] = (a+b)+c
-    rhs = op[:, op].reshape(s, s, s)  # [a,b,c] = a+(b+c)
-    truncated |= _collect("assoc", lhs != rhs, 3, out, s)
-    truncated |= _collect("comm", op != op.T, 2, out, s)
-    truncated |= _collect("unit", op[:, 0] != idx, 1, out, s)
-    truncated |= _collect("involution", ng[ng] != idx, 1, out, s)
-    truncated |= _collect("absorb", op[:, algebra.top] != algebra.top, 1, out, s)
+    truncated |= _collect("assoc", _assoc_failures(op), 3, out)
+    truncated |= _collect("comm", np.argwhere(op != op.T), 2, out)
+    truncated |= _collect("unit", np.argwhere(op[:, 0] != idx), 1, out)
+    truncated |= _collect("involution", np.argwhere(ng[ng] != idx), 1, out)
+    truncated |= _collect("absorb", np.argwhere(op[:, algebra.top] != algebra.top), 1, out)
     luk = op[ng[op[ng[:, None], idx[None, :]]], idx[None, :]]
-    truncated |= _collect("characteristic", luk != luk.T, 2, out, s)
+    truncated |= _collect("characteristic", np.argwhere(luk != luk.T), 2, out)
 
     return AxiomReport(ok=not out, violations=tuple(out), truncated=truncated)
 

@@ -11,6 +11,10 @@ indent, trailing newline):
   group      {"fibers": [chain sizes], "u": <element>}
   snf report {"free_factors": [...], "star_factors": [...], "isomorphic": bool, ...}
 
+`dumps` is the one point where package values are lowered: it writes the
+text json's indent-2 encoder would give for `to_jsonable(value)` in one walk,
+and renders each repeated pair or element once per indent level.
+
 `loads` detects the kind from the key set and rebuilds the most structured
 standalone value: algebras, morphisms, elements, and groups come back as
 package objects; ideals and spectra come back as member sets (they need an
@@ -120,7 +124,39 @@ def to_jsonable(value: Any) -> Any:
 
 def dumps(value: Any) -> str:
     """Deterministic JSON text: sorted keys, indent 2, one trailing newline."""
-    return json.dumps(to_jsonable(value), sort_keys=True, indent=2) + "\n"
+    return _render(value, 0, {}) + "\n"
+
+
+def _render(value: Any, level: int, memo: dict) -> str:
+    """`to_jsonable(value)` as json's indent-2 encoder writes it at nesting
+    `level`, lowering package values on the way; pairs and elements are
+    rendered once per level and then read back from `memo`."""
+    if value is None or isinstance(value, (str, int)):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        lowered = {str(k): v for k, v in value.items()}
+        return _block("{}", level, [
+            f"{json.dumps(k)}: {_render(lowered[k], level + 1, memo)}" for k in sorted(lowered)
+        ])
+    if isinstance(value, tuple) and (
+        isinstance(value, ChangPair) or (value and all(isinstance(p, ChangPair) for p in value))
+    ):
+        key = (value, level)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _render(to_jsonable(value), level, memo)
+        return text
+    if isinstance(value, (list, tuple)):
+        if all(type(v) is int for v in value):
+            return _block("[]", level, map(int.__repr__, value))
+        return _block("[]", level, [_render(v, level + 1, memo) for v in value])
+    return _render(to_jsonable(value), level, memo)
+
+
+def _block(brackets: str, level: int, items) -> str:
+    inner = "\n" + "  " * (level + 1)
+    body = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{body}\n{'  ' * level}{brackets[1]}" if body else brackets
 
 
 def export_json(value: Any, path: str) -> None:

@@ -352,6 +352,13 @@ def test_tour_report_matches_golden(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "demos" / "out" / "product_algebra.json").is_file()
 
 
+def test_long_runs_report_matches_golden(capsys):
+    # copy index about 40: each report repeats a few segment elements many times
+    assert main(["run", str(GOLDEN / "long_runs.mvg")]) == 1
+    expected = (GOLDEN / "long_runs.out").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
 def test_python_m_mvgamma_matches_main(capsys):
     assert main(["check-all", "--max-size", "6"]) == 0
     expected = capsys.readouterr().out.encode("utf-8")

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgamma.equivalence import (
     GoodSequence,
@@ -355,6 +357,29 @@ def test_upsilon_inverse_chain_frozen():
     assert upsilon_inverse_chain(f, u, ChangPair(6, 0)) == (2, ChangPair(0, 0))
     with pytest.raises(ValueError):
         upsilon_inverse_chain(f, ChangPair(0, 0), ChangPair(1, 0))
+
+
+def inverse_by_linear_search(f: ChangChainGroup, u: ChangPair, x: ChangPair):
+    """Oracle: step n one unit at a time until n·u <= x < (n+1)·u."""
+    n = 0
+    while not f.leq(f.mul(n, u), x):
+        n -= 1
+    while f.leq(f.mul(n + 1, u), x):
+        n += 1
+    return n, f.sub(x, f.mul(n, u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=-300, max_value=300),
+)
+def test_upsilon_inverse_chain_matches_linear_search(n, unit_steps, t):
+    f = ChangChainGroup(make_chain(n))
+    u = f.pair_of_phi(unit_steps)
+    x = f.pair_of_phi(t * unit_steps // 3)
+    assert upsilon_inverse_chain(f, u, x) == inverse_by_linear_search(f, u, x)
 
 
 def test_upsilon_inverse_matches_the_map():

@@ -67,6 +67,35 @@ def test_scalar_multiples_match_oracle(n):
             assert g.phi(g.mul(k, x)) == k * g.phi(x)
 
 
+def mul_by_repeated_addition(g: ChangChainGroup, k: int, x: ChangPair) -> ChangPair:
+    """Oracle: |k| additions of x (or of -x when k < 0)."""
+    step = x if k >= 0 else g.neg(x)
+    acc = g.zero
+    for _ in range(abs(k)):
+        acc = g.add(acc, step)
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=-300, max_value=300),
+    st.integers(min_value=-30, max_value=30),
+)
+def test_mul_matches_repeated_addition(n, k, t):
+    g = fiber(n)
+    x = g.pair_of_phi(t)
+    additions = []
+
+    def counted_add(a, b):
+        additions.append((a, b))
+        return ChangChainGroup.add(g, a, b)
+
+    g.add = counted_add  # shadows the method on this instance only
+    assert g.mul(k, x) == mul_by_repeated_addition(fiber(n), k, x)
+    assert len(additions) <= 2 * abs(k).bit_length()
+
+
 def test_fibers_are_equal_by_chain():
     assert fiber(2) is not fiber(2)
     assert fiber(2) == fiber(2) and hash(fiber(2)) == hash(fiber(2))

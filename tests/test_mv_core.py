@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvgamma import mv_core
 from mvgamma.mv_core import (
+    AxiomReport,
     FiniteMVAlgebra,
     MVMorphism,
     SearchBudgetExceeded,
@@ -114,6 +117,59 @@ def test_axiom_checker_catches_broken_tables():
     assert not report.ok
     names = {v[0] for v in report.violations}
     assert "comm" in names
+
+
+def axioms_full(algebra: FiniteMVAlgebra) -> AxiomReport:
+    """Oracle: the six laws over whole s^3 and s^2 arrays at once."""
+    s, op, ng = algebra.size, algebra.oplus, algebra.neg
+    idx = np.arange(s)
+    out: list = []
+    truncated = False
+    luk = op[ng[op[ng[:, None], idx[None, :]]], idx[None, :]]
+    for name, bad, arity in (
+        ("assoc", op[op] != op[:, op].reshape(s, s, s), 3),
+        ("comm", op != op.T, 2),
+        ("unit", op[:, 0] != idx, 1),
+        ("involution", ng[ng] != idx, 1),
+        ("absorb", op[:, algebra.top] != algebra.top, 1),
+        ("characteristic", luk != luk.T, 2),
+    ):
+        where = np.argwhere(bad)
+        out += [(name, tuple(int(v) for v in row[:arity])) for row in where[:100]]
+        truncated |= len(where) > 100
+    return AxiomReport(ok=not out, violations=tuple(out), truncated=truncated)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_blocked_associativity_matches_full_arrays(data):
+    # garbage tables: a chain with a few cells overwritten (few violations,
+    # spread over several row blocks) or a wholly random table (past the cap)
+    s = data.draw(st.integers(min_value=2, max_value=9))
+    if data.draw(st.booleans()):
+        op = make_chain(s - 1).oplus.copy()
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            a, b = data.draw(st.tuples(st.integers(0, s - 1), st.integers(0, s - 1)))
+            op[a, b] = data.draw(st.integers(0, s - 1))
+    else:
+        op = np.array(data.draw(st.lists(st.integers(0, s - 1), min_size=s * s, max_size=s * s)))
+    algebra = FiniteMVAlgebra(s, op.reshape(s, s), make_chain(s - 1).neg)
+    rows = data.draw(st.integers(min_value=1, max_value=s))
+    with mock.patch.object(mv_core, "_ASSOC_BLOCK_CELLS", rows * s * s):
+        assert check_mv_axioms.__wrapped__(algebra) == axioms_full(algebra)
+
+
+def test_blocked_associativity_truncates_like_full_arrays():
+    # xor-like garbage on 8 elements fails associativity on hundreds of
+    # triples; one-row blocks stop early but report the same first 100
+    s = 8
+    op = [[(a * 3 + b * 5) % s for b in range(s)] for a in range(s)]
+    algebra = FiniteMVAlgebra(s, op, make_chain(s - 1).neg)
+    full = axioms_full(algebra)
+    assert full.truncated and sum(name == "assoc" for name, _ in full.violations) == 100
+    for rows in (1, 2, 3, s):
+        with mock.patch.object(mv_core, "_ASSOC_BLOCK_CELLS", rows * s * s):
+            assert check_mv_axioms.__wrapped__(algebra) == full
 
 
 def test_axiom_checker_catches_broken_involution():

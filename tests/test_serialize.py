@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvgamma.equivalence import free_quotient_experiment
-from mvgamma.lgroup import ChangChainGroup, ChangPair, make_product_group
+from mvgamma.equivalence import free_quotient_experiment, generated_membership
+from mvgamma.lgroup import ChangChainGroup, ChangPair, gamma_segment, make_product_group
 from mvgamma.mv_core import (
     FiniteMVAlgebra,
     MVMorphism,
@@ -173,3 +175,78 @@ def test_unit_normalizes_on_import():
 def test_to_jsonable_rejects_strangers():
     with pytest.raises(TypeError):
         to_jsonable(object())
+
+
+def json_oracle(value) -> str:
+    """What `dumps` must write: the standard library's indent-2 text."""
+    return json.dumps(to_jsonable(value), sort_keys=True, indent=2) + "\n"
+
+
+def _package_values() -> list:
+    a = make_product(make_chain(1), make_chain(2))
+    spec = spectrum(a)
+    g = make_product_group(
+        [ChangChainGroup(make_chain(1)), ChangChainGroup(make_chain(2))], [(2, 0), (1, 1)]
+    )
+    return [
+        a,
+        MVMorphism(make_chain(1), make_chain(2), (0, 2)),
+        spec.primes[0],
+        spec,
+        g,
+        free_quotient_experiment(make_chain(2)),
+    ]
+
+
+_PAIRS = st.builds(ChangPair, st.integers(-3, 3), st.integers(0, 3))
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é\u2028😀", 'a"b\\c\n'])
+_LEAVES = (
+    st.integers()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.booleans()
+    | st.none()
+    | _TEXT
+    | _PAIRS
+    | st.lists(_PAIRS, min_size=1, max_size=3).map(tuple)  # group elements
+    | st.sampled_from(_package_values())
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.integers(-3, 3) | _TEXT, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_dumps_matches_json_indent_2(value):
+    assert dumps(value) == json_oracle(value)
+
+
+def test_dumps_repeated_element_at_two_depths():
+    # a non-member witness names its missing entry beside the positive
+    # entries that contain it, one indent level apart
+    g = make_product_group(
+        [ChangChainGroup(make_chain(1)), ChangChainGroup(make_chain(2))], [(1, 0), (1, 1)]
+    )
+    witness = generated_membership(g, {g.zero, g.u}, (ChangPair(0, 1), ChangPair(3, 0)))
+    assert not witness.member and witness.missing in witness.positive
+    detail = {
+        "member": witness.member,
+        "positive": witness.positive,
+        "negative": witness.negative,
+        "missing": witness.missing,
+    }
+    assert dumps(detail) == json_oracle(detail)
+    segment = gamma_segment(g)
+    nested = {"top": segment.elements[-1], "deeper": [[segment.elements[-1]], g.u]}
+    assert dumps(nested) == json_oracle(nested)
+
+
+def test_dumps_rejects_strangers():
+    with pytest.raises(TypeError):
+        dumps(object())
+    with pytest.raises(TypeError):
+        dumps({"ok": [1, 2.5]})
