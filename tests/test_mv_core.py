@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -94,17 +96,80 @@ def test_chain_is_totally_ordered_with_identity_rank():
 def test_trivial_algebra_is_rejected():
     with pytest.raises(ValueError):
         make_chain(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^carrier must have at least two elements$"):
         FiniteMVAlgebra(1, [[0]], [0])
 
 
+# -- interning: an algebra is its tables ---------------------------------------
+
+
+def tables_equal(x: tuple, y: tuple) -> bool:
+    """Oracle: two (size, oplus, neg) triples compared by value, table by table."""
+    return x[0] == y[0] and np.array_equal(x[1], y[1]) and np.array_equal(x[2], y[2])
+
+
+@st.composite
+def raw_tables(draw):
+    s = draw(st.integers(min_value=2, max_value=4))
+    cells = st.integers(min_value=0, max_value=s - 1)
+    oplus = draw(st.lists(st.lists(cells, min_size=s, max_size=s), min_size=s, max_size=s))
+    neg = draw(st.lists(cells, min_size=s, max_size=s))
+    return s, oplus, neg
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_equal_tables_are_one_algebra(data):
+    x = data.draw(raw_tables())
+    # the second tables: a copy of the first, the first with one cell redrawn
+    # (which may leave it unchanged), or fresh tables of either size
+    kind = data.draw(st.sampled_from(["copy", "cell", "fresh"]))
+    if kind == "fresh":
+        y = data.draw(raw_tables())
+    else:
+        s, oplus, neg = x[0], [list(row) for row in x[1]], list(x[2])
+        if kind == "cell":
+            a, b = data.draw(st.tuples(st.integers(0, s - 1), st.integers(0, s - 1)))
+            oplus[a][b] = data.draw(st.integers(0, s - 1))
+        y = (s, oplus, neg)
+    # equal tables given as lists or as arrays of another dtype are still equal
+    as_array = data.draw(st.booleans())
+    A = FiniteMVAlgebra(*x)
+    B = FiniteMVAlgebra(y[0], *(np.asarray(t, dtype=np.int32) if as_array else t for t in y[1:]))
+    assert (A is B) == tables_equal(x, y)
+    assert tables_equal((A.size, A.oplus, A.neg), x)
+    assert tables_equal((B.size, B.oplus, B.neg), y)
+    assert not A.oplus.flags.writeable and not A.neg.flags.writeable
+
+
+def test_algebras_compare_and_hash_by_identity():
+    assert "__eq__" not in vars(FiniteMVAlgebra) and "__hash__" not in vars(FiniteMVAlgebra)
+    a = make_chain(3)
+    assert a is make_chain(3) is FiniteMVAlgebra(4, a.oplus, a.neg)
+    assert copy.deepcopy(a) is a and pickle.loads(pickle.dumps(a)) is a
+    assert make_product(make_chain(1), make_chain(1)) is not make_chain(3)
+
+
+INVALID_TABLES = [
+    (2, [[0, 1]], [1, 0], "oplus must have shape (2, 2), got (1, 2)"),
+    # the bytes of a valid two-element table, in the wrong shape
+    (2, [0, 1, 1, 1], [1, 0], "oplus must have shape (2, 2), got (4,)"),
+    (2, [[0, 1], [1, 1]], [[1, 0]], "neg must have shape (2,), got (1, 2)"),
+    (2, [[0, 1], [1, 5]], [1, 0], "oplus entries out of carrier range"),
+    (2, [[0, -1], [1, 1]], [1, 0], "oplus entries out of carrier range"),
+    (2, [[0, 1], [1, 1]], [1, -1], "neg entries out of carrier range"),
+    (2, [[0, 1], [1, 1]], [2, 0], "neg entries out of carrier range"),
+]
+
+
 def test_shape_and_range_validation():
-    with pytest.raises(ValueError):
-        FiniteMVAlgebra(2, [[0, 1]], [1, 0])
-    with pytest.raises(ValueError):
-        FiniteMVAlgebra(2, [[0, 1], [1, 5]], [1, 0])
-    with pytest.raises(ValueError):
-        FiniteMVAlgebra(2, [[0, 1], [1, 1]], [1, -1])
+    live = make_chain(1)  # a valid algebra of the same size is already interned
+    for size, oplus, neg, message in INVALID_TABLES:
+        for _ in range(2):  # a rejected table is not interned either
+            with pytest.raises(ValueError) as err:
+                FiniteMVAlgebra(size, oplus, neg)
+            assert str(err.value) == message
+    assert live is make_chain(1)
 
 
 def test_axiom_checker_catches_broken_tables():
