@@ -167,24 +167,51 @@ def star_algebra(algebra: FiniteMVAlgebra) -> StarAlgebra:
 # -- good sequences -------------------------------------------------------------
 
 
-def canonical_entries(group: ProductLuGroup, x: GroupElement) -> tuple[GroupElement, ...]:
-    """Peel x >= 0 into its canonical segment entries: repeatedly split off
-    u-meet-rest, with u the group's unit.  The entries land in [0, u], sum
-    back to x, and each absorbs the next under the capped addition; trailing
-    zeros never occur because the loop stops the moment the remainder
-    vanishes.
+def upsilon_inverse_chain(
+    fiber: ChangChainGroup, u: ChangPair, x: ChangPair
+) -> tuple[int, ChangPair]:
+    """Divide x by the unit u on one fiber, which inverts evaluation there:
+    the unique (n, r) with x = n·u + r, 0 <= r < u (equivalently
+    n·u <= x <= (n+1)·u with maximal n).  The
+    bracket n·u <= x < hi·u is found by doubling, then narrowed by
+    bisection: O(log² |n|) additions.
     """
-    u = group.u
+    require_positive_unit((fiber,), (u,))
+    n, hi = -1, 1
+    while not fiber.leq(fiber.mul(n, u), x):
+        n *= 2
+    while fiber.leq(fiber.mul(hi, u), x):
+        hi *= 2
+    while hi - n > 1:
+        mid = (n + hi) // 2
+        n, hi = (mid, hi) if fiber.leq(fiber.mul(mid, u), x) else (n, mid)
+    r = fiber.sub(x, fiber.mul(n, u))
+    if not (fiber.leq(fiber.zero, r) and fiber.leq(x, fiber.mul(n + 1, u))):
+        raise InternalInvariantError("division by the unit lost the sandwich")
+    return n, r
+
+
+def canonical_entries(group: ProductLuGroup, x: GroupElement) -> tuple[GroupElement, ...]:
+    """The canonical good sequence of x >= 0 as elements of [0, u], u the
+    group's unit, in closed form: a_i = ((x - (i-1)u) ∨ 0) ∧ u for i >= 1
+    (Cignoli, D'Ottaviano and Mundici 2000, ch. 2).  Each fiber is divided
+    once, x_t = n_t·u_t + r_t with 0 <= r_t < u_t, so entry i (counted from
+    0) is u_t while i < n_t, r_t at i = n_t, and 0 after.  The entries sum
+    back to x and each absorbs the next under the capped addition; the
+    sequence stops at its last nonzero entry.
+    """
     x = group.validate(x)
     if not group.leq(group.zero, x):
         raise ValueError("only nonnegative elements have good-sequence entries")
-    entries = []
-    rest = x
-    while rest != group.zero:
-        a = group.meet(u, rest)
-        entries.append(a)
-        rest = group.sub(rest, a)
-    return tuple(entries)
+    divided = [upsilon_inverse_chain(g, up, p) for g, up, p in zip(group.fibers, group.u, x)]
+    length = max(n + (r != z) for (n, r), z in zip(divided, group.zero))
+    return tuple(
+        tuple(
+            up if i < n else r if i == n else z
+            for (n, r), up, z in zip(divided, group.u, group.zero)
+        )
+        for i in range(length)
+    )
 
 
 @dataclass(frozen=True)
@@ -276,8 +303,10 @@ def generated_membership(
     """Is x in the subgroup generated by `allowed` (a subset of [0, u], u the
     group's unit)?
 
-    Split x into its two nonnegative halves and peel each canonically; x is
-    generated exactly when every peeled entry belongs to the allowed set.
+    Split x into its two nonnegative halves and take the canonical entries
+    of each; x is generated exactly when every entry belongs to the allowed
+    set.  The entries of a half form at most k + 1 runs (k the fiber
+    count), so each distinct entry is looked up once.
     The allowed set must contain 0 and u and be closed under the capped
     addition and unit complement for the criterion to be complete; callers
     pass the image of an algebra, which is.
@@ -287,7 +316,7 @@ def generated_membership(
     positive = canonical_entries(group, pos)
     negative = canonical_entries(group, neg_part)
     lookup = allowed.__contains__
-    for e in itertools.chain(positive, negative):
+    for e in dict.fromkeys(itertools.chain(positive, negative)):
         if not lookup(e):
             return MembershipWitness(
                 member=False, positive=positive, negative=negative, missing=e
@@ -298,7 +327,7 @@ def generated_membership(
     for e in negative:
         acc = group.sub(acc, e)
     if acc != x:
-        raise InternalInvariantError("peeled entries failed to re-add to x")
+        raise InternalInvariantError("canonical entries failed to re-add to x")
     return MembershipWitness(member=True, positive=positive, negative=negative)
 
 
@@ -317,8 +346,8 @@ class GenerationReport:
 def segment_generation_check(star: StarAlgebra, bound: int = 4) -> GenerationReport:
     """Every ambient element within bound·u is generated by the box [0, u].
 
-    Exhaustive over the ambient window; each element is peeled and its
-    entries checked against a_circle.
+    Exhaustive over the ambient window; the canonical entries of each
+    element are checked against a_circle.
     """
     checked = 0
     for x in star.ambient.window(bound):
@@ -494,23 +523,65 @@ class UpsilonMap:
 
     def fiber_value(self, t: int, x: ChangPair) -> ChangPair:
         """Evaluate star fiber t at pair x, landing in group fiber t."""
-        g = self.group.fibers[t]
-        return g.add(g.mul(x.m, self.group.u[t]), self.lifts[t][x.a])
+        return _evaluate(self.group.fibers[t], self.group.u[t], self.lifts[t], x)
+
+
+def _evaluate(
+    g: ChangChainGroup, up: ChangPair, lift: tuple[ChangPair, ...], x: ChangPair
+) -> ChangPair:
+    """The evaluation on one fiber: the star pair (m, c) goes to m·u_t + lift[c]."""
+    return g.add(g.mul(x.m, up), lift[x.a])
+
+
+@functools.cache
+def _fiber_certificate(
+    sf: ChangChainGroup,
+    g: ChangChainGroup,
+    up: ChangPair,
+    lift: tuple[ChangPair, ...],
+    window: int,
+) -> tuple[bool, bool, bool, bool, int]:
+    """Upsilon's checks on one fiber: star fiber sf evaluated into group
+    fiber g with unit coordinate up and class lift `lift`.
+
+    Each check is exhaustive: additivity on all pairs of sf's window (their
+    sums lie in the doubled window); strict monotonicity over that window
+    (order embedding and injectivity in one pass); unit and zero
+    preservation; and surjectivity onto g's window, each target divided
+    once, v = n·up + r, and hit by the pair (n, class of r).  Returns
+    (additive, order_embedding, preserves_unit, surjective, size of g's
+    window).  Every argument is a value, so groups with equal fiber data
+    share one certificate.
+    """
+    inner = fiber_window(sf, sf.unit, window)
+    table = {x: _evaluate(g, up, lift, x) for x in fiber_window(sf, sf.unit, 2 * window)}
+    additive = all(table[sf.add(x, y)] == g.add(table[x], table[y]) for x in inner for y in inner)
+    values = [table[x] for x in inner]  # inner ascends
+    order_embedding = all(g.leq(v, w) and v != w for v, w in zip(values, values[1:]))
+    preserves_unit = table[sf.unit] == up and table[sf.zero] == g.zero
+    class_of = {v: c for c, v in enumerate(lift)}
+    targets = fiber_window(g, up, window)
+    surjective = True
+    for v in targets:
+        n, r = upsilon_inverse_chain(g, up, v)
+        c = class_of.get(r)
+        surjective &= c is not None and _evaluate(g, up, lift, sf.pair(n, c)) == v
+    return additive, order_embedding, preserves_unit, surjective, len(targets)
 
 
 @dataclass(frozen=True)
 class UpsilonResult:
     """Window-certified verdict that upsilon is a unital ordered isomorphism.
 
-    All five component checks run exhaustively per fiber over the stated
-    windows.  Because every operation involved (addition, order, meet, the
-    map itself) acts coordinatewise, a product-window quantifier is exactly
-    the conjunction of the per-fiber ones; `window_elements` reports the size
-    of the product window those conjunctions cover.
+    Additivity, order embedding, unit preservation and surjectivity are
+    checked one fiber at a time, each fiber by its cached certificate.
+    Because every operation involved (addition, order, the map itself) acts
+    coordinatewise, a product-window quantifier is exactly the conjunction
+    of the per-fiber ones; `window_elements` reports the size of the product
+    window those conjunctions cover.  The segment identity and the box are
+    checked on the product itself.
     """
 
-    map: UpsilonMap
-    window: int
     additive: bool
     order_embedding: bool
     preserves_unit: bool
@@ -534,99 +605,34 @@ class UpsilonResult:
 def upsilon(group: ProductLuGroup, window: int = 4) -> UpsilonResult:
     """Build the evaluation map and certify it on the given window.
 
-    Checks, each exhaustive per fiber: additivity on all pairs from the
-    doubled fiber window; strict monotonicity over the fiber window (order
-    embedding and injectivity in one pass); unit and zero preservation;
-    the identity `evaluate(iota(x)) = x` over the whole segment; and
-    surjectivity onto the group window, each target rebuilt from the peeled
-    entries of its two halves through iota and re-evaluated.
+    Building it validates the prime alignment and the lifts.  Each fiber
+    then gets its certificate (`_fiber_certificate`: additivity,
+    order embedding, unit and zero, surjectivity through one division by
+    the unit per target).  On the product: the identity
+    `evaluate(iota(x)) = x` over the whole segment, and the segment being
+    exactly the box of class pairs, injectively.
     """
     um = UpsilonMap(group)
-    seg = um.segment
-    star_amb = um.star.ambient
-    additive = True
-    order_embedding = True
-    preserves_unit = True
-    surjective = True
-    window_elements = 1
-    for t, sf in enumerate(star_amb.fibers):
-        g = group.fibers[t]
-        uj = group.u[t]
-        inner = fiber_window(sf, sf.unit, window)
-        outer = fiber_window(sf, sf.unit, 2 * window)
-        table = {x: um.fiber_value(t, x) for x in outer}
-        for x in inner:
-            for y in inner:
-                if table[sf.add(x, y)] != g.add(table[x], table[y]):
-                    additive = False
-        prev = None
-        for x in inner:  # ascending
-            v = table[x]
-            if prev is not None and not (g.leq(prev, v) and prev != v):
-                order_embedding = False
-            prev = v
-        if table[sf.unit] != uj or table[sf.zero] != g.zero:
-            preserves_unit = False
-        # surjectivity: peel each window target in the group fiber and lift
-        # the entries back through the class of their coordinate value
-        value_class = {v: c for c, v in enumerate(um.lifts[t])}
-        targets = fiber_window(g, uj, window)
-        window_elements *= len(targets)
-        for v in targets:
-            vp = g.join(g.zero, v)
-            vn = g.join(g.zero, g.neg(v))
-            acc = sf.zero
-            for half, sign in ((vp, 1), (vn, -1)):
-                rest = half
-                while rest != g.zero:
-                    e = g.meet(uj, rest)
-                    rest = g.sub(rest, e)
-                    entry = sf.pair(0, value_class[e])
-                    acc = sf.add(acc, entry) if sign > 0 else sf.sub(acc, entry)
-            if um.fiber_value(t, acc) != v:
-                surjective = False
+    star = um.star
+    certificates = [
+        _fiber_certificate(sf, g, up, lift, window)
+        for sf, g, up, lift in zip(star.ambient.fibers, group.fibers, group.u, um.lifts)
+    ]
+    *checks, sizes = zip(*certificates)
+    additive, order_embedding, preserves_unit, surjective = map(all, checks)
     segment_identity = all(
-        um.evaluation(um.star.a_circle[i]) == seg.elements[i]
-        for i in range(seg.algebra.size)
+        um.evaluation(x) == y for x, y in zip(star.a_circle, um.segment.elements)
     )
-    box_size = 1
-    for f in star_amb.fibers:
-        box_size *= f.height + 1
-    box_is_circle = um.star.injective and len(um.star.a_circle) == box_size
+    box_size = math.prod(f.height + 1 for f in star.ambient.fibers)
     return UpsilonResult(
-        map=um,
-        window=window,
         additive=additive,
         order_embedding=order_embedding,
         preserves_unit=preserves_unit,
         segment_identity=segment_identity,
         surjective=surjective,
-        box_is_circle=box_is_circle,
-        window_elements=window_elements,
+        box_is_circle=star.injective and len(star.a_circle) == box_size,
+        window_elements=math.prod(sizes),
     )
-
-
-def upsilon_inverse_chain(
-    fiber: ChangChainGroup, u: ChangPair, x: ChangPair
-) -> tuple[int, ChangPair]:
-    """Invert evaluation on one fiber: the unique (n, r) with x = n·u + r,
-    0 <= r < u (equivalently n·u <= x <= (n+1)·u with maximal n).  The
-    bracket n·u <= x < hi·u is found by doubling, then narrowed by
-    bisection: O(log² |n|) additions.
-    """
-    require_positive_unit((fiber,), (u,))
-    n, hi = -1, 1
-    while not fiber.leq(fiber.mul(n, u), x):
-        n *= 2
-    while fiber.leq(fiber.mul(hi, u), x):
-        hi *= 2
-    while hi - n > 1:
-        mid = (n + hi) // 2
-        n, hi = (mid, hi) if fiber.leq(fiber.mul(mid, u), x) else (n, mid)
-    r = fiber.sub(x, fiber.mul(n, u))
-    if not (fiber.leq(fiber.zero, r) and fiber.leq(x, fiber.mul(n + 1, u))):
-        raise InternalInvariantError("division by the unit lost the sandwich")
-    return n, r
 
 
 # -- coordinate ideals of a product group -------------------------------------------
@@ -849,16 +855,20 @@ def free_quotient_experiment(
     """Compare the pairwise-relation presentation with the actual star group.
 
     The relation rows say that the pair (a, b) may be replaced by the pair
-    (a(+)b, a(.)b) without changing the sum.  The star side linearizes each
-    fiber by copy-index times height plus offset rank and measures the row
-    space of the iota images.
+    (a(+)b, a(.)b) without changing the sum.  Both operations commute, so
+    row (a, b) equals row (b, a) and only a <= b is built: duplicate rows
+    leave the row span, and so the factors, unchanged.  `relation_rows`
+    still counts the nonzero rows over ordered pairs.  The star side
+    linearizes each fiber by copy-index times height plus offset rank and
+    measures the row space of the iota images.
     """
     n = algebra.size
     oplus = algebra.oplus_rows
     odot = algebra.odot_rows
     rows = []
+    relation_rows = 0
     for a in range(n):
-        for b in range(n):
+        for b in range(a, n):
             row = [0] * n
             row[a] += 1
             row[b] += 1
@@ -866,10 +876,12 @@ def free_quotient_experiment(
             row[odot[a][b]] -= 1
             if any(row):
                 rows.append(row)
+                relation_rows += 1 if a == b else 2
     if identify_zero:
         zero_row = [0] * n
         zero_row[0] = 1
         rows.append(zero_row)
+        relation_rows += 1
     free_factors = tuple(invariant_factors(rows, ncols=n))
     star = star_algebra(algebra)
     generator_rows = [
@@ -880,7 +892,7 @@ def free_quotient_experiment(
     return SNFReport(
         size=n,
         identify_zero=identify_zero,
-        relation_rows=len(rows),
+        relation_rows=relation_rows,
         spectrum_size=len(star.spec.primes),
         free_factors=free_factors,
         star_factors=star_factors,

@@ -280,6 +280,7 @@ def check_mv_axioms(algebra: FiniteMVAlgebra) -> AxiomReport:
     return AxiomReport(ok=not out, violations=tuple(out), truncated=truncated)
 
 
+@functools.cache
 def check_morphism(h: MVMorphism) -> MorphismReport:
     """Check h(0)=0, h(a oplus b) = h(a) oplus h(b), h(neg a) = neg h(a)."""
     m = h.map_array

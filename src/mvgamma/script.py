@@ -9,7 +9,7 @@ of line.  Statements:
     spec NAME | star NAME | gamma NAME | roundtrip NAME
     goodseq NAME <element-json> | member NAME <element-json>
     freequotient NAME [--keep-zero]
-    check (all | NAME) [--max-size INT] [--window INT]
+    check (all | NAME) [--max-size INT] [--window INT]   (flags in any order, each once)
     export NAME PATH
 
 where <algebra-expr> is `chain INT`, a bound NAME, a product of
@@ -385,15 +385,23 @@ def parse_script(text: str) -> Script:
                 name, check_all = None, True
             else:
                 name, check_all = used_name(), False
-            max_size = cur.integer("an integer") if cur.try_flag("--max-size") else None
-            window = cur.integer("an integer") if cur.try_flag("--window") else None
+            flags: dict[str, int] = {}
+            while True:
+                cur.skip()
+                flag_pos = cur.pos
+                flag = next((f for f in ("--max-size", "--window") if cur.try_flag(f)), None)
+                if flag is None:
+                    break
+                if flag in flags:
+                    cur.error(ScriptSyntaxError, f"repeated flag {flag!r}", flag_pos)
+                flags[flag] = cur.integer("an integer")
             statements.append(
                 Command(
                     kind="check",
                     name=name,
                     check_all=check_all,
-                    max_size=max_size,
-                    window=window,
+                    max_size=flags.get("--max-size"),
+                    window=flags.get("--window"),
                     line=line,
                 )
             )

@@ -25,7 +25,7 @@ pointer to the offending spot.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any
 
 from .equivalence import SNFReport
 from .lgroup import ChangChainGroup, ChangPair, GroupElement, ProductLuGroup, make_product_group
@@ -189,26 +189,12 @@ def algebra_from_json(obj: Any, where: str = "") -> FiniteMVAlgebra:
     return FiniteMVAlgebra(size, rows, neg)
 
 
-def morphism_from_json(
-    obj: Any, names: Mapping[str, FiniteMVAlgebra] | None = None, where: str = ""
-) -> MVMorphism:
+def morphism_from_json(obj: Any, where: str = "") -> MVMorphism:
     _expect(isinstance(obj, dict), "expected a morphism object", where)
     for key in ("dom", "cod", "map"):
         _expect(key in obj, f"missing key {key!r}", where)
-
-    def endpoint(side: str) -> FiniteMVAlgebra:
-        spot = obj[side]
-        if isinstance(spot, str):
-            _expect(
-                names is not None and spot in names,
-                f"unknown algebra name {spot!r}",
-                f"{where}/{side}",
-            )
-            return names[spot]
-        return algebra_from_json(spot, f"{where}/{side}")
-
-    dom = endpoint("dom")
-    cod = endpoint("cod")
+    dom = algebra_from_json(obj["dom"], f"{where}/dom")
+    cod = algebra_from_json(obj["cod"], f"{where}/cod")
     mp = _int_list(obj["map"], f"{where}/map")
     _expect(len(mp) == dom.size, f"map must have {dom.size} entries", f"{where}/map")
     _expect(all(0 <= v < cod.size for v in mp), "map entry out of range", f"{where}/map")
@@ -255,7 +241,7 @@ def spectrum_members_from_json(obj: Any, where: str = "") -> tuple[frozenset[int
 
 _KIND_KEYS = (
     ({"size", "oplus", "neg"}, lambda o, w: algebra_from_json(o, w)),
-    ({"dom", "cod", "map"}, lambda o, w: morphism_from_json(o, None, w)),
+    ({"dom", "cod", "map"}, lambda o, w: morphism_from_json(o, w)),
     ({"coords"}, lambda o, w: element_from_json(o, w)),
     ({"fibers", "u"}, lambda o, w: group_from_json(o, w)),
     ({"members"}, lambda o, w: frozenset(_int_list(o["members"], f"{w}/members"))),

@@ -85,7 +85,8 @@ class Spectrum:
         raise KeyError(f"no prime with members {sorted(members)}")
 
 
-def ideal_violations(algebra: FiniteMVAlgebra, members: frozenset[int]) -> list[str]:
+@functools.cache
+def ideal_violations(algebra: FiniteMVAlgebra, members: frozenset[int]) -> tuple[str, ...]:
     """Human-readable reasons a subset fails to be an ideal (empty if none)."""
     out = []
     if 0 not in members:
@@ -98,7 +99,7 @@ def ideal_violations(algebra: FiniteMVAlgebra, members: frozenset[int]) -> list[
     idx = sorted(members)
     if idx and not mask[algebra.oplus[np.ix_(idx, idx)]].all():
         out.append("not closed under oplus")
-    return out
+    return tuple(out)
 
 
 def _idempotent_above(algebra: FiniteMVAlgebra, a: int) -> int:

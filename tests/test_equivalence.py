@@ -1,9 +1,12 @@
 """Round-trip layer: star algebras, good sequences, evaluation maps, SNF."""
 
+import dataclasses
+import inspect
 import itertools
+import textwrap
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvgamma.equivalence import (
@@ -30,10 +33,12 @@ from mvgamma.equivalence import (
     upsilon_inverse_chain,
     upsilon_naturality,
 )
+import mvgamma.equivalence as eq
 from mvgamma.lgroup import (
     ChangChainGroup,
     ChangPair,
     coordinate_zero_sets,
+    fiber_window,
     gamma_segment,
     make_product_group,
 )
@@ -44,8 +49,14 @@ from mvgamma.mv_core import (
     make_chain,
     make_product,
 )
+from mvgamma.snf import invariant_factors
 from mvgamma.spectrum import prime_alignment, restrict_morphism
-from mvgamma.sweeps import SweepContext, generated_algebras, group_shapes
+from mvgamma.sweeps import (
+    SweepContext,
+    generated_algebras,
+    group_shapes,
+    suite_general_roundtrip,
+)
 
 
 def z_group(u_phi):
@@ -167,6 +178,41 @@ def test_canonical_entries_reject_negatives():
     g = z_group(2)
     with pytest.raises(ValueError):
         canonical_entries(g, zpair(-1))
+
+
+def peeled_entries(group, x):
+    """Oracle: peel x >= 0 one unit at a time, splitting off u meet rest
+    until nothing is left."""
+    entries = []
+    rest = x
+    while rest != group.zero:
+        a = group.meet(group.u, rest)
+        entries.append(a)
+        rest = group.sub(rest, a)
+    return tuple(entries)
+
+
+@st.composite
+def groups_and_nonnegatives(draw):
+    """1-3 fibers over chains of height 1-4, units with copy index up to 3
+    (above 1 included), and x >= 0 with copy index up to 10^4 per fiber."""
+    fibers, unit, x = [], [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        f = ChangChainGroup(make_chain(draw(st.integers(min_value=1, max_value=4))))
+        fibers.append(f)
+        unit.append(f.pair_of_phi(draw(st.integers(min_value=1, max_value=4 * f.height - 1))))
+        copies = draw(st.integers(min_value=0, max_value=10**4))
+        x.append(f.pair(copies, draw(st.integers(min_value=0, max_value=f.height - 1))))
+    return make_product_group(fibers, unit), tuple(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups_and_nonnegatives())
+@example((z_group(2), zpair(0)))
+@example((z2_group(2, 3), zpair(10**4, 0)))
+def test_canonical_entries_match_the_peel(case):
+    g, x = case
+    assert canonical_entries(g, x) == peeled_entries(g, x)
 
 
 def test_canonical_good_sequence_indices():
@@ -419,6 +465,148 @@ def test_upsilon_certificate_holds(fibers, u):
     assert result.window_elements > 1
 
 
+def upsilon_by_peeling(group, window):
+    """Oracle: the earlier `upsilon` body, which rebuilt each surjectivity
+    target from the peeled entries of its two halves.  Returns the six
+    verdicts and the window size, in `UpsilonResult` field order."""
+    um = UpsilonMap(group)
+    seg = um.segment
+    star_amb = um.star.ambient
+    additive = True
+    order_embedding = True
+    preserves_unit = True
+    surjective = True
+    window_elements = 1
+    for t, sf in enumerate(star_amb.fibers):
+        g = group.fibers[t]
+        uj = group.u[t]
+        inner = fiber_window(sf, sf.unit, window)
+        outer = fiber_window(sf, sf.unit, 2 * window)
+        table = {x: um.fiber_value(t, x) for x in outer}
+        for x in inner:
+            for y in inner:
+                if table[sf.add(x, y)] != g.add(table[x], table[y]):
+                    additive = False
+        prev = None
+        for x in inner:  # ascending
+            v = table[x]
+            if prev is not None and not (g.leq(prev, v) and prev != v):
+                order_embedding = False
+            prev = v
+        if table[sf.unit] != uj or table[sf.zero] != g.zero:
+            preserves_unit = False
+        value_class = {v: c for c, v in enumerate(um.lifts[t])}
+        targets = fiber_window(g, uj, window)
+        window_elements *= len(targets)
+        for v in targets:
+            vp = g.join(g.zero, v)
+            vn = g.join(g.zero, g.neg(v))
+            acc = sf.zero
+            for half, sign in ((vp, 1), (vn, -1)):
+                rest = half
+                while rest != g.zero:
+                    e = g.meet(uj, rest)
+                    rest = g.sub(rest, e)
+                    entry = sf.pair(0, value_class[e])
+                    acc = sf.add(acc, entry) if sign > 0 else sf.sub(acc, entry)
+            if um.fiber_value(t, acc) != v:
+                surjective = False
+    segment_identity = all(
+        um.evaluation(um.star.a_circle[i]) == seg.elements[i]
+        for i in range(seg.algebra.size)
+    )
+    box_size = 1
+    for f in star_amb.fibers:
+        box_size *= f.height + 1
+    box_is_circle = um.star.injective and len(um.star.a_circle) == box_size
+    return (
+        additive,
+        order_embedding,
+        preserves_unit,
+        segment_identity,
+        surjective,
+        box_is_circle,
+        window_elements,
+    )
+
+
+def verdicts(result):
+    return tuple(getattr(result, f.name) for f in dataclasses.fields(result))
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_upsilon_matches_the_peeling_body(window):
+    for chains, heights in group_shapes(2, 3, 2):
+        g = SweepContext.group(chains, heights)
+        assert verdicts(upsilon(g, window=window)) == upsilon_by_peeling(g, window)
+
+
+def mutated(fn, old, new):
+    """fn recompiled from its own source with the one fragment `old`
+    replaced by `new`, in a copy of its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1
+    namespace = dict(inspect.unwrap(fn).__globals__)
+    exec(source.replace(old, new), namespace)
+    return namespace[fn.__name__]
+
+
+def lift_off_by_one(monkeypatch):
+    # class 1 of fiber 0 lifts one step too high, after the lifts passed
+    # their own validation
+    init = UpsilonMap.__init__
+
+    def bumped(self, group):
+        init(self, group)
+        f, lift = group.fibers[0], self.lifts[0]
+        bumped_lift = (lift[0], f.add(lift[1], f.pair_of_phi(1))) + lift[2:]
+        self.lifts = (bumped_lift,) + self.lifts[1:]
+
+    monkeypatch.setattr(UpsilonMap, "__init__", bumped)
+    return upsilon_by_peeling
+
+
+def evaluation_without_copies(monkeypatch):
+    # (m, c) evaluates to lift[c], dropping the m·u_t term
+    monkeypatch.setattr(eq, "_evaluate", lambda g, up, lift, x: lift[x.a])
+    return upsilon_by_peeling
+
+
+def class_read_as_offset(monkeypatch):
+    # surjectivity takes r's offset in the fiber chain for its class; the
+    # class is r's index in the fiber's segment [0, u_t], so that index
+    # itself is no mutant
+    monkeypatch.setattr(
+        eq, "_fiber_certificate", mutated(eq._fiber_certificate, "class_of.get(r)", "r.a")
+    )
+    return mutated(upsilon_by_peeling, "value_class[e]", "e.a")
+
+
+@pytest.mark.parametrize(
+    "mutant", [lift_off_by_one, evaluation_without_copies, class_read_as_offset]
+)
+def test_upsilon_mutants_fail_both_versions(mutant, monkeypatch):
+    g = SweepContext.group((1, 2), (2, 2))
+    assert upsilon(g, window=2).holds
+    eq._fiber_certificate.cache_clear()
+    try:
+        oracle = mutant(monkeypatch)
+        assert not upsilon(g, window=2).holds
+        try:
+            assert not all(oracle(g, 2)[:6])
+        except KeyError:  # the peel met an entry the mutated lift lost
+            pass
+    finally:
+        monkeypatch.undo()
+        eq._fiber_certificate.cache_clear()
+
+
+def test_equal_fiber_data_share_one_certificate():
+    eq._fiber_certificate.cache_clear()
+    assert suite_general_roundtrip(SweepContext(16, 4)).ok
+    assert eq._fiber_certificate.cache_info().hits > 0
+
+
 def test_upsilon_matches_direct_product_window():
     # cross-check the per-fiber certificate against plain product iteration
     g = make_product_group(
@@ -555,6 +743,34 @@ def test_free_quotient_star_rank_is_the_spectrum_size(algebra, rank):
     report = free_quotient_experiment(algebra)
     assert report.star_factors == (0,) * rank
     assert report.spectrum_size == rank
+
+
+def all_pairs_relations(algebra, identify_zero):
+    """Oracle: invariant factors and row count of the relation matrix built
+    over every ordered pair (a, b)."""
+    n = algebra.size
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            row = [0] * n
+            row[a] += 1
+            row[b] += 1
+            row[algebra.oplus_rows[a][b]] -= 1
+            row[algebra.odot_rows[a][b]] -= 1
+            if any(row):
+                rows.append(row)
+    if identify_zero:
+        rows.append([1] + [0] * (n - 1))
+    return tuple(invariant_factors(rows, ncols=n)), len(rows)
+
+
+def test_free_quotient_matches_all_pairs():
+    cases = [(a, True) for a in generated_algebras(16)] + [(make_chain(1), False)]
+    for algebra, identify_zero in cases:
+        report = free_quotient_experiment(algebra, identify_zero=identify_zero)
+        assert (report.free_factors, report.relation_rows) == all_pairs_relations(
+            algebra, identify_zero
+        )
 
 
 def test_free_quotient_isomorphism_survey_small():

@@ -82,6 +82,28 @@ def test_commands_with_elements_and_flags():
     assert exp_quoted.path == "a path with spaces.json"
 
 
+def test_check_flags_in_either_order():
+    head = "algebra A = chain 2\n"
+    size_first = parse_script(head + "check A --max-size 6 --window 2").statements[1]
+    window_first = parse_script(head + "check A --window 2 --max-size 6").statements[1]
+    assert size_first == window_first
+    assert window_first.max_size == 6 and window_first.window == 2
+    assert parse_script("check all --window 3").statements[0].window == 3
+
+
+@pytest.mark.parametrize(
+    "line,flag,col",
+    [
+        ("check all --window 2 --window 3", "--window", 22),
+        ("check all --max-size 6 --window 2 --max-size 8", "--max-size", 35),
+    ],
+)
+def test_repeated_check_flag_is_a_syntax_error(line, flag, col):
+    with pytest.raises(ScriptSyntaxError, match=f"repeated flag '{flag}'") as err:
+        parse_script(line)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
 def test_comments_and_blank_lines():
     s = parse_script(
         "# a comment\n\nalgebra A = chain 1  # trailing comment\n# more\nspec A\n"

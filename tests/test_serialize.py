@@ -66,13 +66,12 @@ def test_morphism_round_trip():
     assert back.dom == h.dom and back.cod == h.cod and back.map == h.map
 
 
-def test_morphism_with_named_endpoints():
-    names = {"A": make_chain(1), "B": make_chain(2)}
-    obj = {"dom": "A", "cod": "B", "map": [0, 2]}
-    h = morphism_from_json(obj, names)
-    assert h.dom == names["A"] and h.map == (0, 2)
-    with pytest.raises(SchemaError, match="unknown algebra name"):
-        morphism_from_json({"dom": "X", "cod": "B", "map": []}, names)
+def test_morphism_string_endpoint_is_a_schema_error():
+    # endpoints are algebra objects; a name is not one
+    obj = {"dom": "A", "cod": json.loads(dumps(make_chain(2))), "map": [0, 2]}
+    with pytest.raises(SchemaError, match="expected an algebra object") as info:
+        morphism_from_json(obj)
+    assert info.value.location == "/dom"
 
 
 def test_element_round_trip():

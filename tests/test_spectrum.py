@@ -289,6 +289,6 @@ def test_prime_alignment_matches_zero_sets_to_primes():
 
 
 def test_ideal_violations_name_each_failure():
-    assert ideal_violations(SQ, frozenset({0, 1})) == []
-    assert ideal_violations(SQ, frozenset({1})) == ["does not contain 0", "not downward closed"]
-    assert ideal_violations(SQ, frozenset({0, 3})) == ["not downward closed"]
+    assert ideal_violations(SQ, frozenset({0, 1})) == ()
+    assert ideal_violations(SQ, frozenset({1})) == ("does not contain 0", "not downward closed")
+    assert ideal_violations(SQ, frozenset({0, 3})) == ("not downward closed",)
