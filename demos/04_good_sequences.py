@@ -27,8 +27,8 @@ seg = gamma_segment(G)
 print("unit u =", G.u, "; segment has", seg.algebra.size, "digits")
 print()
 
-x = (G.fibers[0].pair(2, 0), G.fibers[1].pair(3, 1))
-print("x =", x)
+x = G.from_pairs([(2, 0), (3, 1)])
+print("x =", G.to_pairs(x), "=", x)
 gs = canonical_good_sequence(seg, x)
 for k, idx in enumerate(gs.entries, start=1):
     print(f"   digit {k}: segment #{idx} = {seg.elements[idx]}")
@@ -40,13 +40,13 @@ print()
 # generated by a chosen subset of the segment?  Here we only allow the
 # pure-coordinate elements, so anything mixing coordinates at fractional
 # level should fail.
-allowed = {e for e in seg.elements if e[0] == G.fibers[0].zero or e[1] == G.fibers[1].zero}
+allowed = {e for e in seg.elements if e[0] == 0 or e[1] == 0}
 print("allowed generators:", len(allowed), "of", len(seg.elements))
 
-inside = (G.fibers[0].pair(1, 0), G.fibers[1].zero)
+inside = G.from_pairs([(1, 0), (0, 0)])
 w = generated_membership(G, allowed, inside)
 print("pure element member:", w.member)
 
-mixed = (G.fibers[0].pair(1, 0), G.fibers[1].pair(0, 1))
+mixed = G.from_pairs([(1, 0), (0, 1)])
 w2 = generated_membership(G, allowed, mixed)
 print("mixed element member:", w2.member, "  first missing digit:", w2.missing)

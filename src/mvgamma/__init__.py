@@ -5,8 +5,9 @@ The package has three layers:
 * table algebra — ``mv_core`` (finite MV-algebras as integer Cayley tables,
   morphisms, products), ``spectrum`` (ideals, primes, quotients, the canonical
   embedding into a product of chains);
-* group side — ``lgroup`` (chain groups of carry pairs, finite products with
-  a strong unit, unit segments), ``snf`` (integer Smith reduction used by the
+* group side — ``lgroup`` (chain groups, computed on integers and certified
+  against Chang's carry pairs; finite products with a strong unit; unit
+  segments), ``snf`` (integer Smith reduction used by the
   presentation experiment);
 * the bridge — ``equivalence`` (enveloping groups, good sequences, the unit
   interval against the enveloping group, round trips), with ``serialize``,

@@ -28,13 +28,11 @@ from typing import Callable, Container, Iterable
 from .errors import InternalInvariantError
 from .lgroup import (
     ChangChainGroup,
-    ChangPair,
     GammaSegment,
     GroupElement,
     ProductLuGroup,
     abs_decompose,
     coordinate_zero_sets,
-    fiber_window,
     gamma_segment,
     require_positive_unit,
 )
@@ -97,19 +95,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChainStarMap:
-    """Pair-level extension of a morphism between chains: (m, a) -> (m, h(a)).
+    """Extension of a morphism h between chains of heights n and n' to their
+    groups: t -> (t // n)·n' + rank'(h(by_rank(t mod n))), the carry pair
+    (m, a) going to (m, h(a)).
 
-    Chain morphisms have kernel {0}, so h(a) = top forces a = top; on
-    normalized input the image offset is never the top and the copy index
-    passes through untouched.  Carries are preserved for the same reason.
+    Chain morphisms have kernel {0}, so h(a) = top forces a = top; below
+    the top the image stays below the top and the copy index passes through
+    untouched.
     """
 
     hom: MVMorphism
     dom: ChangChainGroup
     cod: ChangChainGroup
 
-    def __call__(self, x: ChangPair) -> ChangPair:
-        return self.cod.pair(x.m, self.hom.map[x.a])
+    def __call__(self, t: int) -> int:
+        m, r = divmod(t, self.dom.height)
+        return m * self.cod.height + self.cod.rank[self.hom.map[self.dom.by_rank[r]]]
 
 
 # -- the star of a finite algebra ----------------------------------------------
@@ -119,10 +120,10 @@ class ChainStarMap:
 class StarAlgebra:
     """An algebra together with its enveloping-group data.
 
-    `ambient` is the product of carry-pair groups over the prime quotient
+    `ambient` is the product of the chain groups over the prime quotient
     chains, in canonical spectrum order.  `a_circle[a]` is the image of
-    carrier element a: the tuple of its classes, one per prime, as normalized
-    pairs with copy index 0 (the top class normalizes to one whole copy).
+    carrier element a: the tuple of the ranks of its classes, one per prime
+    (the top class has rank the chain height, one whole copy).
     `circle_index` inverts a_circle; when two carrier elements collide the
     smallest index wins, and the collision itself is a checkable failure of
     injectivity, not an exception.
@@ -147,7 +148,7 @@ def star_algebra(algebra: FiniteMVAlgebra) -> StarAlgebra:
     quots = tuple(quotient(algebra, p) for p in spec.primes)
     fibers = [ChangChainGroup(q.quotient) for q in quots]
     a_circle = tuple(
-        tuple(f.pair(0, q.class_of[a]) for f, q in zip(fibers, quots))
+        tuple(f.rank[q.class_of[a]] for f, q in zip(fibers, quots))
         for a in range(algebra.size)
     )
     ambient = ProductLuGroup(fibers, a_circle[algebra.top])
@@ -167,28 +168,12 @@ def star_algebra(algebra: FiniteMVAlgebra) -> StarAlgebra:
 # -- good sequences -------------------------------------------------------------
 
 
-def upsilon_inverse_chain(
-    fiber: ChangChainGroup, u: ChangPair, x: ChangPair
-) -> tuple[int, ChangPair]:
-    """Divide x by the unit u on one fiber, which inverts evaluation there:
-    the unique (n, r) with x = n·u + r, 0 <= r < u (equivalently
-    n·u <= x <= (n+1)·u with maximal n).  The
-    bracket n·u <= x < hi·u is found by doubling, then narrowed by
-    bisection: O(log² |n|) additions.
+def upsilon_inverse_chain(up: int, x: int) -> tuple[int, int]:
+    """Divide x by the unit coordinate up on one fiber, which inverts
+    evaluation there: the unique (n, r) with x = n·up + r, 0 <= r < up.
     """
-    require_positive_unit((fiber,), (u,))
-    n, hi = -1, 1
-    while not fiber.leq(fiber.mul(n, u), x):
-        n *= 2
-    while fiber.leq(fiber.mul(hi, u), x):
-        hi *= 2
-    while hi - n > 1:
-        mid = (n + hi) // 2
-        n, hi = (mid, hi) if fiber.leq(fiber.mul(mid, u), x) else (n, mid)
-    r = fiber.sub(x, fiber.mul(n, u))
-    if not (fiber.leq(fiber.zero, r) and fiber.leq(x, fiber.mul(n + 1, u))):
-        raise InternalInvariantError("division by the unit lost the sandwich")
-    return n, r
+    require_positive_unit((up,))
+    return divmod(x, up)
 
 
 def canonical_entries(group: ProductLuGroup, x: GroupElement) -> tuple[GroupElement, ...]:
@@ -200,16 +185,12 @@ def canonical_entries(group: ProductLuGroup, x: GroupElement) -> tuple[GroupElem
     back to x and each absorbs the next under the capped addition; the
     sequence stops at its last nonzero entry.
     """
-    x = group.validate(x)
     if not group.leq(group.zero, x):
         raise ValueError("only nonnegative elements have good-sequence entries")
-    divided = [upsilon_inverse_chain(g, up, p) for g, up, p in zip(group.fibers, group.u, x)]
-    length = max(n + (r != z) for (n, r), z in zip(divided, group.zero))
+    divided = [upsilon_inverse_chain(up, t) for up, t in zip(group.u, x)]
+    length = max(n + (r != 0) for n, r in divided)
     return tuple(
-        tuple(
-            up if i < n else r if i == n else z
-            for (n, r), up, z in zip(divided, group.u, group.zero)
-        )
+        tuple(up if i < n else r if i == n else 0 for (n, r), up in zip(divided, group.u))
         for i in range(length)
     )
 
@@ -311,7 +292,6 @@ def generated_membership(
     addition and unit complement for the criterion to be complete; callers
     pass the image of an algebra, which is.
     """
-    x = group.validate(x)
     pos, neg_part, _ = abs_decompose(group, x)
     positive = canonical_entries(group, pos)
     negative = canonical_entries(group, neg_part)
@@ -414,15 +394,15 @@ class LGroupMap:
     """A coordinatewise map between unital products of chain groups.
 
     Codomain fiber j reads domain fiber `source_fiber[j]` through
-    `fiber_maps[j]`: the pair-level extension of a chain morphism for star
-    and generated maps, the evaluation of one star fiber for `UpsilonMap`,
+    `fiber_maps[j]`: the extension of a chain morphism for star and
+    generated maps, the evaluation of one star fiber for `UpsilonMap`,
     or a chain of such fiber maps for a composite (`then`).
     """
 
     dom: ProductLuGroup
     cod: ProductLuGroup
     source_fiber: tuple[int, ...]
-    fiber_maps: tuple[Callable[[ChangPair], ChangPair], ...]
+    fiber_maps: tuple[Callable[[int], int], ...]
 
     def __call__(self, x: GroupElement) -> GroupElement:
         return tuple(fm(x[i]) for i, fm in zip(self.source_fiber, self.fiber_maps))
@@ -445,12 +425,13 @@ class LGroupMap:
         )
 
 
+@functools.cache
 def star_morphism(hom: MVMorphism) -> LGroupMap:
     """Ambient-level extension of an algebra morphism: the map between the
     star ambients of its endpoints.
 
     Each codomain fiber j is fed from the domain fiber holding the preimage
-    prime, through the pair-level extension of the induced chain morphism.
+    prime, through the extension of the induced chain morphism.
     """
     dom_star, cod_star = star_algebra(hom.dom), star_algebra(hom.cod)
     source_fiber = []
@@ -483,10 +464,10 @@ class UpsilonMap:
     """The evaluation map from the star ambient of a segment back to the group.
 
     The primes of the segment algebra are its coordinate zero sets, and star
-    fiber t lies over the zero set of group fiber t.  On that fiber a pair
-    (m, c) evaluates to m·u_t plus the lift of class c, where the lift sends
-    a quotient class to the common t-th coordinate of its members (checked
-    to be constant).  `evaluation` is the map as an `LGroupMap`.
+    fiber t lies over the zero set of group fiber t.  On that fiber the
+    carry pair (m, c) evaluates to m·u_t plus the lift of class c, where the
+    lift sends a quotient class to the common t-th coordinate of its members
+    (checked to be constant).  `evaluation` is the map as an `LGroupMap`.
     """
 
     def __init__(self, group: ProductLuGroup):
@@ -521,64 +502,65 @@ class UpsilonMap:
             fiber_maps=tuple(functools.partial(self.fiber_value, t) for t in range(group.k)),
         )
 
-    def fiber_value(self, t: int, x: ChangPair) -> ChangPair:
-        """Evaluate star fiber t at pair x, landing in group fiber t."""
-        return _evaluate(self.group.fibers[t], self.group.u[t], self.lifts[t], x)
+    def fiber_value(self, t: int, s: int) -> int:
+        """Evaluate star fiber t at s, landing in group fiber t."""
+        return _evaluate(self.star.ambient.fibers[t], self.group.u[t], self.lifts[t], s)
 
 
-def _evaluate(
-    g: ChangChainGroup, up: ChangPair, lift: tuple[ChangPair, ...], x: ChangPair
-) -> ChangPair:
-    """The evaluation on one fiber: the star pair (m, c) goes to m·u_t + lift[c]."""
-    return g.add(g.mul(x.m, up), lift[x.a])
+def _evaluate(sf: ChangChainGroup, up: int, lift: tuple[int, ...], s: int) -> int:
+    """The evaluation on one fiber: s = m·h + rank(c) in star fiber sf of
+    height h, the pair (m, c), goes to m·u_t + lift[c]."""
+    m, r = divmod(s, sf.height)
+    return m * up + lift[sf.by_rank[r]]
 
 
 @functools.cache
 def _fiber_certificate(
-    sf: ChangChainGroup,
-    g: ChangChainGroup,
-    up: ChangPair,
-    lift: tuple[ChangPair, ...],
-    window: int,
-) -> tuple[bool, bool, bool, bool, int]:
-    """Upsilon's checks on one fiber: star fiber sf evaluated into group
-    fiber g with unit coordinate up and class lift `lift`.
+    sf: ChangChainGroup, up: int, lift: tuple[int, ...], window: int
+) -> tuple[bool, bool, bool, bool, bool, int]:
+    """Upsilon's checks on one fiber: star fiber sf evaluated into a group
+    fiber with unit coordinate up and class lift `lift`.
 
     Each check is exhaustive: additivity on all pairs of sf's window (their
     sums lie in the doubled window); strict monotonicity over that window
     (order embedding and injectivity in one pass); unit and zero
-    preservation; and surjectivity onto g's window, each target divided
-    once, v = n·up + r, and hit by the pair (n, class of r).  Returns
-    (additive, order_embedding, preserves_unit, surjective, size of g's
+    preservation; the segment identity, each class c of rank rank(c)
+    evaluating to lift[c] (the top class has rank h, one whole unit, so
+    this is where the carry to u_t is checked); and surjectivity onto the
+    group fiber's window, each target divided once, v = n·up + r, and hit by
+    the pair (n, class of r).  Returns (additive, order_embedding,
+    preserves_unit, segment_identity, surjective, size of the group fiber's
     window).  Every argument is a value, so groups with equal fiber data
     share one certificate.
     """
-    inner = fiber_window(sf, sf.unit, window)
-    table = {x: _evaluate(g, up, lift, x) for x in fiber_window(sf, sf.unit, 2 * window)}
-    additive = all(table[sf.add(x, y)] == g.add(table[x], table[y]) for x in inner for y in inner)
-    values = [table[x] for x in inner]  # inner ascends
-    order_embedding = all(g.leq(v, w) and v != w for v, w in zip(values, values[1:]))
-    preserves_unit = table[sf.unit] == up and table[sf.zero] == g.zero
+    h = sf.height
+    inner = range(-window * h, window * h + 1)
+    table = {s: _evaluate(sf, up, lift, s) for s in range(-2 * window * h, 2 * window * h + 1)}
+    additive = all(table[s + t] == table[s] + table[t] for s in inner for t in inner)
+    values = [table[s] for s in inner]
+    order_embedding = all(v < w for v, w in zip(values, values[1:]))
+    preserves_unit = table[h] == up and table[0] == 0
+    segment_identity = all(table[sf.rank[c]] == v for c, v in enumerate(lift))
     class_of = {v: c for c, v in enumerate(lift)}
-    targets = fiber_window(g, up, window)
+    targets = range(-window * up, window * up + 1)
     surjective = True
     for v in targets:
-        n, r = upsilon_inverse_chain(g, up, v)
+        n, r = upsilon_inverse_chain(up, v)
         c = class_of.get(r)
-        surjective &= c is not None and _evaluate(g, up, lift, sf.pair(n, c)) == v
-    return additive, order_embedding, preserves_unit, surjective, len(targets)
+        surjective &= c is not None and _evaluate(sf, up, lift, n * h + sf.rank[c]) == v
+    return additive, order_embedding, preserves_unit, segment_identity, surjective, len(targets)
 
 
 @dataclass(frozen=True)
 class UpsilonResult:
     """Window-certified verdict that upsilon is a unital ordered isomorphism.
 
-    Additivity, order embedding, unit preservation and surjectivity are
-    checked one fiber at a time, each fiber by its cached certificate.
-    Because every operation involved (addition, order, the map itself) acts
-    coordinatewise, a product-window quantifier is exactly the conjunction
-    of the per-fiber ones; `window_elements` reports the size of the product
-    window those conjunctions cover.  The segment identity and the box are
+    Additivity, order embedding, unit preservation, the segment identity
+    and surjectivity are checked one fiber at a time, each fiber by its
+    cached certificate.  Because every operation involved (addition, order,
+    iota, the map itself) acts coordinatewise, a product quantifier is
+    exactly the conjunction of the per-fiber ones; `window_elements` reports
+    the size of the product window those conjunctions cover.  The box is
     checked on the product itself.
     """
 
@@ -606,23 +588,20 @@ def upsilon(group: ProductLuGroup, window: int = 4) -> UpsilonResult:
     """Build the evaluation map and certify it on the given window.
 
     Building it validates the prime alignment and the lifts.  Each fiber
-    then gets its certificate (`_fiber_certificate`: additivity,
-    order embedding, unit and zero, surjectivity through one division by
-    the unit per target).  On the product: the identity
-    `evaluate(iota(x)) = x` over the whole segment, and the segment being
-    exactly the box of class pairs, injectively.
+    then gets its certificate (`_fiber_certificate`: additivity, order
+    embedding, unit and zero, the segment identity `evaluate(iota(x)) = x`
+    on that fiber's classes, surjectivity through one division by the unit
+    per target).  On the product: the segment being exactly the box of
+    class pairs, injectively.
     """
     um = UpsilonMap(group)
     star = um.star
     certificates = [
-        _fiber_certificate(sf, g, up, lift, window)
-        for sf, g, up, lift in zip(star.ambient.fibers, group.fibers, group.u, um.lifts)
+        _fiber_certificate(sf, up, lift, window)
+        for sf, up, lift in zip(star.ambient.fibers, group.u, um.lifts)
     ]
     *checks, sizes = zip(*certificates)
-    additive, order_embedding, preserves_unit, surjective = map(all, checks)
-    segment_identity = all(
-        um.evaluation(x) == y for x, y in zip(star.a_circle, um.segment.elements)
-    )
+    additive, order_embedding, preserves_unit, segment_identity, surjective = map(all, checks)
     box_size = math.prod(f.height + 1 for f in star.ambient.fibers)
     return UpsilonResult(
         additive=additive,
@@ -859,8 +838,8 @@ def free_quotient_experiment(
     row (a, b) equals row (b, a) and only a <= b is built: duplicate rows
     leave the row span, and so the factors, unchanged.  `relation_rows`
     still counts the nonzero rows over ordered pairs.  The star side
-    linearizes each fiber by copy-index times height plus offset rank and
-    measures the row space of the iota images.
+    takes the iota images, already integers, as rows and measures their
+    row space.
     """
     n = algebra.size
     oplus = algebra.oplus_rows
@@ -884,11 +863,7 @@ def free_quotient_experiment(
         relation_rows += 1
     free_factors = tuple(invariant_factors(rows, ncols=n))
     star = star_algebra(algebra)
-    generator_rows = [
-        [f.phi(p) for f, p in zip(star.ambient.fibers, star.a_circle[a])]
-        for a in range(n)
-    ]
-    star_factors = tuple([0] * matrix_rank(generator_rows))
+    star_factors = tuple([0] * matrix_rank([list(x) for x in star.a_circle]))
     return SNFReport(
         size=n,
         identify_zero=identify_zero,

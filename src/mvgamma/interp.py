@@ -42,7 +42,7 @@ from .equivalence import (
     upsilon,
 )
 from .errors import InternalInvariantError
-from .lgroup import ChangChainGroup, ProductLuGroup, gamma_segment
+from .lgroup import ChangChainGroup, ProductLuGroup, gamma_segment, make_product_group
 from .mv_core import (
     FiniteMVAlgebra,
     MVMorphism,
@@ -110,8 +110,8 @@ class SemanticError(ValueError):
 @dataclass
 class CommandOutcome:
     """One command's verdict.  `detail` is a dict or a report object and may
-    hold package values (pairs, group elements, reports) as they are; `dumps`
-    lowers them when the report is written."""
+    hold package values (carry pairs, reports) as they are; `dumps` lowers
+    them when the report is written."""
 
     command: str
     line: int
@@ -200,7 +200,7 @@ class _Runner:
                 raw,
             )
         try:
-            return tuple(f.pair(p.m, p.a) for f, p in zip(group.fibers, coords))
+            return group.from_pairs(coords)
         except ValueError as exc:
             raise SemanticError(f"bad element: {exc}", line, raw) from exc
 
@@ -290,13 +290,12 @@ class _Runner:
             self.check_carrier(s, stmt.line, "fiber chain")
         fibers = [ChangChainGroup(make_chain(s - 1)) for s in stmt.sizes]
         try:
-            u = tuple(f.pair(m, a) for f, (m, a) in zip(fibers, stmt.unit))
-            g = ProductLuGroup(fibers, u)
+            g = make_product_group(fibers, stmt.unit)
         except ValueError as exc:
             raise SemanticError(
                 f"bad unit: {exc}", stmt.line, [list(p) for p in stmt.unit]
             ) from exc
-        segment = math.prod(f.phi(p) + 1 for f, p in zip(g.fibers, g.u))
+        segment = math.prod(t + 1 for t in g.u)
         self.check_carrier(segment, stmt.line, "unit segment")
         self.env[stmt.name] = ("group", g)
 
@@ -333,7 +332,7 @@ class _Runner:
         detail = {
             "fibers": star.ambient.k,
             "heights": [f.height for f in star.ambient.fibers],
-            "unit": star.ambient.u,
+            "unit": star.ambient.to_pairs(star.ambient.u),
             "injective": star.injective,
         }
         return star.injective, detail
@@ -386,14 +385,16 @@ class _Runner:
         group, seg = self._segment_context(cmd)
         x = self.element_in(group, cmd.element, cmd.line)
         if not group.leq(group.zero, x):
-            raise SemanticError("only nonnegative elements have good sequences", cmd.line, x)
+            raise SemanticError(
+                "only nonnegative elements have good sequences", cmd.line, group.to_pairs(x)
+            )
         gs = canonical_good_sequence(seg, x)
         back = good_sequence_sum(seg, gs.entries)
         if back != x:
             raise InternalInvariantError("canonical sequence lost its sum")
         detail = {
             "entries": list(gs.entries),
-            "elements": [seg.elements[e] for e in gs.entries],
+            "elements": _as_pairs(group, [seg.elements[e] for e in gs.entries]),
             "length": len(gs.entries),
         }
         return True, detail
@@ -402,24 +403,26 @@ class _Runner:
         kind, value = self.value(cmd.name, ("algebra", "group", "hom"), cmd.line)
         if kind == "algebra":
             star = star_algebra(value)
-            x = self.element_in(star.ambient, cmd.element, cmd.line)
+            group = star.ambient
+            x = self.element_in(group, cmd.element, cmd.line)
             witness = star_membership(star, x)
         elif kind == "group":
-            seg = gamma_segment(value)
-            x = self.element_in(value, cmd.element, cmd.line)
-            witness = generated_membership(value, set(seg.elements), x)
+            group = value
+            x = self.element_in(group, cmd.element, cmd.line)
+            witness = generated_membership(group, set(gamma_segment(group).elements), x)
         else:  # the subgroup generated by the image of a morphism
             star = star_algebra(value.cod)
+            group = star.ambient
             allowed = {star.a_circle[b] for b in value.map}
-            x = self.element_in(star.ambient, cmd.element, cmd.line)
-            witness = generated_membership(star.ambient, allowed, x)
+            x = self.element_in(group, cmd.element, cmd.line)
+            witness = generated_membership(group, allowed, x)
         detail = {
             "member": witness.member,
-            "positive": witness.positive,
-            "negative": witness.negative,
+            "positive": _as_pairs(group, witness.positive),
+            "negative": _as_pairs(group, witness.negative),
         }
         if witness.missing is not None:
-            detail["missing"] = witness.missing
+            detail["missing"] = group.to_pairs(witness.missing)
         return witness.member, detail
 
     def cmd_freequotient(self, cmd: Command):
@@ -474,6 +477,13 @@ class _Runner:
                 f"cannot write {cmd.path!r}: {exc}", cmd.line, {"path": cmd.path}
             ) from exc
         return True, {"path": cmd.path}
+
+
+def _as_pairs(group: ProductLuGroup, elements) -> list:
+    """Elements as carry pairs for the report, each distinct one converted
+    once: a long good sequence repeats a few entries many times."""
+    pairs = {x: group.to_pairs(x) for x in set(elements)}
+    return [pairs[x] for x in elements]
 
 
 def execute(script: Script, config: RunConfig | None = None) -> RunReport:

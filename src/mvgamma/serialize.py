@@ -11,14 +11,21 @@ indent, trailing newline):
   group      {"fibers": [chain sizes], "u": <element>}
   snf report {"free_factors": [...], "star_factors": [...], "isomorphic": bool, ...}
 
+Group elements are tuples of integers inside the package; in JSON each
+fiber coordinate is the carry pair (m, a) of its chain.  An element is
+written as a tuple of `ChangPair`s (`ProductLuGroup.to_pairs`) and read back
+as one (it needs its group to become integers, `ProductLuGroup.from_pairs`);
+a group's unit is converted here, in both directions.
+
 `dumps` is the one point where package values are lowered: it writes the
 text json's indent-2 encoder would give for `to_jsonable(value)` in one walk,
 and renders each repeated pair or element once per indent level.
 
 `loads` detects the kind from the key set and rebuilds the most structured
-standalone value: algebras, morphisms, elements, and groups come back as
-package objects; ideals and spectra come back as member sets (they need an
-algebra for full reconstruction); reports come back as dicts.  Schema violations raise SchemaError carrying a JSON
+standalone value: algebras, morphisms, and groups come back as package
+objects, elements as tuples of carry pairs; ideals and spectra come back as
+member sets (they need an algebra for full reconstruction); reports come
+back as dicts.  Schema violations raise SchemaError carrying a JSON
 pointer to the offending spot.
 """
 
@@ -28,7 +35,7 @@ import json
 from typing import Any
 
 from .equivalence import SNFReport
-from .lgroup import ChangChainGroup, ChangPair, GroupElement, ProductLuGroup, make_product_group
+from .lgroup import ChangChainGroup, ChangPair, ProductLuGroup, make_product_group
 from .mv_core import FiniteMVAlgebra, MVMorphism, make_chain
 from .spectrum import Ideal, Spectrum
 
@@ -101,7 +108,7 @@ def to_jsonable(value: Any) -> Any:
     if isinstance(value, ProductLuGroup):
         return {
             "fibers": [f.chain.size for f in value.fibers],
-            "u": to_jsonable(value.u),
+            "u": to_jsonable(value.to_pairs(value.u)),
         }
     if isinstance(value, SNFReport):
         return {
@@ -201,7 +208,7 @@ def morphism_from_json(obj: Any, where: str = "") -> MVMorphism:
     return MVMorphism(dom, cod, tuple(mp))
 
 
-def element_from_json(obj: Any, where: str = "") -> GroupElement:
+def element_from_json(obj: Any, where: str = "") -> tuple[ChangPair, ...]:
     _expect(isinstance(obj, dict) and "coords" in obj, "expected an element object", where)
     coords = obj["coords"]
     _expect(isinstance(coords, list) and coords, "coords must be a nonempty list", f"{where}/coords")
@@ -224,8 +231,7 @@ def group_from_json(obj: Any, where: str = "") -> ProductLuGroup:
     raw_u = element_from_json(obj["u"], f"{where}/u")
     _expect(len(raw_u) == len(fibers), "unit arity must match the fiber count", f"{where}/u")
     try:
-        u = [f.pair(p.m, p.a) for f, p in zip(fibers, raw_u)]
-        return make_product_group(fibers, [(p.m, p.a) for p in u])
+        return make_product_group(fibers, raw_u)
     except ValueError as exc:
         raise SchemaError(str(exc), f"{where}/u") from exc
 

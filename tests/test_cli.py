@@ -129,6 +129,15 @@ def test_element_out_of_range_is_semantic():
         run_text('group G = fibers [2] unit [(1,0)]\ngoodseq G {"coords":[{"m":0,"a":7}]}')
 
 
+def test_huge_element_literal_renders_unchanged():
+    # the literal crosses pairs -> integers -> pairs and comes back verbatim
+    # in the counterexample of the refused good sequence
+    literal = {"coords": [{"a": 1, "m": -(10**100)}]}
+    with pytest.raises(SemanticError, match="nonnegative") as info:
+        run_text(f"group G = fibers [3] unit [(1,0)]\ngoodseq G {json.dumps(literal)}")
+    assert json.loads(mvgamma.dumps(info.value.as_json()))["counterexample"] == literal
+
+
 def refuse(*_args):
     raise AssertionError("a carrier above the cap reached construction")
 

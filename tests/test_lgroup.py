@@ -1,9 +1,11 @@
 """Pair arithmetic over chains, product groups, segments.
 
 The independent oracle for the carry arithmetic is the order isomorphism onto
-plain integers (m copies of `height` steps plus the offset rank).  The group
+plain integers (m copies of `height` steps plus the offset rank).  The pair
 operations never consult it, so agreement across whole windows is a real
-check of the carry/borrow rules.
+check of the carry/borrow rules; and since product groups compute on those
+integers, the same agreement read the other way round checks the product
+operations against the carry rule.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def test_carry_examples_frozen():
     assert g.add(ChangPair(0, 1), ChangPair(1, 0)) == ChangPair(1, 1)
     assert g.neg(ChangPair(0, 1)) == ChangPair(-1, 1)
     assert g.neg(ChangPair(0, 0)) == ChangPair(0, 0)
-    assert g.normalize(3, 2) == ChangPair(4, 0)
+    # a top offset normalizes for free: (3, top) is (4, 0)
+    assert g.phi((3, 2)) == g.phi(ChangPair(4, 0)) == 8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
@@ -54,9 +57,7 @@ def test_pair_arithmetic_matches_integer_oracle(n):
         for y in window:
             assert g.phi(g.add(x, y)) == g.phi(x) + g.phi(y)
             assert g.leq(x, y) == (g.phi(x) <= g.phi(y))
-            assert g.phi(g.meet(x, y)) == min(g.phi(x), g.phi(y))
-            assert g.phi(g.join(x, y)) == max(g.phi(x), g.phi(y))
-            assert g.phi(g.sub(x, y)) == g.phi(x) - g.phi(y)
+            assert g.phi(g.add(x, g.neg(y))) == g.phi(x) - g.phi(y)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -70,7 +71,7 @@ def test_scalar_multiples_match_oracle(n):
 def mul_by_repeated_addition(g: ChangChainGroup, k: int, x: ChangPair) -> ChangPair:
     """Oracle: |k| additions of x (or of -x when k < 0)."""
     step = x if k >= 0 else g.neg(x)
-    acc = g.zero
+    acc = ChangPair(0, 0)
     for _ in range(abs(k)):
         acc = g.add(acc, step)
     return acc
@@ -108,10 +109,12 @@ def test_fiber_rejects_non_chain():
 
 
 def test_pair_constructor_validates_offset():
+    # phi is the one constructor from pairs
     g = fiber(2)
-    assert g.pair(0, 2) == ChangPair(1, 0)
-    with pytest.raises(ValueError):
-        g.pair(0, 3)
+    assert g.pair_of_phi(g.phi((0, 2))) == ChangPair(1, 0)
+    for offset in (3, -1):
+        with pytest.raises(ValueError, match="offset out of chain carrier"):
+            g.phi((0, offset))
 
 
 # -- product groups -----------------------------------------------------------
@@ -139,19 +142,33 @@ def test_product_groups_are_equal_by_fibers_and_unit():
 
 
 def test_componentwise_operations_match_oracle():
-    g = z2()
+    # the oracle is the carry rule, read through the pair boundary
+    g = make_product_group([fiber(1), fiber(2)], [(1, 0), (0, 1)])
     xs = list(g.window(2))
     for x in xs:
+        px = g.to_pairs(x)
+        assert g.from_pairs(px) == x
+        assert g.to_pairs(g.neg(x)) == tuple(f.neg(p) for f, p in zip(g.fibers, px))
         for y in xs:
-            fx = [f.phi(p) for f, p in zip(g.fibers, x)]
-            fy = [f.phi(p) for f, p in zip(g.fibers, y)]
-            assert [f.phi(p) for f, p in zip(g.fibers, g.add(x, y))] == [
-                a + b for a, b in zip(fx, fy)
-            ]
-            assert g.leq(x, y) == all(a <= b for a, b in zip(fx, fy))
-            assert [f.phi(p) for f, p in zip(g.fibers, g.meet(x, y))] == [
-                min(a, b) for a, b in zip(fx, fy)
-            ]
+            py = g.to_pairs(y)
+            assert g.to_pairs(g.add(x, y)) == tuple(
+                f.add(p, q) for f, p, q in zip(g.fibers, px, py)
+            )
+            assert g.leq(x, y) == all(f.leq(p, q) for f, p, q in zip(g.fibers, px, py))
+            assert g.to_pairs(g.meet(x, y)) == tuple(
+                p if f.leq(p, q) else q for f, p, q in zip(g.fibers, px, py)
+            )
+
+
+def test_from_pairs_validates_arity_and_offsets():
+    g = z2()
+    assert g.from_pairs([(0, 1), (2, 0)]) == (1, 2)
+    with pytest.raises(ValueError, match="arity"):
+        g.from_pairs([(0, 1)])
+    with pytest.raises(ValueError, match="offset out of chain carrier"):
+        g.from_pairs([(0, 1), (0, 2)])
+    with pytest.raises(ValueError, match="one coordinate per fiber"):
+        make_product_group([fiber(1)], [(1, 0), (1, 0)])
 
 
 def test_window_size_single_fiber():
@@ -161,11 +178,8 @@ def test_window_size_single_fiber():
 
 def test_abs_decompose_frozen_example():
     g = z2()
-    x = (ChangPair(1, 0), ChangPair(-1, 0))
-    pos, neg, absolute = abs_decompose(g, x)
-    assert pos == (ChangPair(1, 0), ChangPair(0, 0))
-    assert neg == (ChangPair(0, 0), ChangPair(1, 0))
-    assert absolute == (ChangPair(1, 0), ChangPair(1, 0))
+    pos, neg, absolute = abs_decompose(g, (1, -1))
+    assert (pos, neg, absolute) == ((1, 0), (0, 1), (1, 1))
 
 
 def test_abs_decompose_identities_on_window():
@@ -175,6 +189,7 @@ def test_abs_decompose_identities_on_window():
         assert g.sub(pos, neg) == x
         assert g.add(pos, neg) == absolute
         assert g.leq(g.zero, pos) and g.leq(g.zero, neg)
+        assert g.meet(pos, neg) == g.zero
 
 
 # -- segments -----------------------------------------------------------------
@@ -184,7 +199,7 @@ def test_segment_of_integers_is_a_chain():
     g = make_product_group([fiber(1)], [(3, 0)])
     seg = gamma_segment(g)
     assert seg.algebra == make_chain(3)
-    assert [g.fibers[0].phi(x[0]) for x in seg.elements] == [0, 1, 2, 3]
+    assert seg.elements == ((0,), (1,), (2,), (3,))
 
 
 def test_segment_of_chain_group_at_its_unit():
@@ -220,9 +235,9 @@ def test_segment_neg_is_unit_complement():
 def test_segment_requires_positive_endpoint():
     # the segment's endpoint is the group's unit, checked when the group is built
     with pytest.raises(ValueError, match="strictly positive in every fiber"):
-        ProductLuGroup([fiber(1), fiber(1)], (ChangPair(1, 0), ChangPair(0, 0)))
+        ProductLuGroup([fiber(1), fiber(1)], (1, 0))
     with pytest.raises(ValueError, match="strictly positive in every fiber"):
-        ProductLuGroup([fiber(2)], (ChangPair(-1, 1),))
+        make_product_group([fiber(2)], [(-1, 1)])
 
 
 def test_segment_is_shared_between_equal_groups():
@@ -238,7 +253,7 @@ def test_group_spectrum_lists_fiber_kernels():
     g = make_product_group([fiber(1), fiber(2), fiber(3)], [(1, 0), (1, 0), (1, 0)])
     seg = gamma_segment(g)
     kernels = [
-        frozenset(i for i, x in enumerate(seg.elements) if x[j] == g.fibers[j].zero)
+        frozenset(i for i, x in enumerate(seg.elements) if x[j] == 0)
         for j in range(g.k)
     ]
     assert len(set(kernels)) == 3
@@ -256,12 +271,10 @@ def test_group_spectrum_lists_fiber_kernels():
 )
 def test_group_laws_randomized(n, ms, rs):
     g = fiber(n)
-    x, y, z = (
-        g.normalize(m, g.by_rank[r % g.height]) for m, r in zip(ms, rs)
-    )
+    x, y, z = (ChangPair(m, g.by_rank[r % g.height]) for m, r in zip(ms, rs))
     assert g.add(x, y) == g.add(y, x)
     assert g.add(g.add(x, y), z) == g.add(x, g.add(y, z))
-    assert g.add(x, g.neg(x)) == g.zero
+    assert g.add(x, g.neg(x)) == ChangPair(0, 0)
     assert g.neg(g.neg(x)) == x
     # translation invariance of the order
     assert g.leq(x, y) == g.leq(g.add(x, z), g.add(y, z))

@@ -8,7 +8,7 @@ import pytest
 
 from mvgamma import equivalence as eq
 from mvgamma.equivalence import ChainStarMap, LGroupMap, UpsilonMap
-from mvgamma.lgroup import ChangChainGroup, ChangPair, gamma_segment, make_product_group
+from mvgamma.lgroup import ChangChainGroup, gamma_segment, make_product_group
 from mvgamma.mv_core import (
     MVMorphism,
     check_morphism,
@@ -22,7 +22,9 @@ from mvgamma.sweeps import SweepContext, _generated_group_maps, generated_algebr
 # -- product-window oracles ------------------------------------------------------
 #
 # `eq.star_morphism` is looked up on the module at call time, so a test that
-# patches it reaches the oracles and the checks under test alike.
+# patches it reaches the oracles and the checks under test alike.  It caches
+# its maps, so a test that patches something a star map is built from clears
+# that cache before and after.
 
 
 def star_functoriality_oracle(first, then, window=4):
@@ -126,7 +128,7 @@ def patch_star_morphism(monkeypatch, target, mutate):
 
 
 def is_unit_on_one_fiber(star_ambient, x):
-    nonzero = [i for i, p in enumerate(x) if p != ChangPair(0, 0)]
+    nonzero = [i for i, p in enumerate(x) if p != 0]
     return len(nonzero) == 1 and x[nonzero[0]] == star_ambient.u[nonzero[0]]
 
 
@@ -198,14 +200,15 @@ def test_evaluation_square_rejects_mutants(monkeypatch, mutate):
         assert is_unit_on_one_fiber(sm.dom, x)
 
 
-# fiber maps on the pair group over chain(2) that break the premise of the
-# unit probe (fix 0, keep the unit positive), so only the rest of the
-# per-fiber scan can tell whether two routes reading different fibers agree
+# fiber maps on the group over chain(2), whose unit is 2, that break the
+# premise of the unit probe (fix 0, keep the unit positive), so only the rest
+# of the per-fiber scan can tell whether two routes reading different fibers
+# agree
 ODD_FIBER_MAPS = {
-    "zero": lambda p: ChangPair(0, 0),
-    "unit": lambda p: ChangPair(1, 0),
-    "shift": lambda p: ChangPair(p.m + 1, p.a),
-    "id": lambda p: p,
+    "zero": lambda t: 0,
+    "unit": lambda t: 2,
+    "shift": lambda t: t + 2,
+    "id": lambda t: t,
 }
 
 
@@ -242,3 +245,30 @@ def test_routes_reading_different_fibers_match_the_oracle(monkeypatch, left, rig
             eq.star_morphism(then)(eq.star_morphism(first)(x)),
         )
         assert replay == (lhs, rhs) and lhs != rhs
+
+
+class OneStepHigh(ChainStarMap):
+    """A star map that reads its input one step high."""
+
+    def __call__(self, t):
+        return super().__call__(t + 1)
+
+
+def test_star_map_off_by_one_fails_every_square(monkeypatch):
+    first, then = identity(SQUARE), identity(SQUARE)
+    g = square_group()
+    f = g.fibers[0]
+    ident = ChainStarMap(identity(f.chain), f, f)
+    phi = LGroupMap(dom=g, cod=g, source_fiber=(0, 1), fiber_maps=(ident, ident))
+    eq.star_morphism.cache_clear()  # a map cached before the patch would hide it
+    monkeypatch.setattr(eq, "ChainStarMap", OneStepHigh)
+    try:
+        assert not eq.iota_naturality(first).ok
+        assert not eq.star_functoriality(first, then, window=2).ok
+        assert not star_functoriality_oracle(first, then, window=2).ok
+        assert not eq.upsilon_naturality(phi, window=2).ok
+        assert not upsilon_naturality_oracle(phi, window=2).ok
+    finally:
+        monkeypatch.undo()
+        eq.star_morphism.cache_clear()
+    assert eq.iota_naturality(first).ok and eq.upsilon_naturality(phi, window=2).ok

@@ -165,10 +165,23 @@ def test_group_schema_rejections():
 def test_unit_normalizes_on_import():
     # fiber size 4 is the chain of height 3: offset 2 sits below the top
     g = group_from_json({"fibers": [4], "u": {"coords": [{"m": 0, "a": 2}]}})
-    assert g.u == (ChangPair(0, 2),)
+    assert g.u == (2,) and g.to_pairs(g.u) == (ChangPair(0, 2),)
     # fiber size 3: offset 2 is the top and rolls into a whole copy
     g2 = group_from_json({"fibers": [3], "u": {"coords": [{"m": 0, "a": 2}]}})
-    assert g2.u == (ChangPair(1, 0),)
+    assert g2.u == (2,) and g2.to_pairs(g2.u) == (ChangPair(1, 0),)
+    assert loads(dumps(g2)) == g2
+
+
+def test_huge_copy_index_survives_the_boundary():
+    # pairs -> integers -> pairs at copy index 10^100, rendered unchanged
+    g = group_from_json({"fibers": [3], "u": {"coords": [{"m": 1, "a": 0}]}})
+    for m in (10**100, -(10**100)):
+        literal = {"coords": [{"m": m, "a": 1}]}
+        pairs = element_from_json(literal)
+        x = g.from_pairs(pairs)
+        assert x == (2 * m + 1,)
+        assert g.to_pairs(x) == pairs
+        assert dumps(g.to_pairs(x)) == json.dumps(literal, indent=2, sort_keys=True) + "\n"
 
 
 def test_to_jsonable_rejects_strangers():
@@ -230,17 +243,17 @@ def test_dumps_repeated_element_at_two_depths():
     g = make_product_group(
         [ChangChainGroup(make_chain(1)), ChangChainGroup(make_chain(2))], [(1, 0), (1, 1)]
     )
-    witness = generated_membership(g, {g.zero, g.u}, (ChangPair(0, 1), ChangPair(3, 0)))
+    witness = generated_membership(g, {g.zero, g.u}, g.from_pairs([(0, 1), (3, 0)]))
     assert not witness.member and witness.missing in witness.positive
     detail = {
         "member": witness.member,
-        "positive": witness.positive,
-        "negative": witness.negative,
-        "missing": witness.missing,
+        "positive": [g.to_pairs(x) for x in witness.positive],
+        "negative": [g.to_pairs(x) for x in witness.negative],
+        "missing": g.to_pairs(witness.missing),
     }
     assert dumps(detail) == json_oracle(detail)
-    segment = gamma_segment(g)
-    nested = {"top": segment.elements[-1], "deeper": [[segment.elements[-1]], g.u]}
+    top = g.to_pairs(gamma_segment(g).elements[-1])
+    nested = {"top": top, "deeper": [[top], g.to_pairs(g.u)]}
     assert dumps(nested) == json_oracle(nested)
 
 
