@@ -14,14 +14,14 @@ The package has three layers:
   ``script``, ``interp``, ``cli``, and ``sweeps`` layered on top.
 
 Everything is exact integer arithmetic; there is no floating point anywhere.
-A product group carries its strong unit as ``ProductLuGroup.u``: whatever
-needs the unit (unit segments, stars, good sequences, membership, the
-evaluation map) reads it from the group, and no function takes it separately.
+A product group carries its strong unit as ``ProductLuGroup.u``.  The unit
+segment reads nothing else of a group, so segment-side work (the segment, its
+coordinate ideals, good-sequence entries) takes the unit tuple and is shared.
 An algebra is its tables: constructing a ``FiniteMVAlgebra`` returns the live
 algebra with equal tables if there is one, so equal tables are one object and
 algebras compare and hash by identity.  Ideals and product groups compare and
 hash by value over them.  The pure builders (``check_mv_axioms``,
-``find_morphisms``, ``spectrum``, ``quotient``, ``gamma_segment``,
+``find_morphisms``, ``spectrum``, ``quotient``, ``lgroup.unit_segment``,
 ``star_algebra``) are memoized with ``functools.cache``, so equal inputs share
 one result, and ``cache_info()`` counts the hits.
 """

@@ -32,9 +32,9 @@ from .lgroup import (
     GroupElement,
     ProductLuGroup,
     abs_decompose,
-    coordinate_zero_sets,
     gamma_segment,
     require_positive_unit,
+    unit_segment,
 )
 from .mv_core import (
     FiniteMVAlgebra,
@@ -176,21 +176,21 @@ def upsilon_inverse_chain(up: int, x: int) -> tuple[int, int]:
     return divmod(x, up)
 
 
-def canonical_entries(group: ProductLuGroup, x: GroupElement) -> tuple[GroupElement, ...]:
-    """The canonical good sequence of x >= 0 as elements of [0, u], u the
-    group's unit, in closed form: a_i = ((x - (i-1)u) ∨ 0) ∧ u for i >= 1
+def canonical_entries(u: GroupElement, x: GroupElement) -> tuple[GroupElement, ...]:
+    """The canonical good sequence of x >= 0 as elements of [0, u], in
+    closed form: a_i = ((x - (i-1)u) ∨ 0) ∧ u for i >= 1
     (Cignoli, D'Ottaviano and Mundici 2000, ch. 2).  Each fiber is divided
     once, x_t = n_t·u_t + r_t with 0 <= r_t < u_t, so entry i (counted from
     0) is u_t while i < n_t, r_t at i = n_t, and 0 after.  The entries sum
     back to x and each absorbs the next under the capped addition; the
     sequence stops at its last nonzero entry.
     """
-    if not group.leq(group.zero, x):
+    if any(t < 0 for t in x):
         raise ValueError("only nonnegative elements have good-sequence entries")
-    divided = [upsilon_inverse_chain(up, t) for up, t in zip(group.u, x)]
+    divided = [upsilon_inverse_chain(up, t) for up, t in zip(u, x)]
     length = max(n + (r != 0) for n, r in divided)
     return tuple(
-        tuple(up if i < n else r if i == n else 0 for (n, r), up in zip(divided, group.u))
+        tuple(up if i < n else r if i == n else 0 for (n, r), up in zip(divided, u))
         for i in range(length)
     )
 
@@ -227,7 +227,7 @@ def is_good_sequence(algebra: FiniteMVAlgebra, entries: Iterable[int]) -> bool:
 
 def canonical_good_sequence(segment: GammaSegment, x: GroupElement) -> GoodSequence:
     """The canonical decomposition of x >= 0 as segment carrier indices."""
-    raw = canonical_entries(segment.group, x)
+    raw = canonical_entries(segment.u, x)
     try:
         entries = tuple(segment.index[e] for e in raw)
     except KeyError as exc:  # entries are u-meets of positives: always in [0,u]
@@ -236,12 +236,9 @@ def canonical_good_sequence(segment: GammaSegment, x: GroupElement) -> GoodSeque
 
 
 def good_sequence_sum(segment: GammaSegment, entries: Iterable[int]) -> GroupElement:
-    """Add up segment entries (carrier indices) in the surrounding group."""
-    group = segment.group
-    acc = group.zero
-    for e in entries:
-        acc = group.add(acc, segment.elements[e])
-    return acc
+    """Add up segment entries (carrier indices) in the surrounding group,
+    coordinatewise; the zero (index 0) leads, so the empty sum is zero."""
+    return tuple(map(sum, zip(*(segment.elements[e] for e in (0, *entries)))))
 
 
 def good_sequence_sums_hold(group: ProductLuGroup, bound: int) -> bool:
@@ -293,8 +290,8 @@ def generated_membership(
     pass the image of an algebra, which is.
     """
     pos, neg_part, _ = abs_decompose(group, x)
-    positive = canonical_entries(group, pos)
-    negative = canonical_entries(group, neg_part)
+    positive = canonical_entries(group.u, pos)
+    negative = canonical_entries(group.u, neg_part)
     lookup = allowed.__contains__
     for e in dict.fromkeys(itertools.chain(positive, negative)):
         if not lookup(e):
@@ -467,34 +464,13 @@ class UpsilonMap:
     fiber t lies over the zero set of group fiber t.  On that fiber the
     carry pair (m, c) evaluates to m·u_t plus the lift of class c, where the
     lift sends a quotient class to the common t-th coordinate of its members
-    (checked to be constant).  `evaluation` is the map as an `LGroupMap`.
+    (checked to be constant, once per unit).  `evaluation` is the map as an
+    `LGroupMap` into the group.
     """
 
     def __init__(self, group: ProductLuGroup):
-        segment = gamma_segment(group)
         self.group = group
-        self.segment = segment
-        self.star = star_algebra(segment.algebra)
-        # The segment lists elements row-major, first fiber slowest, so for
-        # j < l the largest element vanishing on fiber l lies above every
-        # element vanishing on fiber j: in the spectrum's bitmask order the
-        # zero set of fiber j comes first, and prime t is fiber t's.
-        alignment = prime_alignment(segment.algebra, coordinate_zero_sets(segment))
-        if alignment != tuple(range(group.k)):
-            raise InternalInvariantError(
-                "primes of the segment algebra are not the coordinate zero sets in order"
-            )
-        lifts = []
-        for j, q in enumerate(self.star.quotients):
-            lift = class_values(q, [x[j] for x in segment.elements])
-            if lift is None:
-                raise InternalInvariantError("coordinate is not constant on a quotient class")
-            if len(set(lift)) != len(lift):
-                raise InternalInvariantError(
-                    "two quotient classes share a coordinate value"
-                )
-            lifts.append(lift)
-        self.lifts = tuple(lifts)
+        self.segment, self.star, self.lifts = _segment_lifts(group.u)
         self.evaluation = LGroupMap(
             dom=self.star.ambient,
             cod=group,
@@ -505,6 +481,30 @@ class UpsilonMap:
     def fiber_value(self, t: int, s: int) -> int:
         """Evaluate star fiber t at s, landing in group fiber t."""
         return _evaluate(self.star.ambient.fibers[t], self.group.u[t], self.lifts[t], s)
+
+
+@functools.cache
+def _segment_lifts(u: GroupElement) -> tuple[GammaSegment, StarAlgebra, tuple]:
+    """The segment of unit u, its star and the validated star-fiber lifts."""
+    segment = unit_segment(u)
+    star = star_algebra(segment.algebra)
+    # The segment lists elements row-major, first fiber slowest, so for
+    # j < l the largest element vanishing on fiber l lies above every
+    # element vanishing on fiber j: in the spectrum's bitmask order the
+    # zero set of fiber j comes first, and prime t is fiber t's.
+    if prime_alignment(segment.algebra, segment.zero_sets) != tuple(range(len(u))):
+        raise InternalInvariantError(
+            "primes of the segment algebra are not the coordinate zero sets in order"
+        )
+    lifts = []
+    for j, q in enumerate(star.quotients):
+        lift = class_values(q, [x[j] for x in segment.elements])
+        if lift is None:
+            raise InternalInvariantError("coordinate is not constant on a quotient class")
+        if len(set(lift)) != len(lift):
+            raise InternalInvariantError("two quotient classes share a coordinate value")
+        lifts.append(lift)
+    return segment, star, tuple(lifts)
 
 
 def _evaluate(sf: ChangChainGroup, up: int, lift: tuple[int, ...], s: int) -> int:
@@ -625,7 +625,7 @@ class SegmentIdealReport:
     trace on [0, u] must be an algebra ideal, the quotient by that trace must
     match the segment of the restricted group (restriction to the named
     coordinates), and the coordinate zero sets must list exactly the primes
-    of the segment algebra (a fact of the group, shared by all its reports).
+    of the segment algebra (a fact of the segment, shared by its reports).
     """
 
     zero_fibers: tuple[int, ...]
@@ -638,30 +638,28 @@ class SegmentIdealReport:
         return self.ideal_ok and self.quotient_iso_ok and self.spectrum_bijection_ok
 
 
-def coordinate_ideal_checks(group: ProductLuGroup) -> tuple[SegmentIdealReport, ...]:
-    """Check every coordinate ideal of the group against its segment trace.
+@functools.cache
+def coordinate_ideal_checks(u: GroupElement) -> tuple[SegmentIdealReport, ...]:
+    """Check every coordinate ideal of a product group with unit u against
+    its segment trace; segments read only u, so this runs once per unit.
 
     One report per nonempty set of zero fibers, by size and then
     lexicographically; the ideal named by a set is the kernel of the
     projection onto those coordinates, so its quotient keeps those fibers.
     """
-    segment = gamma_segment(group)
+    segment = unit_segment(u)
     algebra = segment.algebra
-    zero_sets = coordinate_zero_sets(segment)
+    zero_sets = segment.zero_sets
     spectrum_bijection_ok = prime_alignment(algebra, zero_sets) is not None
     reports = []
-    for r in range(1, group.k + 1):
-        for zf in itertools.combinations(range(group.k), r):
+    for r in range(1, len(u) + 1):
+        for zf in itertools.combinations(range(len(u)), r):
             members = frozenset.intersection(*(zero_sets[j] for j in zf))
             ideal_ok = not ideal_violations(algebra, members)
             quotient_iso_ok = False
             if ideal_ok:
                 q = quotient(algebra, Ideal(algebra, members))
-                kept_segment = gamma_segment(
-                    ProductLuGroup(
-                        [group.fibers[j] for j in zf], tuple(group.u[j] for j in zf)
-                    )
-                )
+                kept_segment = unit_segment(tuple(u[j] for j in zf))
                 assignment = class_values(
                     q,
                     [kept_segment.index[tuple(x[j] for j in zf)] for x in segment.elements],

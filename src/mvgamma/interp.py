@@ -459,7 +459,7 @@ class _Runner:
             detail = {"morphism_law": law, "iota_square": square}
             return law and square, detail
         result = upsilon(value, window=window)
-        ideals_ok = all(r.holds for r in coordinate_ideal_checks(value))
+        ideals_ok = all(r.holds for r in coordinate_ideal_checks(value.u))
         sums_ok = good_sequence_sums_hold(value, min(2, window))
         detail = {
             "upsilon": result.holds,

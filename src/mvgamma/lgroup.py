@@ -49,7 +49,7 @@ __all__ = [
     "abs_decompose",
     "GammaSegment",
     "gamma_segment",
-    "coordinate_zero_sets",
+    "unit_segment",
 ]
 
 
@@ -240,33 +240,43 @@ def abs_decompose(
 
 @dataclass(frozen=True)
 class GammaSegment:
-    """The unit segment [0, u] of a product group, packaged as an MV-algebra.
+    """The unit segment [0, u], packaged as an MV-algebra.
 
-    `elements[i]` is the group element behind carrier index i (row-major over
-    the fibers' ascending segment values, so index 0 is 0); `index` is the
-    inverse lookup.
+    It reads only the unit: fiber t's segment [0, u_t] is the chain of u_t
+    steps over any fiber chain (Γ(ℤ, n) ≅ Łₙ), so it names u, not a group.
+    `elements[i]` is the element behind carrier index i (row-major over the
+    fibers' ascending values, so index 0 is 0); `index` inverts it;
+    `zero_sets[j]` lists the indices of the elements vanishing on fiber j,
+    the segment traces of the fiber kernels.
     """
 
-    group: ProductLuGroup
+    u: GroupElement
     algebra: FiniteMVAlgebra
     elements: tuple[GroupElement, ...]
     index: dict[GroupElement, int]
+    zero_sets: tuple[frozenset[int], ...]
+
+
+def gamma_segment(group: ProductLuGroup) -> GammaSegment:
+    """The segment [0, u] of the group's unit u, all it reads of the group."""
+    return unit_segment(group.u)
 
 
 @functools.cache
-def gamma_segment(group: ProductLuGroup) -> GammaSegment:
+def unit_segment(u: GroupElement) -> GammaSegment:
     """Carve the MV-algebra out of [0, u]: x oplus y = u meet (x + y),
     neg x = u - x.  The operations act coordinatewise, so each fiber's
     segment [0, u_t] is an algebra of its own, carrier index = value, and the
     segment is their product; the finished product is re-checked against
-    the MV laws before being returned.
+    the MV laws before being returned.  Built once per unit.
     """
-    values = [range(up + 1) for up in group.u]
+    require_positive_unit(u)
+    values = [range(up + 1) for up in u]
     factors = [
         FiniteMVAlgebra(
             up + 1, [[min(up, p + q) for q in vs] for p in vs], [up - p for p in vs]
         )
-        for up, vs in zip(group.u, values)
+        for up, vs in zip(u, values)
     ]
     algebra = make_product_many(factors)
     report = check_mv_axioms(algebra)
@@ -276,17 +286,12 @@ def gamma_segment(group: ProductLuGroup) -> GammaSegment:
         )
     elements = tuple(itertools.product(*values))
     return GammaSegment(
-        group=group,
+        u=u,
         algebra=algebra,
         elements=elements,
         index={x: i for i, x in enumerate(elements)},
-    )
-
-
-def coordinate_zero_sets(segment: GammaSegment) -> tuple[frozenset[int], ...]:
-    """For each fiber, the carrier indices of the segment elements vanishing
-    on it: the segment traces of the fiber kernels."""
-    return tuple(
-        frozenset(i for i, x in enumerate(segment.elements) if x[j] == 0)
-        for j in range(segment.group.k)
+        zero_sets=tuple(
+            frozenset(i for i, x in enumerate(elements) if x[j] == 0)
+            for j in range(len(u))
+        ),
     )

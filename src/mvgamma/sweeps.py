@@ -29,10 +29,10 @@ input fiber and agree on that fiber's window, so `star_functoriality` and
 `upsilon_naturality` check one output fiber at a time; their product-window
 oracles live in the tests.
 
-Work shared between suites and configurations (spectra, quotients, stars,
-unit segments, morphism lists, the per-fiber verdicts) is memoized in the
-builders themselves, on interned algebras and on groups by value, so a sweep
-context holds only its configuration.
+Work shared between suites and configurations is memoized in the builders
+themselves, so a sweep context holds only its configuration: algebra work on
+interned algebras, segment work (segments, coordinate ideals, lifts) on the
+unit, all that [0, u] reads of a group, and fiber verdicts on fiber data.
 
 Suite results carry no timing or environment data, so a sweep's report is
 byte-stable across runs.
@@ -62,7 +62,7 @@ from .equivalence import (
     LGroupMap,
     ChainStarMap,
 )
-from .lgroup import ChangChainGroup, ProductLuGroup, gamma_segment
+from .lgroup import ChangChainGroup, ProductLuGroup, gamma_segment, unit_segment
 from .mv_core import (
     FiniteMVAlgebra,
     check_mv_axioms,
@@ -170,12 +170,13 @@ class SweepContext:
 
 
 # -- per-fiber good-sequence verdicts (see the module docstring for why one
-#    case certifies every configuration sharing the fiber shape) --
+#    case certifies every configuration with that fiber unit) --
 
 
 @functools.cache
-def fiber_goodseq_case(n: int, h: int, window: int) -> tuple[bool, int]:
-    """Canonical-sequence law, sum, and uniqueness over one fiber window.
+def fiber_goodseq_case(h: int, window: int) -> tuple[bool, int]:
+    """Canonical-sequence law, sum, and uniqueness over the window of one
+    fiber with unit h, whose segment is the same over every chain.
 
     Uniqueness oracle: enumerate every normalized sequence over the
     segment carrier satisfying the absorption law, up to one more than
@@ -183,18 +184,13 @@ def fiber_goodseq_case(n: int, h: int, window: int) -> tuple[bool, int]:
     and require each nonnegative window element to own exactly its
     canonical sequence.
     """
-    g = SweepContext.group((n,), (h,))
-    seg = gamma_segment(g)
+    seg = unit_segment((h,))
     a = seg.algebra
-    max_len = window + 1
-    by_sum: dict[tuple, list[tuple[int, ...]]] = {}
-    all_seqs: list[tuple[int, ...]] = [()]
-    for length in range(1, max_len + 1):
+    by_sum: dict[tuple, list[tuple[int, ...]]] = {good_sequence_sum(seg, ()): [()]}
+    for length in range(1, window + 2):
         for tup in itertools.product(range(a.size), repeat=length):
             if tup[-1] != 0 and is_good_sequence(a, tup):
-                all_seqs.append(tup)
-    for s in all_seqs:
-        by_sum.setdefault(good_sequence_sum(seg, s), []).append(s)
+                by_sum.setdefault(good_sequence_sum(seg, tup), []).append(tup)
     ok = True
     cases = window * h + 1
     for x in ((t,) for t in range(cases)):
@@ -317,14 +313,14 @@ def suite_general_roundtrip(ctx: SweepContext) -> SuiteResult:
 def suite_good_sequences(ctx: SweepContext) -> SuiteResult:
     """Canonical sequences over every generated configuration: absorption
     law, exact sum, and uniqueness.  Entry extraction, the law, and sums all
-    act coordinatewise, so each fiber shape is certified once over its own
-    window and a configuration passes when all its fiber shapes do; small
+    act coordinatewise, so each fiber unit is certified once over its own
+    window and a configuration passes when all its fiber units do; small
     configurations are re-checked directly at product level.
     """
     result = SuiteResult("good_sequences", True, 0)
     for chains, heights in ctx.group_configs():
         result.cases += 1
-        verdicts = [fiber_goodseq_case(n, h, ctx.window) for n, h in zip(chains, heights)]
+        verdicts = [fiber_goodseq_case(h, ctx.window) for h in heights]
         if not all(ok for ok, _ in verdicts):
             result.note_failure(f"fiber sequence case fails at {chains}/{heights}")
         if len(chains) == 2 and max(heights) <= 2:
@@ -408,7 +404,7 @@ def suite_segment_ideals(ctx: SweepContext) -> SuiteResult:
     coordinate zero sets are exactly the primes."""
     result = SuiteResult("segment_ideals", True, 0)
     for chains, heights in ctx.group_configs():
-        for report in coordinate_ideal_checks(ctx.group(chains, heights)):
+        for report in coordinate_ideal_checks(ctx.group(chains, heights).u):
             result.cases += 1
             if not report.holds:
                 result.note_failure(

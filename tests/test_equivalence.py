@@ -11,6 +11,7 @@ from mvgamma.equivalence import (
     GoodSequence,
     ChainStarMap,
     LGroupMap,
+    SegmentIdealReport,
     UpsilonMap,
     canonical_entries,
     canonical_good_sequence,
@@ -32,9 +33,10 @@ from mvgamma.equivalence import (
     upsilon_naturality,
 )
 import mvgamma.equivalence as eq
+import mvgamma.lgroup as lgroup
 from mvgamma.lgroup import (
     ChangChainGroup,
-    coordinate_zero_sets,
+    ProductLuGroup,
     gamma_segment,
     make_product_group,
 )
@@ -46,7 +48,14 @@ from mvgamma.mv_core import (
     make_product,
 )
 from mvgamma.snf import invariant_factors
-from mvgamma.spectrum import prime_alignment, restrict_morphism
+from mvgamma.spectrum import (
+    Ideal,
+    class_values,
+    ideal_violations,
+    prime_alignment,
+    quotient,
+    restrict_morphism,
+)
 from mvgamma.sweeps import (
     SweepContext,
     generated_algebras,
@@ -172,20 +181,20 @@ def test_star_fibers_follow_spectrum_order():
 
 def test_canonical_entries_integers_frozen():
     g = z_group(2)
-    entries = canonical_entries(g, (5,))
+    entries = canonical_entries(g.u, (5,))
     assert entries == ((2,), (2,), (1,))
 
 
 def test_canonical_entries_two_fibers_frozen():
     g = z2_group(1, 2)
-    entries = canonical_entries(g, (1, 3))
+    entries = canonical_entries(g.u, (1, 3))
     assert entries == ((1, 2), (0, 1))
 
 
 def test_canonical_entries_reject_negatives():
     g = z_group(2)
     with pytest.raises(ValueError):
-        canonical_entries(g, (-1,))
+        canonical_entries(g.u, (-1,))
 
 
 def peeled_entries(group, x):
@@ -220,7 +229,7 @@ def groups_and_nonnegatives(draw):
 @example((z2_group(2, 3), (10**4, 0)))
 def test_canonical_entries_match_the_peel(case):
     g, x = case
-    assert canonical_entries(g, x) == peeled_entries(g, x)
+    assert canonical_entries(g.u, x) == peeled_entries(g, x)
 
 
 def test_canonical_good_sequence_indices():
@@ -597,10 +606,10 @@ def evaluation_without_copies(monkeypatch):
 @pytest.mark.parametrize(
     "mutant", [lift_off_by_one, evaluation_without_copies, lift_bottom_off_by_one]
 )
-def test_upsilon_mutants_fail_both_versions(mutant, monkeypatch):
+def test_upsilon_mutants_fail_both_versions(mutant, monkeypatch, fresh_memos):
     g = SweepContext.group((1, 2), (2, 2))
     assert upsilon(g, window=2).holds
-    eq._fiber_certificate.cache_clear()
+    fresh_memos()  # a verdict cached by the clean run would hide the mutant
     try:
         oracle = mutant(monkeypatch)
         assert not upsilon(g, window=2).holds
@@ -616,11 +625,9 @@ def test_upsilon_mutants_fail_both_versions(mutant, monkeypatch):
             assert oracle_verdicts is not None and not oracle_verdicts[3]
     finally:
         monkeypatch.undo()
-        eq._fiber_certificate.cache_clear()
 
 
-def test_equal_fiber_data_share_one_certificate():
-    eq._fiber_certificate.cache_clear()
+def test_equal_fiber_data_share_one_certificate(fresh_memos):
     assert suite_general_roundtrip(SweepContext(16, 4)).ok
     assert eq._fiber_certificate.cache_info().hits > 0
 
@@ -649,14 +656,14 @@ def test_upsilon_matches_direct_product_window():
 def test_coordinate_ideal_frozen_example():
     g = z2_group(1, 2)
     seg = gamma_segment(g)
-    zero_sets = coordinate_zero_sets(seg)
+    zero_sets = seg.zero_sets
     # a direct scan: segment elements (0, t) and (s, 0)
     assert zero_sets == tuple(
         frozenset(i for i, x in enumerate(seg.elements) if x[j] == 0)
         for j in range(2)
     )
     assert [len(z) for z in zero_sets] == [3, 2]
-    report = coordinate_ideal_checks(g)[0]
+    report = coordinate_ideal_checks(g.u)[0]
     assert report.zero_fibers == (0,)
     assert report.ideal_ok and report.quotient_iso_ok and report.spectrum_bijection_ok
     assert report.holds and seg.algebra.size == 6
@@ -667,11 +674,109 @@ def test_coordinate_ideals_all_subsets():
         [ChangChainGroup(make_chain(2)), ChangChainGroup(make_chain(1)), ChangChainGroup(make_chain(2))],
         [(0, 1), (1, 0), (1, 0)],
     )
-    reports = coordinate_ideal_checks(g)
+    reports = coordinate_ideal_checks(g.u)
     expected = [zf for r in range(1, 4) for zf in itertools.combinations(range(3), r)]
     assert len(reports) == 2**3 - 1
     assert [r.zero_fibers for r in reports] == expected
     assert all(r.holds for r in reports)
+
+
+def coordinate_ideals_per_group(group):
+    """Oracle: the earlier per-group body, which scanned each fiber's zero
+    set from the segment elements and reached each kept segment through a
+    `ProductLuGroup` over the kept fibers."""
+    segment = gamma_segment(group)
+    algebra = segment.algebra
+    zero_sets = tuple(
+        frozenset(i for i, x in enumerate(segment.elements) if x[j] == 0)
+        for j in range(group.k)
+    )
+    spectrum_bijection_ok = prime_alignment(algebra, zero_sets) is not None
+    reports = []
+    for r in range(1, group.k + 1):
+        for zf in itertools.combinations(range(group.k), r):
+            members = frozenset.intersection(*(zero_sets[j] for j in zf))
+            ideal_ok = not ideal_violations(algebra, members)
+            quotient_iso_ok = False
+            if ideal_ok:
+                q = quotient(algebra, Ideal(algebra, members))
+                kept_segment = gamma_segment(
+                    ProductLuGroup(
+                        [group.fibers[j] for j in zf], tuple(group.u[j] for j in zf)
+                    )
+                )
+                assignment = class_values(
+                    q,
+                    [kept_segment.index[tuple(x[j] for j in zf)] for x in segment.elements],
+                )
+                if assignment is not None:
+                    restriction = MVMorphism(q.quotient, kept_segment.algebra, assignment)
+                    quotient_iso_ok = bool(
+                        check_morphism(restriction).ok
+                        and restriction.is_injective()
+                        and restriction.is_surjective()
+                    )
+            reports.append(
+                SegmentIdealReport(
+                    zero_fibers=zf,
+                    ideal_ok=ideal_ok,
+                    quotient_iso_ok=quotient_iso_ok,
+                    spectrum_bijection_ok=spectrum_bijection_ok,
+                )
+            )
+    return tuple(reports)
+
+
+def test_coordinate_ideals_match_the_per_group_body():
+    # every configuration of the acceptance sweep, and units whose
+    # coordinates are no chain height
+    groups = [SweepContext.group(c, h) for c, h in group_shapes(3, 4, 3)]
+    groups += [
+        make_product_group([ChangChainGroup(make_chain(n)) for n in chains], u)
+        for chains, u in [
+            ([2], [(2, 1)]),
+            ([3, 1], [(2, 0), (3, 0)]),
+            ([2, 4, 3], [(1, 1), (0, 3), (1, 0)]),
+        ]
+    ]
+    for g in groups:
+        assert coordinate_ideal_checks(g.u) == coordinate_ideals_per_group(g)
+    assert len(groups) == 1887
+
+
+def kept_unit_reversed(kept, u):
+    """The kept unit read over the zero fibers in reverse order."""
+    return kept if kept == u else kept[::-1]
+
+
+def kept_unit_one_high(kept, u):
+    """Every kept unit coordinate one step high."""
+    return kept if kept == u else tuple(t + 1 for t in kept)
+
+
+@pytest.mark.parametrize("mutate", [kept_unit_reversed, kept_unit_one_high])
+def test_coordinate_ideal_mutants_fail_both_versions(mutate, monkeypatch, fresh_memos):
+    g = SweepContext.group((1, 2, 3), (1, 2, 3))  # distinct unit coordinates
+    assert all(r.holds for r in coordinate_ideal_checks(g.u))
+    fresh_memos()  # the reports cached by the clean run would hide the mutant
+    original = lgroup.unit_segment
+
+    def mutated(kept):
+        return original(mutate(kept, g.u))
+
+    # the oracle reaches kept segments through gamma_segment, the unit key
+    # directly; both now build the wrong one
+    monkeypatch.setattr(lgroup, "unit_segment", mutated)
+    monkeypatch.setattr(eq, "unit_segment", mutated)
+    for check in (coordinate_ideal_checks, lambda u: coordinate_ideals_per_group(g)):
+        if mutate is kept_unit_reversed:
+            # the reversed box misses the element (1, 2) of the kept (0, 1)
+            with pytest.raises(KeyError):
+                check(g.u)
+        else:
+            reports = check(g.u)
+            assert not any(r.quotient_iso_ok for r in reports[:-1])
+            assert reports[-1].holds  # keeping every fiber keeps the unit
 
 
 # -- group maps and the remaining square --
@@ -819,6 +924,6 @@ def test_primes_follow_the_coordinates_on_generated_groups():
     ]
     for g in groups:
         seg = gamma_segment(g)
-        assert prime_alignment(seg.algebra, coordinate_zero_sets(seg)) == tuple(range(g.k))
+        assert prime_alignment(seg.algebra, seg.zero_sets) == tuple(range(g.k))
         assert UpsilonMap(g).evaluation.source_fiber == tuple(range(g.k))
     assert len(groups) == 1887

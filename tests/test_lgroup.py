@@ -245,6 +245,13 @@ def test_segment_is_shared_between_equal_groups():
     assert g is not h
     assert gamma_segment(g) is gamma_segment(h)
     assert gamma_segment(z2()) is not gamma_segment(g)
+    # the segment reads only the unit: groups over other chains with the
+    # same unit (1, 2) get the same object, which names the unit
+    other = ProductLuGroup([fiber(3), fiber(2)], (1, 2))
+    assert other != g and other.u == g.u
+    assert gamma_segment(other) is gamma_segment(g)
+    for group in (g, other, z2()):
+        assert gamma_segment(group).u == group.u
 
 
 def test_group_spectrum_lists_fiber_kernels():

@@ -143,7 +143,7 @@ def identity(algebra):
 
 @pytest.mark.parametrize("mutate", [wrong_source, wrong_hom])
 @pytest.mark.parametrize("which", ["first", "then", "composite"])
-def test_composition_square_rejects_mutants(monkeypatch, mutate, which):
+def test_composition_square_rejects_mutants(monkeypatch, fresh_memos, mutate, which):
     first, then = identity(SQUARE), identity(SQUARE)
     target = {
         "first": lambda h: h is first,
@@ -176,7 +176,7 @@ def square_group():
 
 
 @pytest.mark.parametrize("mutate", [wrong_source, wrong_hom])
-def test_evaluation_square_rejects_mutants(monkeypatch, mutate):
+def test_evaluation_square_rejects_mutants(monkeypatch, fresh_memos, mutate):
     g = square_group()
     f = g.fibers[0]
     ident = ChainStarMap(identity(f.chain), f, f)
@@ -213,7 +213,9 @@ ODD_FIBER_MAPS = {
 
 
 @pytest.mark.parametrize("left, right", itertools.product(ODD_FIBER_MAPS, repeat=2))
-def test_routes_reading_different_fibers_match_the_oracle(monkeypatch, left, right):
+def test_routes_reading_different_fibers_match_the_oracle(
+    monkeypatch, fresh_memos, left, right
+):
     first, then = identity(SQUARE), identity(SQUARE)
 
     def mutate(sm, swap, name):
@@ -254,13 +256,13 @@ class OneStepHigh(ChainStarMap):
         return super().__call__(t + 1)
 
 
-def test_star_map_off_by_one_fails_every_square(monkeypatch):
+def test_star_map_off_by_one_fails_every_square(monkeypatch, fresh_memos):
+    # fresh_memos: a map cached by another test before the patch would hide it
     first, then = identity(SQUARE), identity(SQUARE)
     g = square_group()
     f = g.fibers[0]
     ident = ChainStarMap(identity(f.chain), f, f)
     phi = LGroupMap(dom=g, cod=g, source_fiber=(0, 1), fiber_maps=(ident, ident))
-    eq.star_morphism.cache_clear()  # a map cached before the patch would hide it
     monkeypatch.setattr(eq, "ChainStarMap", OneStepHigh)
     try:
         assert not eq.iota_naturality(first).ok
@@ -270,5 +272,5 @@ def test_star_map_off_by_one_fails_every_square(monkeypatch):
         assert not upsilon_naturality_oracle(phi, window=2).ok
     finally:
         monkeypatch.undo()
-        eq.star_morphism.cache_clear()
+        fresh_memos()  # maps cached under the patch would hide the repair
     assert eq.iota_naturality(first).ok and eq.upsilon_naturality(phi, window=2).ok

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvgamma
 from mvgamma.mv_core import (
     FiniteMVAlgebra,
     MVMorphism,
@@ -32,7 +37,9 @@ from mvgamma.spectrum import (
     spectrum,
 )
 from mvgamma.lgroup import gamma_segment
-from mvgamma.sweeps import SweepContext, generated_algebras, run_all_checks
+from mvgamma.sweeps import SweepContext, generated_algebras
+
+SRC = str(Path(mvgamma.__file__).resolve().parents[1])
 
 L1 = make_chain(1)
 L2 = make_chain(2)
@@ -196,9 +203,23 @@ def test_quotient_is_shared_between_equal_inputs():
 
 
 def test_sweep_reuses_quotients():
-    hits = quotient.cache_info().hits
-    assert all(suite.ok for suite in run_all_checks(6, 4))
-    assert quotient.cache_info().hits > hits
+    # In a fresh interpreter: in this one, caches warmed by other tests
+    # answer a sweep before it reaches `quotient` at all.
+    code = (
+        "from mvgamma.spectrum import quotient\n"
+        "from mvgamma.sweeps import run_all_checks\n"
+        "hits = quotient.cache_info().hits\n"
+        "assert all(suite.ok for suite in run_all_checks(6, 4))\n"
+        "print(hits, quotient.cache_info().hits)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stdout.split())
+    assert after > before
 
 
 def test_quotient_rejects_non_ideal_and_improper():
