@@ -26,7 +26,7 @@ def _emit(obj) -> None:
     sys.stdout.write(dumps(obj))
 
 
-def _run_text(text: str, config: RunConfig) -> int:
+def _run_text(text: str, config: RunConfig, json_out: str | None = None) -> int:
     try:
         script = parse_script(text)
     except ScriptError as exc:
@@ -49,15 +49,13 @@ def _run_text(text: str, config: RunConfig) -> int:
     except InternalInvariantError as exc:
         _emit({"error": {"code": "internal", "message": str(exc)}})
         return 4
-    except ScriptError:  # pragma: no cover - parse errors cannot reach execute
-        raise
     except Exception as exc:  # noqa: BLE001 - anything unplanned is a breach
         _emit({"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}})
         return 4
     text_out = report.to_text()
-    if config.json_out:
+    if json_out:
         try:
-            with open(config.json_out, "w", encoding="utf-8") as fh:
+            with open(json_out, "w", encoding="utf-8") as fh:
                 fh.write(text_out)
         except OSError as exc:
             _emit({"error": {"code": "semantic", "message": f"cannot write report: {exc}"}})
@@ -84,6 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     check.add_argument("--window", type=int, default=4)
 
     args = parser.parse_args(argv)
+    config = RunConfig(max_size=args.max_size, window=args.window)
     if args.subcommand == "run":
         try:
             with open(args.script, "r", encoding="utf-8") as fh:
@@ -91,11 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             _emit({"error": {"code": "io", "message": f"cannot read script: {exc}"}})
             return 2
-        config = RunConfig(
-            max_size=args.max_size, window=args.window, json_out=args.json_out
-        )
-        return _run_text(text, config)
-    config = RunConfig(max_size=args.max_size, window=args.window)
+        return _run_text(text, config, args.json_out)
     return _run_text(f"check all --max-size {args.max_size} --window {args.window}\n", config)
 
 

@@ -16,7 +16,10 @@ Failure taxonomy (process exit codes in parentheses):
   * internal invariant breaches (4) propagate as InternalInvariantError.
 
 A failing command does not stop the run; every command reports an outcome
-and the overall verdict is "pass" exactly when all of them passed.  Reports
+and the overall verdict is "pass" exactly when all of them passed.  An
+outcome, and each command's detail inside it, is a plain dict whose keys are
+the report's keys; a detail may hold package values (carry pairs, reports)
+as they are, and `dumps` lowers them when the report is written.  Reports
 contain no timing or environment data: the same script and config produce
 byte-identical JSON.
 """
@@ -24,7 +27,7 @@ byte-identical JSON.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from .equivalence import (
@@ -72,7 +75,7 @@ from .serialize import (
 from .spectrum import canonical_embedding, enumerate_ideals, ideals_by_subset_filter, spectrum
 from .sweeps import run_all_checks
 
-__all__ = ["RunConfig", "SemanticError", "CommandOutcome", "RunReport", "execute"]
+__all__ = ["RunConfig", "SemanticError", "RunReport", "execute"]
 
 # Axiom checks hold s^3 table entries, so a carrier is capped well before
 # memory runs out; the cap sits above every carrier the benchmark builds.
@@ -86,7 +89,6 @@ MAX_FREEQUOTIENT = 96
 class RunConfig:
     max_size: int = 12
     window: int = 4
-    json_out: str | None = None
 
 
 class SemanticError(ValueError):
@@ -108,35 +110,18 @@ class SemanticError(ValueError):
 
 
 @dataclass
-class CommandOutcome:
-    """One command's verdict.  `detail` is a dict or a report object and may
-    hold package values (carry pairs, reports) as they are; `dumps` lowers
-    them when the report is written."""
-
-    command: str
-    line: int
-    target: str | None
-    status: str  # "pass" | "fail"
-    detail: Any
-
-    def as_json(self) -> dict:
-        return {
-            "command": self.command,
-            "line": self.line,
-            "target": self.target,
-            "status": self.status,
-            "detail": self.detail,
-        }
-
-
-@dataclass
 class RunReport:
+    """The run's config and one outcome per command, in script order.  An
+    outcome is the dict the report prints: command, line, target, status
+    ("pass" or "fail") and detail, a plain dict or a report object whose
+    package values `dumps` lowers."""
+
     config: RunConfig
-    outcomes: list[CommandOutcome] = field(default_factory=list)
+    outcomes: list[dict] = field(default_factory=list)
 
     @property
     def overall(self) -> str:
-        return "pass" if all(o.status == "pass" for o in self.outcomes) else "fail"
+        return "pass" if all(o["status"] == "pass" for o in self.outcomes) else "fail"
 
     @property
     def exit_code(self) -> int:
@@ -144,8 +129,8 @@ class RunReport:
 
     def as_json(self) -> dict:
         return {
-            "config": {"max_size": self.config.max_size, "window": self.config.window},
-            "commands": [o.as_json() for o in self.outcomes],
+            "config": asdict(self.config),
+            "commands": self.outcomes,
             "overall": self.overall,
         }
 
@@ -302,16 +287,18 @@ class _Runner:
     # -- commands --
 
     def run_command(self, cmd: Command):
+        """Run one command and append its outcome: a dict holding the
+        command's detail as the handler returned it, unlowered."""
         handler = getattr(self, f"cmd_{cmd.kind}")
         passed, detail = handler(cmd)
         self.report.outcomes.append(
-            CommandOutcome(
-                command=cmd.kind,
-                line=cmd.line,
-                target=cmd.name if not cmd.check_all else "all",
-                status="pass" if passed else "fail",
-                detail=detail,
-            )
+            {
+                "command": cmd.kind,
+                "line": cmd.line,
+                "target": cmd.name if not cmd.check_all else "all",
+                "status": "pass" if passed else "fail",
+                "detail": detail,
+            }
         )
 
     def cmd_spec(self, cmd: Command):
@@ -353,26 +340,9 @@ class _Runner:
             star = star_algebra(value)
             report = iota_roundtrip(star)
             gen = segment_generation_check(star, bound=min(2, self.bound(cmd, "window", 1)))
-            detail = {
-                "injective": report.injective,
-                "onto_segment": report.onto_segment,
-                "is_morphism": report.is_morphism,
-                "members_match": report.members_match,
-                "window_generated": gen.ok,
-                "checked": report.checked,
-            }
-            return report.holds and gen.ok, detail
+            return report.holds and gen.ok, {**asdict(report), "window_generated": gen.ok}
         result = upsilon(value, window=self.bound(cmd, "window", 1))
-        detail = {
-            "additive": result.additive,
-            "order_embedding": result.order_embedding,
-            "preserves_unit": result.preserves_unit,
-            "segment_identity": result.segment_identity,
-            "surjective": result.surjective,
-            "box_is_circle": result.box_is_circle,
-            "window_elements": result.window_elements,
-        }
-        return result.holds, detail
+        return result.holds, asdict(result)
 
     def _segment_context(self, cmd: Command):
         kind, value = self.value(cmd.name, ("algebra", "group"), cmd.line)
@@ -441,8 +411,7 @@ class _Runner:
         if cmd.check_all:
             max_size = self.bound(cmd, "max_size", 2)
             suites = run_all_checks(max_size=max_size, window=window)
-            detail = {"suites": [s.as_json() for s in suites]}
-            return all(s.ok for s in suites), detail
+            return all(s.ok for s in suites), {"suites": [asdict(s) for s in suites]}
         kind, value = self.value(cmd.name, ("algebra", "group", "hom"), cmd.line)
         if kind == "algebra":
             axioms = check_mv_axioms(value).ok

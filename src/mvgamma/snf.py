@@ -1,11 +1,13 @@
 """Smith normal form over the integers, exact, dependency-free.
 
 Inputs are lists of equal-length integer rows.  Python ints are unbounded, so
-there is no overflow regime to guard; the reduction is the classical one:
-pick the smallest nonzero entry as pivot, clear its row and column by
-division with remainder, absorb any entry the pivot fails to divide, recurse
-into the remaining block, then repair the divisibility chain on the diagonal
-with gcd/lcm exchanges.
+there is no overflow regime to guard.  The reduction is one loop: move the
+smallest nonzero entry of the remaining block to (t, t) as the pivot, clear
+column t with row operations, then reduce row t modulo the pivot (with
+column t clear, those column operations touch row t only).  Any remainder
+left in column t or row t is smaller than the pivot and becomes the next
+pivot; once both are clear the pivot is a diagonal entry.  Then gcd/lcm
+exchanges, the one divisibility step, put the diagonal in divisibility order.
 """
 
 from __future__ import annotations
@@ -56,49 +58,22 @@ def smith_diagonal(rows: list[list[int]], ncols: int | None = None) -> list[int]
         if pj != t:
             for row in a:
                 row[t], row[pj] = row[pj], row[t]
-        while True:
-            p = a[t][t]
-            dirty = False
-            for i in range(t, m):
-                if i == t or a[i][t] == 0:
-                    continue
-                q = a[i][t] // p
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t]:
-                    a[t], a[i] = a[i], a[t]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(t, n):
-                if j == t or a[t][j] == 0:
-                    continue
-                q = a[t][j] // p
-                for row in a:
-                    row[j] -= q * row[t]
-                if a[t][j]:
-                    for row in a:
-                        row[t], row[j] = row[j], row[t]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            # pivot must divide the rest of the block; absorb a bad row
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-        diag.append(abs(a[t][t]))
+        pivot_row = a[t]
+        p = pivot_row[t]
+        for i in range(t + 1, m):
+            q = a[i][t] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], pivot_row)]
+        if any(a[i][t] for i in range(t + 1, m)):
+            continue  # a remainder below the pivot: the next pivot
+        for j in range(t + 1, n):
+            pivot_row[j] %= p
+        if any(pivot_row[t + 1 :]):
+            continue  # likewise in row t
+        diag.append(abs(p))
         t += 1
     diag.extend(0 for _ in range(bound - len(diag)))
-    # repair divisibility (zeros count as divisible by everything, so they sink)
+    # divisibility order (zeros count as divisible by everything, so they sink)
     changed = True
     while changed:
         changed = False

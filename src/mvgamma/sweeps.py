@@ -85,7 +85,8 @@ __all__ = [
 @dataclass
 class SuiteResult:
     """Outcome of one suite: every case passed, how many there were, and a
-    bounded list of failure descriptions (first ten)."""
+    bounded list of failure descriptions (first ten).  The fields are the
+    report's keys: `check all` reports each suite as `asdict` of it."""
 
     name: str
     ok: bool
@@ -96,14 +97,6 @@ class SuiteResult:
         self.ok = False
         if len(self.failures) < 10:
             self.failures.append(text)
-
-    def as_json(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "cases": self.cases,
-            "failures": list(self.failures),
-        }
 
 
 def generated_algebras(max_size: int, max_chain: int = 8) -> list[FiniteMVAlgebra]:

@@ -376,6 +376,13 @@ def test_long_runs_report_matches_golden(capsys):
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 
+def test_presentations_report_matches_golden(capsys):
+    # relation matrices of 16 to 24 columns, with and without the zero row
+    assert main(["run", str(GOLDEN / "presentations.mvg")]) == 1
+    expected = (GOLDEN / "presentations.out").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
 def test_python_m_mvgamma_matches_main(capsys):
     assert main(["check-all", "--max-size", "6"]) == 0
     expected = capsys.readouterr().out.encode("utf-8")

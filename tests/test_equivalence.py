@@ -569,6 +569,44 @@ def test_upsilon_matches_the_peeling_body(window):
         assert verdicts(upsilon(g, window=window)) == upsilon_by_peeling(g, window)
 
 
+def additive_by_pairs(sf, up, lift, window):
+    """The pairwise additivity check: every pair of the fiber's window,
+    read off the doubled-window table."""
+    h = sf.height
+    inner = range(-window * h, window * h + 1)
+    table = {s: eq._evaluate(sf, up, lift, s) for s in range(-2 * window * h, 2 * window * h + 1)}
+    return all(table[s + t] == table[s] + table[t] for s in inner for t in inner)
+
+
+def fiber_data(group):
+    """(star fiber, unit coordinate, lift) for each fiber of the group."""
+    um = UpsilonMap(group)
+    return list(zip(um.star.ambient.fibers, group.u, um.lifts))
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_linearity_matches_pairwise_additivity(window):
+    for chains, heights in group_shapes(2, 3, 2):
+        for sf, up, lift in fiber_data(SweepContext.group(chains, heights)):
+            certificate = eq._fiber_certificate(sf, up, lift, window)
+            assert certificate[0] == additive_by_pairs(sf, up, lift, window)
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_additivity_mutant_fails_both_versions(window, monkeypatch, fresh_memos):
+    # one value off by one at s = 2h + 1, away from 0 and the unit
+    fibers = fiber_data(SweepContext.group((1, 2), (2, 2)))
+    evaluate = eq._evaluate
+    monkeypatch.setattr(
+        eq,
+        "_evaluate",
+        lambda sf, up, lift, s: evaluate(sf, up, lift, s) + (s == 2 * sf.height + 1),
+    )
+    for sf, up, lift in fibers:
+        assert not additive_by_pairs(sf, up, lift, window)
+        assert not eq._fiber_certificate(sf, up, lift, window)[0]
+
+
 def lift_off_by_one(monkeypatch):
     # class 1 of fiber 0 lifts one step too high, after the lifts passed
     # their own validation

@@ -1,4 +1,6 @@
-"""Exact integer Smith form against a determinantal-divisors oracle."""
+"""Exact integer Smith form against two oracles: the determinantal divisors,
+and a reduction that absorbs every entry its pivot fails to divide before
+moving on."""
 
 from __future__ import annotations
 
@@ -7,8 +9,12 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvgamma.snf import invariant_factors, matrix_rank, smith_diagonal
+from mvgamma.mv_core import make_chain, make_product
+from mvgamma.snf import _pivot, invariant_factors, matrix_rank, smith_diagonal
+from mvgamma.sweeps import generated_algebras
 
 
 def _det(mat: list[list[int]]) -> int:
@@ -99,3 +105,143 @@ def test_quotient_factor_conventions():
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError):
         smith_diagonal([[1, 2], [3]])
+
+
+ENTRIES = [0, 1, -1, 2, -2, 3, 4, -4, 6, 9, 12]
+
+
+@st.composite
+def small_matrices(draw):
+    """Up to 4 x 4, entries with shared factors, sometimes a zero row and a
+    zero column."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n)) for _ in range(m)]
+    zero_row = draw(st.none() | st.integers(0, m - 1))
+    zero_col = draw(st.none() | st.integers(0, n - 1))
+    if zero_row is not None:
+        rows[zero_row] = [0] * n
+    if zero_col is not None:
+        for row in rows:
+            row[zero_col] = 0
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_smith_diagonal_matches_divisor_oracle(rows):
+    n = len(rows[0])
+    diag = smith_diagonal(rows)
+    assert len(diag) == min(len(rows), n)
+    nonzero = [d for d in diag if d]
+    assert nonzero == divisor_chain(rows, n)
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+    for a, b in zip(nonzero, nonzero[1:]):
+        assert b % a == 0
+
+
+def smith_diagonal_with_absorb(rows: list[list[int]], ncols: int) -> list[int]:
+    """Reference reduction: clear the pivot's row and column, swapping in any
+    remainder as the new pivot, then absorb a row holding an entry the pivot
+    fails to divide and start over; a gcd/lcm pass repairs the diagonal at
+    the end."""
+    a = [list(r) for r in rows]
+    m, n = len(a), ncols
+    bound = min(m, n)
+    diag: list[int] = []
+    t = 0
+    while t < bound:
+        pv = _pivot(a, t)
+        if pv is None:
+            break
+        pi, pj = pv
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            p = a[t][t]
+            dirty = False
+            for i in range(t, m):
+                if i == t or a[i][t] == 0:
+                    continue
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                if a[i][t]:
+                    a[t], a[i] = a[i], a[t]
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            for j in range(t, n):
+                if j == t or a[t][j] == 0:
+                    continue
+                q = a[t][j] // p
+                for row in a:
+                    row[j] -= q * row[t]
+                if a[t][j]:
+                    for row in a:
+                        row[t], row[j] = row[j], row[t]
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            bad = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % p:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+        diag.append(abs(a[t][t]))
+        t += 1
+    diag.extend(0 for _ in range(bound - len(diag)))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            x, y = diag[i], diag[i + 1]
+            divides = (y % x == 0) if x else (y == 0)
+            if not divides:
+                g = gcd(x, y)
+                diag[i] = g
+                diag[i + 1] = 0 if (x == 0 or y == 0) else x * y // g
+                changed = True
+    return diag
+
+
+def relation_matrix(algebra, identify_zero: bool) -> list[list[int]]:
+    """Rows e_a + e_b - e_{a(+)b} - e_{a(.)b} for a <= b, plus e_0 when
+    `identify_zero`: the presentation `freequotient` reduces."""
+    n = algebra.size
+    rows = []
+    for a in range(n):
+        for b in range(a, n):
+            row = [0] * n
+            row[a] += 1
+            row[b] += 1
+            row[algebra.oplus_rows[a][b]] -= 1
+            row[algebra.odot_rows[a][b]] -= 1
+            rows.append(row)
+    if identify_zero:
+        rows.append([1] + [0] * (n - 1))
+    return rows
+
+
+@pytest.mark.parametrize("identify_zero", [True, False])
+def test_relation_matrices_match_the_absorbing_reduction(identify_zero):
+    for algebra in generated_algebras(16):
+        rows = relation_matrix(algebra, identify_zero)
+        assert smith_diagonal(rows, algebra.size) == smith_diagonal_with_absorb(
+            rows, algebra.size
+        )
+
+
+def test_wide_relation_matrix_matches_the_absorbing_reduction():
+    algebra = make_product(make_chain(4), make_chain(7))  # 40 columns
+    rows = relation_matrix(algebra, identify_zero=True)
+    assert smith_diagonal(rows, 40) == smith_diagonal_with_absorb(rows, 40)
