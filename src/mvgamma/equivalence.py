@@ -50,6 +50,7 @@ from .spectrum import (
     class_values,
     ideal_violations,
     induced_morphism,
+    preimage_ideal,
     prime_alignment,
     quotient,
     spectrum,
@@ -434,7 +435,7 @@ def star_morphism(hom: MVMorphism) -> LGroupMap:
     source_fiber = []
     fiber_maps = []
     for j, prime in enumerate(cod_star.spec.primes):
-        pre = frozenset(a for a in range(hom.dom.size) if hom.map[a] in prime.members)
+        pre = preimage_ideal(hom, prime).members
         try:
             i = dom_star.spec.index_of(pre)
         except KeyError as exc:

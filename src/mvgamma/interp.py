@@ -45,7 +45,7 @@ from .equivalence import (
     upsilon,
 )
 from .errors import InternalInvariantError
-from .lgroup import ChangChainGroup, ProductLuGroup, gamma_segment, make_product_group
+from .lgroup import ProductLuGroup, chain_fiber, gamma_segment, make_product_group
 from .mv_core import (
     FiniteMVAlgebra,
     MVMorphism,
@@ -273,7 +273,7 @@ class _Runner:
             if s < 2:
                 raise SemanticError(f"fiber chain size {s} is too small", stmt.line, s)
             self.check_carrier(s, stmt.line, "fiber chain")
-        fibers = [ChangChainGroup(make_chain(s - 1)) for s in stmt.sizes]
+        fibers = [chain_fiber(s - 1) for s in stmt.sizes]
         try:
             g = make_product_group(fibers, stmt.unit)
         except ValueError as exc:

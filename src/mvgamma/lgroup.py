@@ -9,13 +9,14 @@ bumps by one and the offset restarts at a odot b.  Negation reflects:
 lexicographic (copy index first, then the chain order on offsets).
 
 The pairs are the definition, and `ChangChainGroup.add`, `neg`, `leq` and
-`mul` keep it, for the sweep to certify against the order isomorphism
-phi(m, a) = m·h + rank(a) onto (Z, <=), under which one copy of the chain
-is the integer h and the unit segment [0, h] is the chain again
-(Cignoli, D'Ottaviano and Mundici 2000, ch. 2).  Everything else computes
-on those integers: a group element is a tuple of ints, one per fiber, and
-carry pairs appear only where elements cross the JSON boundary
-(`ProductLuGroup.from_pairs` and `to_pairs`).
+`mul` keep it.  The sweep certifies the rule by transport through the
+order isomorphism phi(m, a) = m·h + rank(a) onto (Z, <=), under which one
+copy of the chain is the integer h and the unit segment [0, h] is the
+chain again (Cignoli, D'Ottaviano and Mundici 2000, ch. 2): on a window,
+each operation must return exactly the pair phi sends to the integers'
+result.  Everything else computes on those integers: a group element is a
+tuple of ints, one per fiber, and carry pairs appear only where elements
+cross the JSON boundary (`ProductLuGroup.from_pairs` and `to_pairs`).
 
 Products of finitely many fiber groups, with a coordinatewise order and a
 distinguished strictly positive unit u, are the ambient groups everything
@@ -36,6 +37,7 @@ from .mv_core import (
     chain_rank,
     check_mv_axioms,
     is_totally_ordered,
+    make_chain,
     make_product_many,
 )
 
@@ -43,6 +45,7 @@ __all__ = [
     "ChangPair",
     "GroupElement",
     "ChangChainGroup",
+    "chain_fiber",
     "ProductLuGroup",
     "make_product_group",
     "require_positive_unit",
@@ -80,7 +83,7 @@ class ChangChainGroup:
         self._od = chain.odot_rows
         self._ng = chain.neg_list
 
-    # -- the carry rule on pairs: the definition the sweep certifies --------
+    # -- the carry rule on pairs: the definition, certified by transport ---
 
     def add(self, x: ChangPair, y: ChangPair) -> ChangPair:
         s = self._op[x.a][y.a]
@@ -137,6 +140,12 @@ class ChangChainGroup:
 
     def __repr__(self) -> str:
         return f"ChangChainGroup(height={self.height})"
+
+
+@functools.cache
+def chain_fiber(n: int) -> ChangChainGroup:
+    """The fiber group over the chain of height n, built once per height."""
+    return ChangChainGroup(make_chain(n))
 
 
 def require_positive_unit(u: GroupElement) -> None:

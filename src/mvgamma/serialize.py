@@ -35,8 +35,8 @@ import json
 from typing import Any
 
 from .equivalence import SNFReport
-from .lgroup import ChangChainGroup, ChangPair, ProductLuGroup, make_product_group
-from .mv_core import FiniteMVAlgebra, MVMorphism, make_chain
+from .lgroup import ChangPair, ProductLuGroup, chain_fiber, make_product_group
+from .mv_core import FiniteMVAlgebra, MVMorphism
 from .spectrum import Ideal, Spectrum
 
 __all__ = [
@@ -77,7 +77,10 @@ def _int(value: Any, where: str) -> int:
 
 def _int_list(value: Any, where: str) -> list[int]:
     _expect(isinstance(value, list), "expected a list of integers", where)
-    return [_int(v, f"{where}/{i}") for i, v in enumerate(value)]
+    for i, v in enumerate(value):
+        if type(v) is not int:
+            raise SchemaError("expected an integer", f"{where}/{i}")
+    return value
 
 
 # -- export ---------------------------------------------------------------------
@@ -227,7 +230,7 @@ def group_from_json(obj: Any, where: str = "") -> ProductLuGroup:
     sizes = _int_list(obj["fibers"], f"{where}/fibers")
     _expect(bool(sizes), "a group needs at least one fiber", f"{where}/fibers")
     _expect(all(s >= 2 for s in sizes), "fiber chain size must be at least 2", f"{where}/fibers")
-    fibers = [ChangChainGroup(make_chain(s - 1)) for s in sizes]
+    fibers = [chain_fiber(s - 1) for s in sizes]
     raw_u = element_from_json(obj["u"], f"{where}/u")
     _expect(len(raw_u) == len(fibers), "unit arity must match the fiber count", f"{where}/u")
     try:

@@ -134,6 +134,22 @@ def test_schema_error_locations():
         loads("[1, 2]")
 
 
+@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize(
+    "place, location",
+    [(lambda o, v: o["oplus"][0].__setitem__(1, v), "/oplus/0/1"),
+     (lambda o, v: o["neg"].__setitem__(1, v), "/neg/1")],
+    ids=["oplus", "neg"],
+)
+def test_non_integer_table_entry_is_located(bad, place, location):
+    # bool is an int subclass and 1.0 == 1: both must still be refused
+    obj = {"size": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0]}
+    place(obj, bad)
+    with pytest.raises(SchemaError, match="expected an integer") as err:
+        algebra_from_json(obj)
+    assert err.value.location == location
+
+
 def test_algebra_schema_rejections():
     good = {"size": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0]}
     algebra_from_json(good)

@@ -1,0 +1,141 @@
+"""The pair-group suite against its enumeration oracle, and the sweep's
+size bound.
+
+`suite_pair_groups` certifies the carry rule by transport through phi (see
+`carry_rule_by_transport`).  The oracle below is the suite it replaced: it
+re-derives the group and lattice laws on pairs, with meet and join read off
+`leq`, over the same window.  Both must accept the real rule and reject
+each carry-rule mutant.
+"""
+
+import pytest
+
+from mvgamma.lgroup import ChangChainGroup, ChangPair, chain_fiber
+from mvgamma.sweeps import (
+    SweepContext,
+    carry_rule_by_transport,
+    generated_algebras,
+    suite_pair_groups,
+)
+
+
+def pair_laws_by_enumeration(f: ChangChainGroup) -> bool:
+    """Oracle: abelian group laws, total order, translation invariance and
+    the positive-part identities of the carry rule over the window of copy
+    index at most 4, and phi a bijective, order-preserving homomorphism
+    onto the integers there, with phi(k·x) = k·phi(x) for |k| <= 4;
+    associativity and the triple laws over the slice |t| <= 2n."""
+    n = f.height
+
+    def meet(x, y):
+        return x if f.leq(x, y) else y
+
+    def join(x, y):
+        return y if f.leq(x, y) else x
+
+    zero = f.pair_of_phi(0)
+    win = [f.pair_of_phi(t) for t in range(-4 * n, 4 * n + 1)]
+    ok = [f.phi(x) for x in win] == list(range(-4 * n, 4 * n + 1))
+    for x in win:
+        if f.add(x, f.neg(x)) != zero or f.neg(f.neg(x)) != x:
+            ok = False
+        px, nx = join(zero, x), join(zero, f.neg(x))
+        if meet(px, nx) != zero or f.add(px, f.neg(nx)) != x:
+            ok = False
+        if any(f.phi(f.mul(k, x)) != k * f.phi(x) for k in range(-4, 5)):
+            ok = False
+        for y in win:
+            if f.add(x, y) != f.add(y, x):
+                ok = False
+            if not (f.leq(x, y) or f.leq(y, x)):
+                ok = False
+            if f.neg(meet(f.neg(x), f.neg(y))) != join(x, y):
+                ok = False
+            if f.phi(f.add(x, y)) != f.phi(x) + f.phi(y):
+                ok = False
+            if f.leq(x, y) != (f.phi(x) <= f.phi(y)):
+                ok = False
+    small = win[2 * n : 6 * n + 1]
+    for x in small:
+        for y in small:
+            for z in small:
+                if f.add(f.add(x, y), z) != f.add(x, f.add(y, z)):
+                    ok = False
+                if f.add(x, join(y, z)) != join(f.add(x, y), f.add(x, z)):
+                    ok = False
+                if f.leq(y, z) != f.leq(f.add(x, y), f.add(x, z)):
+                    ok = False
+    return ok
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_real_carry_rule_passes_both_routes(n):
+    assert carry_rule_by_transport(chain_fiber(n))
+    assert pair_laws_by_enumeration(chain_fiber(n))
+
+
+# -- carry-rule mutants, each wrong at one copy index --------------------------
+
+ADD, NEG = ChangChainGroup.add, ChangChainGroup.neg
+LEQ, MUL = ChangChainGroup.leq, ChangChainGroup.mul
+
+
+def early_carry(self, x, y):
+    """Adding copy index -1 to copy index 1, carries when the offsets reach
+    one step below the top.  `mul` never adds pairs of opposite signs, so
+    only the comparison of sums can see this."""
+    if (x.m, y.m) == (1, -1) and self.rank[self._op[x.a][y.a]] == self.height - 1:
+        return ChangPair(x.m + y.m + 1, self._od[x.a][y.a])
+    return ADD(self, x, y)
+
+
+def unnormalized_neg(self, x):
+    """Writes -(2, 0) = (-2, 0) as (-3, top): the right integer, the wrong pair."""
+    if x == (2, 0):
+        return ChangPair(-3, self.top)
+    return NEG(self, x)
+
+
+def flat_copy_order(self, x, y):
+    """Within copy index 1 every pair is below every other."""
+    return (x.m == y.m == 1) or LEQ(self, x, y)
+
+
+def mul_one_off(self, k, x):
+    """-4·x comes out as -3·x."""
+    if k == -4:
+        return self.add(MUL(self, k, x), x)
+    return MUL(self, k, x)
+
+
+MUTANTS = {
+    "add": early_carry,
+    "neg": unnormalized_neg,
+    "leq": flat_copy_order,
+    "mul": mul_one_off,
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_carry_rule_mutant_fails_both_routes(monkeypatch, name):
+    monkeypatch.setattr(ChangChainGroup, name, MUTANTS[name])
+    # heights 2..5: a copy of the 1-step chain holds one pair, so there the
+    # order mutant is the rule itself
+    for n in range(2, 6):
+        assert not carry_rule_by_transport(chain_fiber(n))
+        assert not pair_laws_by_enumeration(chain_fiber(n))
+    assert not suite_pair_groups(SweepContext(16, 4)).ok
+
+
+# -- the size bound -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [81, 10**6])
+def test_max_size_saturates_at_81(n):
+    # chains stop at 8 steps and binary products at 9·9 elements, so no
+    # larger --max-size changes what a sweep generates; nothing is swept here
+    assert generated_algebras(80) != generated_algebras(81)
+    assert all(a is b for a, b in zip(generated_algebras(n), generated_algebras(81), strict=True))
+    big, cap = vars(SweepContext(n)), vars(SweepContext(81))
+    assert big.pop("max_size") == n and cap.pop("max_size") == 81
+    assert big == cap
