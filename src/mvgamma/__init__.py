@@ -22,14 +22,15 @@ algebra with equal tables if there is one, so equal tables are one object and
 algebras compare and hash by identity.  Ideals and product groups compare and
 hash by value over them.  The pure builders (``check_mv_axioms``,
 ``find_morphisms``, ``spectrum``, ``quotient``, ``lgroup.unit_segment``,
-``star_algebra``) are memoized with ``functools.cache``, so equal inputs share
-one result, and ``cache_info()`` counts the hits.
+``star_algebra``, ``star_morphism``, ``coordinate_ideal_checks``, and the
+evaluation maps of a unit as ``equivalence.FiberMap`` values) are memoized
+with ``functools.cache``, so equal inputs share one result, and
+``cache_info()`` counts the hits.
 """
 
 from .equivalence import (
     GoodSequence,
     StarAlgebra,
-    UpsilonMap,
     canonical_entries,
     canonical_good_sequence,
     coordinate_ideal_checks,
@@ -99,7 +100,6 @@ __all__ = [
     "Spectrum",
     "StarAlgebra",
     "SweepContext",
-    "UpsilonMap",
     "abs_decompose",
     "canonical_embedding",
     "canonical_entries",

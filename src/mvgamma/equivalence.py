@@ -57,7 +57,7 @@ from .spectrum import (
 )
 
 __all__ = [
-    "ChainStarMap",
+    "FiberMap",
     "StarAlgebra",
     "star_algebra",
     "canonical_entries",
@@ -74,7 +74,6 @@ __all__ = [
     "IotaReport",
     "iota_roundtrip",
     "star_morphism",
-    "UpsilonMap",
     "UpsilonResult",
     "upsilon",
     "upsilon_inverse_chain",
@@ -91,27 +90,35 @@ __all__ = [
 ]
 
 
-# -- chains -------------------------------------------------------------------
+# -- fiber maps -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ChainStarMap:
-    """Extension of a morphism h between chains of heights n and n' to their
-    groups: t -> (t // n)·n' + rank'(h(by_rank(t mod n))), the carry pair
-    (m, a) going to (m, h(a)).
-
-    Chain morphisms have kernel {0}, so h(a) = top forces a = top; below
-    the top the image stays below the top and the copy index passes through
-    untouched.
+class FiberMap:
+    """One fiber of a coordinatewise map between chain groups, as a value:
+    s -> (s div period)·step + table[s mod period].  Both maps of the
+    equivalence have this shape, the extension of a chain morphism
+    (`extension`) and the evaluation of a star fiber (`_segment_lifts`).
     """
 
-    hom: MVMorphism
-    dom: ChangChainGroup
-    cod: ChangChainGroup
+    period: int
+    step: int
+    table: tuple[int, ...]
 
-    def __call__(self, t: int) -> int:
-        m, r = divmod(t, self.dom.height)
-        return m * self.cod.height + self.cod.rank[self.hom.map[self.dom.by_rank[r]]]
+    def __call__(self, s: int) -> int:
+        m, r = divmod(s, self.period)
+        return m * self.step + self.table[r]
+
+    @classmethod
+    def extension(cls, hom: MVMorphism, dom: ChangChainGroup, cod: ChangChainGroup) -> FiberMap:
+        """Extend a morphism h between the chains of dom and cod, of heights
+        n and n', to their groups: the carry pair (m, a) goes to (m, h(a)),
+        t -> (t // n)·n' + rank'(h(by_rank(t mod n))).  Chain morphisms have
+        kernel {0}, so h(a) = top forces a = top; below the top the image
+        stays below the top and the copy index passes through untouched.
+        """
+        table = tuple(cod.rank[hom.map[a]] for a in dom.by_rank[: dom.height])
+        return cls(dom.height, cod.height, table)
 
 
 # -- the star of a finite algebra ----------------------------------------------
@@ -248,8 +255,7 @@ def good_sequence_sums_hold(group: ProductLuGroup, bound: int) -> bool:
     segment = gamma_segment(group)
     return all(
         good_sequence_sum(segment, canonical_good_sequence(segment, x).entries) == x
-        for x in group.window(bound)
-        if group.leq(group.zero, x)
+        for x in itertools.product(*(range(bound * up + 1) for up in group.u))
     )
 
 
@@ -327,9 +333,7 @@ def segment_generation_check(star: StarAlgebra, bound: int = 4) -> GenerationRep
     Exhaustive over the ambient window; the canonical entries of each
     element are checked against a_circle.
     """
-    checked = 0
-    for x in star.ambient.window(bound):
-        checked += 1
+    for checked, x in enumerate(star.ambient.window(bound), 1):
         if not star_membership(star, x).member:
             return GenerationReport(ok=False, checked=checked, failure=x)
     return GenerationReport(ok=True, checked=checked)
@@ -361,12 +365,10 @@ def iota_roundtrip(star: StarAlgebra) -> IotaReport:
     the index-level map carrier -> segment carrier preserves the operations.
     """
     segment = gamma_segment(star.ambient)
-    injective = star.injective
-    circle = set(star.a_circle)
     members_match = True
     onto = True
     for x in segment.elements:
-        in_circle = x in circle
+        in_circle = x in star.circle_index
         if star_membership(star, x).member != in_circle:
             members_match = False
         if not in_circle:
@@ -376,7 +378,7 @@ def iota_roundtrip(star: StarAlgebra) -> IotaReport:
         check_morphism(MVMorphism(star.source, segment.algebra, index_map)).ok
     )
     return IotaReport(
-        injective=injective,
+        injective=star.injective,
         onto_segment=onto,
         is_morphism=morphism_ok,
         members_match=members_match,
@@ -392,9 +394,9 @@ class LGroupMap:
     """A coordinatewise map between unital products of chain groups.
 
     Codomain fiber j reads domain fiber `source_fiber[j]` through
-    `fiber_maps[j]`: the extension of a chain morphism for star and
-    generated maps, the evaluation of one star fiber for `UpsilonMap`,
-    or a chain of such fiber maps for a composite (`then`).
+    `fiber_maps[j]`: a `FiberMap` (the extension of a chain morphism for
+    star and generated maps, the evaluation of one star fiber for the
+    evaluation map), or a chain of fiber maps for a composite (`then`).
     """
 
     dom: ProductLuGroup
@@ -445,7 +447,7 @@ def star_morphism(hom: MVMorphism) -> LGroupMap:
         induced = induced_morphism(hom, dom_star.quotients[i], cod_star.quotients[j])
         source_fiber.append(i)
         fiber_maps.append(
-            ChainStarMap(induced, dom_star.ambient.fibers[i], cod_star.ambient.fibers[j])
+            FiberMap.extension(induced, dom_star.ambient.fibers[i], cod_star.ambient.fibers[j])
         )
     return LGroupMap(
         dom=dom_star.ambient,
@@ -458,35 +460,17 @@ def star_morphism(hom: MVMorphism) -> LGroupMap:
 # -- upsilon -----------------------------------------------------------------------
 
 
-class UpsilonMap:
-    """The evaluation map from the star ambient of a segment back to the group.
-
-    The primes of the segment algebra are its coordinate zero sets, and star
-    fiber t lies over the zero set of group fiber t.  On that fiber the
-    carry pair (m, c) evaluates to m·u_t plus the lift of class c, where the
-    lift sends a quotient class to the common t-th coordinate of its members
-    (checked to be constant, once per unit).  `evaluation` is the map as an
-    `LGroupMap` into the group.
-    """
-
-    def __init__(self, group: ProductLuGroup):
-        self.group = group
-        self.segment, self.star, self.lifts = _segment_lifts(group.u)
-        self.evaluation = LGroupMap(
-            dom=self.star.ambient,
-            cod=group,
-            source_fiber=tuple(range(group.k)),
-            fiber_maps=tuple(functools.partial(self.fiber_value, t) for t in range(group.k)),
-        )
-
-    def fiber_value(self, t: int, s: int) -> int:
-        """Evaluate star fiber t at s, landing in group fiber t."""
-        return _evaluate(self.star.ambient.fibers[t], self.group.u[t], self.lifts[t], s)
-
-
 @functools.cache
 def _segment_lifts(u: GroupElement) -> tuple[GammaSegment, StarAlgebra, tuple]:
-    """The segment of unit u, its star and the validated star-fiber lifts."""
+    """The segment of unit u, its star, and per fiber t the evaluation of
+    star fiber t onto group fiber t with its validated lift in rank order.
+
+    The primes of the segment algebra are its coordinate zero sets, and star
+    fiber t lies over the zero set of group fiber t.  The lift sends a
+    quotient class to the common t-th coordinate of its members (checked to
+    be constant, and distinct across classes); the pair (m, c) evaluates to
+    m·u_t plus the lift of c.  The lift by rank keeps the top class.
+    """
     segment = unit_segment(u)
     star = star_algebra(segment.algebra)
     # The segment lists elements row-major, first fiber slowest, so for
@@ -497,62 +481,65 @@ def _segment_lifts(u: GroupElement) -> tuple[GammaSegment, StarAlgebra, tuple]:
         raise InternalInvariantError(
             "primes of the segment algebra are not the coordinate zero sets in order"
         )
-    lifts = []
-    for j, q in enumerate(star.quotients):
+    fibers = []
+    for j, (q, sf) in enumerate(zip(star.quotients, star.ambient.fibers)):
         lift = class_values(q, [x[j] for x in segment.elements])
         if lift is None:
             raise InternalInvariantError("coordinate is not constant on a quotient class")
         if len(set(lift)) != len(lift):
             raise InternalInvariantError("two quotient classes share a coordinate value")
-        lifts.append(lift)
-    return segment, star, tuple(lifts)
+        lift_by_rank = tuple(lift[c] for c in sf.by_rank)
+        fibers.append((FiberMap(sf.height, u[j], lift_by_rank[:-1]), lift_by_rank))
+    return segment, star, tuple(fibers)
 
 
-def _evaluate(sf: ChangChainGroup, up: int, lift: tuple[int, ...], s: int) -> int:
-    """The evaluation on one fiber: s = m·h + rank(c) in star fiber sf of
-    height h, the pair (m, c), goes to m·u_t + lift[c]."""
-    m, r = divmod(s, sf.height)
-    return m * up + lift[sf.by_rank[r]]
+def _evaluation(group: ProductLuGroup) -> tuple[GammaSegment, LGroupMap]:
+    """The group's segment, and the evaluation from its star ambient onto
+    the group: star fiber t read into group fiber t."""
+    segment, star, fibers = _segment_lifts(group.u)
+    maps = tuple(fm for fm, _ in fibers)
+    return segment, LGroupMap(star.ambient, group, tuple(range(group.k)), maps)
 
 
 @functools.cache
 def _fiber_certificate(
-    sf: ChangChainGroup, up: int, lift: tuple[int, ...], window: int
+    fiber_map: FiberMap, lift_by_rank: tuple[int, ...], window: int
 ) -> tuple[bool, bool, bool, bool, bool, int]:
-    """Upsilon's checks on one fiber: star fiber sf evaluated into a group
-    fiber with unit coordinate up and class lift `lift`.
+    """Upsilon's checks on one fiber: the evaluation f of a star fiber of
+    height h = f.period into a group fiber with unit coordinate up = f.step,
+    whose class of rank r lifts to lift_by_rank[r].
 
-    Each check is exhaustive.  Additivity on all pairs of sf's window is
-    checked as linearity, f(s) = s·f(1) on the doubled window, in one pass
-    of O(window·h) instead of O((window·h)²).  The two agree: pairwise
-    additivity on the window gives f(0) = 0 and f(s ± 1) = f(s) ± f(1), so
-    f(k) = k·f(1) on the window; every point of the doubled window is a sum
-    of two window points, so that extends to the doubled window; and a
-    linear map is additive.  Then strict monotonicity over the window (order
-    embedding and injectivity in one pass); unit and zero preservation; the
-    segment identity, each class c of rank rank(c) evaluating to lift[c]
-    (the top class has rank h, one whole unit, so this is where the carry
-    to u_t is checked); and surjectivity onto the group fiber's window, each
-    target divided once, v = n·up + r, and hit by the pair (n, class of r).
-    Returns (additive, order_embedding, preserves_unit, segment_identity,
-    surjective, size of the group fiber's window).  Every argument is a
-    value, so groups with equal fiber data share one certificate.
+    Each check is exhaustive.  Additivity on all pairs of the star fiber's
+    window is checked as linearity, f(s) = s·f(1) on the doubled window, in
+    one pass of O(window·h) instead of O((window·h)²).  The two agree:
+    pairwise additivity on the window gives f(0) = 0 and f(s ± 1) = f(s) ±
+    f(1), so f(k) = k·f(1) on the window; every point of the doubled window
+    is a sum of two window points, so that extends to the doubled window;
+    and a linear map is additive.  Then strict monotonicity over the window
+    (order embedding and injectivity in one pass); unit and zero
+    preservation; the segment identity, f(r) = lift_by_rank[r] for r in
+    0..h (the top class has rank h, one whole unit, so this is where the
+    carry to u_t is checked); and surjectivity onto the group fiber's
+    window, each target divided once, v = n·up + r, and hit by n·h plus the
+    rank that lifts to r.  Returns (additive, order_embedding,
+    preserves_unit, segment_identity, surjective, size of the group fiber's
+    window).  Every argument is a value, so equal maps share one certificate.
     """
-    h = sf.height
+    h, up = fiber_map.period, fiber_map.step
     inner = range(-window * h, window * h + 1)
-    table = {s: _evaluate(sf, up, lift, s) for s in range(-2 * window * h, 2 * window * h + 1)}
+    table = {s: fiber_map(s) for s in range(-2 * window * h, 2 * window * h + 1)}
     additive = all(v == s * table[1] for s, v in table.items())
     values = [table[s] for s in inner]
     order_embedding = all(v < w for v, w in zip(values, values[1:]))
     preserves_unit = table[h] == up and table[0] == 0
-    segment_identity = all(table[sf.rank[c]] == v for c, v in enumerate(lift))
-    class_of = {v: c for c, v in enumerate(lift)}
+    segment_identity = all(table[r] == v for r, v in enumerate(lift_by_rank))
+    rank_of = {v: r for r, v in enumerate(lift_by_rank)}
     targets = range(-window * up, window * up + 1)
     surjective = True
     for v in targets:
         n, r = upsilon_inverse_chain(up, v)
-        c = class_of.get(r)
-        surjective &= c is not None and _evaluate(sf, up, lift, n * h + sf.rank[c]) == v
+        rank = rank_of.get(r)
+        surjective &= rank is not None and fiber_map(n * h + rank) == v
     return additive, order_embedding, preserves_unit, segment_identity, surjective, len(targets)
 
 
@@ -592,20 +579,15 @@ class UpsilonResult:
 def upsilon(group: ProductLuGroup, window: int = 4) -> UpsilonResult:
     """Build the evaluation map and certify it on the given window.
 
-    Building it validates the prime alignment and the lifts.  Each fiber
-    then gets its certificate (`_fiber_certificate`: additivity, order
-    embedding, unit and zero, the segment identity `evaluate(iota(x)) = x`
-    on that fiber's classes, surjectivity through one division by the unit
-    per target).  On the product: the segment being exactly the box of
-    class pairs, injectively.
+    Building it (`_segment_lifts`, once per unit) validates the prime
+    alignment and the lifts.  Each fiber then gets its certificate
+    (`_fiber_certificate`: additivity, order embedding, unit and zero, the
+    segment identity `evaluate(iota(x)) = x` on that fiber's classes,
+    surjectivity through one division by the unit per target).  On the
+    product: the segment being exactly the box of class pairs, injectively.
     """
-    um = UpsilonMap(group)
-    star = um.star
-    certificates = [
-        _fiber_certificate(sf, up, lift, window)
-        for sf, up, lift in zip(star.ambient.fibers, group.u, um.lifts)
-    ]
-    *checks, sizes = zip(*certificates)
+    _, star, fibers = _segment_lifts(group.u)
+    *checks, sizes = zip(*(_fiber_certificate(fm, lift, window) for fm, lift in fibers))
     additive, order_embedding, preserves_unit, segment_identity, surjective = map(all, checks)
     box_size = math.prod(f.height + 1 for f in star.ambient.fibers)
     return UpsilonResult(
@@ -797,12 +779,13 @@ def upsilon_naturality(phi: LGroupMap, window: int = 4) -> CommuteReport:
     """
     if not phi.unital:
         raise ValueError("the square is stated for unit-preserving maps")
-    um_dom, um_cod = UpsilonMap(phi.dom), UpsilonMap(phi.cod)
-    restricted = gamma_restriction(phi, um_dom.segment, um_cod.segment)
+    dom_segment, dom_evaluation = _evaluation(phi.dom)
+    cod_segment, cod_evaluation = _evaluation(phi.cod)
+    restricted = gamma_restriction(phi, dom_segment, cod_segment)
     if not check_morphism(restricted).ok:
         return CommuteReport(ok=False, checked=0, failure=("restriction", restricted.map))
     sm = star_morphism(restricted)
-    return _routes_agree(um_dom.evaluation.then(phi), sm.then(um_cod.evaluation), window)
+    return _routes_agree(dom_evaluation.then(phi), sm.then(cod_evaluation), window)
 
 
 # -- free-presentation experiment -----------------------------------------------------

@@ -72,7 +72,13 @@ from .serialize import (
     element_from_json,
     export_json,
 )
-from .spectrum import canonical_embedding, enumerate_ideals, ideals_by_subset_filter, spectrum
+from .spectrum import (
+    SUBSET_ORACLE_CAP,
+    canonical_embedding,
+    enumerate_ideals,
+    ideals_by_subset_filter,
+    spectrum,
+)
 from .sweeps import run_all_checks
 
 __all__ = ["RunConfig", "SemanticError", "RunReport", "execute"]
@@ -379,7 +385,7 @@ class _Runner:
         elif kind == "group":
             group = value
             x = self.element_in(group, cmd.element, cmd.line)
-            witness = generated_membership(group, set(gamma_segment(group).elements), x)
+            witness = generated_membership(group, gamma_segment(group).index, x)
         else:  # the subgroup generated by the image of a morphism
             star = star_algebra(value.cod)
             group = star.ambient
@@ -417,7 +423,7 @@ class _Runner:
             axioms = check_mv_axioms(value).ok
             round_trip = iota_roundtrip(star_algebra(value)).holds
             detail = {"axioms": axioms, "iota_roundtrip": round_trip}
-            if value.size <= 12:
+            if value.size <= SUBSET_ORACLE_CAP:
                 fast = {i.members for i in enumerate_ideals(value)}
                 slow = {i.members for i in ideals_by_subset_filter(value)}
                 detail["ideal_oracle"] = fast == slow

@@ -42,9 +42,10 @@ __all__ = [
     "class_values",
     "induced_morphism",
     "restrict_morphism",
+    "SUBSET_ORACLE_CAP",
 ]
 
-_SUBSET_ORACLE_CAP = 12
+SUBSET_ORACLE_CAP = 12  # carrier size; the oracle filters all 2^size subsets
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,8 @@ def ideals_by_subset_filter(algebra: FiniteMVAlgebra) -> list[Ideal]:
     Deliberately independent of enumerate_ideals.  Capped at carrier size 12.
     """
     s = algebra.size
-    if s > _SUBSET_ORACLE_CAP:
-        raise ValueError(f"subset oracle capped at size {_SUBSET_ORACLE_CAP}")
+    if s > SUBSET_ORACLE_CAP:
+        raise ValueError(f"subset oracle capped at size {SUBSET_ORACLE_CAP}")
     leq = algebra.leq
     op = algebra.oplus
     found = []

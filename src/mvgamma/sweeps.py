@@ -16,24 +16,25 @@ Suites certify the package's claims over these families, the carry rule
 among them by transport through phi (`carry_rule_by_transport`).  Where a claim
 quantifies over a product window, the operations involved act coordinatewise,
 so the product claim is exactly the conjunction of the per-fiber claims.  The
-general round trip certifies every configuration through its own star fibers
-and lifts, whose per-fiber certificates are cached by value and so shared
-across configurations.  Good sequences verify each distinct fiber case once
-and keep a direct product-level re-check on the configurations small enough
-to afford it.
+general round trip certifies every configuration through the evaluation fiber
+maps of its unit, whose per-fiber certificates are cached by value and so
+shared across configurations.  Good sequences verify each distinct fiber case
+once and keep a direct product-level re-check on the configurations small
+enough to afford it.
 
 The naturality squares compare coordinatewise maps: each output fiber of a
 star map, a generated group map or an evaluation map reads exactly one input
-fiber.  Two such maps that fix 0 and keep the unit positive agree on a
-product window exactly when, for every output fiber, they read the same
-input fiber and agree on that fiber's window, so `star_functoriality` and
-`upsilon_naturality` check one output fiber at a time; their product-window
-oracles live in the tests.
+fiber, through one `FiberMap` s -> (s div period)·step + table[s mod period].
+Two such maps that fix 0 and keep the unit positive agree on a product window
+exactly when, for every output fiber, they read the same input fiber and agree
+on that fiber's window, so `star_functoriality` and `upsilon_naturality` check
+one output fiber at a time; their product-window oracles live in the tests.
 
 Work shared between suites and configurations is memoized in the builders
 themselves, so a sweep context holds only its configuration: algebra work on
-interned algebras, segment work (segments, coordinate ideals, lifts) on the
-unit, all that [0, u] reads of a group, and fiber verdicts on fiber data.
+interned algebras, segment work (segments, coordinate ideals, evaluation fiber
+maps) on the unit, all that [0, u] reads of a group, and fiber verdicts on
+fiber data.
 
 Suite results carry no timing or environment data, so a sweep's report is
 byte-stable across runs.
@@ -60,8 +61,8 @@ from .equivalence import (
     star_functoriality,
     upsilon,
     upsilon_naturality,
+    FiberMap,
     LGroupMap,
-    ChainStarMap,
 )
 from .lgroup import ChangChainGroup, ProductLuGroup, chain_fiber, gamma_segment, unit_segment
 from .mv_core import (
@@ -71,7 +72,7 @@ from .mv_core import (
     make_chain,
     make_product,
 )
-from .spectrum import enumerate_ideals, ideals_by_subset_filter, spectrum
+from .spectrum import SUBSET_ORACLE_CAP, enumerate_ideals, ideals_by_subset_filter, spectrum
 
 __all__ = [
     "SuiteResult",
@@ -300,25 +301,22 @@ def suite_good_sequences(ctx: SweepContext) -> SuiteResult:
 
 
 def _generated_group_maps(dom: ProductLuGroup, cod: ProductLuGroup) -> list[LGroupMap]:
-    """Every unit-preserving coordinatewise chain-morphism map dom -> cod."""
-    choices = []
-    for j, fj in enumerate(cod.fibers):
-        feeds = []
-        for i, fi in enumerate(dom.fibers):
-            for h in find_morphisms(fi.chain, fj.chain):
-                feeds.append((i, ChainStarMap(h, fi, fj)))
-        choices.append(feeds)
-    out = []
-    for combo in itertools.product(*choices):
-        phi = LGroupMap(
-            dom=dom,
-            cod=cod,
-            source_fiber=tuple(i for i, _ in combo),
-            fiber_maps=tuple(fm for _, fm in combo),
-        )
-        if phi.unital:
-            out.append(phi)
-    return out
+    """Every unit-preserving coordinatewise chain-morphism map dom -> cod.
+    A map is unital exactly when each fiber map sends the unit coordinate it
+    reads to the one it writes, so each fiber's feeds are filtered alone."""
+    choices = [
+        [
+            (i, fm)
+            for i, fi in enumerate(dom.fibers)
+            for h in find_morphisms(fi.chain, fj.chain)
+            if (fm := FiberMap.extension(h, fi, fj))(dom.u[i]) == cod.u[j]
+        ]
+        for j, fj in enumerate(cod.fibers)
+    ]
+    return [
+        LGroupMap(dom, cod, tuple(i for i, _ in combo), tuple(fm for _, fm in combo))
+        for combo in itertools.product(*choices)
+    ]
 
 
 def suite_naturality(ctx: SweepContext) -> SuiteResult:
@@ -350,12 +348,9 @@ def suite_naturality(ctx: SweepContext) -> SuiteResult:
                     rep = star_functoriality(h1, h2, window=comp_window)
                     if not rep.ok:
                         result.note_failure(f"composition square fails {i}->{j}->{k}")
-    map_configs = [
-        (chains, heights)
-        for chains, heights in group_shapes(
-            min(2, ctx.group_fibers), ctx.map_chain_cap, min(2, ctx.group_height_cap)
-        )
-    ]
+    map_configs = list(
+        group_shapes(min(2, ctx.group_fibers), ctx.map_chain_cap, min(2, ctx.group_height_cap))
+    )
     groups = [ctx.group(c, h) for c, h in map_configs]
     for gi, g in enumerate(groups):
         for hi, hgrp in enumerate(groups):
@@ -386,7 +381,7 @@ def suite_segment_ideals(ctx: SweepContext) -> SuiteResult:
 def suite_spectrum_oracle(ctx: SweepContext) -> SuiteResult:
     """The idempotent-driven ideal enumeration equals the full subset filter."""
     result = SuiteResult("spectrum_oracle", True, 0)
-    for a in ctx.algebras(min(12, ctx.max_size)):
+    for a in ctx.algebras(min(SUBSET_ORACLE_CAP, ctx.max_size)):
         result.cases += 1
         fast = {i.members for i in enumerate_ideals(a)}
         slow = {i.members for i in ideals_by_subset_filter(a)}

@@ -359,6 +359,13 @@ def test_check_all_report_matches_golden(capsys):
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 
+def test_check_all_benchmark_sweep_matches_golden(capsys):
+    # the benchmark's sweep: three fibers, unit heights up to 3, window 4
+    assert main(["check-all", "--max-size", "16", "--window", "4"]) == 0
+    expected = (GOLDEN / "check_all_max_size_16_window_4.out").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
 def test_tour_report_matches_golden(tmp_path, monkeypatch, capsys):
     # the tour exports to demos/out/ relative to the working directory
     (tmp_path / "demos" / "out").mkdir(parents=True)

@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvgamma.equivalence import (
+    FiberMap,
     GoodSequence,
-    ChainStarMap,
     LGroupMap,
     SegmentIdealReport,
-    UpsilonMap,
     canonical_entries,
     canonical_good_sequence,
     coordinate_ideal_checks,
@@ -32,8 +31,10 @@ from mvgamma.equivalence import (
     upsilon_inverse_chain,
     upsilon_naturality,
 )
+import fiber_oracles
 import mvgamma.equivalence as eq
 import mvgamma.lgroup as lgroup
+from fiber_oracles import ChainStarMap, UpsilonMap
 from mvgamma.lgroup import (
     ChangChainGroup,
     ProductLuGroup,
@@ -41,6 +42,7 @@ from mvgamma.lgroup import (
     make_product_group,
 )
 from mvgamma.mv_core import (
+    FiniteMVAlgebra,
     MVMorphism,
     check_morphism,
     find_morphisms,
@@ -79,7 +81,7 @@ def z2_group(u0, u1):
 
 
 def chain_star_map(h):
-    return ChainStarMap(h, ChangChainGroup(h.dom), ChangChainGroup(h.cod))
+    return FiberMap.extension(h, ChangChainGroup(h.dom), ChangChainGroup(h.cod))
 
 
 def test_star_chain_is_the_pair_group():
@@ -90,10 +92,10 @@ def test_star_chain_is_the_pair_group():
     assert g.height == 3 and star.ambient.u == (3,)
 
 
-def pair_star(hs, t):
+def pair_star(h, t):
     """Oracle: the star map on carry pairs, (m, a) -> (m, h(a))."""
-    m, a = hs.dom.pair_of_phi(t)
-    return hs.cod.phi((m, hs.hom.map[a]))
+    m, a = ChangChainGroup(h.dom).pair_of_phi(t)
+    return ChangChainGroup(h.cod).phi((m, h.map[a]))
 
 
 def test_chain_star_map_doubles_the_integers():
@@ -101,8 +103,9 @@ def test_chain_star_map_doubles_the_integers():
     h = MVMorphism(make_chain(1), make_chain(2), (0, 2))
     assert check_morphism(h).ok
     hs = chain_star_map(h)
+    assert hs == FiberMap(1, 2, (0,))
     for t in range(-4, 5):
-        assert hs(t) == 2 * t == pair_star(hs, t)
+        assert hs(t) == 2 * t == pair_star(h, t)
 
 
 def test_chain_star_map_preserves_structure_on_a_window():
@@ -110,7 +113,7 @@ def test_chain_star_map_preserves_structure_on_a_window():
     hs = chain_star_map(h)
     win = range(-6, 7)
     for s in win:
-        assert hs(s) == pair_star(hs, s)
+        assert hs(s) == pair_star(h, s)
         assert hs(-s) == -hs(s)
         for t in win:
             assert hs(s + t) == hs(s) + hs(t)
@@ -123,15 +126,42 @@ def test_chain_star_maps_match_the_pair_rule():
         for h in find_morphisms(make_chain(n), make_chain(n2)):
             hs = chain_star_map(h)
             assert [hs(t) for t in range(-3 * n, 3 * n + 1)] == [
-                pair_star(hs, t) for t in range(-3 * n, 3 * n + 1)
+                pair_star(h, t) for t in range(-3 * n, 3 * n + 1)
             ]
             total += 1
     assert total == 8
 
 
+def reversed_chain(n):
+    """The chain of height n with the carrier above 0 listed top first, so
+    that carrier index and rank differ (label n - r + 1 for rank r > 0)."""
+    label = [0, *range(n, 0, -1)]  # label[r] is the label of rank r
+    rank = [0] * (n + 1)
+    for r, x in enumerate(label):
+        rank[x] = r
+    c = make_chain(n)
+    oplus = [[label[c.oplus[rank[x], rank[y]]] for y in range(n + 1)] for x in range(n + 1)]
+    return FiniteMVAlgebra(n + 1, oplus, [label[c.neg[rank[x]]] for x in range(n + 1)])
+
+
+def test_chain_star_maps_read_ranks_not_carrier_indices():
+    # every chain the package builds lists its carrier in rank order, so only
+    # a relabelled chain shows whether the extension goes through the ranks
+    total = 0
+    for n, n2 in [(2, 2), (2, 4), (3, 3), (1, 3)]:
+        chains = [(make_chain(n), reversed_chain(n2)), (reversed_chain(n), make_chain(n2))]
+        for dom, cod in chains + [(reversed_chain(n), reversed_chain(n2))]:
+            for h in find_morphisms(dom, cod):
+                hs = chain_star_map(h)
+                window = range(-3 * n, 3 * n + 1)
+                assert [hs(t) for t in window] == [pair_star(h, t) for t in window]
+                total += 1
+    assert total == 12
+
+
 def test_star_chain_morphism_rejects_non_chains():
     square = make_product(make_chain(1), make_chain(1))
-    with pytest.raises(ValueError, match="chains only"):
+    with pytest.raises(ValueError, match="not totally ordered"):
         ChangChainGroup(square)
 
 
@@ -357,15 +387,24 @@ def test_star_morphism_of_a_projection():
 
 
 def test_star_morphism_fiber_maps_match_restrict_morphism():
+    # every fiber of every star morphism, point by point on window 2,
+    # against the old extension of the restricted chain morphism
     algebras = generated_algebras(6)
-    total = 0
+    total = fibers = 0
     for dom, cod in itertools.product(algebras, repeat=2):
+        dom_ambient, cod_ambient = star_algebra(dom).ambient, star_algebra(cod).ambient
         for h in find_morphisms(dom, cod):
             sm = star_morphism(h)
             for j, prime in enumerate(star_algebra(cod).spec.primes):
-                assert sm.fiber_maps[j].hom == restrict_morphism(h, prime)
+                i = sm.source_fiber[j]
+                old = ChainStarMap(
+                    restrict_morphism(h, prime), dom_ambient.fibers[i], cod_ambient.fibers[j]
+                )
+                window = range(-2 * dom_ambient.u[i], 2 * dom_ambient.u[i] + 1)
+                assert [sm.fiber_maps[j](t) for t in window] == [old(t) for t in window]
+                fibers += 1
             total += 1
-    assert total == 40
+    assert (total, fibers) == (40, 53)
 
 
 def test_iota_naturality_for_all_small_homs():
@@ -403,7 +442,8 @@ def test_star_functoriality_through_a_product():
 
 def test_upsilon_map_frozen_values():
     g = z_group(3)
-    ev = UpsilonMap(g).evaluation
+    _, ev = eq._evaluation(g)
+    assert ev.fiber_maps == (FiberMap(3, 3, (0, 1, 2)),)
     assert ev.source_fiber == (0,)
     star = ev.dom
     assert ev(star.from_pairs([(1, 2)])) == (5,)
@@ -461,14 +501,12 @@ def test_upsilon_inverse_matches_the_map():
     f = ChangChainGroup(make_chain(2))
     g = make_product_group([f], [(1, 1)])
     (up,) = g.u
-    um = UpsilonMap(g)
-    sf = um.star.ambient.fibers[0]
+    _, _, ((fm, lift_by_rank),) = eq._segment_lifts(g.u)
     for x in range(-4 * up, 4 * up + 1):
         n, r = upsilon_inverse_chain(up, x)
         assert n * up + r == x
-        # feeding (n, class of r) back through the fiber map recovers x
-        cls = um.lifts[0].index(r)
-        assert um.fiber_value(0, sf.phi((n, cls))) == x
+        # feeding (n, the rank that lifts to r) back through the fiber map recovers x
+        assert fm(n * fm.period + lift_by_rank.index(r)) == x
 
 
 @pytest.mark.parametrize(
@@ -569,74 +607,120 @@ def test_upsilon_matches_the_peeling_body(window):
         assert verdicts(upsilon(g, window=window)) == upsilon_by_peeling(g, window)
 
 
-def additive_by_pairs(sf, up, lift, window):
-    """The pairwise additivity check: every pair of the fiber's window,
-    read off the doubled-window table."""
-    h = sf.height
+def additive_by_pairs(f, window):
+    """The pairwise additivity check: every pair of the window of a fiber
+    map f, read off the doubled-window table."""
+    h = f.period
     inner = range(-window * h, window * h + 1)
-    table = {s: eq._evaluate(sf, up, lift, s) for s in range(-2 * window * h, 2 * window * h + 1)}
+    table = {s: f(s) for s in range(-2 * window * h, 2 * window * h + 1)}
     return all(table[s + t] == table[s] + table[t] for s in inner for t in inner)
 
 
 def fiber_data(group):
-    """(star fiber, unit coordinate, lift) for each fiber of the group."""
-    um = UpsilonMap(group)
-    return list(zip(um.star.ambient.fibers, group.u, um.lifts))
+    """(evaluation fiber map, lift in rank order) for each fiber of the group."""
+    return eq._segment_lifts(group.u)[2]
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_linearity_matches_pairwise_additivity(window):
     for chains, heights in group_shapes(2, 3, 2):
-        for sf, up, lift in fiber_data(SweepContext.group(chains, heights)):
-            certificate = eq._fiber_certificate(sf, up, lift, window)
-            assert certificate[0] == additive_by_pairs(sf, up, lift, window)
+        for fm, lift in fiber_data(SweepContext.group(chains, heights)):
+            certificate = eq._fiber_certificate(fm, lift, window)
+            assert certificate[0] == additive_by_pairs(fm, window)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_evaluation_fiber_maps_match_the_old_evaluation(window):
+    # point by point on each star fiber's window, and the lifts in rank order
+    for chains, heights in group_shapes(2, 3, 2):
+        g = SweepContext.group(chains, heights)
+        um = UpsilonMap(g)
+        _, ev = eq._evaluation(g)
+        for t, (fm, lift) in enumerate(fiber_data(g)):
+            sf = um.star.ambient.fibers[t]
+            assert lift == tuple(um.lifts[t][c] for c in sf.by_rank)
+            points = range(-window * sf.height, window * sf.height + 1)
+            assert [fm(s) for s in points] == [um.fiber_value(t, s) for s in points]
+            assert ev.fiber_maps[t] is fm
+        assert (ev.dom, ev.cod) == (um.evaluation.dom, um.evaluation.cod)
+
+
+class OffAtTwoPeriodsPlusOne(FiberMap):
+    """One value off by one at s = 2h + 1, away from 0 and the unit."""
+
+    def __call__(self, s):
+        return super().__call__(s) + (s == 2 * self.period + 1)
+
+
+class WithoutCopies(FiberMap):
+    """(m, c) evaluates to the lift of c, dropping the m·u_t term."""
+
+    def __call__(self, s):
+        return self.table[s % self.period]
 
 
 @pytest.mark.parametrize("window", [2, 3])
-def test_additivity_mutant_fails_both_versions(window, monkeypatch, fresh_memos):
-    # one value off by one at s = 2h + 1, away from 0 and the unit
-    fibers = fiber_data(SweepContext.group((1, 2), (2, 2)))
-    evaluate = eq._evaluate
-    monkeypatch.setattr(
-        eq,
-        "_evaluate",
-        lambda sf, up, lift, s: evaluate(sf, up, lift, s) + (s == 2 * sf.height + 1),
-    )
-    for sf, up, lift in fibers:
-        assert not additive_by_pairs(sf, up, lift, window)
-        assert not eq._fiber_certificate(sf, up, lift, window)[0]
+def test_additivity_mutant_fails_both_versions(window, fresh_memos):
+    for fm, lift in fiber_data(SweepContext.group((1, 2), (2, 2))):
+        bad = OffAtTwoPeriodsPlusOne(fm.period, fm.step, fm.table)
+        assert not additive_by_pairs(bad, window)
+        assert not eq._fiber_certificate(bad, lift, window)[0]
+
+
+def patch_fiber_data(monkeypatch, mutate):
+    """Make `_segment_lifts` hand out mutate(fiber index, map, lift) after
+    the lifts passed their own validation."""
+    segment_lifts = eq._segment_lifts
+
+    def patched(u):
+        segment, star, fibers = segment_lifts(u)
+        return segment, star, tuple(mutate(t, fm, lift) for t, (fm, lift) in enumerate(fibers))
+
+    monkeypatch.setattr(eq, "_segment_lifts", patched)
 
 
 def lift_off_by_one(monkeypatch):
-    # class 1 of fiber 0 lifts one step too high, after the lifts passed
-    # their own validation
+    # rank 1 of fiber 0 lifts one step too high
     bump_lift(monkeypatch, 1)
     return upsilon_by_peeling
 
 
 def lift_bottom_off_by_one(monkeypatch):
-    # class 0 of fiber 0 lifts one step too high: the top class, one whole
-    # unit above class 0, then evaluates one step above its lift, which the
+    # rank 0 of fiber 0 lifts one step too high: the top class, one whole
+    # unit above rank 0, then evaluates one step above its lift, which the
     # segment identity checks on its own fiber
     bump_lift(monkeypatch, 0)
     return upsilon_by_peeling
 
 
-def bump_lift(monkeypatch, c):
+def bump_lift(monkeypatch, r):
+    """Bump the lift of rank r on fiber 0, in the package's fiber map and
+    lift and in the oracle's class-order lift alike."""
+
+    def bumped(t, fm, lift):
+        if t == 0:
+            lift = lift[:r] + (lift[r] + 1,) + lift[r + 1 :]
+            fm = dataclasses.replace(fm, table=lift[:-1])
+        return fm, lift
+
+    patch_fiber_data(monkeypatch, bumped)
     init = UpsilonMap.__init__
 
-    def bumped(self, group):
+    def bumped_oracle(self, group):
         init(self, group)
+        c = self.star.ambient.fibers[0].by_rank[r]
         lift = self.lifts[0]
         self.lifts = (lift[:c] + (lift[c] + 1,) + lift[c + 1 :],) + self.lifts[1:]
 
-    monkeypatch.setattr(UpsilonMap, "__init__", bumped)
+    monkeypatch.setattr(UpsilonMap, "__init__", bumped_oracle)
 
 
 def evaluation_without_copies(monkeypatch):
-    # (m, c) evaluates to lift[c], dropping the m·u_t term
+    patch_fiber_data(
+        monkeypatch, lambda t, fm, lift: (WithoutCopies(*dataclasses.astuple(fm)), lift)
+    )
     monkeypatch.setattr(
-        eq, "_evaluate", lambda sf, up, lift, s: lift[sf.by_rank[s % sf.height]]
+        fiber_oracles, "evaluate", lambda sf, up, lift, s: lift[sf.by_rank[s % sf.height]]
     )
     return upsilon_by_peeling
 
@@ -670,13 +754,22 @@ def test_equal_fiber_data_share_one_certificate(fresh_memos):
     assert eq._fiber_certificate.cache_info().hits > 0
 
 
+def test_segment_lifts_miss_once_per_unit(fresh_memos):
+    ctx = SweepContext(16, 4)
+    assert suite_general_roundtrip(ctx).ok
+    units = {ctx.group(c, h).u for c, h in ctx.group_configs()}
+    info = eq._segment_lifts.cache_info()
+    assert info.misses == len(units) == 39
+    assert info.hits == len(ctx.group_configs()) - len(units)
+
+
 def test_upsilon_matches_direct_product_window():
     # cross-check the per-fiber certificate against plain product iteration
     g = make_product_group(
         [ChangChainGroup(make_chain(1)), ChangChainGroup(make_chain(2))],
         [(1, 0), (0, 1)],
     )
-    um = UpsilonMap(g).evaluation
+    _, um = eq._evaluation(g)
     amb = um.dom
     win = list(amb.window(2))
     for x in win:
@@ -827,7 +920,7 @@ def swap_map(g):
         dom=g,
         cod=g,
         source_fiber=(1, 0),
-        fiber_maps=(ChainStarMap(ident, f, f), ChainStarMap(ident, f, f)),
+        fiber_maps=(FiberMap.extension(ident, f, f), FiberMap.extension(ident, f, f)),
     )
 
 
@@ -852,7 +945,7 @@ def test_upsilon_naturality_doubling():
     dom = make_product_group([f1], [(1, 0)])
     cod = make_product_group([f2], [(1, 0)])
     h = MVMorphism(make_chain(1), make_chain(2), (0, 2))
-    phi = LGroupMap(dom=dom, cod=cod, source_fiber=(0,), fiber_maps=(ChainStarMap(h, f1, f2),))
+    phi = LGroupMap(dom, cod, source_fiber=(0,), fiber_maps=(FiberMap.extension(h, f1, f2),))
     assert phi.unital
     report = upsilon_naturality(phi, window=3)
     assert report.ok and report.checked > 0
@@ -863,7 +956,8 @@ def test_upsilon_naturality_rejects_non_unital():
     dom = make_product_group([f1], [(2, 0)])
     cod = make_product_group([f1], [(1, 0)])
     ident = MVMorphism(f1.chain, f1.chain, (0, 1))
-    phi = LGroupMap(dom=dom, cod=cod, source_fiber=(0,), fiber_maps=(ChainStarMap(ident, f1, f1),))
+    ident_map = FiberMap.extension(ident, f1, f1)
+    phi = LGroupMap(dom=dom, cod=cod, source_fiber=(0,), fiber_maps=(ident_map,))
     assert not phi.unital
     with pytest.raises(ValueError):
         upsilon_naturality(phi)
@@ -963,5 +1057,5 @@ def test_primes_follow_the_coordinates_on_generated_groups():
     for g in groups:
         seg = gamma_segment(g)
         assert prime_alignment(seg.algebra, seg.zero_sets) == tuple(range(g.k))
-        assert UpsilonMap(g).evaluation.source_fiber == tuple(range(g.k))
+        assert eq._evaluation(g)[1].source_fiber == tuple(range(g.k))
     assert len(groups) == 1887

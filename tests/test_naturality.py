@@ -6,8 +6,9 @@ import itertools
 
 import pytest
 
+from fiber_oracles import ChainStarMap, UpsilonMap
 from mvgamma import equivalence as eq
-from mvgamma.equivalence import ChainStarMap, LGroupMap, UpsilonMap
+from mvgamma.equivalence import FiberMap, LGroupMap
 from mvgamma.lgroup import ChangChainGroup, gamma_segment, make_product_group
 from mvgamma.mv_core import (
     MVMorphism,
@@ -99,6 +100,40 @@ def test_evaluation_square_matches_its_oracle():
     assert total == 158
 
 
+def generated_group_maps_oracle(dom, cod):
+    """The earlier `_generated_group_maps`: every combination of old-style
+    chain-morphism extensions, kept when the whole map is unital."""
+    choices = []
+    for j, fj in enumerate(cod.fibers):
+        feeds = []
+        for i, fi in enumerate(dom.fibers):
+            for h in find_morphisms(fi.chain, fj.chain):
+                feeds.append((i, ChainStarMap(h, fi, fj)))
+        choices.append(feeds)
+    out = []
+    for combo in itertools.product(*choices):
+        phi = LGroupMap(dom, cod, tuple(i for i, _ in combo), tuple(fm for _, fm in combo))
+        if phi.unital:
+            out.append(phi)
+    return out
+
+
+def test_generated_group_maps_match_the_unfiltered_product():
+    # the sweep's map configurations; each fiber map compared on window 3
+    groups = [SweepContext.group(c, h) for c, h in group_shapes(2, 3, 2)]
+    total = 0
+    for g, h in itertools.product(groups, repeat=2):
+        fast = _generated_group_maps(g, h)
+        slow = generated_group_maps_oracle(g, h)
+        assert [phi.source_fiber for phi in fast] == [phi.source_fiber for phi in slow]
+        for phi, old in zip(fast, slow):
+            for i, fm, old_fm in zip(phi.source_fiber, phi.fiber_maps, old.fiber_maps):
+                window = range(-3 * g.u[i], 3 * g.u[i] + 1)
+                assert [fm(t) for t in window] == [old_fm(t) for t in window]
+        total += len(fast)
+    assert total == 306
+
+
 # -- mutants --------------------------------------------------------------------------
 
 
@@ -108,11 +143,10 @@ def wrong_source(sm):
 
 
 def wrong_hom(sm):
-    """Fiber 0 maps one chain element strictly between 0 and the top to 0."""
+    """Fiber 0 maps the chain element of rank 1, strictly between 0 and the
+    top, to 0."""
     fm = sm.fiber_maps[0]
-    table = list(fm.hom.map)
-    table[next(a for a in range(1, fm.hom.dom.size) if a != fm.hom.dom.top)] = 0
-    bad = ChainStarMap(MVMorphism(fm.hom.dom, fm.hom.cod, tuple(table)), fm.dom, fm.cod)
+    bad = dataclasses.replace(fm, table=(fm.table[0], 0, *fm.table[2:]))
     return dataclasses.replace(sm, fiber_maps=(bad, *sm.fiber_maps[1:]))
 
 
@@ -179,7 +213,7 @@ def square_group():
 def test_evaluation_square_rejects_mutants(monkeypatch, fresh_memos, mutate):
     g = square_group()
     f = g.fibers[0]
-    ident = ChainStarMap(identity(f.chain), f, f)
+    ident = FiberMap.extension(identity(f.chain), f, f)
     phi = LGroupMap(dom=g, cod=g, source_fiber=(0, 1), fiber_maps=(ident, ident))
     patch_star_morphism(monkeypatch, lambda h: True, mutate)
     um_dom, um_cod = UpsilonMap(phi.dom), UpsilonMap(phi.cod)
@@ -249,11 +283,19 @@ def test_routes_reading_different_fibers_match_the_oracle(
         assert replay == (lhs, rhs) and lhs != rhs
 
 
-class OneStepHigh(ChainStarMap):
+class OneStepHigh(FiberMap):
     """A star map that reads its input one step high."""
 
     def __call__(self, t):
         return super().__call__(t + 1)
+
+
+EXTENSION = FiberMap.extension
+
+
+def one_step_high(cls, hom, dom, cod):
+    """`FiberMap.extension`, but every star map it builds is `OneStepHigh`."""
+    return OneStepHigh(*dataclasses.astuple(EXTENSION(hom, dom, cod)))
 
 
 def test_star_map_off_by_one_fails_every_square(monkeypatch, fresh_memos):
@@ -261,9 +303,9 @@ def test_star_map_off_by_one_fails_every_square(monkeypatch, fresh_memos):
     first, then = identity(SQUARE), identity(SQUARE)
     g = square_group()
     f = g.fibers[0]
-    ident = ChainStarMap(identity(f.chain), f, f)
+    ident = FiberMap.extension(identity(f.chain), f, f)
     phi = LGroupMap(dom=g, cod=g, source_fiber=(0, 1), fiber_maps=(ident, ident))
-    monkeypatch.setattr(eq, "ChainStarMap", OneStepHigh)
+    monkeypatch.setattr(FiberMap, "extension", classmethod(one_step_high))
     try:
         assert not eq.iota_naturality(first).ok
         assert not eq.star_functoriality(first, then, window=2).ok
