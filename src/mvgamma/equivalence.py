@@ -469,7 +469,8 @@ def _segment_lifts(u: GroupElement) -> tuple[GammaSegment, StarAlgebra, tuple]:
     fiber t lies over the zero set of group fiber t.  The lift sends a
     quotient class to the common t-th coordinate of its members (checked to
     be constant, and distinct across classes); the pair (m, c) evaluates to
-    m·u_t plus the lift of c.  The lift by rank keeps the top class.
+    m·u_t plus the lift of c.  The lift keeps the top class.  Class c has
+    rank c (checked): classes are numbered by first appearance in the segment.
     """
     segment = unit_segment(u)
     star = star_algebra(segment.algebra)
@@ -483,13 +484,14 @@ def _segment_lifts(u: GroupElement) -> tuple[GammaSegment, StarAlgebra, tuple]:
         )
     fibers = []
     for j, (q, sf) in enumerate(zip(star.quotients, star.ambient.fibers)):
+        if sf.by_rank != list(range(sf.height + 1)):
+            raise InternalInvariantError("star fiber classes are not numbered in rank order")
         lift = class_values(q, [x[j] for x in segment.elements])
         if lift is None:
             raise InternalInvariantError("coordinate is not constant on a quotient class")
         if len(set(lift)) != len(lift):
             raise InternalInvariantError("two quotient classes share a coordinate value")
-        lift_by_rank = tuple(lift[c] for c in sf.by_rank)
-        fibers.append((FiberMap(sf.height, u[j], lift_by_rank[:-1]), lift_by_rank))
+        fibers.append((FiberMap(sf.height, u[j], lift[:-1]), lift))
     return segment, star, tuple(fibers)
 
 

@@ -274,7 +274,8 @@ def unit_segment(u: GroupElement) -> GammaSegment:
     neg x = u - x.  The operations act coordinatewise, so each fiber's
     segment [0, u_t] is an algebra of its own, carrier index = value, and the
     segment is their product; the finished product is re-checked against
-    the MV laws before being returned.  Built once per unit.
+    the MV laws, associativity through its isomorphism onto a product of
+    chains (`check_mv_axioms`), before being returned.  Built once per unit.
     """
     require_positive_unit(u)
     values = [range(up + 1) for up in u]

@@ -300,6 +300,13 @@ def suite_good_sequences(ctx: SweepContext) -> SuiteResult:
     return result
 
 
+@functools.cache
+def _unital_feeds(fi: ChangChainGroup, fj: ChangChainGroup, ui: int, uj: int) -> tuple:
+    """The extensions of the chain morphisms fi -> fj that send ui to uj."""
+    maps = (FiberMap.extension(h, fi, fj) for h in find_morphisms(fi.chain, fj.chain))
+    return tuple(fm for fm in maps if fm(ui) == uj)
+
+
 def _generated_group_maps(dom: ProductLuGroup, cod: ProductLuGroup) -> list[LGroupMap]:
     """Every unit-preserving coordinatewise chain-morphism map dom -> cod.
     A map is unital exactly when each fiber map sends the unit coordinate it
@@ -308,8 +315,7 @@ def _generated_group_maps(dom: ProductLuGroup, cod: ProductLuGroup) -> list[LGro
         [
             (i, fm)
             for i, fi in enumerate(dom.fibers)
-            for h in find_morphisms(fi.chain, fj.chain)
-            if (fm := FiberMap.extension(h, fi, fj))(dom.u[i]) == cod.u[j]
+            for fm in _unital_feeds(fi, fj, dom.u[i], cod.u[j])
         ]
         for j, fj in enumerate(cod.fibers)
     ]

@@ -9,13 +9,17 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mvgamma
 from mvgamma.cli import main
 from mvgamma import interp
 from mvgamma.interp import MAX_CARRIER, MAX_FREEQUOTIENT, RunConfig, SemanticError, execute
+from mvgamma.mv_core import FiniteMVAlgebra
 from mvgamma.script import parse_script
 from mvgamma.serialize import loads
+from test_mv_core import axioms_full, chain_product, permuted_copy
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -99,6 +103,55 @@ def test_chain_zero_is_semantic():
 def test_table_failing_axioms_is_semantic():
     with pytest.raises(SemanticError, match="violates the"):
         run_text('algebra A = table {"size":2,"oplus":[[0,1],[1,0]],"neg":[1,0]}')
+
+
+@st.composite
+def table_scripts(draw):
+    """`algebra NAME = table {…}` then `check NAME`, the table a relabelled
+    chain product, as it is or with one oplus cell or one neg entry changed;
+    drawn with the algebra the table denotes."""
+    product = chain_product(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    s = product.size
+    lawful = permuted_copy(product, [0] + draw(st.permutations(range(1, s))))
+    op, ng = lawful.oplus.copy(), lawful.neg.copy()
+    elements, shifts = st.integers(0, s - 1), st.integers(1, s - 1)
+    change = draw(st.sampled_from(["none", "oplus", "neg"]))
+    if change == "oplus":
+        a, b = draw(elements), draw(elements)
+        op[a, b] = (op[a, b] + draw(shifts)) % s
+    elif change == "neg":
+        a = draw(elements)
+        ng[a] = (ng[a] + draw(shifts)) % s
+    name = draw(st.from_regex(r"[A-Z][A-Za-z0-9_]{0,4}", fullmatch=True))
+    table = json.dumps(
+        {"size": s, "oplus": op.tolist(), "neg": ng.tolist()},
+        separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])),
+    )
+    return f"algebra {name} = table {table}\ncheck {name}\n", FiniteMVAlgebra(s, op, ng)
+
+
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=table_scripts())
+def test_table_literals_at_the_axiom_boundary(tmp_path, capsys, case):
+    # one JSON document, exit 0 on a lawful table and 3 with the exhaustive
+    # check's first violations on a lawless one, never exit 4
+    text, algebra = case
+    path = tmp_path / "table.mvg"
+    path.write_text(text)
+    code = main(["run", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    full = axioms_full(algebra)
+    if full.ok:
+        assert code == 0 and payload["overall"] == "pass"
+    else:
+        assert code == 3
+        first = full.violations[0][0]
+        assert payload["error"]["message"] == f"table violates the {first} axiom (line 1)"
+        assert payload["error"]["counterexample"] == {
+            "violations": [[n, list(w)] for n, w in full.violations[:5]]
+        }
 
 
 def test_lawless_hom_is_semantic():

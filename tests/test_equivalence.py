@@ -35,6 +35,7 @@ import fiber_oracles
 import mvgamma.equivalence as eq
 import mvgamma.lgroup as lgroup
 from fiber_oracles import ChainStarMap, UpsilonMap
+from mvgamma.errors import InternalInvariantError
 from mvgamma.lgroup import (
     ChangChainGroup,
     ProductLuGroup,
@@ -761,6 +762,24 @@ def test_segment_lifts_miss_once_per_unit(fresh_memos):
     info = eq._segment_lifts.cache_info()
     assert info.misses == len(units) == 39
     assert info.hits == len(ctx.group_configs()) - len(units)
+
+
+def test_segment_lifts_require_star_classes_in_rank_order(monkeypatch, fresh_memos):
+    # on every unit class c of a star fiber has rank c, so the lifts are read
+    # in class order; a star fiber listed out of rank order must raise
+    g = SweepContext.group((1, 2), (2, 2))
+    build = eq.star_algebra
+
+    def out_of_rank_order(algebra):
+        star = build(algebra)
+        fibers = star.ambient.fibers
+        assert fibers[0].height == 2
+        fibers = (ChangChainGroup(reversed_chain(2)),) + fibers[1:]
+        return dataclasses.replace(star, ambient=ProductLuGroup(fibers, star.ambient.u))
+
+    monkeypatch.setattr(eq, "star_algebra", out_of_rank_order)
+    with pytest.raises(InternalInvariantError, match="rank order"):
+        eq._segment_lifts(g.u)
 
 
 def test_upsilon_matches_direct_product_window():

@@ -28,6 +28,8 @@ from mvgamma.mv_core import (
     make_product,
     make_product_many,
 )
+from mvgamma.lgroup import unit_segment
+from mvgamma.sweeps import SweepContext, generated_algebras
 
 
 def brute_morphisms(dom: FiniteMVAlgebra, cod: FiniteMVAlgebra) -> set[tuple[int, ...]]:
@@ -56,13 +58,11 @@ def isomorphisms(a: FiniteMVAlgebra, b: FiniteMVAlgebra) -> list[MVMorphism]:
 def permuted_copy(algebra: FiniteMVAlgebra, perm: list[int]) -> FiniteMVAlgebra:
     """Relabel the carrier along a permutation fixing 0."""
     assert perm[0] == 0
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    s = algebra.size
-    oplus = [[perm[algebra.oplus[inv[x], inv[y]]] for y in range(s)] for x in range(s)]
-    neg = [perm[algebra.neg[inv[x]]] for x in range(s)]
-    return FiniteMVAlgebra(s, oplus, neg)
+    perm = np.asarray(perm)
+    inv = np.argsort(perm)
+    return FiniteMVAlgebra(
+        algebra.size, perm[algebra.oplus[np.ix_(inv, inv)]], perm[algebra.neg[inv]]
+    )
 
 
 # -- chains -----------------------------------------------------------------
@@ -242,6 +242,108 @@ def test_axiom_checker_catches_broken_involution():
     report = check_mv_axioms(broken)
     assert not report.ok
     assert any(v[0] == "involution" for v in report.violations)
+
+
+# -- associativity by an isomorphism onto a product of chains ------------------
+
+
+def chain_product(heights) -> FiniteMVAlgebra:
+    return make_product_many([make_chain(n) for n in heights])
+
+
+def relabelled(algebra: FiniteMVAlgebra, seed: int) -> FiniteMVAlgebra:
+    """The algebra relabelled along a random permutation that fixes 0 and
+    moves every other element (one cycle through 1..s-1)."""
+    order = 1 + np.random.default_rng(seed).permutation(algebra.size - 1)
+    perm = np.zeros(algebra.size, dtype=np.int64)
+    perm[order] = np.roll(order, -1)
+    return permuted_copy(algebra, perm.tolist())
+
+
+def overwritten(algebra: FiniteMVAlgebra, cells=(), negs=()) -> FiniteMVAlgebra:
+    """The tables with ((a, b), v) written to oplus at (a, b) and (b, a),
+    and (a, v) to neg at a."""
+    op, ng = algebra.oplus.copy(), algebra.neg.copy()
+    for (a, b), v in cells:
+        op[a, b] = op[b, a] = v
+    for a, v in negs:
+        ng[a] = v
+    return FiniteMVAlgebra(algebra.size, op, ng)
+
+
+def certified(algebra: FiniteMVAlgebra) -> bool:
+    return mv_core._chain_product_certificate(algebra.oplus, algebra.neg)
+
+
+def test_certificate_accepts_every_lawful_table_it_meets():
+    # the certificate alone, not the exhaustive fallback
+    ctx = SweepContext(16, 4)
+    segments = [unit_segment(ctx.group(c, h).u).algebra for c, h in ctx.group_configs()]
+    shapes = [(255,), (1, 127), (15, 15), (3,) * 4, (1,) * 8]
+    products = [relabelled(chain_product(hs), seed) for seed, hs in enumerate(shapes)]
+    assert [a.size for a in products] == [256] * 5
+    for algebra in generated_algebras(81) + segments + products:
+        assert certified(algebra), algebra
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        overwritten(make_chain(4), cells=[((2, 2), 3)]),  # 2 + 2 = 3: assoc fails
+        # neg (1, 0) = (0, 1): f and oplus pass, only the transport of neg fails
+        overwritten(chain_product((2, 1)), negs=[(2, 1)]),
+        # a relabelled lawful product with one symmetric oplus cell changed
+        overwritten(relabelled(chain_product((2, 1, 3)), 7), cells=[((5, 9), 17)]),
+        # f transports oplus but is not onto: the cube with 0 + 2 = 6, 0 + 4 = 0
+        overwritten(chain_product((1, 1, 1)), cells=[((0, 2), 6), ((0, 4), 0)]),
+    ],
+)
+def test_certificate_rejects_mutants_and_the_full_check_reports_them(mutant):
+    assert not certified(mutant)
+    report = check_mv_axioms.__wrapped__(mutant)
+    assert not report.ok and report == axioms_full(mutant)
+
+
+def test_certificate_gives_up_before_the_chains_outgrow_the_carrier():
+    # eight minimal idempotents 1..8 of a lawless order, each with 248
+    # nonzero elements below it: their chains would multiply up to 249^8
+    # elements, so the certificate must stop at the second chain
+    s, k = 256, 8
+    ng = np.arange(s)  # top = neg 0 = 0, so x <= y reads oplus[x, y] == 0
+    op = np.ones((s, s), dtype=np.int64)
+    op[0] = 0
+    idem = np.arange(1, k + 1)
+    op[idem, idem] = idem
+    op[np.roll(idem, -1), idem] = 0  # the one idempotent below i is i's successor
+    op[k + 1 :, idem] = 0  # every non-idempotent lies below every idempotent
+    assert not mv_core._chain_product_certificate(op, ng)
+
+
+@st.composite
+def near_products(draw):
+    """A relabelled chain product with 1-3 oplus cells overwritten (each one
+    cell or a symmetric pair), or a wholly random small table."""
+    if draw(st.booleans()):
+        return FiniteMVAlgebra(*draw(raw_tables()))
+    product = chain_product(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    s = product.size
+    algebra = permuted_copy(product, [0] + draw(st.permutations(range(1, s))))
+    op = algebra.oplus.copy()
+    elements = st.integers(0, s - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, v = draw(st.tuples(elements, elements, elements))
+        op[a, b] = v
+        if draw(st.booleans()):
+            op[b, a] = v
+    return FiniteMVAlgebra(s, op, algebra.neg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_products())
+def test_certified_axioms_match_full_arrays(algebra):
+    full = axioms_full(algebra)
+    assert check_mv_axioms.__wrapped__(algebra) == full
+    assert full.ok or not certified(algebra)
 
 
 # -- products ----------------------------------------------------------------
