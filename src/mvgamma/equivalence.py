@@ -825,29 +825,31 @@ def free_quotient_experiment(
     (a(+)b, a(.)b) without changing the sum.  Both operations commute, so
     row (a, b) equals row (b, a) and only a <= b is built: duplicate rows
     leave the row span, and so the factors, unchanged.  `relation_rows`
-    still counts the nonzero rows over ordered pairs.  The star side
-    takes the iota images, already integers, as rows and measures their
-    row space.
+    still counts the nonzero rows over ordered pairs.  Each row is a dict
+    over at most four columns, so no n-length row is built.  Columns follow
+    a linear extension of the order (by the count of elements below), so
+    the reduction's pivot, a row's last unit column, is its largest element
+    on relabelled tables too.  The star side takes the iota images, already
+    integers, as rows and measures their row space.
     """
     n = algebra.size
     oplus = algebra.oplus_rows
     odot = algebra.odot_rows
+    below = algebra.leq.sum(axis=0).tolist()
+    col = {x: k for k, x in enumerate(sorted(range(n), key=below.__getitem__))}
     rows = []
     relation_rows = 0
     for a in range(n):
         for b in range(a, n):
-            row = [0] * n
-            row[a] += 1
-            row[b] += 1
-            row[oplus[a][b]] -= 1
-            row[odot[a][b]] -= 1
-            if any(row):
+            cols = col[a], col[b], col[oplus[a][b]], col[odot[a][b]]
+            row = dict.fromkeys(cols, 0)
+            for c, v in zip(cols, (1, 1, -1, -1)):
+                row[c] += v
+            if any(row.values()):
                 rows.append(row)
                 relation_rows += 1 if a == b else 2
     if identify_zero:
-        zero_row = [0] * n
-        zero_row[0] = 1
-        rows.append(zero_row)
+        rows.append({col[0]: 1})
         relation_rows += 1
     free_factors = tuple(invariant_factors(rows, ncols=n))
     star = star_algebra(algebra)

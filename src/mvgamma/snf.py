@@ -1,13 +1,25 @@
 """Smith normal form over the integers, exact, dependency-free.
 
-Inputs are lists of equal-length integer rows.  Python ints are unbounded, so
-there is no overflow regime to guard.  The reduction is one loop: move the
-smallest nonzero entry of the remaining block to (t, t) as the pivot, clear
-column t with row operations, then reduce row t modulo the pivot (with
-column t clear, those column operations touch row t only).  Any remainder
-left in column t or row t is smaller than the pivot and becomes the next
-pivot; once both are clear the pivot is a diagonal entry.  Then gcd/lcm
+`smith_diagonal` takes lists of equal-length integer rows.  Python ints are
+unbounded, so there is no overflow regime to guard.  The reduction is one
+loop: move the smallest nonzero entry of the remaining block to (t, t) as the
+pivot, clear column t with row operations, then reduce row t modulo the pivot
+(with column t clear, those column operations touch row t only).  Any
+remainder left in column t or row t is smaller than the pivot and becomes the
+next pivot; once both are clear the pivot is a diagonal entry.  Then gcd/lcm
 exchanges, the one divisibility step, put the diagonal in divisibility order.
+
+`invariant_factors` takes sparse rows (column -> entry) and first pivots on
+unit entries, as Havas and Sterling (1979) do for relation matrices of
+finitely presented abelian groups.  A pivot +-1 at (i, j) keeps the
+invariant factors: row operations clear column j, which is then zero outside
+row i, so column operations clear row i touching no other row; (+-1), one
+unit factor, is left beside the other rows without column j.  Clearing is
+lazy, so a redundant row is reduced to zero once: a visited row adds the
+rows of its pivot columns, and a new pivot row clears its column from the
+earlier ones.  A pass visits rows shortest first, pivoting on those within a
+length limit that grows when a pass adds no pivot; after that last pass each
+pivot column is zero outside its row.  The rest goes to `smith_diagonal`.
 """
 
 from __future__ import annotations
@@ -92,14 +104,40 @@ def matrix_rank(rows: list[list[int]], ncols: int | None = None) -> int:
     return sum(1 for d in smith_diagonal(rows, ncols) if d)
 
 
-def invariant_factors(rows: list[list[int]], ncols: int) -> list[int]:
-    """Invariant factors of the quotient of Z^ncols by the row span.
+def _add(row: dict[int, int], q: int, other: dict[int, int]) -> None:  # row += q * other
+    for j, v in other.items():
+        if w := row.get(j, 0) + q * v:
+            row[j] = w
+        else:
+            del row[j]
+
+
+def invariant_factors(rows: list[dict[int, int]], ncols: int) -> list[int]:
+    """Invariant factors of Z^ncols modulo the span of the (sparse) rows.
 
     Torsion factors greater than 1 in divisibility order, then one 0 per free
     rank.  Unit factors are dropped, so equality of two such lists is exactly
     isomorphism of the described groups.
     """
-    diag = smith_diagonal(rows, ncols)
-    rank = sum(1 for d in diag if d)
-    torsion = [d for d in diag if d > 1]
-    return torsion + [0] * (ncols - rank)
+    basis: dict[int, dict[int, int]] = {}  # pivot column -> its row, +-1 there
+    rest = [r for r in ({j: v for j, v in row.items() if v} for row in rows) if r]
+    limit, pivots = 1, -1
+    while len(basis) > pivots or limit < max(map(len, rest), default=0):
+        limit += len(basis) == pivots
+        pending, rest, pivots = sorted(rest, key=len), [], len(basis)
+        for row in pending:
+            for j in [j for j in row if j in basis]:
+                _add(row, -row[j] * basis[j][j], basis[j])  # a unit is its own inverse
+            unit = [j for j, v in row.items() if v in (1, -1)] if len(row) <= limit else ()
+            if unit:
+                pj = max(unit)  # the last: callers order columns to make it the best
+                for other in basis.values():
+                    if pj in other:
+                        _add(other, -other[pj] * row[pj], row)
+                basis[pj] = row
+            elif row:
+                rest.append(row)
+    cols = sorted({j for row in rest for j in row})
+    diag = smith_diagonal([[row.get(j, 0) for j in cols] for row in rest], len(cols))
+    rank = len(basis) + sum(1 for d in diag if d)
+    return [d for d in diag if d > 1] + [0] * (ncols - rank)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import mvgamma
 from mvgamma.cli import main
 from mvgamma import interp
-from mvgamma.interp import MAX_CARRIER, MAX_FREEQUOTIENT, RunConfig, SemanticError, execute
+from mvgamma.interp import MAX_CARRIER, RunConfig, SemanticError, execute
 from mvgamma.mv_core import FiniteMVAlgebra
 from mvgamma.script import parse_script
 from mvgamma.serialize import loads
@@ -227,12 +227,19 @@ def test_carrier_at_the_cap_is_accepted(monkeypatch):
     assert report.exit_code == 0
 
 
-def test_freequotient_above_its_cap_is_semantic(monkeypatch):
-    monkeypatch.setattr(interp, "free_quotient_experiment", refuse)
-    with pytest.raises(SemanticError, match="above the cap") as err:
-        run_text(f"algebra A = chain {MAX_FREEQUOTIENT}\nfreequotient A")
-    assert err.value.line == 2
-    assert err.value.counterexample == {"size": MAX_FREEQUOTIENT + 1, "cap": MAX_FREEQUOTIENT}
+def test_freequotient_above_96_elements_exits_zero(tmp_path, capsys):
+    # 97 elements: freequotient is bounded by the carrier cap alone
+    assert main(["run", write(tmp_path, "fq.mvg", "algebra A = chain 96\nfreequotient A\n")]) == 0
+    detail = json.loads(capsys.readouterr().out)["commands"][0]["detail"]
+    assert (detail["size"], detail["free_factors"], detail["star_factors"]) == (97, [0], [0])
+
+
+def test_freequotient_above_the_carrier_cap_exits_3(tmp_path, capsys):
+    text = f"algebra A = chain {MAX_CARRIER}\nfreequotient A\n"
+    assert main(["run", write(tmp_path, "fq.mvg", text)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["code"], error["line"]) == ("semantic", 1)
+    assert error["counterexample"] == {"size": MAX_CARRIER + 1, "cap": MAX_CARRIER}
 
 
 def test_check_single_group():
@@ -440,6 +447,13 @@ def test_presentations_report_matches_golden(capsys):
     # relation matrices of 16 to 24 columns, with and without the zero row
     assert main(["run", str(GOLDEN / "presentations.mvg")]) == 1
     expected = (GOLDEN / "presentations.out").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def test_large_presentations_report_matches_golden(capsys):
+    # 98 to 128 columns: a chain, a product and a relabelled raw table
+    assert main(["run", str(GOLDEN / "presentations_large.mvg")]) == 1
+    expected = (GOLDEN / "presentations_large.out").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 

@@ -1,6 +1,7 @@
 """Exact integer Smith form against two oracles: the determinantal divisors,
 and a reduction that absorbs every entry its pivot fails to divide before
-moving on."""
+moving on.  The sparse unit-pivot route of `invariant_factors` is checked
+against the dense `smith_diagonal`."""
 
 from __future__ import annotations
 
@@ -12,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvgamma import snf
+from mvgamma.equivalence import free_quotient_experiment, star_algebra
 from mvgamma.mv_core import make_chain, make_product
 from mvgamma.snf import _pivot, invariant_factors, matrix_rank, smith_diagonal
 from mvgamma.sweeps import generated_algebras
+from test_mv_core import relabelled
 
 
 def _det(mat: list[list[int]]) -> int:
@@ -95,11 +99,11 @@ def test_random_matrices_match_divisor_oracle(seed):
 
 def test_quotient_factor_conventions():
     # Z^2 / <e1 - e0, e0> is trivial
-    assert invariant_factors([[-1, 1], [1, 0]], ncols=2) == []
+    assert invariant_factors([{0: -1, 1: 1}, {0: 1}], ncols=2) == []
     # Z^2 / <2 e0> = Z/2 + Z
-    assert invariant_factors([[2, 0]], ncols=2) == [2, 0]
-    # Z^2 / <0> = Z^2
-    assert invariant_factors([[0, 0]], ncols=2) == [0, 0]
+    assert invariant_factors([{0: 2}], ncols=2) == [2, 0]
+    # Z^2 / <0> = Z^2, with the zero entries spelled out or left out
+    assert invariant_factors([{0: 0, 1: 0}, {}], ncols=2) == [0, 0]
 
 
 def test_ragged_matrix_rejected():
@@ -245,3 +249,79 @@ def test_wide_relation_matrix_matches_the_absorbing_reduction():
     algebra = make_product(make_chain(4), make_chain(7))  # 40 columns
     rows = relation_matrix(algebra, identify_zero=True)
     assert smith_diagonal(rows, 40) == smith_diagonal_with_absorb(rows, 40)
+
+
+def sparse(rows: list[list[int]]) -> list[dict[int, int]]:
+    """Dense rows as the column -> entry mappings `invariant_factors` takes."""
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def dense_factors(rows: list[list[int]], ncols: int) -> list[int]:
+    """Oracle: the invariant factors read off the dense `smith_diagonal`."""
+    diag = smith_diagonal(rows, ncols)
+    rank = sum(1 for d in diag if d)
+    return [d for d in diag if d > 1] + [0] * (ncols - rank)
+
+
+@pytest.mark.parametrize("identify_zero", [True, False])
+def test_sparse_route_matches_the_dense_route_on_relation_matrices(identify_zero):
+    for algebra in generated_algebras(64):
+        rows = relation_matrix(algebra, identify_zero)
+        assert invariant_factors(sparse(rows), algebra.size) == dense_factors(
+            rows, algebra.size
+        )
+
+
+def test_sparse_route_matches_the_dense_route_on_relabelled_carriers():
+    # relabelling reorders the rows the sparse route visits and the columns it pivots on
+    for seed, algebra in enumerate(generated_algebras(24)):
+        for identify_zero in (True, False):
+            rows = relation_matrix(relabelled(algebra, seed), identify_zero)
+            assert invariant_factors(sparse(rows), algebra.size) == dense_factors(
+                rows, algebra.size
+            )
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 6 x 6 sparse rows, explicit zeros allowed; half the draws have
+    no unit entry at all, so only the dense residual can reduce them."""
+    entries = [0, 2, -2, 3, 4, -6, 9, 12]
+    if draw(st.booleans()):
+        entries += [1, -1, 1, -1]
+    n = draw(st.integers(1, 6))
+    cell = st.dictionaries(st.integers(0, n - 1), st.sampled_from(entries), max_size=n)
+    return draw(st.lists(cell, max_size=6)), n
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_matrices())
+def test_sparse_route_matches_the_dense_route(case):
+    rows, n = case
+    before = [dict(row) for row in rows]
+    dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+    factors = invariant_factors(rows, n)
+    assert rows == before  # the input rows are left as they were
+    assert factors == dense_factors(dense, n)
+    if len(rows) <= 4 and n <= 4:
+        chain = divisor_chain(dense, n)
+        assert factors == [d for d in chain if d > 1] + [0] * (n - len(chain))
+
+
+def test_free_quotient_sends_only_the_residual_to_the_dense_route(monkeypatch):
+    """A structural guard in place of a timing test: besides the star side's
+    one row per element, the dense reduction sees no more than a few rows,
+    so a fall-back to dense relation matrices fails here."""
+    dense, seen = snf.smith_diagonal, []
+
+    def spy(rows, ncols=None):
+        seen.append(len(rows))
+        return dense(rows, ncols)
+
+    monkeypatch.setattr(snf, "smith_diagonal", spy)
+    for algebra in generated_algebras(64):
+        for identify_zero in (True, False):
+            seen.clear()
+            free_quotient_experiment(algebra, identify_zero)
+            seen.remove(len(star_algebra(algebra).a_circle))
+            assert max(seen, default=0) <= 4, (algebra.size, identify_zero, seen)
