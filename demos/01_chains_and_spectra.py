@@ -4,7 +4,6 @@ Run:  python3 demos/01_chains_and_spectra.py
 """
 
 from mvgamma import (
-    canonical_embedding,
     check_mv_axioms,
     dumps,
     enumerate_ideals,
@@ -13,6 +12,7 @@ from mvgamma import (
     make_product,
     quotient,
     spectrum,
+    star_algebra,
 )
 
 # ---------------------------------------------------------------------------
@@ -42,28 +42,15 @@ for p in sp.primes:
     q = quotient(A, p)
     print("  prime", sorted(p.members), "-> quotient is a chain of size", q.quotient.size)
 
-# The canonical map into the product of prime quotients.  For any finite
-# algebra it is injective; that is what makes the subdirect picture work.
-emb = canonical_embedding(A)
-print("canonical embedding injective:", emb.is_injective())
-print("codomain size:", emb.cod.size, "(= product of the quotient chains)")
-print()
-
-# A picture of the embedding on a few elements.  Indices in the product
-# codomain are row-major; we decode them by hand here just to look at them.
-sizes = [quotient(A, p).quotient.size for p in sp.primes]
-
-
-def decode(idx):
-    out = []
-    for s in reversed(sizes):
-        out.append(idx % s)
-        idx //= s
-    return tuple(reversed(out))
-
-
+# The map into the product of the prime quotients.  Each quotient is a chain,
+# and iota sends a to the tuple of the ranks of its classes, one per prime:
+# a point of the product of the chain groups over the quotients.  For any
+# finite algebra it is injective; that is what makes the subdirect picture work.
+star = star_algebra(A)
+print("embedding injective:", star.injective)
+print("fiber heights:", [f.height for f in star.ambient.fibers], "(one chain per prime)")
 for a in [0, 1, 5, A.size - 1]:
-    print(f"  a={a:2d}  image={decode(emb.map[a])}")
+    print(f"  a={a:2d}  image={star.a_circle[a]}")
 print()
 
 # Every value has a canonical JSON form (what a script's `export` writes), and

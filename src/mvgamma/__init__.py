@@ -3,15 +3,15 @@
 The package has three layers:
 
 * table algebra — ``mv_core`` (finite MV-algebras as integer Cayley tables,
-  morphisms, products), ``spectrum`` (ideals, primes, quotients, the canonical
-  embedding into a product of chains);
+  morphisms, products), ``spectrum`` (ideals, primes, quotients and the
+  maps they induce);
 * group side — ``lgroup`` (chain groups, computed on integers and certified
   against Chang's carry pairs; finite products with a strong unit; unit
   segments), ``snf`` (integer Smith reduction used by the
   presentation experiment);
-* the bridge — ``equivalence`` (enveloping groups, good sequences, the unit
-  interval against the enveloping group, round trips), with ``serialize``,
-  ``script``, ``interp``, ``cli``, and ``sweeps`` layered on top.
+* the bridge — ``equivalence`` (enveloping groups, with the subdirect
+  embedding built once as iota; good sequences, round trips), with
+  ``serialize``, ``script``, ``interp``, ``cli``, and ``sweeps`` on top.
 
 Everything is exact integer arithmetic; there is no floating point anywhere.
 A product group carries its strong unit as ``ProductLuGroup.u``.  The unit
@@ -47,7 +47,6 @@ from .equivalence import (
     star_membership,
     star_morphism,
     upsilon,
-    upsilon_inverse_chain,
     upsilon_naturality,
 )
 from .errors import InternalInvariantError
@@ -77,7 +76,6 @@ from .snf import invariant_factors, smith_diagonal
 from .spectrum import (
     Ideal,
     Spectrum,
-    canonical_embedding,
     enumerate_ideals,
     is_prime_ideal,
     quotient,
@@ -101,7 +99,6 @@ __all__ = [
     "StarAlgebra",
     "SweepContext",
     "abs_decompose",
-    "canonical_embedding",
     "canonical_entries",
     "canonical_good_sequence",
     "check_morphism",
@@ -138,7 +135,6 @@ __all__ = [
     "star_morphism",
     "to_jsonable",
     "upsilon",
-    "upsilon_inverse_chain",
     "upsilon_naturality",
 ]
 

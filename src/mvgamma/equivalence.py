@@ -76,7 +76,6 @@ __all__ = [
     "star_morphism",
     "UpsilonResult",
     "upsilon",
-    "upsilon_inverse_chain",
     "SegmentIdealReport",
     "coordinate_ideal_checks",
     "LGroupMap",
@@ -176,14 +175,6 @@ def star_algebra(algebra: FiniteMVAlgebra) -> StarAlgebra:
 # -- good sequences -------------------------------------------------------------
 
 
-def upsilon_inverse_chain(up: int, x: int) -> tuple[int, int]:
-    """Divide x by the unit coordinate up on one fiber, which inverts
-    evaluation there: the unique (n, r) with x = n·up + r, 0 <= r < up.
-    """
-    require_positive_unit((up,))
-    return divmod(x, up)
-
-
 def canonical_entries(u: GroupElement, x: GroupElement) -> tuple[GroupElement, ...]:
     """The canonical good sequence of x >= 0 as elements of [0, u], in
     closed form: a_i = ((x - (i-1)u) ∨ 0) ∧ u for i >= 1
@@ -195,7 +186,8 @@ def canonical_entries(u: GroupElement, x: GroupElement) -> tuple[GroupElement, .
     """
     if any(t < 0 for t in x):
         raise ValueError("only nonnegative elements have good-sequence entries")
-    divided = [upsilon_inverse_chain(up, t) for up, t in zip(u, x)]
+    require_positive_unit(u)
+    divided = [divmod(t, up) for up, t in zip(u, x)]
     length = max(n + (r != 0) for n, r in divided)
     return tuple(
         tuple(up if i < n else r if i == n else 0 for (n, r), up in zip(divided, u))
@@ -539,7 +531,7 @@ def _fiber_certificate(
     targets = range(-window * up, window * up + 1)
     surjective = True
     for v in targets:
-        n, r = upsilon_inverse_chain(up, v)
+        n, r = divmod(v, up)
         rank = rank_of.get(r)
         surjective &= rank is not None and fiber_map(n * h + rank) == v
     return additive, order_embedding, preserves_unit, segment_identity, surjective, len(targets)

@@ -40,7 +40,6 @@ from .equivalence import (
     iota_roundtrip,
     segment_generation_check,
     star_algebra,
-    star_membership,
     upsilon,
 )
 from .errors import InternalInvariantError
@@ -73,10 +72,8 @@ from .serialize import (
 )
 from .spectrum import (
     SUBSET_ORACLE_CAP,
-    canonical_embedding,
     enumerate_ideals,
     ideals_by_subset_filter,
-    spectrum,
 )
 from .sweeps import run_all_checks
 
@@ -305,15 +302,13 @@ class _Runner:
 
     def cmd_spec(self, cmd: Command):
         _, a = self.value(cmd.name, ("algebra",), cmd.line)
-        sp = spectrum(a)
-        emb = canonical_embedding(a)
-        injective = emb.is_injective()
+        star = star_algebra(a)
         detail = {
-            "primes": [sorted(p.members) for p in sp.primes],
-            "count": len(sp.primes),
-            "embedding_injective": injective,
+            "primes": [sorted(p.members) for p in star.spec.primes],
+            "count": len(star.spec.primes),
+            "embedding_injective": star.injective,
         }
-        return injective, detail
+        return star.injective, detail
 
     def cmd_star(self, cmd: Command):
         _, a = self.value(cmd.name, ("algebra",), cmd.line)
@@ -373,21 +368,16 @@ class _Runner:
 
     def cmd_member(self, cmd: Command):
         kind, value = self.value(cmd.name, ("algebra", "group", "hom"), cmd.line)
-        if kind == "algebra":
+        if kind == "group":
+            group, allowed = value, gamma_segment(value).index
+        elif kind == "algebra":
             star = star_algebra(value)
-            group = star.ambient
-            x = self.element_in(group, cmd.element, cmd.line)
-            witness = star_membership(star, x)
-        elif kind == "group":
-            group = value
-            x = self.element_in(group, cmd.element, cmd.line)
-            witness = generated_membership(group, gamma_segment(group).index, x)
+            group, allowed = star.ambient, star.circle_index
         else:  # the subgroup generated by the image of a morphism
             star = star_algebra(value.cod)
-            group = star.ambient
-            allowed = {star.a_circle[b] for b in value.map}
-            x = self.element_in(group, cmd.element, cmd.line)
-            witness = generated_membership(group, allowed, x)
+            group, allowed = star.ambient, {star.a_circle[b] for b in value.map}
+        x = self.element_in(group, cmd.element, cmd.line)
+        witness = generated_membership(group, allowed, x)
         detail = {
             "member": witness.member,
             "positive": _as_pairs(group, witness.positive),

@@ -271,27 +271,20 @@ def gamma_segment(group: ProductLuGroup) -> GammaSegment:
 @functools.cache
 def unit_segment(u: GroupElement) -> GammaSegment:
     """Carve the MV-algebra out of [0, u]: x oplus y = u meet (x + y),
-    neg x = u - x.  The operations act coordinatewise, so each fiber's
-    segment [0, u_t] is an algebra of its own, carrier index = value, and the
-    segment is their product; the finished product is re-checked against
-    the MV laws, associativity through its isomorphism onto a product of
-    chains (`check_mv_axioms`), before being returned.  Built once per unit.
+    neg x = u - x.  The operations act coordinatewise, so the segment is the
+    product of the chains `make_chain(u_t)`, carrier index = value; it is
+    re-checked against the MV laws, associativity through its isomorphism
+    onto a product of chains (`check_mv_axioms`), before being returned.
+    Built once per unit.
     """
     require_positive_unit(u)
-    values = [range(up + 1) for up in u]
-    factors = [
-        FiniteMVAlgebra(
-            up + 1, [[min(up, p + q) for q in vs] for p in vs], [up - p for p in vs]
-        )
-        for up, vs in zip(u, values)
-    ]
-    algebra = make_product_many(factors)
+    algebra = make_product_many([make_chain(up) for up in u])
     report = check_mv_axioms(algebra)
     if not report.ok:
         raise InternalInvariantError(
             f"unit segment failed the MV laws: {report.violations[:3]}"
         )
-    elements = tuple(itertools.product(*values))
+    elements = tuple(itertools.product(*(range(up + 1) for up in u)))
     return GammaSegment(
         u=u,
         algebra=algebra,

@@ -36,6 +36,7 @@ __all__ = [
 
 _VIOLATION_CAP = 100  # per axiom; garbage tables can fail on O(size^3) triples
 _ASSOC_BLOCK_CELLS = 1 << 20  # associativity is checked in row blocks of about this many cells
+_NODE_CAP = 10**6  # partial maps a morphism search may try, so sweeps stay bounded
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -176,10 +177,6 @@ class MVMorphism:
     def __call__(self, a: int) -> int:
         return self.map[a]
 
-    @property
-    def map_array(self) -> np.ndarray:
-        return np.asarray(self.map, dtype=np.int64)
-
     def is_injective(self) -> bool:
         return len(set(self.map)) == self.dom.size
 
@@ -318,16 +315,13 @@ def check_mv_axioms(algebra: FiniteMVAlgebra) -> AxiomReport:
 @functools.cache
 def check_morphism(h: MVMorphism) -> MorphismReport:
     """Check h(0)=0, h(a oplus b) = h(a) oplus h(b), h(neg a) = neg h(a)."""
-    m = h.map_array
+    m = np.asarray(h.map, dtype=np.int64)
     out: list[tuple[str, tuple[int, ...]]] = []
     if h.map[0] != 0:
         out.append(("zero", (0,)))
     bad = m[h.dom.oplus] != h.cod.oplus[m[:, None], m[None, :]]
-    for row in np.argwhere(bad)[:_VIOLATION_CAP]:
-        out.append(("oplus", (int(row[0]), int(row[1]))))
-    bad_n = m[h.dom.neg] != h.cod.neg[m]
-    for row in np.argwhere(bad_n)[:_VIOLATION_CAP]:
-        out.append(("neg", (int(row[0]),)))
+    _collect("oplus", np.argwhere(bad), 2, out)
+    _collect("neg", np.argwhere(m[h.dom.neg] != h.cod.neg[m]), 1, out)
     return MorphismReport(ok=not out, violations=tuple(out))
 
 
@@ -383,14 +377,12 @@ def _prefix_consistent(img: list[int], k: int, op_d, ng_d, op_c, ng_c) -> bool:
 
 
 @functools.cache
-def find_morphisms(
-    dom: FiniteMVAlgebra, cod: FiniteMVAlgebra, node_cap: int = 10**6
-) -> tuple[MVMorphism, ...]:
+def find_morphisms(dom: FiniteMVAlgebra, cod: FiniteMVAlgebra) -> tuple[MVMorphism, ...]:
     """All morphisms dom -> cod by backtracking over partial carrier maps.
 
     Images are assigned in carrier order; a constraint is checked as soon as
-    every element it mentions has an image.  Node count is capped so sweeps
-    stay bounded and reproducible.
+    every element it mentions has an image.  Node count is capped at
+    `_NODE_CAP` so sweeps stay bounded and reproducible.
     """
     s = dom.size
     op_d, ng_d, op_c, ng_c = dom.oplus_rows, dom.neg_list, cod.oplus_rows, cod.neg_list
@@ -406,8 +398,8 @@ def find_morphisms(
             return
         for y in range(cod.size):
             nodes += 1
-            if nodes > node_cap:
-                raise SearchBudgetExceeded(f"morphism search exceeded {node_cap} nodes")
+            if nodes > _NODE_CAP:
+                raise SearchBudgetExceeded(f"morphism search exceeded {_NODE_CAP} nodes")
             img[k] = y
             if _prefix_consistent(img, k, op_d, ng_d, op_c, ng_c):
                 rec(k + 1)

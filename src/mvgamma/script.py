@@ -138,7 +138,6 @@ class Command:
 @dataclass(frozen=True)
 class Script:
     statements: tuple
-    names: dict  # name -> "algebra" | "hom" | "group"
 
 
 KEYWORDS = frozenset(
@@ -413,4 +412,4 @@ def parse_script(text: str) -> Script:
             if head in KEYWORDS:
                 cur.error(ScriptSyntaxError, f"{head!r} cannot start a statement", head_pos)
             cur.error(ScriptSyntaxError, f"unknown statement {head!r}", head_pos)
-    return Script(statements=tuple(statements), names=dict(names))
+    return Script(statements=tuple(statements))

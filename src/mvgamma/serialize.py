@@ -194,9 +194,10 @@ def algebra_from_json(obj: Any, where: str = "") -> FiniteMVAlgebra:
         _expect(len(row) == size, f"row must have {size} entries", f"{where}/oplus/{i}")
     neg = _int_list(obj["neg"], f"{where}/neg")
     _expect(len(neg) == size, f"neg must have {size} entries", f"{where}/neg")
-    flat = [v for row in rows for v in row] + neg
-    _expect(all(0 <= v < size for v in flat), "table entry out of range", where)
-    return FiniteMVAlgebra(size, rows, neg)
+    try:  # an entry past int64 overflows in numpy, one inside it fails the range check
+        return FiniteMVAlgebra(size, rows, neg)
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError("table entry out of range", where) from exc
 
 
 def morphism_from_json(obj: Any, where: str = "") -> MVMorphism:

@@ -1,11 +1,11 @@
-"""Ideals, prime ideals, quotients, and the subdirect embedding.
+"""Ideals, prime ideals, quotients, and the maps quotients induce.
 
 An ideal is a subset containing 0, downward closed, and closed under oplus.
 In a finite algebra every ideal is the downset of a unique oplus-idempotent,
-which is what makes the enumeration cheap: principal ideals are computed by
-squaring up to the idempotent, and joins of ideals add the idempotents.
-Quotients use the same fact: the class of a is keyed by a odot neg(e), where
-e is the ideal's idempotent.
+which is what makes the enumeration cheap: the idempotents are the elements
+squaring reaches, and their downsets are the ideals.  Quotients use the same
+fact: the class of a is keyed by a odot neg(e), where e is the ideal's
+idempotent.  The embedding into the prime quotients is `star_algebra`'s iota.
 
 The spectrum is the set of proper prime ideals in a fixed canonical order
 (ascending membership bitmask), so everything downstream that says "the j-th
@@ -20,11 +20,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .mv_core import (
-    FiniteMVAlgebra,
-    MVMorphism,
-    make_product_many,
-)
+from .mv_core import FiniteMVAlgebra, MVMorphism
 
 __all__ = [
     "Ideal",
@@ -36,7 +32,6 @@ __all__ = [
     "is_prime_ideal",
     "spectrum",
     "quotient",
-    "canonical_embedding",
     "preimage_ideal",
     "prime_alignment",
     "class_values",
@@ -119,22 +114,12 @@ def _downset(algebra: FiniteMVAlgebra, e: int) -> frozenset[int]:
 def enumerate_ideals(algebra: FiniteMVAlgebra) -> list[Ideal]:
     """All ideals, {0} and the improper one included, in bitmask order.
 
-    Route: the principal ideal of each element (its oplus-closure, downward
-    closed) is the downset of an idempotent; the set of principal ideals is
-    then closed under pairwise join, which on idempotent generators is just
-    oplus.  Finite carriers make the fixpoint immediate.
+    Each ideal is the downset of its largest member, an idempotent, and each
+    idempotent is the one its own squares reach, so `gens` holds them all.
+    No join needs adding: e oplus f is idempotent again, (e + f) + (e + f) =
+    (e + e) + (f + f) = e + f by associativity and commutativity.
     """
-    rows = algebra.oplus_rows
     gens = {_idempotent_above(algebra, a) for a in range(algebra.size)}
-    changed = True
-    while changed:
-        changed = False
-        for e in list(gens):
-            for f in list(gens):
-                g = rows[e][f]
-                if g not in gens:
-                    gens.add(g)
-                    changed = True
     ideals = [Ideal(algebra, _downset(algebra, e)) for e in gens]
     ideals.sort(key=lambda i: i.bitmask)
     return ideals
@@ -222,23 +207,6 @@ def quotient(algebra: FiniteMVAlgebra, ideal: Ideal) -> QuotientResult:
     q_neg = class_of[algebra.neg[reps]]
     q = FiniteMVAlgebra(len(reps), q_oplus, q_neg)
     return QuotientResult(q, tuple(class_of.tolist()))
-
-
-def canonical_embedding(algebra: FiniteMVAlgebra) -> MVMorphism:
-    """The map into the product of all prime quotients, components in spectrum
-    order.  Injectivity is a property to check, not a construction guarantee.
-    """
-    sp = spectrum(algebra)
-    if not sp.primes:
-        raise ValueError("algebra has no proper prime ideals")
-    quots = [quotient(algebra, p) for p in sp.primes]
-    cod = make_product_many([q.quotient for q in quots])
-    sizes = [q.quotient.size for q in quots]
-    combined = np.zeros(algebra.size, dtype=np.int64)
-    for j, q in enumerate(quots):
-        stride = int(np.prod(sizes[j + 1 :]))
-        combined += stride * np.asarray(q.class_of)
-    return MVMorphism(algebra, cod, tuple(int(v) for v in combined))
 
 
 def preimage_ideal(h: MVMorphism, ideal: Ideal) -> Ideal:

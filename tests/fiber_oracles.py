@@ -1,12 +1,14 @@
-"""Independent fiber-map oracles: the earlier forms of the two maps that
-`equivalence.FiberMap` now represents.
+"""Independent oracles for the maps of the equivalence: the earlier forms of
+the two maps that `equivalence.FiberMap` now represents, and of the
+subdirect embedding that `equivalence.star_algebra` builds as iota.
 
 `ChainStarMap` extends a chain morphism by re-reading the morphism and both
 chains on every call; `UpsilonMap` evaluates a star fiber through `evaluate`
 with the lifts read straight off the segment's quotients, in class order.
 Tests compare the package's `FiberMap` values against them point by point,
 and mutants are injected into both.  `evaluate` is looked up on this module
-at call time, so a test can patch it.
+at call time, so a test can patch it.  `canonical_embedding` is the map into
+the product table of the prime quotients, one mixed-radix index per element.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from mvgamma.equivalence import LGroupMap, star_algebra
 from mvgamma.lgroup import ChangChainGroup, ProductLuGroup, gamma_segment
-from mvgamma.mv_core import MVMorphism
-from mvgamma.spectrum import class_values
+from mvgamma.mv_core import FiniteMVAlgebra, MVMorphism, make_product_many
+from mvgamma.spectrum import class_values, quotient, spectrum
 
 
 @dataclass(frozen=True)
@@ -65,3 +69,19 @@ class UpsilonMap:
     def fiber_value(self, t: int, s: int) -> int:
         """Evaluate star fiber t at s, landing in group fiber t."""
         return evaluate(self.star.ambient.fibers[t], self.group.u[t], self.lifts[t], s)
+
+
+def canonical_embedding(algebra: FiniteMVAlgebra) -> MVMorphism:
+    """The map into the product of all prime quotients, components in
+    spectrum order: the class indices of an element, read as the digits of
+    one row-major index of the `make_product_many` table (first prime
+    slowest).  Injectivity is a property to check, not a construction
+    guarantee."""
+    quots = [quotient(algebra, p) for p in spectrum(algebra).primes]
+    cod = make_product_many([q.quotient for q in quots])
+    sizes = [q.quotient.size for q in quots]
+    combined = np.zeros(algebra.size, dtype=np.int64)
+    for j, q in enumerate(quots):
+        stride = int(np.prod(sizes[j + 1 :]))
+        combined += stride * np.asarray(q.class_of)
+    return MVMorphism(algebra, cod, tuple(int(v) for v in combined))

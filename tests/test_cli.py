@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mvgamma
+from mvgamma import equivalence
 from mvgamma.cli import main
 from mvgamma import interp
 from mvgamma.interp import MAX_CARRIER, RunConfig, SemanticError, execute
@@ -49,6 +50,26 @@ def test_passing_script_report():
         "gamma",
     ]
     assert all(c["status"] == "pass" for c in payload["commands"])
+
+
+def test_spec_builds_the_star_that_star_reads(monkeypatch, fresh_memos):
+    # spec reads the cached star, so star is a cache hit, and no product
+    # table is built besides the one the definition asks for
+    built = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mvgamma.") and hasattr(module, "make_product_many"):
+            real = module.make_product_many
+
+            def spy(factors, real=real):
+                built.append([f.size for f in factors])
+                return real(factors)
+
+            monkeypatch.setattr(module, "make_product_many", spy)
+    report = run_text("algebra A = chain 2 * chain 3\nspec A\nstar A")
+    assert report.exit_code == 0
+    assert built == [[3, 4]]
+    info = equivalence.star_algebra.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_failing_check_sets_exit_one():

@@ -28,7 +28,6 @@ from mvgamma.equivalence import (
     star_membership,
     star_morphism,
     upsilon,
-    upsilon_inverse_chain,
     upsilon_naturality,
 )
 import fiber_oracles
@@ -454,20 +453,30 @@ def test_upsilon_map_frozen_values():
 
 
 def test_upsilon_inverse_chain_frozen():
-    assert upsilon_inverse_chain(3, 5) == (1, 2)
-    assert upsilon_inverse_chain(3, -1) == (-1, 2)
-    assert upsilon_inverse_chain(3, 0) == (0, 0)
-    assert upsilon_inverse_chain(3, 6) == (2, 0)
-    with pytest.raises(ValueError):
-        upsilon_inverse_chain(0, 1)
+    # on a chain fiber the inverse of evaluation is one divmod by the unit
+    # coordinate, and the (copy, rank) pair goes back through the fiber map
+    g = z_group(3)
+    _, _, ((fm, lift_by_rank),) = eq._segment_lifts(g.u)
+    for x, nr in ((5, (1, 2)), (-1, (-1, 2)), (0, (0, 0)), (6, (2, 0))):
+        assert divmod(x, 3) == nr
+        n, r = nr
+        assert fm(n * fm.period + lift_by_rank.index(r)) == x
+    # the unit is validated once, where the division is used
+    with pytest.raises(ValueError, match="strictly positive"):
+        canonical_entries((0,), (1,))
 
 
 def test_division_by_the_unit_at_a_huge_copy_index():
-    # integers of any size divide exactly, at the cost of one divmod
-    for n in (10**100, -(10**100)):
-        for up in (1, 3, 7):
+    # the evaluation of a fiber is inverted by one divmod by its unit
+    # coordinate, exact at any integer size
+    for unit in ((1, 0), (1, 1), (2, 1)):
+        g = make_product_group([ChangChainGroup(make_chain(2))], [unit])
+        (up,) = g.u
+        _, _, ((fm, lift_by_rank),) = eq._segment_lifts(g.u)
+        for n in (10**100, -(10**100)):
             for r in range(up):
-                assert upsilon_inverse_chain(up, n * up + r) == (n, r)
+                assert divmod(n * up + r, up) == (n, r)
+                assert fm(n * fm.period + lift_by_rank.index(r)) == n * up + r
 
 
 def inverse_by_linear_search(f: ChangChainGroup, u, x, steps=1000):
@@ -492,10 +501,12 @@ def inverse_by_linear_search(f: ChangChainGroup, u, x, steps=1000):
     st.integers(min_value=-300, max_value=300),
 )
 def test_upsilon_inverse_chain_matches_linear_search(n, unit_steps, t):
+    # the inverse of evaluation on one chain fiber is division by the unit
+    # coordinate, divmod, with the remainder in [0, unit)
     f = ChangChainGroup(make_chain(n))
     x = t * unit_steps // 3
     q, r = inverse_by_linear_search(f, f.pair_of_phi(unit_steps), f.pair_of_phi(x))
-    assert upsilon_inverse_chain(unit_steps, x) == (q, f.phi(r))
+    assert divmod(x, unit_steps) == (q, f.phi(r))
 
 
 def test_upsilon_inverse_matches_the_map():
@@ -504,7 +515,7 @@ def test_upsilon_inverse_matches_the_map():
     (up,) = g.u
     _, _, ((fm, lift_by_rank),) = eq._segment_lifts(g.u)
     for x in range(-4 * up, 4 * up + 1):
-        n, r = upsilon_inverse_chain(up, x)
+        n, r = divmod(x, up)
         assert n * up + r == x
         # feeding (n, the rank that lifts to r) back through the fiber map recovers x
         assert fm(n * fm.period + lift_by_rank.index(r)) == x

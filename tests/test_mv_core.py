@@ -441,10 +441,11 @@ def test_find_morphisms_returns_a_shared_tuple():
     assert find_morphisms(make_product(make_chain(1), make_chain(1)), make_chain(1)) is found
 
 
-def test_searches_stop_at_their_node_cap():
+def test_searches_stop_at_their_node_cap(fresh_memos):
     sq = make_product(make_chain(1), make_chain(1))
-    with pytest.raises(SearchBudgetExceeded, match="morphism search exceeded 3 nodes"):
-        find_morphisms(sq, sq, node_cap=3)
+    with mock.patch.object(mv_core, "_NODE_CAP", 3):
+        with pytest.raises(SearchBudgetExceeded, match="morphism search exceeded 3 nodes"):
+            find_morphisms(sq, sq)
 
 
 def test_morphism_counts_frozen():

@@ -53,7 +53,6 @@ def test_hom_definition():
     h = s.statements[2]
     assert isinstance(h, HomDef)
     assert h.dom == "A" and h.cod == "B" and h.pairs == ((0, 0), (1, 2))
-    assert s.names == {"A": "algebra", "B": "algebra", "h": "hom"}
 
 
 def test_group_definition():

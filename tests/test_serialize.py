@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvgamma.cli import main
 from mvgamma.equivalence import free_quotient_experiment, generated_membership
 from mvgamma.lgroup import ChangChainGroup, ChangPair, gamma_segment, make_product_group
 from mvgamma.mv_core import (
@@ -148,6 +149,30 @@ def test_non_integer_table_entry_is_located(bad, place, location):
     with pytest.raises(SchemaError, match="expected an integer") as err:
         algebra_from_json(obj)
     assert err.value.location == location
+
+
+@pytest.mark.parametrize("bad", [2**63, 10**30, -1, 2, True], ids=str)
+@pytest.mark.parametrize("table", ["oplus", "neg"])
+def test_table_entry_out_of_range(tmp_path, capsys, bad, table):
+    # past int64 the entry overflows numpy rather than failing the range
+    # check; every case is a schema error at the same pointer, exit 3 in a script
+    obj = {"size": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0]}
+    if table == "oplus":
+        obj["oplus"][1][0] = bad
+    else:
+        obj["neg"][1] = bad
+    if bad is True:
+        message, location = "expected an integer", "/oplus/1/0" if table == "oplus" else "/neg/1"
+    else:
+        message, location = "table entry out of range", "/"
+    with pytest.raises(SchemaError) as err:
+        loads(json.dumps(obj))
+    assert str(err.value) == f"{message} (at {location})"
+    path = tmp_path / "table.mvg"
+    path.write_text(f"algebra A = table {json.dumps(obj)}\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["message"] == f"bad table: {message} (at {location}) (line 1)"
 
 
 def test_algebra_schema_rejections():

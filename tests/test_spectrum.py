@@ -23,7 +23,6 @@ from mvgamma.mv_core import (
 )
 from mvgamma.spectrum import (
     Ideal,
-    canonical_embedding,
     class_values,
     enumerate_ideals,
     ideals_by_subset_filter,
@@ -36,8 +35,11 @@ from mvgamma.spectrum import (
     restrict_morphism,
     spectrum,
 )
+from mvgamma.equivalence import star_algebra
 from mvgamma.lgroup import gamma_segment
 from mvgamma.sweeps import SweepContext, generated_algebras
+from fiber_oracles import canonical_embedding
+from test_mv_core import relabelled
 
 SRC = str(Path(mvgamma.__file__).resolve().parents[1])
 
@@ -234,27 +236,35 @@ def test_canonical_embedding_is_injective_morphism(algebra):
     emb = canonical_embedding(algebra)
     assert check_morphism(emb).ok
     assert emb.is_injective()
-
-
-def test_embedding_components_are_the_quotient_projections():
-    emb = canonical_embedding(L2xL3)
-    sp = spectrum(L2xL3)
-    quots = [quotient(L2xL3, p) for p in sp.primes]
-    sizes = [q.quotient.size for q in quots]
-    for a in range(L2xL3.size):
-        digits = []
-        v = emb.map[a]
-        for s in reversed(sizes):
-            digits.append(v % s)
-            v //= s
-        digits.reverse()
-        assert digits == [q.class_of[a] for q in quots]
+    assert star_algebra(algebra).injective
 
 
 def test_chain_embedding_is_identity_onto_itself():
     emb = canonical_embedding(L3)
     assert emb.cod == L3
     assert emb.map == tuple(range(4))
+    assert star_algebra(L3).a_circle == tuple((a,) for a in range(4))
+
+
+def test_embedding_components_are_the_quotient_projections():
+    # the mixed-radix oracle against iota, on natural and relabelled tables:
+    # a morphism, injective exactly when iota is (always, on lawful tables),
+    # and digit j of a's index is the class of a in prime j, the class that
+    # fiber j of iota(a) names by its rank; a chain embeds as itself
+    algebras = generated_algebras(64)
+    algebras += [relabelled(a, seed) for seed, a in enumerate(generated_algebras(24))]
+    for algebra in algebras:
+        emb = canonical_embedding(algebra)
+        star = star_algebra(algebra)
+        assert check_morphism(emb).ok
+        assert emb.is_injective() == star.injective
+        assert star.injective
+        sizes = [q.quotient.size for q in star.quotients]
+        for a in range(algebra.size):
+            classes = [f.by_rank[r] for f, r in zip(star.ambient.fibers, star.a_circle[a])]
+            assert list(np.unravel_index(emb.map[a], sizes)) == classes
+        if len(sizes) == 1:
+            assert emb.cod is algebra and emb.map == tuple(range(algebra.size))
 
 
 def test_preimage_of_prime_is_prime():
