@@ -32,7 +32,7 @@ print("x =", G.to_pairs(x), "=", x)
 gs = canonical_good_sequence(seg, x)
 for k, idx in enumerate(gs.entries, start=1):
     print(f"   digit {k}: segment #{idx} = {seg.elements[idx]}")
-assert good_sequence_sum(seg, gs.entries) == x
+assert good_sequence_sum(seg, gs.runs) == x
 print("digits sum back to x exactly.")
 print()
 

@@ -175,44 +175,51 @@ def star_algebra(algebra: FiniteMVAlgebra) -> StarAlgebra:
 # -- good sequences -------------------------------------------------------------
 
 
-def canonical_entries(u: GroupElement, x: GroupElement) -> tuple[GroupElement, ...]:
-    """The canonical good sequence of x >= 0 as elements of [0, u], in
-    closed form: a_i = ((x - (i-1)u) ∨ 0) ∧ u for i >= 1
-    (Cignoli, D'Ottaviano and Mundici 2000, ch. 2).  Each fiber is divided
-    once, x_t = n_t·u_t + r_t with 0 <= r_t < u_t, so entry i (counted from
-    0) is u_t while i < n_t, r_t at i = n_t, and 0 after.  The entries sum
-    back to x and each absorbs the next under the capped addition; the
-    sequence stops at its last nonzero entry.
+def canonical_entries(u: GroupElement, x: GroupElement) -> tuple[tuple[int, GroupElement], ...]:
+    """The canonical good sequence of x >= 0 as runs (count, element) of equal
+    elements of [0, u], in closed form: a_i = ((x - (i-1)u) ∨ 0) ∧ u for
+    i >= 1 (Cignoli, D'Ottaviano and Mundici 2000, ch. 2).  Each fiber is
+    divided once, x_t = n_t·u_t + r_t with 0 <= r_t < u_t, so entry i (counted
+    from 0) is u_t while i < n_t, r_t at i = n_t, and 0 after.  Fiber t
+    changes only at n_t and, if r_t > 0, at n_t + 1, so there are at most 2k
+    runs for k fibers, whatever the size of x; neighbouring runs differ.
+    The entries sum back to x and each absorbs the next under the capped
+    addition; the sequence stops at its last nonzero entry.
     """
     if any(t < 0 for t in x):
         raise ValueError("only nonnegative elements have good-sequence entries")
     require_positive_unit(u)
     divided = [divmod(t, up) for up, t in zip(u, x)]
-    length = max(n + (r != 0) for n, r in divided)
+    cuts = sorted({0, *(n for n, _ in divided), *(n + 1 for n, r in divided if r)})
     return tuple(
-        tuple(up if i < n else r if i == n else 0 for (n, r), up in zip(divided, u))
-        for i in range(length)
+        (j - i, tuple([up if i < n else r if i == n else 0 for (n, r), up in zip(divided, u)]))
+        for i, j in itertools.pairwise(cuts)
     )
 
 
 @dataclass(frozen=True)
 class GoodSequence:
-    """Entries of a segment algebra where each absorbs its successor.
+    """Entries of a segment algebra where each absorbs its successor, held
+    as runs (count, carrier index) of equal entries; `entries` writes them
+    out one by one.
 
     Normalized: no trailing zeros (the empty sequence stands for zero).
     """
 
     algebra: FiniteMVAlgebra
-    entries: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not is_good_sequence(self.algebra, self.entries):
+        # each neighbouring pair once: a run boundary, or a ⊕ a = a in a run
+        pairs = [a for n, e in self.runs for a in (e, e)[:n]]
+        if any(n < 1 for n, _ in self.runs) or not is_good_sequence(self.algebra, pairs):
             raise ValueError("entries violate the absorption law")
-        if self.entries and self.entries[-1] == 0:
+        if self.runs and self.runs[-1][1] == 0:
             raise ValueError("trailing zeros must be stripped")
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    @property
+    def entries(self) -> tuple[int, ...]:
+        return tuple(itertools.chain.from_iterable((e,) * n for n, e in self.runs))
 
 
 def is_good_sequence(algebra: FiniteMVAlgebra, entries: Iterable[int]) -> bool:
@@ -226,19 +233,22 @@ def is_good_sequence(algebra: FiniteMVAlgebra, entries: Iterable[int]) -> bool:
 
 
 def canonical_good_sequence(segment: GammaSegment, x: GroupElement) -> GoodSequence:
-    """The canonical decomposition of x >= 0 as segment carrier indices."""
-    raw = canonical_entries(segment.u, x)
+    """The canonical decomposition of x >= 0 as runs of segment carrier indices."""
     try:
-        entries = tuple(segment.index[e] for e in raw)
+        runs = tuple((n, segment.index[e]) for n, e in canonical_entries(segment.u, x))
     except KeyError as exc:  # entries are u-meets of positives: always in [0,u]
         raise InternalInvariantError(f"entry {exc} escaped the segment") from exc
-    return GoodSequence(segment.algebra, entries)
+    return GoodSequence(segment.algebra, runs)
 
 
-def good_sequence_sum(segment: GammaSegment, entries: Iterable[int]) -> GroupElement:
-    """Add up segment entries (carrier indices) in the surrounding group,
-    coordinatewise; the zero (index 0) leads, so the empty sum is zero."""
-    return tuple(map(sum, zip(*(segment.elements[e] for e in (0, *entries)))))
+def _runs_total(zero: GroupElement, runs: Iterable[tuple[int, GroupElement]]) -> GroupElement:
+    """The sum of count·element over runs, coordinatewise."""
+    return tuple(map(sum, zip(zero, *([n * t for t in e] for n, e in runs))))
+
+
+def good_sequence_sum(segment: GammaSegment, runs: Iterable[tuple[int, int]]) -> GroupElement:
+    """Add up runs (count, carrier index) of segment entries in the group."""
+    return _runs_total(segment.elements[0], ((n, segment.elements[e]) for n, e in runs))
 
 
 def good_sequence_sums_hold(group: ProductLuGroup, bound: int) -> bool:
@@ -246,7 +256,7 @@ def good_sequence_sums_hold(group: ProductLuGroup, bound: int) -> bool:
     back to x."""
     segment = gamma_segment(group)
     return all(
-        good_sequence_sum(segment, canonical_good_sequence(segment, x).entries) == x
+        good_sequence_sum(segment, canonical_good_sequence(segment, x).runs) == x
         for x in itertools.product(*(range(bound * up + 1) for up in group.u))
     )
 
@@ -258,14 +268,15 @@ def good_sequence_sums_hold(group: ProductLuGroup, bound: int) -> bool:
 class MembershipWitness:
     """Outcome of a generated-subgroup membership test.
 
-    `positive`/`negative` are the canonical entries of the two halves of x.
-    For a member every entry lies in the allowed set; for a non-member
-    `missing` is the first entry that does not.
+    `positive`/`negative` are the canonical entries of the two halves of x,
+    as runs (count, element) from `canonical_entries`.  For a member every
+    entry lies in the allowed set; for a non-member `missing` is the first
+    entry that does not.
     """
 
     member: bool
-    positive: tuple[GroupElement, ...]
-    negative: tuple[GroupElement, ...]
+    positive: tuple[tuple[int, GroupElement], ...]
+    negative: tuple[tuple[int, GroupElement], ...]
     missing: GroupElement | None = None
 
     def __bool__(self) -> bool:
@@ -282,8 +293,9 @@ def generated_membership(
 
     Split x into its two nonnegative halves and take the canonical entries
     of each; x is generated exactly when every entry belongs to the allowed
-    set.  The entries of a half form at most k + 1 runs (k the fiber
-    count), so each distinct entry is looked up once.
+    set.  The entries of a half form at most 2k runs (k the fiber count), so
+    each distinct entry is looked up once and the halves re-add to x run by
+    run, at a cost that does not grow with x.
     The allowed set must contain 0 and u and be closed under the capped
     addition and unit complement for the criterion to be complete; callers
     pass the image of an algebra, which is.
@@ -292,17 +304,12 @@ def generated_membership(
     positive = canonical_entries(group.u, pos)
     negative = canonical_entries(group.u, neg_part)
     lookup = allowed.__contains__
-    for e in dict.fromkeys(itertools.chain(positive, negative)):
+    for e in dict.fromkeys(e for _, e in itertools.chain(positive, negative)):
         if not lookup(e):
             return MembershipWitness(
                 member=False, positive=positive, negative=negative, missing=e
             )
-    acc = group.zero
-    for e in positive:
-        acc = group.add(acc, e)
-    for e in negative:
-        acc = group.sub(acc, e)
-    if acc != x:
+    if group.sub(_runs_total(group.zero, positive), _runs_total(group.zero, negative)) != x:
         raise InternalInvariantError("canonical entries failed to re-add to x")
     return MembershipWitness(member=True, positive=positive, negative=negative)
 

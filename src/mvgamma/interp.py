@@ -356,13 +356,12 @@ class _Runner:
                 "only nonnegative elements have good sequences", cmd.line, group.to_pairs(x)
             )
         gs = canonical_good_sequence(seg, x)
-        back = good_sequence_sum(seg, gs.entries)
-        if back != x:
+        if good_sequence_sum(seg, gs.runs) != x:
             raise InternalInvariantError("canonical sequence lost its sum")
         detail = {
             "entries": list(gs.entries),
-            "elements": _as_pairs(group, [seg.elements[e] for e in gs.entries]),
-            "length": len(gs.entries),
+            "elements": _expand(gs.runs, lambda e: group.to_pairs(seg.elements[e])),
+            "length": sum(n for n, _ in gs.runs),
         }
         return True, detail
 
@@ -380,8 +379,8 @@ class _Runner:
         witness = generated_membership(group, allowed, x)
         detail = {
             "member": witness.member,
-            "positive": _as_pairs(group, witness.positive),
-            "negative": _as_pairs(group, witness.negative),
+            "positive": _expand(witness.positive, group.to_pairs),
+            "negative": _expand(witness.negative, group.to_pairs),
         }
         if witness.missing is not None:
             detail["missing"] = group.to_pairs(witness.missing)
@@ -434,11 +433,14 @@ class _Runner:
         return True, {"path": cmd.path}
 
 
-def _as_pairs(group: ProductLuGroup, elements) -> list:
-    """Elements as carry pairs for the report, each distinct one converted
-    once: a long good sequence repeats a few entries many times."""
-    pairs = {x: group.to_pairs(x) for x in set(elements)}
-    return [pairs[x] for x in elements]
+def _expand(runs, write) -> list:
+    """Runs (count, value) written out entry by entry for the report: each
+    run's value is written once and repeated by reference, so `dumps` also
+    renders it once."""
+    out = []
+    for n, e in runs:
+        out += [write(e)] * n
+    return out
 
 
 def execute(script: Script, config: RunConfig | None = None) -> RunReport:

@@ -257,10 +257,10 @@ class _Cursor:
 def parse_script(text: str) -> Script:
     """Parse text into a Script, resolving names as they are bound."""
     cur = _Cursor(text)
-    names: dict[str, str] = {}
+    names: set[str] = set()
     statements = []
 
-    def new_name(kind: str) -> str:
+    def new_name() -> str:
         cur.skip()
         pos = cur.pos
         word = cur.word("a name")
@@ -268,7 +268,7 @@ def parse_script(text: str) -> Script:
             cur.error(ScriptSyntaxError, f"{word!r} is a keyword, not a name", pos)
         if word in names:
             cur.error(DuplicateNameError, f"name {word!r} is already bound", pos)
-        names[word] = kind
+        names.add(word)
         return word
 
     def used_name(what: str = "a bound name") -> str:
@@ -312,12 +312,12 @@ def parse_script(text: str) -> Script:
             )
         if head == "algebra":
             cur.word()
-            name = new_name("algebra")
+            name = new_name()
             cur.punct("=")
             statements.append(AlgebraDef(name, algebra_expr(), line))
         elif head == "hom":
             cur.word()
-            name = new_name("hom")
+            name = new_name()
             cur.punct(":")
             dom = used_name("the domain name")
             cur.punct("->")
@@ -336,7 +336,7 @@ def parse_script(text: str) -> Script:
             statements.append(HomDef(name, dom, cod, tuple(pairs), line))
         elif head == "group":
             cur.word()
-            name = new_name("group")
+            name = new_name()
             cur.punct("=")
             kw = cur.word("'fibers'")
             if kw != "fibers":

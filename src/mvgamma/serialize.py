@@ -19,7 +19,7 @@ a group's unit is converted here, in both directions.
 
 `dumps` is the one point where package values are lowered: it writes the
 text json's indent-2 encoder would give for `to_jsonable(value)` in one walk,
-and renders each repeated pair or element once per indent level.
+and renders a run of one object repeated in a list once.
 
 `loads` detects the kind from the key set and rebuilds the most structured
 standalone value: algebras, morphisms, and groups come back as package
@@ -31,6 +31,7 @@ pointer to the offending spot.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any
 
@@ -106,7 +107,7 @@ def to_jsonable(value: Any) -> Any:
         return {"primes": [sorted(p.members) for p in value.primes]}
     if isinstance(value, ChangPair):
         return {"m": value.m, "a": value.a}
-    if isinstance(value, tuple) and value and all(isinstance(p, ChangPair) for p in value):
+    if _is_element(value):
         return {"coords": [{"m": p.m, "a": p.a} for p in value]}
     if isinstance(value, ProductLuGroup):
         return {
@@ -132,41 +133,58 @@ def to_jsonable(value: Any) -> Any:
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
+def _is_element(value: Any) -> bool:
+    """A group element as reports hold it: a nonempty tuple of carry pairs."""
+    return isinstance(value, tuple) and bool(value) and all(isinstance(p, ChangPair) for p in value)
+
+
 def dumps(value: Any) -> str:
-    """Deterministic JSON text: sorted keys, indent 2, one trailing newline."""
-    return _render(value, 0, {}) + "\n"
+    """Deterministic JSON text: sorted keys, indent 2, one trailing newline.
+
+    Written in one walk as pieces joined once.  Consecutive list items that
+    are one and the same object (`is`, not `==`) are rendered once and the
+    text repeated, so a long good sequence costs one render per run.
+    """
+    out: list[str] = []
+    _write(value, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _render(value: Any, level: int, memo: dict) -> str:
-    """`to_jsonable(value)` as json's indent-2 encoder writes it at nesting
-    `level`, lowering package values on the way; pairs and elements are
-    rendered once per level and then read back from `memo`."""
+def _write(value: Any, level: int, out: list[str]) -> None:
+    """Append `to_jsonable(value)` as json's indent-2 encoder writes it at
+    nesting `level`, lowering package values on the way."""
     if value is None or isinstance(value, (str, int)):
-        return json.dumps(value)
-    if isinstance(value, dict):
+        out.append(json.dumps(value))
+    elif isinstance(value, dict):
         lowered = {str(k): v for k, v in value.items()}
-        return _block("{}", level, [
-            f"{json.dumps(k)}: {_render(lowered[k], level + 1, memo)}" for k in sorted(lowered)
-        ])
-    if isinstance(value, tuple) and (
-        isinstance(value, ChangPair) or (value and all(isinstance(p, ChangPair) for p in value))
-    ):
-        key = (value, level)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _render(to_jsonable(value), level, memo)
-        return text
-    if isinstance(value, (list, tuple)):
-        if all(type(v) is int for v in value):
-            return _block("[]", level, map(int.__repr__, value))
-        return _block("[]", level, [_render(v, level + 1, memo) for v in value])
-    return _render(to_jsonable(value), level, memo)
+        _block("{}", level, out, ((f"{json.dumps(k)}: ", [lowered[k]]) for k in sorted(lowered)))
+    elif isinstance(value, list) or (type(value) is tuple and not _is_element(value)):
+        if value and all(type(v) is int for v in value):
+            inner = "\n" + "  " * (level + 1)
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}\n{'  ' * level}]")
+        else:
+            _block("[]", level, out, (("", run) for _, run in itertools.groupby(value, id)))
+    else:
+        _write(to_jsonable(value), level, out)
 
 
-def _block(brackets: str, level: int, items) -> str:
+def _block(brackets: str, level: int, out: list[str], items) -> None:
+    """Write (prefix, run) items between brackets, one per line, where a run
+    holds one object one or more times: it is rendered once and its text
+    repeated."""
     inner = "\n" + "  " * (level + 1)
-    body = ("," + inner).join(items)
-    return f"{brackets[0]}{inner}{body}\n{'  ' * level}{brackets[1]}" if body else brackets
+    sep = brackets[0] + inner
+    for prefix, run in items:
+        run = iter(run)
+        out.append(sep + prefix)
+        start = len(out)
+        _write(next(run), level + 1, out)
+        repeats = sum(1 for _ in run)
+        if repeats:
+            out.append(("," + inner + "".join(out[start:])) * repeats)
+        sep = "," + inner
+    out.append(brackets if sep[0] == brackets[0] else f"\n{'  ' * level}{brackets[1]}")
 
 
 def export_json(value: Any, path: str) -> None:

@@ -179,12 +179,12 @@ def fiber_goodseq_case(h: int, window: int) -> tuple[bool, int]:
     for length in range(1, window + 2):
         for tup in itertools.product(range(a.size), repeat=length):
             if tup[-1] != 0 and is_good_sequence(a, tup):
-                by_sum.setdefault(good_sequence_sum(seg, tup), []).append(tup)
+                by_sum.setdefault(good_sequence_sum(seg, [(1, e) for e in tup]), []).append(tup)
     ok = True
     cases = window * h + 1
     for x in ((t,) for t in range(cases)):
         canon = canonical_good_sequence(seg, x)
-        if good_sequence_sum(seg, canon.entries) != x:
+        if good_sequence_sum(seg, canon.runs) != x:
             ok = False
         if by_sum.get(x, []) != [canon.entries]:
             ok = False

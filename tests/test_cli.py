@@ -21,6 +21,7 @@ from mvgamma.mv_core import FiniteMVAlgebra
 from mvgamma.script import parse_script
 from mvgamma.serialize import loads
 from test_mv_core import axioms_full, chain_product, permuted_copy
+from test_serialize import json_oracle
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -104,6 +105,32 @@ def test_goodseq_command():
     assert report.exit_code == 0
     detail = json.loads(report.to_text())["commands"][0]["detail"]
     assert detail["entries"]  # canonical entries listed in segment indices
+
+
+def test_long_runs_at_the_digits_scale_write_the_oracle_text(tmp_path, capsys):
+    # the long_runs script at copy index about 3,000: thousands of entries in a
+    # few runs, each written once and repeated, must read exactly as the
+    # standard library writes the same report
+    script = tmp_path / "digits.mvg"
+    script.write_text(
+        "algebra A = chain 2 * chain 3\n"
+        'algebra B = table {"size": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0]}\n'
+        "hom h : B -> A { 0 -> 0, 1 -> 11 }\n"
+        "group G = fibers [2, 3] unit [(1, 0), (1, 1)]\n"
+        'goodseq G {"coords": [{"m": 3000, "a": 0}, {"m": 1950, "a": 1}]}\n'
+        'member G {"coords": [{"m": 2775, "a": 0}, {"m": -2175, "a": 1}]}\n'
+        'member A {"coords": [{"m": -3000, "a": 1}, {"m": 2850, "a": 2}]}\n'
+        'member h {"coords": [{"m": 3000, "a": 0}, {"m": 3000, "a": 0}]}\n'
+        'member h {"coords": [{"m": -2925, "a": 1}, {"m": 3000, "a": 0}]}\n'
+    )
+    assert main(["run", str(script)]) == 1
+    out = capsys.readouterr().out
+    assert out == json_oracle(execute(parse_script(script.read_text())).as_json())
+    commands = json.loads(out)["commands"]
+    goodseq = commands[0]["detail"]
+    assert goodseq["length"] == len(goodseq["entries"]) == len(goodseq["elements"]) == 3000
+    assert [c["status"] for c in commands] == ["pass"] * 4 + ["fail"]
+    assert min(len(c["detail"]["positive"]) for c in commands[1:]) > 1000
 
 
 def test_goodseq_rejects_negative_element():

@@ -209,16 +209,23 @@ def test_star_fibers_follow_spectrum_order():
 # -- canonical entries and good sequences --
 
 
+def expand(runs) -> tuple:
+    """Runs (count, entry) written out entry by entry."""
+    return tuple(e for n, e in runs for _ in range(n))
+
+
 def test_canonical_entries_integers_frozen():
     g = z_group(2)
-    entries = canonical_entries(g.u, (5,))
-    assert entries == ((2,), (2,), (1,))
+    runs = canonical_entries(g.u, (5,))
+    assert runs == ((2, (2,)), (1, (1,)))
+    assert expand(runs) == ((2,), (2,), (1,))
 
 
 def test_canonical_entries_two_fibers_frozen():
     g = z2_group(1, 2)
-    entries = canonical_entries(g.u, (1, 3))
-    assert entries == ((1, 2), (0, 1))
+    runs = canonical_entries(g.u, (1, 3))
+    assert runs == ((1, (1, 2)), (1, (0, 1)))
+    assert expand(runs) == ((1, 2), (0, 1))
 
 
 def test_canonical_entries_reject_negatives():
@@ -259,15 +266,67 @@ def groups_and_nonnegatives(draw):
 @example((z2_group(2, 3), (10**4, 0)))
 def test_canonical_entries_match_the_peel(case):
     g, x = case
-    assert canonical_entries(g.u, x) == peeled_entries(g, x)
+    runs = canonical_entries(g.u, x)
+    assert expand(runs) == peeled_entries(g, x)
+    # maximal runs, at most two per fiber
+    assert all(n >= 1 for n, _ in runs)
+    assert all(a != b for (_, a), (_, b) in zip(runs, runs[1:]))
+    assert len(runs) <= 2 * g.k
+
+
+def test_run_count_is_independent_of_the_copy_index(monkeypatch):
+    g = make_product_group(
+        [ChangChainGroup(make_chain(h)) for h in (1, 2, 3)], [(2, 0), (1, 1), (2, 0)]
+    )
+    assert g.u == (2, 3, 6)
+
+    def shape(b):
+        """x with copy indices b, 2b, 3b and nonzero remainders, and its runs:
+        fiber t changes at n_t and at n_t + 1, so all 2k runs occur."""
+        x = (2 * b + 1, 6 * b + 2, 18 * b + 5)
+        runs = (
+            (b, (2, 3, 6)),
+            (1, (1, 3, 6)),
+            (b - 1, (0, 3, 6)),
+            (1, (0, 2, 6)),
+            (b - 1, (0, 0, 6)),
+            (1, (0, 0, 5)),
+        )
+        return x, runs
+
+    x, runs = shape(3)
+    assert canonical_entries(g.u, x) == runs
+    assert expand(runs) == peeled_entries(g, x)
+    big = 10**100
+    x, runs = shape(big)
+    assert canonical_entries(g.u, x) == runs and len(runs) == 2 * g.k
+    # membership of a 10^100 element with both halves nonzero, in process:
+    # each distinct entry is looked up once and the runs re-add to y
+    y = (x[0], -x[1], x[2])
+    w = generated_membership(g, gamma_segment(g).index, y)
+    assert w.member and w.missing is None
+    assert w.positive == canonical_entries(g.u, (x[0], 0, x[2]))
+    assert w.negative == ((2 * big, (0, 3, 0)), (1, (0, 2, 0)))
+    # the re-add check is in force at this size: one count off by one is caught
+    real = eq.canonical_entries
+
+    def off_by_one(u, z):
+        (n, e), *rest = real(u, z)
+        return ((n + 1, e), *rest)
+
+    monkeypatch.setattr(eq, "canonical_entries", off_by_one)
+    with pytest.raises(InternalInvariantError, match="re-add"):
+        generated_membership(g, gamma_segment(g).index, y)
 
 
 def test_canonical_good_sequence_indices():
     g = z_group(2)
     seg = gamma_segment(g)
     gs = canonical_good_sequence(seg, (5,))
+    assert gs.runs == ((2, 2), (1, 1))
     assert gs.entries == (2, 2, 1)
-    assert good_sequence_sum(seg, gs.entries) == (5,)
+    assert good_sequence_sum(seg, gs.runs) == (5,)
+    assert canonical_good_sequence(seg, g.zero).runs == ()
     assert canonical_good_sequence(seg, g.zero).entries == ()
 
 
@@ -278,9 +337,17 @@ def test_good_sequence_law_rejects_bad_entries():
     with pytest.raises(ValueError):
         is_good_sequence(a, (3,))
     with pytest.raises(ValueError):
-        GoodSequence(a, (1, 2))
+        GoodSequence(a, ((1, 1), (1, 2)))
     with pytest.raises(ValueError):
-        GoodSequence(a, (1, 0))
+        GoodSequence(a, ((1, 1), (1, 0)))
+    # inside a run each entry absorbs itself: 2 (+) 2 = 2, but 1 (+) 1 = 2
+    assert GoodSequence(a, ((10**100, 2), (1, 1))).runs == ((10**100, 2), (1, 1))
+    with pytest.raises(ValueError):
+        GoodSequence(a, ((2, 1),))
+    with pytest.raises(ValueError):
+        GoodSequence(a, ((0, 2), (1, 1)))
+    with pytest.raises(ValueError):
+        GoodSequence(a, ((1, 3),))
 
 
 def test_canonical_sequence_is_the_unique_one():
@@ -297,7 +364,7 @@ def test_canonical_sequence_is_the_unique_one():
                 all_seqs.append(tup)
     by_sum = {}
     for s in all_seqs:
-        by_sum.setdefault(good_sequence_sum(seg, s), []).append(s)
+        by_sum.setdefault(good_sequence_sum(seg, [(1, e) for e in s]), []).append(s)
     checked = 0
     for x in g.window(3):
         if not g.leq(g.zero, x):
@@ -317,9 +384,10 @@ def test_membership_witness_difference_of_atoms():
     x = star.ambient.sub(star.a_circle[2], star.a_circle[1])
     w = star_membership(star, x)
     assert w.member and bool(w)
-    assert len(w.positive) == 1 and len(w.negative) == 1
-    assert {star.circle_index[w.positive[0]], star.circle_index[w.negative[0]]} == {1, 2}
-    assert star.ambient.sub(w.positive[0], w.negative[0]) == x
+    ((n, p),), ((m, q),) = w.positive, w.negative
+    assert n == m == 1
+    assert {star.circle_index[p], star.circle_index[q]} == {1, 2}
+    assert star.ambient.sub(p, q) == x
 
 
 def test_membership_over_a_window_is_total_for_an_algebra():
@@ -337,7 +405,7 @@ def test_non_member_against_a_proper_subalgebra():
     w = generated_membership(star.ambient, allowed, middle)
     assert not w.member
     assert w.missing == middle
-    assert w.positive == (middle,) and w.negative == ()
+    assert w.positive == ((1, middle),) and w.negative == ()
 
 
 def test_segment_generation_check_counts():

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from mvgamma.cli import main
@@ -252,6 +252,7 @@ def _package_values() -> list:
 
 
 _PAIRS = st.builds(ChangPair, st.integers(-3, 3), st.integers(0, 3))
+_ELEMENTS = st.lists(_PAIRS, min_size=1, max_size=3).map(tuple)
 _TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é\u2028😀", 'a"b\\c\n'])
 _LEAVES = (
     st.integers()
@@ -260,11 +261,29 @@ _LEAVES = (
     | st.none()
     | _TEXT
     | _PAIRS
-    | st.lists(_PAIRS, min_size=1, max_size=3).map(tuple)  # group elements
+    | _ELEMENTS
     | st.sampled_from(_package_values())
 )
+# Equal neighbours that are different objects of different types: a writer
+# that grouped list items by `==` instead of by identity would merge them.
+_LOOKALIKES = st.sampled_from(
+    [
+        [1, True, True],
+        [0, False],
+        [True, 1, 1, 1],
+        [ChangPair(1, 0), (1, 0)],
+        [(1, 0), ChangPair(1, 0), ChangPair(1, 0)],
+        [(ChangPair(0, 1),), ((0, 1),)],
+    ]
+)
+# Long runs of one object in a list, as a report's good sequences hold them
+# (small objects only, so that a failing example stays quick to shrink).
+_SMALL = st.integers(-3, 3) | st.booleans() | _PAIRS | _ELEMENTS | _LOOKALIKES
+_RUNS = st.lists(st.tuples(_SMALL, st.integers(1, 40)), max_size=3).map(
+    lambda runs: [x for v, n in runs for x in [v] * n]
+)
 _VALUES = st.recursive(
-    _LEAVES,
+    _LEAVES | _LOOKALIKES | _RUNS,
     lambda inner: st.lists(inner, max_size=5)
     | st.lists(inner, max_size=5).map(tuple)
     | st.dictionaries(st.integers(-3, 3) | _TEXT, inner, max_size=5),
@@ -272,7 +291,9 @@ _VALUES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+# Without the explain phase: its line tracing makes the string diff of a
+# large failing example take minutes instead of seconds.
+@settings(max_examples=300, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
 @given(_VALUES)
 def test_dumps_matches_json_indent_2(value):
     assert dumps(value) == json_oracle(value)
@@ -285,11 +306,11 @@ def test_dumps_repeated_element_at_two_depths():
         [ChangChainGroup(make_chain(1)), ChangChainGroup(make_chain(2))], [(1, 0), (1, 1)]
     )
     witness = generated_membership(g, {g.zero, g.u}, g.from_pairs([(0, 1), (3, 0)]))
-    assert not witness.member and witness.missing in witness.positive
+    assert not witness.member and witness.missing in [x for _, x in witness.positive]
     detail = {
         "member": witness.member,
-        "positive": [g.to_pairs(x) for x in witness.positive],
-        "negative": [g.to_pairs(x) for x in witness.negative],
+        "positive": [g.to_pairs(x) for n, x in witness.positive for _ in range(n)],
+        "negative": [g.to_pairs(x) for n, x in witness.negative for _ in range(n)],
         "missing": g.to_pairs(witness.missing),
     }
     assert dumps(detail) == json_oracle(detail)
