@@ -22,9 +22,9 @@ from mvgamma import (
 L3 = make_chain(3)
 print("chain of height 3, carrier size", L3.size)
 print("oplus table:")
-for row in L3.oplus_rows:
-    print("   ", row)
-print("neg:", L3.neg_list)
+for row in L3.oplus:
+    print("   ", list(row))
+print("neg:", list(L3.neg))
 print("axioms:", "ok" if check_mv_axioms(L3).ok else "BROKEN")
 print()
 

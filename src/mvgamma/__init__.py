@@ -2,7 +2,7 @@
 
 The package has three layers:
 
-* table algebra — ``mv_core`` (finite MV-algebras as integer Cayley tables,
+* table algebra — ``mv_core`` (finite MV-algebras as Cayley tables of ints,
   morphisms, products), ``spectrum`` (ideals, primes, quotients and the
   maps they induce);
 * group side — ``lgroup`` (chain groups, computed on integers and certified
@@ -13,7 +13,8 @@ The package has three layers:
   embedding built once as iota; good sequences, round trips), with
   ``serialize``, ``script``, ``interp``, ``cli``, and ``sweeps`` on top.
 
-Everything is exact integer arithmetic; there is no floating point anywhere.
+Everything is exact integer arithmetic on Python ints, held once in tuples:
+no floating point anywhere, and nothing outside the standard library.
 A product group carries its strong unit as ``ProductLuGroup.u``.  The unit
 segment reads nothing else of a group, so segment-side work (the segment, its
 coordinate ideals, good-sequence entries) takes the unit tuple and is shared.

@@ -228,7 +228,7 @@ def is_good_sequence(algebra: FiniteMVAlgebra, entries: Iterable[int]) -> bool:
     for e in entries:
         if not 0 <= e < algebra.size:
             raise ValueError(f"entry {e} outside the carrier")
-    rows = algebra.oplus_rows
+    rows = algebra.oplus
     return all(rows[a][b] == a for a, b in zip(entries, entries[1:]))
 
 
@@ -832,10 +832,8 @@ def free_quotient_experiment(
     integers, as rows and measures their row space.
     """
     n = algebra.size
-    oplus = algebra.oplus_rows
-    odot = algebra.odot_rows
-    below = algebra.leq.sum(axis=0).tolist()
-    col = {x: k for k, x in enumerate(sorted(range(n), key=below.__getitem__))}
+    oplus, odot, below = algebra.oplus, algebra.odot, algebra.below
+    col = {x: k for k, x in enumerate(sorted(range(n), key=lambda x: len(below[x])))}
     rows = []
     relation_rows = 0
     for a in range(n):

@@ -7,9 +7,11 @@ Failure taxonomy (process exit codes in parentheses):
     kind or break a law at binding time — a morphism that fails the morphism
     laws, a table that fails the axioms, a negative element where a
     nonnegative one is required, a fiber-count mismatch, an unwritable
-    export path, a window below 1 or a max size below 2, a carrier above
-    MAX_CARRIER = 256 elements (a chain, product or table algebra, a fiber
-    chain, or a group's unit segment), rejected before it is built;
+    export path, a window below 1 or above MAX_WINDOW = 8 or a max size
+    below 2, a carrier above MAX_CARRIER = 256 elements (a chain, product
+    or table algebra, a fiber chain, or a group's unit segment), rejected
+    before it is built, and a good sequence or membership witness of more
+    than MAX_LISTED = 100,000 entries, rejected before it is listed;
   * command failures (1): well-posed checks whose verdict is negative — a
     non-member, a failed round trip, a non-isomorphic free quotient;
   * internal invariant breaches (4) propagate as InternalInvariantError.
@@ -79,9 +81,16 @@ from .sweeps import run_all_checks
 
 __all__ = ["RunConfig", "SemanticError", "RunReport", "execute"]
 
-# At the cap a lawful table checks in about 5 ms, a lawless one in about 0.3 s
-# (exhaustive associativity) and freequotient runs in 0.2-0.5 s in process.
+# At the cap, in process, a lawful table builds and checks in about 10 ms, a
+# random one in 0.08-0.11 s, one with a single neg entry off (associative, so
+# every triple is checked) in 0.32-0.36 s, and freequotient runs in 0.5 s.
 MAX_CARRIER = 256
+# `check all` enumerates about size^(window+1) sequences per fiber: cold,
+# `check-all --max-size 16` took 0.35 s at window 4 and 1.6 s at window 8.
+MAX_WINDOW = 8
+# Good-sequence entries a report lists: 10^5 took 0.54 s cold and 139 MB for a
+# two-fiber `goodseq` plus `member`; digits' longest sequence has 3,163.
+MAX_LISTED = 10**5
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,13 @@ class SemanticError(ValueError):
             "line": self.line,
             "counterexample": self.counterexample,
         }
+
+
+def _capped(value: int, cap: int, line: int, what: str, key: str) -> int:
+    """value, or a SemanticError saying what it is when it is above cap."""
+    if value > cap:
+        raise SemanticError(f"{what}, above the cap of {cap}", line, {key: value, "cap": cap})
+    return value
 
 
 @dataclass
@@ -162,15 +178,17 @@ class _Runner:
         value = getattr(self.config, name) if value is None else value
         if value < least:
             raise SemanticError(f"{name} must be at least {least}", cmd.line, {name: value})
+        if name == "window":
+            _capped(value, MAX_WINDOW, cmd.line, f"window {value}", name)
         return value
 
+    def listed(self, cmd: Command, *runs) -> int:
+        """How many entries runs (count, value) list; above MAX_LISTED a SemanticError."""
+        length = sum(n for part in runs for n, _ in part)
+        return _capped(length, MAX_LISTED, cmd.line, f"{length} good-sequence entries", "length")
+
     def check_carrier(self, size: int, line: int, what: str) -> None:
-        if size > MAX_CARRIER:
-            raise SemanticError(
-                f"{what} would have {size} elements, above the cap of {MAX_CARRIER}",
-                line,
-                {"size": size, "cap": MAX_CARRIER},
-            )
+        _capped(size, MAX_CARRIER, line, f"{what} would have {size} elements", "size")
 
     def element_in(self, group: ProductLuGroup, raw: Any, line: int):
         try:
@@ -358,10 +376,11 @@ class _Runner:
         gs = canonical_good_sequence(seg, x)
         if good_sequence_sum(seg, gs.runs) != x:
             raise InternalInvariantError("canonical sequence lost its sum")
+        length = self.listed(cmd, gs.runs)
         detail = {
             "entries": list(gs.entries),
             "elements": _expand(gs.runs, lambda e: group.to_pairs(seg.elements[e])),
-            "length": sum(n for n, _ in gs.runs),
+            "length": length,
         }
         return True, detail
 
@@ -377,6 +396,7 @@ class _Runner:
             group, allowed = star.ambient, {star.a_circle[b] for b in value.map}
         x = self.element_in(group, cmd.element, cmd.line)
         witness = generated_membership(group, allowed, x)
+        self.listed(cmd, witness.positive, witness.negative)
         detail = {
             "member": witness.member,
             "positive": _expand(witness.positive, group.to_pairs),

@@ -73,25 +73,22 @@ class ChangChainGroup:
     def __init__(self, chain: FiniteMVAlgebra):
         self.chain = chain
         self.top = chain.top
-        self.rank = [int(r) for r in chain_rank(chain)]  # ValueError off chains
+        self.rank = chain_rank(chain)  # ValueError off chains
         self.by_rank = sorted(range(chain.size), key=self.rank.__getitem__)
         self.height = chain.size - 1  # rank of the top: one copy is this integer
-        self._op = chain.oplus_rows
-        self._od = chain.odot_rows
-        self._ng = chain.neg_list
 
     # -- the carry rule on pairs: the definition, certified by transport ---
 
     def add(self, x: ChangPair, y: ChangPair) -> ChangPair:
-        s = self._op[x.a][y.a]
+        s = self.chain.oplus[x.a][y.a]
         if s == self.top:
-            return ChangPair(x.m + y.m + 1, self._od[x.a][y.a])
+            return ChangPair(x.m + y.m + 1, self.chain.odot[x.a][y.a])
         return ChangPair(x.m + y.m, s)
 
     def neg(self, x: ChangPair) -> ChangPair:
         if x.a == 0:
             return ChangPair(-x.m, 0)
-        return ChangPair(-x.m - 1, self._ng[x.a])
+        return ChangPair(-x.m - 1, self.chain.neg[x.a])
 
     def leq(self, x: ChangPair, y: ChangPair) -> bool:
         if x.m != y.m:

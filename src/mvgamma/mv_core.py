@@ -2,21 +2,20 @@
 
 An algebra is a carrier {0, .., size-1} together with a binary table for the
 truncated addition ``oplus`` and a unary table for the involution ``neg``.
-Element 0 is always the bottom.  Everything else (the product, the order, the
-lattice) is derived from those two tables.  Tables are numpy int arrays so
-the law checks run vectorized and whole rows, columns and sub-tables can be
-gathered by index; single-cell lookups in hot paths go through plain nested
-lists (see ``oplus_rows`` etc.).
+Element 0 is always the bottom.  Everything else (the product, the order)
+is derived from those two tables.  A table is a tuple of Python ints, or of
+row tuples, held once: cells read ``oplus[a][b]``, and whole rows are
+gathered by index with ``map`` and ``operator.itemgetter``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import weakref
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "FiniteMVAlgebra",
@@ -35,23 +34,47 @@ __all__ = [
 ]
 
 _VIOLATION_CAP = 100  # per axiom; garbage tables can fail on O(size^3) triples
-_ASSOC_BLOCK_CELLS = 1 << 20  # associativity is checked in row blocks of about this many cells
 _NODE_CAP = 10**6  # partial maps a morphism search may try, so sweeps stay bounded
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _shape(values, depth: int = 2) -> tuple[int, ...]:
+    """The length of values, then of its first entry, down to depth 2."""
+    if not depth or not hasattr(values, "__len__"):
+        return ()
+    return (len(values), *(_shape(values[0], depth - 1) if len(values) else ()))
 
 
-def _table_bytes(values, shape, name: str) -> bytes:
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    return arr.tobytes()
+def _table(values, shape: tuple[int, ...], name: str) -> tuple:
+    """values as a tuple of ints in range(shape[0]), or of such row tuples
+    for a square shape; a ValueError names a wrong shape or range.  Entries
+    that are not ints but integer-like go through `operator.index`."""
+    if _shape(values) != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {_shape(values)}")
+    rows = tuple(map(tuple, values)) if len(shape) == 2 else (tuple(values),)
+    if any(len(row) != shape[0] for row in rows):
+        raise ValueError(f"{name} must have shape {shape}, got ragged rows")
+    entries = set().union(*rows)
+    if any(type(v) is not int for v in entries):
+        rows = tuple(tuple(map(operator.index, row)) for row in rows)
+        entries = set().union(*rows)
+    if min(entries) < 0 or max(entries) >= shape[0]:
+        raise ValueError(f"{name} entries out of carrier range")
+    return rows if len(shape) == 2 else rows[0]
 
 
-# The live algebra of each (size, oplus bytes, neg bytes) key, while it lives.
+class _DownSets(dict):
+    """The down-set {a : a <= b} of each element b, found when first read:
+    a <= b iff neg(a) oplus b = top, read down column b of the rows neg(a)."""
+
+    def __init__(self, algebra: FiniteMVAlgebra):
+        self.rows, self.top = tuple(map(algebra.oplus.__getitem__, algebra.neg)), algebra.top
+
+    def __missing__(self, b: int) -> frozenset[int]:
+        down = self[b] = frozenset([a for a, row in enumerate(self.rows) if row[b] == self.top])
+        return down
+
+
+# The live algebra of each (size, oplus, neg) key, while it lives.
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -60,7 +83,8 @@ class FiniteMVAlgebra:
 
     An algebra is its tables: constructing one returns the live algebra with
     equal tables if there is one, so equal tables are one object and algebras
-    compare and hash by identity.  The tables are read-only views of the key.
+    compare and hash by identity.  The tables (tuples, so read-only) are the
+    interning key itself.
 
     Construction validates shapes and value ranges only; whether the tables
     satisfy the MV laws is a separate question answered by check_mv_axioms.
@@ -72,21 +96,12 @@ class FiniteMVAlgebra:
     def __new__(cls, size: int, oplus, neg):
         if size < 2:
             raise ValueError("carrier must have at least two elements")
-        key = (
-            int(size),
-            _table_bytes(oplus, (size, size), "oplus"),
-            _table_bytes(neg, (size,), "neg"),
-        )
+        size = operator.index(size)
+        key = (size, _table(oplus, (size, size), "oplus"), _table(neg, (size,), "neg"))
         algebra = _LIVE.get(key)
         if algebra is None:
             algebra = super().__new__(cls)
-            algebra.size = key[0]
-            algebra.oplus = np.frombuffer(key[1], dtype=np.int64).reshape(size, size)
-            algebra.neg = np.frombuffer(key[2], dtype=np.int64)
-            if algebra.oplus.min() < 0 or algebra.oplus.max() >= size:
-                raise ValueError("oplus entries out of carrier range")
-            if algebra.neg.min() < 0 or algebra.neg.max() >= size:
-                raise ValueError("neg entries out of carrier range")
+            algebra.size, algebra.oplus, algebra.neg = key
             _LIVE[key] = algebra
         return algebra
 
@@ -97,52 +112,22 @@ class FiniteMVAlgebra:
         return FiniteMVAlgebra, (self.size, self.oplus, self.neg)
 
     @property
-    def zero(self) -> int:
-        return 0
-
-    @property
     def top(self) -> int:
-        return int(self.neg[0])
+        return self.neg[0]
 
     # -- derived tables (computed once; all follow from oplus and neg) --
 
     @functools.cached_property
-    def odot(self) -> np.ndarray:
-        """odot[a,b] = neg(neg(a) oplus neg(b))."""
-        return _frozen(self.neg[self.oplus[self.neg[:, None], self.neg[None, :]]])
+    def odot(self) -> tuple[tuple[int, ...], ...]:
+        """odot[a][b] = neg(neg(a) oplus neg(b))."""
+        op, ng = self.oplus, self.neg
+        at_negs = operator.itemgetter(*ng)
+        return tuple(tuple(map(ng.__getitem__, at_negs(op[na]))) for na in ng)
 
     @functools.cached_property
-    def ominus(self) -> np.ndarray:
-        """ominus[a,b] = a odot neg(b); zero exactly when a <= b."""
-        return _frozen(self.odot[:, self.neg])
-
-    @functools.cached_property
-    def leq(self) -> np.ndarray:
-        """Boolean matrix of the induced partial order."""
-        return _frozen(self.ominus == 0)
-
-    @functools.cached_property
-    def join(self) -> np.ndarray:
-        """join[a,b] = (a ominus b) oplus b."""
-        return _frozen(self.oplus[self.ominus, np.arange(self.size)[None, :]])
-
-    @functools.cached_property
-    def meet(self) -> np.ndarray:
-        return _frozen(self.neg[self.join[self.neg[:, None], self.neg[None, :]]])
-
-    # -- fast scalar access for backtracking searches and pair arithmetic --
-
-    @functools.cached_property
-    def oplus_rows(self) -> list[list[int]]:
-        return self.oplus.tolist()
-
-    @functools.cached_property
-    def odot_rows(self) -> list[list[int]]:
-        return self.odot.tolist()
-
-    @functools.cached_property
-    def neg_list(self) -> list[int]:
-        return self.neg.tolist()
+    def below(self) -> _DownSets:
+        """below[b] is the down-set {a : a <= b} of b, found when first read."""
+        return _DownSets(self)
 
     def __repr__(self) -> str:
         return f"FiniteMVAlgebra(size={self.size})"
@@ -200,30 +185,33 @@ def make_chain(n: int) -> FiniteMVAlgebra:
     """
     if n < 1:
         raise ValueError("chain parameter must be >= 1")
-    a = np.arange(n + 1)
-    oplus = np.minimum(n, a[:, None] + a[None, :])
-    neg = n - a
-    return FiniteMVAlgebra(n + 1, oplus, neg)
+    oplus = [tuple(range(a, n + 1)) + (n,) * a for a in range(n + 1)]
+    return FiniteMVAlgebra(n + 1, oplus, range(n, -1, -1))
 
 
 def make_product_many(factors: Sequence[FiniteMVAlgebra]) -> FiniteMVAlgebra:
-    """Pointwise product with row-major index pairing (first factor slowest)."""
+    """Pointwise product with row-major index pairing (first factor slowest),
+    built once per tuple of factors."""
     if not factors:
         raise ValueError("product needs at least one factor")
-    if len(factors) == 1:
-        return factors[0]
-    sizes = [f.size for f in factors]
-    total = int(np.prod(sizes))
-    idx = np.arange(total)
-    digits = np.array(np.unravel_index(idx, sizes))  # (k, total)
-    strides = np.array([int(np.prod(sizes[i + 1 :])) for i in range(len(sizes))])
-    oplus = np.zeros((total, total), dtype=np.int64)
-    neg = np.zeros(total, dtype=np.int64)
-    for i, f in enumerate(factors):
-        d = digits[i]
-        oplus += strides[i] * f.oplus[d[:, None], d[None, :]]
-        neg += strides[i] * f.neg[d]
-    return FiniteMVAlgebra(total, oplus, neg)
+    return factors[0] if len(factors) == 1 else _product(tuple(factors))
+
+
+@functools.cache
+def _product(factors: tuple[FiniteMVAlgebra, ...]) -> FiniteMVAlgebra:
+    """Folding in a factor of size n, row (i, y) is the row i so far with
+    each entry a replaced by the factor's row y shifted by a·n."""
+    oplus, neg = ((0,),), (0,)
+    for f in factors:
+        n = f.size
+        shifted = [[tuple(a * n + b for b in row) for a in range(len(neg))] for row in f.oplus]
+        oplus = tuple(
+            tuple(itertools.chain.from_iterable(map(by_a.__getitem__, row)))
+            for row in oplus
+            for by_a in shifted
+        )
+        neg = tuple(a * n + b for a in neg for b in f.neg)
+    return FiniteMVAlgebra(len(neg), oplus, neg)
 
 
 def make_product(a: FiniteMVAlgebra, b: FiniteMVAlgebra) -> FiniteMVAlgebra:
@@ -231,28 +219,30 @@ def make_product(a: FiniteMVAlgebra, b: FiniteMVAlgebra) -> FiniteMVAlgebra:
     return make_product_many([a, b])
 
 
-def _collect(name: str, where: np.ndarray, arity: int, out: list) -> bool:
-    """Append up to the cap of violating argument tuples; return truncation."""
-    for row in where[:_VIOLATION_CAP]:
-        out.append((name, tuple(int(v) for v in row[:arity])))
-    return len(where) > _VIOLATION_CAP
+def _where(left, right, *prefix: int) -> list[tuple[int, ...]]:
+    """(*prefix, i) for each position i where two rows differ."""
+    return [(*prefix, i) for i, (x, y) in enumerate(zip(left, right)) if x != y]
 
 
-def _assoc_failures(op: np.ndarray) -> np.ndarray:
-    """The (a, b, c) with (a+b)+c != a+(b+c) in row-major order, one block of
-    rows a at a time (memory O(size^2)), up to the block passing the cap."""
-    s = len(op)
-    step = max(1, _ASSOC_BLOCK_CELLS // (s * s))
+def _cells(left, right) -> list[tuple[int, int]]:
+    """The (a, b) where two tables (sequences of rows) differ, row-major."""
+    return [cell for a, (x, y) in enumerate(zip(left, right)) if x != y for cell in _where(x, y, a)]
+
+
+def _assoc_failures(op: tuple) -> list[tuple[int, int, int]]:
+    """The (a, b, c) with (a+b)+c != a+(b+c) in row-major order, one row a at
+    a time, up to the row passing the cap.  Row a compares the rows
+    op[a+b] with row a read at the entries of the rows op[b]."""
+    at_rows = [operator.itemgetter(*row) for row in op]
     found = []
-    for i in range(0, s, step):
-        rows = op[i : i + step]
-        found.append(np.argwhere(op[rows] != rows[:, op]) + [i, 0, 0])
-        if sum(map(len, found)) > _VIOLATION_CAP:
+    for a, row in enumerate(op):
+        found += [(a, b, c) for b, c in _cells(map(op.__getitem__, row), [g(row) for g in at_rows])]
+        if len(found) > _VIOLATION_CAP:
             break
-    return np.concatenate(found)
+    return found
 
 
-def _chain_product_certificate(op: np.ndarray, ng: np.ndarray) -> bool:
+def _chain_product_certificate(algebra: FiniteMVAlgebra) -> bool:
     """Whether an explicit f from a product of chains onto the carrier
     carries the product's oplus and neg onto the tables; O(s^2), never raises.
 
@@ -260,28 +250,35 @@ def _chain_product_certificate(op: np.ndarray, ng: np.ndarray) -> bool:
     order x <= y iff neg x oplus y = top, n_i the count of nonzero elements
     below e_i, the least of them a_i, and f(k) = sum_i k_i·a_i (on a lawful
     table, the decomposition into chains of CDM ch. 3).  Acceptance proves
-    associativity: f is onto, so every triple is (f x, f y, f z), and f
-    carries the associativity of the product of the `make_chain` chains
-    min(n, a + b), n - a (CDM ch. 1; tested against every law) onto it.
+    every law: f is onto, so every tuple of elements is an image under f,
+    and f carries the laws of the product of the `make_chain` chains
+    min(n, a + b), n - a (CDM ch. 1; tested against every law) onto them.
     """
-    s = len(op)
-    leq = op[ng[:, None], np.arange(s)] == ng[0]
-    idem = np.flatnonzero(op.diagonal()[1:] == np.arange(1, s)) + 1
-    minimal = idem[leq[np.ix_(idem, idem)].sum(axis=0) == 1]
-    down, f, heights = leq.sum(axis=0), np.zeros(1, dtype=np.int64), []
+    s, op, below = algebra.size, algebra.oplus, algebra.below
+    idem = frozenset(e for e in range(1, s) if op[e][e] == e)
+    # the largest first: on a product's own table that is the first factor's,
+    # so the chains come in factor order and their product is this algebra
+    minimal = [e for e in sorted(idem, reverse=True) if len(below[e] & idem) == 1]
+    f, heights = (0,), []
     for e in minimal:
-        under = np.flatnonzero(leq[1:, e]) + 1
-        if not len(under) or len(f) * (len(under) + 1) > s:  # each chain doubles len(f) or more
+        under = sorted(below[e] - {0})
+        if not under or len(f) * (len(under) + 1) > s:  # each chain doubles len(f) or more
             return False
-        atom, multiples = under[np.argmin(down[under])], [0]
+        atom, multiples = min(under, key=lambda x: len(below[x])), [0]
         for _ in under:
-            multiples.append(op[multiples[-1], atom])
-        f = op[f[:, None], multiples].ravel()
+            multiples.append(op[multiples[-1]][atom])
+        at_multiples = operator.itemgetter(*multiples)
+        f = tuple(itertools.chain.from_iterable(at_multiples(op[x]) for x in f))
         heights.append(len(under))
-    if len(f) != s or np.bincount(f, minlength=s).max() != 1:
+    if len(f) != s or len(set(f)) != s:
         return False
     product = make_product_many([make_chain(n) for n in heights])
-    return bool((op[f[:, None], f] == f[product.oplus]).all() and (ng[f] == f[product.neg]).all())
+    if product is algebra:
+        return True  # the tables are a product of chains themselves
+    at_f = operator.itemgetter(*f)
+    return at_f(algebra.neg) == operator.itemgetter(*product.neg)(f) and all(
+        at_f(op[x]) == operator.itemgetter(*row)(f) for x, row in zip(f, product.oplus)
+    )
 
 
 @functools.cache
@@ -290,38 +287,40 @@ def check_mv_axioms(algebra: FiniteMVAlgebra) -> AxiomReport:
 
     Laws: associativity and commutativity of oplus, 0 as unit, neg involutive,
     top absorbing, and the characteristic law
-    neg(neg a oplus b) oplus b = neg(neg b oplus a) oplus a.  Associativity
-    holds if `_chain_product_certificate` accepts; otherwise its failing
-    triples are found exhaustively, like those of the other laws.
+    neg(neg a oplus b) oplus b = neg(neg b oplus a) oplus a.  All six hold
+    if `_chain_product_certificate` accepts; otherwise the failing arguments
+    of each law are found exhaustively, in row-major order.
     """
-    s = algebra.size
-    op, ng = algebra.oplus, algebra.neg
-    idx = np.arange(s)
+    if _chain_product_certificate(algebra):
+        return AxiomReport(ok=True)
+    s, op, ng, top = algebra.size, algebra.oplus, algebra.neg, algebra.top
+    carrier, columns = tuple(range(s)), tuple(zip(*op))
+    luk = [tuple(op[ng[v]][b] for b, v in enumerate(op[na])) for na in ng]
     out: list[tuple[str, tuple[int, ...]]] = []
     truncated = False
-
-    if not _chain_product_certificate(op, ng):
-        truncated |= _collect("assoc", _assoc_failures(op), 3, out)
-    truncated |= _collect("comm", np.argwhere(op != op.T), 2, out)
-    truncated |= _collect("unit", np.argwhere(op[:, 0] != idx), 1, out)
-    truncated |= _collect("involution", np.argwhere(ng[ng] != idx), 1, out)
-    truncated |= _collect("absorb", np.argwhere(op[:, algebra.top] != algebra.top), 1, out)
-    luk = op[ng[op[ng[:, None], idx[None, :]]], idx[None, :]]
-    truncated |= _collect("characteristic", np.argwhere(luk != luk.T), 2, out)
-
+    for name, found in (
+        ("assoc", _assoc_failures(op)),
+        ("comm", _cells(op, columns)),
+        ("unit", _where(columns[0], carrier)),
+        ("involution", _where(map(ng.__getitem__, ng), carrier)),
+        ("absorb", _where(columns[top], (top,) * s)),
+        ("characteristic", _cells(luk, zip(*luk))),
+    ):
+        out += [(name, args) for args in found[:_VIOLATION_CAP]]
+        truncated |= len(found) > _VIOLATION_CAP
     return AxiomReport(ok=not out, violations=tuple(out), truncated=truncated)
 
 
 @functools.cache
 def check_morphism(h: MVMorphism) -> MorphismReport:
     """Check h(0)=0, h(a oplus b) = h(a) oplus h(b), h(neg a) = neg h(a)."""
-    m = np.asarray(h.map, dtype=np.int64)
-    out: list[tuple[str, tuple[int, ...]]] = []
-    if h.map[0] != 0:
-        out.append(("zero", (0,)))
-    bad = m[h.dom.oplus] != h.cod.oplus[m[:, None], m[None, :]]
-    _collect("oplus", np.argwhere(bad), 2, out)
-    _collect("neg", np.argwhere(m[h.dom.neg] != h.cod.neg[m]), 1, out)
+    m, cod, at_images = h.map, h.cod, operator.itemgetter(*h.map)
+    out = [("zero", (0,))] if m[0] != 0 else []
+    left = [operator.itemgetter(*row)(m) for row in h.dom.oplus]
+    bad = _cells(left, [at_images(cod.oplus[y]) for y in m])
+    out += [("oplus", cell) for cell in bad[:_VIOLATION_CAP]]
+    bad = _where(operator.itemgetter(*h.dom.neg)(m), at_images(cod.neg))
+    out += [("neg", a) for a in bad[:_VIOLATION_CAP]]
     return MorphismReport(ok=not out, violations=tuple(out))
 
 
@@ -333,10 +332,11 @@ def compose(first: MVMorphism, then: MVMorphism) -> MVMorphism:
 
 
 def is_totally_ordered(algebra: FiniteMVAlgebra) -> bool:
-    return bool((algebra.leq | algebra.leq.T).all())
+    below = algebra.below
+    return all(a in below[b] or b in below[a] for b in range(algebra.size) for a in range(b))
 
 
-def chain_rank(algebra: FiniteMVAlgebra) -> np.ndarray:
+def chain_rank(algebra: FiniteMVAlgebra) -> tuple[int, ...]:
     """Position of each element in the total order; error on non-chains.
 
     rank[a] counts the elements strictly below a, so rank is the unique
@@ -345,7 +345,7 @@ def chain_rank(algebra: FiniteMVAlgebra) -> np.ndarray:
     """
     if not is_totally_ordered(algebra):
         raise ValueError("algebra is not totally ordered")
-    return algebra.leq.sum(axis=0) - 1
+    return tuple(len(algebra.below[a]) - 1 for a in range(algebra.size))
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -355,7 +355,7 @@ class SearchBudgetExceeded(RuntimeError):
 def _prefix_consistent(img: list[int], k: int, op_d, ng_d, op_c, ng_c) -> bool:
     """Whether the partial map img[0..k] respects every neg and oplus fact
     whose arguments and value all lie in 0..k; img[k] is the fresh image.
-    The tables are the domain's and codomain's oplus rows and neg lists."""
+    The tables are the domain's and codomain's oplus and neg."""
     y = img[k]
     nk = ng_d[k]
     if nk <= k and img[nk] != ng_c[y]:
@@ -385,7 +385,7 @@ def find_morphisms(dom: FiniteMVAlgebra, cod: FiniteMVAlgebra) -> tuple[MVMorphi
     `_NODE_CAP` so sweeps stay bounded and reproducible.
     """
     s = dom.size
-    op_d, ng_d, op_c, ng_c = dom.oplus_rows, dom.neg_list, cod.oplus_rows, cod.neg_list
+    op_d, ng_d, op_c, ng_c = dom.oplus, dom.neg, cod.oplus, cod.neg
     img = [-1] * s
     img[0] = 0
     found: list[MVMorphism] = []

@@ -92,8 +92,8 @@ def to_jsonable(value: Any) -> Any:
     if isinstance(value, FiniteMVAlgebra):
         return {
             "size": value.size,
-            "oplus": [list(row) for row in value.oplus_rows],
-            "neg": list(value.neg_list),
+            "oplus": [list(row) for row in value.oplus],
+            "neg": list(value.neg),
         }
     if isinstance(value, MVMorphism):
         return {
@@ -212,9 +212,9 @@ def algebra_from_json(obj: Any, where: str = "") -> FiniteMVAlgebra:
         _expect(len(row) == size, f"row must have {size} entries", f"{where}/oplus/{i}")
     neg = _int_list(obj["neg"], f"{where}/neg")
     _expect(len(neg) == size, f"neg must have {size} entries", f"{where}/neg")
-    try:  # an entry past int64 overflows in numpy, one inside it fails the range check
+    try:
         return FiniteMVAlgebra(size, rows, neg)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise SchemaError("table entry out of range", where) from exc
 
 

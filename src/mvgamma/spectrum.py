@@ -15,10 +15,9 @@ fiber" is reproducible across runs.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Hashable, Sequence
-
-import numpy as np
 
 from .mv_core import FiniteMVAlgebra, MVMorphism
 
@@ -50,10 +49,7 @@ class Ideal:
 
     @property
     def bitmask(self) -> int:
-        m = 0
-        for a in self.members:
-            m |= 1 << a
-        return m
+        return sum(1 << a for a in self.members)
 
     @property
     def proper(self) -> bool:
@@ -83,32 +79,40 @@ class Spectrum:
 
 @functools.cache
 def ideal_violations(algebra: FiniteMVAlgebra, members: frozenset[int]) -> tuple[str, ...]:
-    """Human-readable reasons a subset fails to be an ideal (empty if none)."""
-    out = []
-    if 0 not in members:
-        out.append("does not contain 0")
-    mask = np.zeros(algebra.size, dtype=bool)
-    mask[list(members)] = True
-    below = algebra.leq & mask[None, :]  # [x, y]: x <= y and y in members
-    if not (~below | mask[:, None]).all():
+    """Human-readable reasons a subset fails to be an ideal (empty if none).
+    Some x outside lies below a member y when neg(x) oplus y = top."""
+    out = [] if 0 in members else ["does not contain 0"]
+    if not members:
+        return tuple(out)
+    op, ng, top = algebra.oplus, algebra.neg, algebra.top
+    at_members = operator.itemgetter(*members, min(members))  # a tuple even for one member
+    if any(top in at_members(op[ng[x]]) for x in range(algebra.size) if x not in members):
         out.append("not downward closed")
-    idx = sorted(members)
-    if idx and not mask[algebra.oplus[np.ix_(idx, idx)]].all():
+    if not all(members.issuperset(at_members(op[a])) for a in members):
         out.append("not closed under oplus")
     return tuple(out)
 
 
 def _idempotent_above(algebra: FiniteMVAlgebra, a: int) -> int:
     """Least idempotent bounding every finite oplus-multiple of a."""
-    rows = algebra.oplus_rows
+    rows = algebra.oplus
     e = a
     while rows[e][e] != e:
         e = rows[e][e]
     return e
 
 
-def _downset(algebra: FiniteMVAlgebra, e: int) -> frozenset[int]:
-    return frozenset(int(x) for x in np.flatnonzero(algebra.leq[:, e]))
+def _generator(algebra: FiniteMVAlgebra, ideal: Ideal, improper: str) -> int:
+    """The largest member e of a proper ideal, which is then the down-set of
+    e: the oplus of all members, which lies above each and inside the ideal.
+    A ValueError names a subset that is no ideal, or says `improper`."""
+    bad = ideal_violations(algebra, ideal.members)
+    if bad:
+        raise ValueError("not an ideal: " + "; ".join(bad))
+    if not ideal.proper:
+        raise ValueError(improper)
+    op = algebra.oplus
+    return functools.reduce(lambda e, a: op[e][a], ideal.members, 0)
 
 
 def enumerate_ideals(algebra: FiniteMVAlgebra) -> list[Ideal]:
@@ -120,9 +124,7 @@ def enumerate_ideals(algebra: FiniteMVAlgebra) -> list[Ideal]:
     (e + e) + (f + f) = e + f by associativity and commutativity.
     """
     gens = {_idempotent_above(algebra, a) for a in range(algebra.size)}
-    ideals = [Ideal(algebra, _downset(algebra, e)) for e in gens]
-    ideals.sort(key=lambda i: i.bitmask)
-    return ideals
+    return sorted((Ideal(algebra, algebra.below[e]) for e in gens), key=lambda i: i.bitmask)
 
 
 def ideals_by_subset_filter(algebra: FiniteMVAlgebra) -> list[Ideal]:
@@ -133,45 +135,30 @@ def ideals_by_subset_filter(algebra: FiniteMVAlgebra) -> list[Ideal]:
     s = algebra.size
     if s > SUBSET_ORACLE_CAP:
         raise ValueError(f"subset oracle capped at size {SUBSET_ORACLE_CAP}")
-    leq = algebra.leq
-    op = algebra.oplus
-    found = []
-    for bits in range(1, 1 << s):
-        if not bits & 1:  # must contain 0
-            continue
-        members = [a for a in range(s) if bits >> a & 1]
-        mask = np.zeros(s, dtype=bool)
-        mask[members] = True
-        if not (~(leq & mask[None, :]) | mask[:, None]).all():
-            continue
-        if not mask[op[np.ix_(members, members)]].all():
-            continue
-        found.append(Ideal(algebra, frozenset(members)))
-    found.sort(key=lambda i: i.bitmask)
-    return found
+    # the subsets with 0 (odd bitmasks), in bitmask order
+    subsets = (frozenset(a for a in range(s) if bits >> a & 1) for bits in range(1, 1 << s, 2))
+    return [Ideal(algebra, m) for m in subsets if not ideal_violations.__wrapped__(algebra, m)]
 
 
 def is_prime_ideal(algebra: FiniteMVAlgebra, ideal: Ideal) -> bool:
-    """Proper, and for every a, b at least one of a ominus b, b ominus a is in it."""
-    bad = ideal_violations(algebra, ideal.members)
-    if bad:
-        raise ValueError("not an ideal: " + "; ".join(bad))
-    if not ideal.proper:
-        raise ValueError("primality is asked of proper ideals only")
-    mask = np.zeros(algebra.size, dtype=bool)
-    mask[list(ideal.members)] = True
-    om = algebra.ominus
-    return bool((mask[om] | mask[om.T]).all())
+    """Proper, and the quotient is a chain.
+
+    The ideal is the down-set of its largest member e, which is Boolean, and
+    A/↓e is isomorphic to the segment [0, neg e] (CDM ch. 1), so the ideal
+    is prime exactly when the down-set of neg e is a chain.  A finite
+    MV-algebra is a product of chains (CDM ch. 3), whose idempotents are the
+    tuples of bottoms and tops, so it is a chain exactly when its only
+    idempotents are 0 and its top.  The definition (a ominus b or b ominus a
+    in the ideal, for all a, b) is the oracle in the tests.
+    """
+    ne = algebra.neg[_generator(algebra, ideal, "primality is asked of proper ideals only")]
+    return all(algebra.oplus[x][x] != x for x in algebra.below[ne] - {0, ne})
 
 
 @functools.cache
 def spectrum(algebra: FiniteMVAlgebra) -> Spectrum:
     """Proper prime ideals in canonical (bitmask-ascending) order."""
-    primes = [
-        i
-        for i in enumerate_ideals(algebra)
-        if i.proper and is_prime_ideal(algebra, i)
-    ]
+    primes = [i for i in enumerate_ideals(algebra) if i.proper and is_prime_ideal(algebra, i)]
     return Spectrum(algebra, tuple(primes))
 
 
@@ -191,22 +178,16 @@ def quotient(algebra: FiniteMVAlgebra, ideal: Ideal) -> QuotientResult:
     a |-> a odot neg(e) has kernel exactly that downset, so it keys the
     classes without comparing pairs of elements.
     """
-    bad = ideal_violations(algebra, ideal.members)
-    if bad:
-        raise ValueError("not an ideal: " + "; ".join(bad))
-    if not ideal.proper:
-        raise ValueError("quotient by the improper ideal would be the excluded one-element algebra")
-    idx = np.fromiter(ideal.members, dtype=np.int64)
-    e = idx[algebra.leq[np.ix_(idx, idx)].all(axis=0)][0]
-    key = algebra.neg[algebra.oplus[algebra.neg, e]]
-    reps = np.fromiter(dict.fromkeys(key.tolist()), dtype=np.int64)
-    rank = np.empty(algebra.size, dtype=np.int64)
-    rank[reps] = np.arange(len(reps))
-    class_of = rank[key]
-    q_oplus = class_of[algebra.oplus[np.ix_(reps, reps)]]
-    q_neg = class_of[algebra.neg[reps]]
-    q = FiniteMVAlgebra(len(reps), q_oplus, q_neg)
-    return QuotientResult(q, tuple(class_of.tolist()))
+    improper = "quotient by the improper ideal would be the excluded one-element algebra"
+    op, ng, e = algebra.oplus, algebra.neg, _generator(algebra, ideal, improper)
+    key = [ng[op[na][e]] for na in ng]
+    reps = list(dict.fromkeys(key))
+    rank = {r: c for c, r in enumerate(reps)}
+    class_of = tuple(map(rank.__getitem__, key))
+    classes = class_of.__getitem__
+    q_oplus = [tuple(map(classes, map(op[r].__getitem__, reps))) for r in reps]
+    q = FiniteMVAlgebra(len(reps), q_oplus, tuple(map(classes, map(ng.__getitem__, reps))))
+    return QuotientResult(q, class_of)
 
 
 def preimage_ideal(h: MVMorphism, ideal: Ideal) -> Ideal:

@@ -16,8 +16,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from mvgamma.equivalence import LGroupMap, star_algebra
 from mvgamma.lgroup import ChangChainGroup, ProductLuGroup, gamma_segment
 from mvgamma.mv_core import FiniteMVAlgebra, MVMorphism, make_product_many
@@ -79,9 +77,7 @@ def canonical_embedding(algebra: FiniteMVAlgebra) -> MVMorphism:
     guarantee."""
     quots = [quotient(algebra, p) for p in spectrum(algebra).primes]
     cod = make_product_many([q.quotient for q in quots])
-    sizes = [q.quotient.size for q in quots]
-    combined = np.zeros(algebra.size, dtype=np.int64)
-    for j, q in enumerate(quots):
-        stride = int(np.prod(sizes[j + 1 :]))
-        combined += stride * np.asarray(q.class_of)
-    return MVMorphism(algebra, cod, tuple(int(v) for v in combined))
+    combined = [0] * algebra.size
+    for q in quots:
+        combined = [v * q.quotient.size + c for v, c in zip(combined, q.class_of)]
+    return MVMorphism(algebra, cod, tuple(combined))

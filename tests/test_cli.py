@@ -16,7 +16,7 @@ import mvgamma
 from mvgamma import equivalence
 from mvgamma.cli import main
 from mvgamma import interp
-from mvgamma.interp import MAX_CARRIER, RunConfig, SemanticError, execute
+from mvgamma.interp import MAX_CARRIER, MAX_LISTED, MAX_WINDOW, RunConfig, SemanticError, execute
 from mvgamma.mv_core import FiniteMVAlgebra
 from mvgamma.script import parse_script
 from mvgamma.serialize import loads
@@ -161,18 +161,18 @@ def table_scripts(draw):
     product = chain_product(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
     s = product.size
     lawful = permuted_copy(product, [0] + draw(st.permutations(range(1, s))))
-    op, ng = lawful.oplus.copy(), lawful.neg.copy()
+    op, ng = [list(row) for row in lawful.oplus], list(lawful.neg)
     elements, shifts = st.integers(0, s - 1), st.integers(1, s - 1)
     change = draw(st.sampled_from(["none", "oplus", "neg"]))
     if change == "oplus":
         a, b = draw(elements), draw(elements)
-        op[a, b] = (op[a, b] + draw(shifts)) % s
+        op[a][b] = (op[a][b] + draw(shifts)) % s
     elif change == "neg":
         a = draw(elements)
         ng[a] = (ng[a] + draw(shifts)) % s
     name = draw(st.from_regex(r"[A-Z][A-Za-z0-9_]{0,4}", fullmatch=True))
     table = json.dumps(
-        {"size": s, "oplus": op.tolist(), "neg": ng.tolist()},
+        {"size": s, "oplus": op, "neg": ng},
         separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])),
     )
     return f"algebra {name} = table {table}\ncheck {name}\n", FiniteMVAlgebra(s, op, ng)
@@ -449,6 +449,11 @@ GROUP = "group G = fibers [2] unit [(1,0)]\n"
         (["run"], GROUP + "check G --window 0\n", 2, "window"),
         (["run"], GROUP + "check G --window -1\n", 2, "window"),
         (["run", "--window", "0"], GROUP + "roundtrip G\n", 2, "window"),
+        # above the cap, refused on the parsed value before any work
+        (["check-all", "--window", str(MAX_WINDOW + 1)], None, 1, "window"),
+        (["check-all", "--max-size", "16", "--window", "30"], None, 1, "window"),
+        (["run"], GROUP + f"check G --window {MAX_WINDOW + 1}\n", 2, "window"),
+        (["run", "--window", "100"], GROUP + "roundtrip G\n", 2, "window"),
     ],
 )
 def test_out_of_range_window_or_max_size_is_three(tmp_path, capsys, argv, script, line, field):
@@ -459,6 +464,40 @@ def test_out_of_range_window_or_max_size_is_three(tmp_path, capsys, argv, script
     assert error["code"] == "semantic"
     assert error["line"] == line
     assert field in error["counterexample"]
+
+
+def test_window_cap_is_eight_and_the_cap_itself_runs(tmp_path, capsys):
+    # cold `check-all --max-size 16` took 1.6 s at window 8; a group's own
+    # check is linear in the window, so the cap itself runs at once there
+    assert MAX_WINDOW == 8
+    assert main(["run", write(tmp_path, "cap.mvg", GROUP + "check G --window 8\n")]) == 0
+    error = json.loads(capsys.readouterr().out).get("error")
+    assert error is None
+
+
+@pytest.mark.parametrize("command", ["goodseq", "member"])
+def test_listing_above_the_cap_is_three_at_any_length(tmp_path, capsys, command):
+    # 10^100 copies of the unit and one step more: 10^100 + 1 entries, refused
+    # before any list is built (it used to exit 4 with an OverflowError)
+    assert 3_163 <= MAX_LISTED
+    element = '{"coords":[{"m":%d,"a":1}]}' % 10**100
+    text = f"group G = fibers [3] unit [(1,0)]\n{command} G {element}\n"
+    assert main(["run", write(tmp_path, "long.mvg", text)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["code"], error["line"]) == ("semantic", 2)
+    assert error["counterexample"] == {"length": 10**100 + 1, "cap": MAX_LISTED}
+
+
+def test_listing_at_the_cap_is_written_out(tmp_path, capsys):
+    # unit (1,0) of a height-3 fiber is the integer 3, so m copies and no
+    # offset give exactly m entries
+    text = 'group G = fibers [3] unit [(1,0)]\ngoodseq G {"coords":[{"m":%d,"a":0}]}\n'
+    assert main(["run", write(tmp_path, "at.mvg", text % MAX_LISTED)]) == 0
+    (command,) = json.loads(capsys.readouterr().out)["commands"]
+    assert command["detail"]["length"] == len(command["detail"]["entries"]) == MAX_LISTED
+    assert main(["run", write(tmp_path, "above.mvg", text % (MAX_LISTED + 1))]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["counterexample"] == {"length": MAX_LISTED + 1, "cap": MAX_LISTED}
 
 
 def test_check_all_report_matches_golden(capsys):

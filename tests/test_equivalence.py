@@ -140,7 +140,7 @@ def reversed_chain(n):
     for r, x in enumerate(label):
         rank[x] = r
     c = make_chain(n)
-    oplus = [[label[c.oplus[rank[x], rank[y]]] for y in range(n + 1)] for x in range(n + 1)]
+    oplus = [[label[c.oplus[rank[x]][rank[y]]] for y in range(n + 1)] for x in range(n + 1)]
     return FiniteMVAlgebra(n + 1, oplus, [label[c.neg[rank[x]]] for x in range(n + 1)])
 
 
@@ -1109,8 +1109,8 @@ def all_pairs_relations(algebra, identify_zero):
             row = [0] * n
             row[a] += 1
             row[b] += 1
-            row[algebra.oplus_rows[a][b]] -= 1
-            row[algebra.odot_rows[a][b]] -= 1
+            row[algebra.oplus[a][b]] -= 1
+            row[algebra.odot[a][b]] -= 1
             if any(row):
                 rows.append(row)
     if identify_zero:

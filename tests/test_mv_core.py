@@ -5,9 +5,9 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
+import random
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,7 +39,7 @@ def brute_morphisms(dom: FiniteMVAlgebra, cod: FiniteMVAlgebra) -> set[tuple[int
         if img[0] != 0:
             continue
         if any(
-            img[dom.oplus[a, b]] != cod.oplus[img[a], img[b]]
+            img[dom.oplus[a][b]] != cod.oplus[img[a]][img[b]]
             for a in range(dom.size)
             for b in range(dom.size)
         ):
@@ -58,10 +58,10 @@ def isomorphisms(a: FiniteMVAlgebra, b: FiniteMVAlgebra) -> list[MVMorphism]:
 def permuted_copy(algebra: FiniteMVAlgebra, perm: list[int]) -> FiniteMVAlgebra:
     """Relabel the carrier along a permutation fixing 0."""
     assert perm[0] == 0
-    perm = np.asarray(perm)
-    inv = np.argsort(perm)
+    inv = sorted(range(algebra.size), key=perm.__getitem__)
+    op, ng = algebra.oplus, algebra.neg
     return FiniteMVAlgebra(
-        algebra.size, perm[algebra.oplus[np.ix_(inv, inv)]], perm[algebra.neg[inv]]
+        algebra.size, [[perm[op[x][y]] for y in inv] for x in inv], [perm[ng[x]] for x in inv]
     )
 
 
@@ -73,24 +73,30 @@ def test_chains_satisfy_axioms(n):
     assert check_mv_axioms(make_chain(n)).ok
 
 
+def ominus(algebra: FiniteMVAlgebra, a: int, b: int) -> int:
+    return algebra.odot[a][algebra.neg[b]]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_chain_derived_ops_match_integer_formulas(n):
     c = make_chain(n)
+    ng = c.neg
     for a in range(n + 1):
         assert c.neg[a] == n - a
+        assert c.below[a] == frozenset(range(a + 1))
         for b in range(n + 1):
-            assert c.oplus[a, b] == min(n, a + b)
-            assert c.odot[a, b] == max(0, a + b - n)
-            assert c.ominus[a, b] == max(0, a - b)
-            assert c.join[a, b] == max(a, b)
-            assert c.meet[a, b] == min(a, b)
-            assert c.leq[a, b] == (a <= b)
+            assert c.oplus[a][b] == min(n, a + b)
+            assert c.odot[a][b] == max(0, a + b - n)
+            assert ominus(c, a, b) == max(0, a - b)
+            assert c.oplus[ominus(c, a, b)][b] == max(a, b)  # the join
+            assert ng[c.oplus[ominus(c, ng[a], ng[b])][ng[b]]] == min(a, b)  # the meet
+            assert (a in c.below[b]) == (a <= b)
 
 
 def test_chain_is_totally_ordered_with_identity_rank():
     c = make_chain(4)
     assert is_totally_ordered(c)
-    assert chain_rank(c).tolist() == [0, 1, 2, 3, 4]
+    assert chain_rank(c) == (0, 1, 2, 3, 4)
 
 
 def test_trivial_algebra_is_rejected():
@@ -105,7 +111,20 @@ def test_trivial_algebra_is_rejected():
 
 def tables_equal(x: tuple, y: tuple) -> bool:
     """Oracle: two (size, oplus, neg) triples compared by value, table by table."""
-    return x[0] == y[0] and np.array_equal(x[1], y[1]) and np.array_equal(x[2], y[2])
+    rows = [list(map(int, row)) for row in x[1]], [list(map(int, row)) for row in y[1]]
+    return x[0] == y[0] and rows[0] == rows[1] and list(map(int, x[2])) == list(map(int, y[2]))
+
+
+class IntLike:
+    """An integer-like entry that is not an int: it has only `__index__`."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    __int__ = __index__
 
 
 @st.composite
@@ -132,14 +151,25 @@ def test_equal_tables_are_one_algebra(data):
             a, b = data.draw(st.tuples(st.integers(0, s - 1), st.integers(0, s - 1)))
             oplus[a][b] = data.draw(st.integers(0, s - 1))
         y = (s, oplus, neg)
-    # equal tables given as lists or as arrays of another dtype are still equal
-    as_array = data.draw(st.booleans())
+    # equal tables given as lists or with integer-like entries are still equal
+    if data.draw(st.booleans()):
+        y = (y[0], [[IntLike(v) for v in row] for row in y[1]], [IntLike(v) for v in y[2]])
     A = FiniteMVAlgebra(*x)
-    B = FiniteMVAlgebra(y[0], *(np.asarray(t, dtype=np.int32) if as_array else t for t in y[1:]))
+    B = FiniteMVAlgebra(*y)
     assert (A is B) == tables_equal(x, y)
     assert tables_equal((A.size, A.oplus, A.neg), x)
     assert tables_equal((B.size, B.oplus, B.neg), y)
-    assert not A.oplus.flags.writeable and not A.neg.flags.writeable
+    for algebra in (A, B):  # read-only tables of plain ints
+        assert type(algebra.oplus) is tuple and type(algebra.neg) is tuple
+        assert {type(row) for row in algebra.oplus} == {tuple}
+        assert {type(v) for v in itertools.chain(algebra.neg, *algebra.oplus)} == {int}
+
+
+def test_numpy_arrays_are_read_as_int_tables():
+    np = pytest.importorskip("numpy")
+    c = make_chain(3)
+    as_arrays = [np.asarray(t, dtype=np.int32) for t in (c.oplus, c.neg)]
+    assert FiniteMVAlgebra(4, *as_arrays) is c
 
 
 def test_algebras_compare_and_hash_by_identity():
@@ -152,13 +182,16 @@ def test_algebras_compare_and_hash_by_identity():
 
 INVALID_TABLES = [
     (2, [[0, 1]], [1, 0], "oplus must have shape (2, 2), got (1, 2)"),
-    # the bytes of a valid two-element table, in the wrong shape
+    # the entries of a valid two-element table, in the wrong shape
     (2, [0, 1, 1, 1], [1, 0], "oplus must have shape (2, 2), got (4,)"),
     (2, [[0, 1], [1, 1]], [[1, 0]], "neg must have shape (2,), got (1, 2)"),
     (2, [[0, 1], [1, 5]], [1, 0], "oplus entries out of carrier range"),
     (2, [[0, -1], [1, 1]], [1, 0], "oplus entries out of carrier range"),
     (2, [[0, 1], [1, 1]], [1, -1], "neg entries out of carrier range"),
     (2, [[0, 1], [1, 1]], [2, 0], "neg entries out of carrier range"),
+    # a string has a length at every depth: read two levels down, no further
+    (2, [[0, 1], [1, 1]], "10", "neg must have shape (2,), got (2, 1)"),
+    (2, [[0, 1], [1]], [1, 0], "oplus must have shape (2, 2), got ragged rows"),
 ]
 
 
@@ -174,9 +207,8 @@ def test_shape_and_range_validation():
 
 def test_axiom_checker_catches_broken_tables():
     c = make_chain(2)
-    op = c.oplus.copy()
-    op.setflags(write=True)
-    op[1, 2] = 0  # break commutativity and more
+    op = [list(row) for row in c.oplus]
+    op[1][2] = 0  # break commutativity and more
     broken = FiniteMVAlgebra(3, op, c.neg)
     report = check_mv_axioms(broken)
     assert not report.ok
@@ -184,57 +216,84 @@ def test_axiom_checker_catches_broken_tables():
     assert "comm" in names
 
 
+def assoc_brute(op) -> list[tuple[int, int, int]]:
+    """Oracle: every (a, b, c) with (a+b)+c != a+(b+c), by a triple loop."""
+    carrier = range(len(op))
+    return [
+        (a, b, c)
+        for a in carrier
+        for b in carrier
+        for c in carrier
+        if op[op[a][b]][c] != op[a][op[b][c]]
+    ]
+
+
 def axioms_full(algebra: FiniteMVAlgebra) -> AxiomReport:
-    """Oracle: the six laws over whole s^3 and s^2 arrays at once."""
-    s, op, ng = algebra.size, algebra.oplus, algebra.neg
-    idx = np.arange(s)
+    """Oracle: the six laws checked cell by cell (associativity by a triple
+    loop), each law's failing arguments in row-major order up to 100."""
+    s, op, ng, top = algebra.size, algebra.oplus, algebra.neg, algebra.top
+    carrier = range(s)
+
+    def luk(a, b):
+        return op[ng[op[ng[a]][b]]][b]
+
     out: list = []
     truncated = False
-    luk = op[ng[op[ng[:, None], idx[None, :]]], idx[None, :]]
-    for name, bad, arity in (
-        ("assoc", op[op] != op[:, op].reshape(s, s, s), 3),
-        ("comm", op != op.T, 2),
-        ("unit", op[:, 0] != idx, 1),
-        ("involution", ng[ng] != idx, 1),
-        ("absorb", op[:, algebra.top] != algebra.top, 1),
-        ("characteristic", luk != luk.T, 2),
+    for name, found in (
+        ("assoc", assoc_brute(op)),
+        ("comm", [(a, b) for a in carrier for b in carrier if op[a][b] != op[b][a]]),
+        ("unit", [(a,) for a in carrier if op[a][0] != a]),
+        ("involution", [(a,) for a in carrier if ng[ng[a]] != a]),
+        ("absorb", [(a,) for a in carrier if op[a][top] != top]),
+        ("characteristic", [(a, b) for a in carrier for b in carrier if luk(a, b) != luk(b, a)]),
     ):
-        where = np.argwhere(bad)
-        out += [(name, tuple(int(v) for v in row[:arity])) for row in where[:100]]
-        truncated |= len(where) > 100
+        out += [(name, args) for args in found[:100]]
+        truncated |= len(found) > 100
     return AxiomReport(ok=not out, violations=tuple(out), truncated=truncated)
+
+
+def exhaustive_axioms(algebra: FiniteMVAlgebra) -> AxiomReport:
+    """`check_mv_axioms` with the certificate turned off: every law is
+    checked on every tuple of arguments."""
+    with mock.patch.object(mv_core, "_chain_product_certificate", return_value=False):
+        return check_mv_axioms.__wrapped__(algebra)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_blocked_associativity_matches_full_arrays(data):
+def test_row_wise_checks_match_the_triple_loop(data):
     # garbage tables: a chain with a few cells overwritten (few violations,
-    # spread over several row blocks) or a wholly random table (past the cap)
+    # spread over several rows) or a wholly random table (past the cap)
     s = data.draw(st.integers(min_value=2, max_value=9))
     if data.draw(st.booleans()):
-        op = make_chain(s - 1).oplus.copy()
+        op = [list(row) for row in make_chain(s - 1).oplus]
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
             a, b = data.draw(st.tuples(st.integers(0, s - 1), st.integers(0, s - 1)))
-            op[a, b] = data.draw(st.integers(0, s - 1))
+            op[a][b] = data.draw(st.integers(0, s - 1))
     else:
-        op = np.array(data.draw(st.lists(st.integers(0, s - 1), min_size=s * s, max_size=s * s)))
-    algebra = FiniteMVAlgebra(s, op.reshape(s, s), make_chain(s - 1).neg)
-    rows = data.draw(st.integers(min_value=1, max_value=s))
-    with mock.patch.object(mv_core, "_ASSOC_BLOCK_CELLS", rows * s * s):
-        assert check_mv_axioms.__wrapped__(algebra) == axioms_full(algebra)
+        cells = st.lists(st.integers(0, s - 1), min_size=s, max_size=s)
+        op = data.draw(st.lists(cells, min_size=s, max_size=s))
+    algebra = FiniteMVAlgebra(s, op, make_chain(s - 1).neg)
+    found, brute = mv_core._assoc_failures(algebra.oplus), assoc_brute(algebra.oplus)
+    assert found == brute[: len(found)] and found[:100] == brute[:100]
+    assert (len(found) > 100) == (len(brute) > 100)
+    assert exhaustive_axioms(algebra) == axioms_full(algebra)
+    assert check_mv_axioms.__wrapped__(algebra) == axioms_full(algebra)
 
 
-def test_blocked_associativity_truncates_like_full_arrays():
+def test_row_wise_associativity_truncates_like_the_triple_loop():
     # xor-like garbage on 8 elements fails associativity on hundreds of
-    # triples; one-row blocks stop early but report the same first 100
+    # triples; the rows stop after the one passing the cap, with the same
+    # first 100 in row-major order
     s = 8
     op = [[(a * 3 + b * 5) % s for b in range(s)] for a in range(s)]
     algebra = FiniteMVAlgebra(s, op, make_chain(s - 1).neg)
-    full = axioms_full(algebra)
+    full, brute = axioms_full(algebra), assoc_brute(algebra.oplus)
     assert full.truncated and sum(name == "assoc" for name, _ in full.violations) == 100
-    for rows in (1, 2, 3, s):
-        with mock.patch.object(mv_core, "_ASSOC_BLOCK_CELLS", rows * s * s):
-            assert check_mv_axioms.__wrapped__(algebra) == full
+    found = mv_core._assoc_failures(algebra.oplus)
+    assert 100 < len(found) < len(brute) and found == brute[: len(found)]
+    assert exhaustive_axioms(algebra) == full
+    assert check_mv_axioms.__wrapped__(algebra) == full
 
 
 def test_axiom_checker_catches_broken_involution():
@@ -254,36 +313,49 @@ def chain_product(heights) -> FiniteMVAlgebra:
 def relabelled(algebra: FiniteMVAlgebra, seed: int) -> FiniteMVAlgebra:
     """The algebra relabelled along a random permutation that fixes 0 and
     moves every other element (one cycle through 1..s-1)."""
-    order = 1 + np.random.default_rng(seed).permutation(algebra.size - 1)
-    perm = np.zeros(algebra.size, dtype=np.int64)
-    perm[order] = np.roll(order, -1)
-    return permuted_copy(algebra, perm.tolist())
+    order = random.Random(seed).sample(range(1, algebra.size), algebra.size - 1)
+    perm = [0] * algebra.size
+    for x, y in zip(order, order[1:] + order[:1]):
+        perm[x] = y
+    return permuted_copy(algebra, perm)
 
 
 def overwritten(algebra: FiniteMVAlgebra, cells=(), negs=()) -> FiniteMVAlgebra:
     """The tables with ((a, b), v) written to oplus at (a, b) and (b, a),
     and (a, v) to neg at a."""
-    op, ng = algebra.oplus.copy(), algebra.neg.copy()
+    op, ng = [list(row) for row in algebra.oplus], list(algebra.neg)
     for (a, b), v in cells:
-        op[a, b] = op[b, a] = v
+        op[a][b] = op[b][a] = v
     for a, v in negs:
         ng[a] = v
     return FiniteMVAlgebra(algebra.size, op, ng)
 
 
 def certified(algebra: FiniteMVAlgebra) -> bool:
-    return mv_core._chain_product_certificate(algebra.oplus, algebra.neg)
+    return mv_core._chain_product_certificate(algebra)
 
 
 def test_certificate_accepts_every_lawful_table_it_meets():
     # the certificate alone, not the exhaustive fallback
     ctx = SweepContext(16, 4)
-    segments = [unit_segment(ctx.group(c, h).u).algebra for c, h in ctx.group_configs()]
+    segments = {unit_segment(ctx.group(c, h).u).algebra for c, h in ctx.group_configs()}
     shapes = [(255,), (1, 127), (15, 15), (3,) * 4, (1,) * 8]
     products = [relabelled(chain_product(hs), seed) for seed, hs in enumerate(shapes)]
     assert [a.size for a in products] == [256] * 5
-    for algebra in generated_algebras(81) + segments + products:
+    for algebra in [*generated_algebras(81), *segments, *products]:
         assert certified(algebra), algebra
+        # the exhaustive check the certificate stands in for agrees
+        assert exhaustive_axioms(algebra).ok, algebra
+
+
+def test_triple_loop_passes_every_generated_algebra():
+    ctx = SweepContext(16, 4)
+    segments = {unit_segment(ctx.group(c, h).u).algebra for c, h in ctx.group_configs()}
+    generated = generated_algebras(81)
+    relabelled_ones = [relabelled(a, seed) for seed, a in enumerate(generated)]
+    for algebra in [*generated, *segments, *relabelled_ones]:
+        assert axioms_full(algebra).ok, algebra
+        assert check_mv_axioms(algebra).ok, algebra
 
 
 @pytest.mark.parametrize(
@@ -309,14 +381,15 @@ def test_certificate_gives_up_before_the_chains_outgrow_the_carrier():
     # nonzero elements below it: their chains would multiply up to 249^8
     # elements, so the certificate must stop at the second chain
     s, k = 256, 8
-    ng = np.arange(s)  # top = neg 0 = 0, so x <= y reads oplus[x, y] == 0
-    op = np.ones((s, s), dtype=np.int64)
-    op[0] = 0
-    idem = np.arange(1, k + 1)
-    op[idem, idem] = idem
-    op[np.roll(idem, -1), idem] = 0  # the one idempotent below i is i's successor
-    op[k + 1 :, idem] = 0  # every non-idempotent lies below every idempotent
-    assert not mv_core._chain_product_certificate(op, ng)
+    ng = range(s)  # top = neg 0 = 0, so x <= y reads oplus[x][y] == 0
+    op = [[0] * s] + [[1] * s for _ in range(1, s)]
+    idem = range(1, k + 1)
+    for i in idem:
+        op[i][i] = i
+        op[i % k + 1][i] = 0  # the one idempotent below i is i's successor
+        for x in range(k + 1, s):
+            op[x][i] = 0  # every non-idempotent lies below every idempotent
+    assert not certified(FiniteMVAlgebra(s, op, ng))
 
 
 @st.composite
@@ -328,13 +401,13 @@ def near_products(draw):
     product = chain_product(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
     s = product.size
     algebra = permuted_copy(product, [0] + draw(st.permutations(range(1, s))))
-    op = algebra.oplus.copy()
+    op = [list(row) for row in algebra.oplus]
     elements = st.integers(0, s - 1)
     for _ in range(draw(st.integers(1, 3))):
         a, b, v = draw(st.tuples(elements, elements, elements))
-        op[a, b] = v
+        op[a][b] = v
         if draw(st.booleans()):
-            op[b, a] = v
+            op[b][a] = v
     return FiniteMVAlgebra(s, op, algebra.neg)
 
 
@@ -353,7 +426,7 @@ def test_product_size_and_frozen_example():
     p = make_product(make_chain(2), make_chain(3))
     assert p.size == 12
     # (1,2) has index 1*4+2 = 6; (1,2)+(1,2) = (2,3) has index 2*4+3 = 11
-    assert int(p.oplus[6, 6]) == 11
+    assert p.oplus[6][6] == 11
     assert check_mv_axioms(p).ok
 
 
@@ -374,7 +447,7 @@ def test_product_tables_are_componentwise():
     ):
         i, j = x1 * 3 + x2, y1 * 3 + y2
         expected = min(2, x1 + y1) * 3 + min(2, x2 + y2)
-        assert int(p.oplus[i, j]) == expected
+        assert p.oplus[i][j] == expected
 
 
 def test_many_fold_product_matches_iterated_binary():
@@ -394,6 +467,33 @@ def test_check_morphism_frozen_examples():
     bad = MVMorphism(l1, l2, (0, 1))
     report = check_morphism(bad)
     assert not report.ok
+
+
+def morphism_violations(h: MVMorphism) -> list:
+    """Oracle: the three morphism laws checked cell by cell, in row-major
+    order, up to 100 failures per law."""
+    d, c, m = h.dom, h.cod, h.map
+    carrier = range(d.size)
+    oplus = [(a, b) for a in carrier for b in carrier if m[d.oplus[a][b]] != c.oplus[m[a]][m[b]]]
+    neg = [(a,) for a in carrier if m[d.neg[a]] != c.neg[m[a]]]
+    zero = [("zero", (0,))] if m[0] else []
+    return zero + [("oplus", x) for x in oplus[:100]] + [("neg", x) for x in neg[:100]]
+
+
+def test_row_wise_morphism_check_matches_the_cell_by_cell_oracle():
+    sq = make_product(make_chain(1), make_chain(1))
+    cases = [(make_chain(2), make_chain(3)), (sq, make_chain(2)), (make_chain(3), sq)]
+    for dom, cod in cases:  # every carrier map
+        for img in itertools.product(range(cod.size), repeat=dom.size):
+            h = MVMorphism(dom, cod, img)
+            assert list(check_morphism.__wrapped__(h).violations) == morphism_violations(h)
+    # only the neg law fails; and a constant 1 fails oplus on all 144 cells
+    h = MVMorphism(make_chain(2), make_chain(2), (0, 2, 2))
+    assert check_morphism(h).violations == (("neg", (1,)),)
+    big = make_product(make_chain(2), make_chain(3))
+    h = MVMorphism(big, make_chain(3), (1,) * 12)
+    assert list(check_morphism(h).violations) == morphism_violations(h)
+    assert sum(name == "oplus" for name, _ in check_morphism(h).violations) == 100
 
 
 def test_compose_and_identity():

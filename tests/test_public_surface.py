@@ -1,4 +1,5 @@
-"""Every public name has a caller outside the tests.
+"""Every public name has a caller outside the tests, and the package imports
+without numpy.
 
 A name in a module's `__all__` counts as used when the package refers to it
 outside its own definition (the `__all__` lists and the re-exports in
@@ -8,6 +9,9 @@ calls is not public API; the test fails on it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -72,3 +76,13 @@ def test_every_public_name_has_a_caller():
             if name not in referenced(tree, skip=name):
                 unused.append(f"{stem}.{name}")
     assert unused == []
+
+
+def test_import_leaves_numpy_out():
+    # tables are tuples of ints: a fresh interpreter that imports the
+    # package has not imported numpy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, mvgamma, mvgamma.cli\nprint('numpy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

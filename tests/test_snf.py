@@ -228,8 +228,8 @@ def relation_matrix(algebra, identify_zero: bool) -> list[list[int]]:
             row = [0] * n
             row[a] += 1
             row[b] += 1
-            row[algebra.oplus_rows[a][b]] -= 1
-            row[algebra.odot_rows[a][b]] -= 1
+            row[algebra.oplus[a][b]] -= 1
+            row[algebra.odot[a][b]] -= 1
             rows.append(row)
     if identify_zero:
         rows.append([1] + [0] * (n - 1))

@@ -8,8 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvgamma
 from mvgamma.mv_core import (
@@ -39,7 +40,7 @@ from mvgamma.equivalence import star_algebra
 from mvgamma.lgroup import gamma_segment
 from mvgamma.sweeps import SweepContext, generated_algebras
 from fiber_oracles import canonical_embedding
-from test_mv_core import relabelled
+from test_mv_core import chain_product, ominus, permuted_copy, relabelled
 
 SRC = str(Path(mvgamma.__file__).resolve().parents[1])
 
@@ -104,17 +105,39 @@ def test_spectrum_of_l2xl3_frozen_and_ordered():
     assert masks == sorted(masks)
 
 
-def test_prime_test_oracle_on_products():
-    # oracle: P is prime iff for every pair one of the two differences is inside
-    om = L2xL3.ominus
-    for ideal in enumerate_ideals(L2xL3):
-        if not ideal.proper:
-            continue
-        expected = all(
-            int(om[a, b]) in ideal.members or int(om[b, a]) in ideal.members
-            for a, b in itertools.product(range(L2xL3.size), repeat=2)
+def primes_by_definition(algebra) -> list[frozenset[int]]:
+    """Oracle: the proper ideals P with a ominus b or b ominus a in P for
+    every pair a, b."""
+    pairs = list(itertools.product(range(algebra.size), repeat=2))
+    return [
+        ideal.members
+        for ideal in enumerate_ideals(algebra)
+        if ideal.proper
+        and all(
+            ominus(algebra, a, b) in ideal.members or ominus(algebra, b, a) in ideal.members
+            for a, b in pairs
         )
-        assert is_prime_ideal(L2xL3, ideal) == expected
+    ]
+
+
+def assert_primes_by_definition(algebra):
+    got = [p.members for p in spectrum(algebra).primes]
+    assert got == primes_by_definition(algebra), algebra
+
+
+def test_prime_test_oracle_on_products():
+    assert len(primes_by_definition(L2xL3)) == 2
+    generated = generated_algebras(81)
+    for algebra in generated + [relabelled(a, seed) for seed, a in enumerate(generated)]:
+        assert_primes_by_definition(algebra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_prime_test_oracle_on_hypothesis_tables(data):
+    product = chain_product(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    rest = data.draw(st.permutations(range(1, product.size)))
+    assert_primes_by_definition(permuted_copy(product, [0, *rest]))
 
 
 def test_quotient_by_zero_is_identity_indexed():
@@ -144,35 +167,29 @@ def reference_quotient(algebra, ideal):
     Independent of the idempotent route in `quotient`: a ~ b iff
     (a ominus b) oplus (b ominus a) lies in the ideal, decided for all pairs.
     """
-    mask = np.zeros(algebra.size, dtype=bool)
-    mask[list(ideal.members)] = True
-    om = algebra.ominus
-    rel = mask[algebra.oplus[om, om.T]]
-    _, first, inv = np.unique(rel, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    class_of = rank[inv]
-    reps = first[order]
+    op, ng, carrier = algebra.oplus, algebra.neg, range(algebra.size)
+    rel = [
+        tuple(op[ominus(algebra, a, b)][ominus(algebra, b, a)] in ideal.members for b in carrier)
+        for a in carrier
+    ]
+    first: dict[tuple, int] = {}
+    for a, row in enumerate(rel):
+        first.setdefault(row, a)
+    reps = list(first.values())
+    class_of = tuple(reps.index(first[row]) for row in rel)
     q = FiniteMVAlgebra(
         len(reps),
-        class_of[algebra.oplus[np.ix_(reps, reps)]],
-        class_of[algebra.neg[reps]],
+        [[class_of[op[r][t]] for t in reps] for r in reps],
+        [class_of[ng[r]] for r in reps],
     )
-    return q, tuple(int(c) for c in class_of)
+    return q, class_of
 
 
 def shuffled_labels(algebra):
-    """The same algebra with its nonzero labels shuffled (fixed seed), so that
-    index order is no longer a linear extension of the algebra's order."""
-    rng = np.random.default_rng(algebra.size)
-    perm = np.concatenate([[0], 1 + rng.permutation(algebra.size - 1)])
-    inv = np.argsort(perm)
-    return FiniteMVAlgebra(
-        algebra.size,
-        perm[algebra.oplus[np.ix_(inv, inv)]],
-        perm[algebra.neg[inv]],
-    )
+    """The same algebra with its nonzero labels moved along one cycle (fixed
+    seed), so that index order is no longer a linear extension of the
+    algebra's order."""
+    return relabelled(algebra, algebra.size)
 
 
 def test_quotient_matches_the_relation_matrix_reference():
@@ -191,7 +208,7 @@ def test_quotient_matches_the_relation_matrix_reference():
             assert got.quotient == q
             assert check_morphism(MVMorphism(algebra, got.quotient, got.class_of)).ok
             checked += 1
-    assert checked == 344
+    assert checked == 348
 
 
 def test_quotient_is_shared_between_equal_inputs():
@@ -262,7 +279,11 @@ def test_embedding_components_are_the_quotient_projections():
         sizes = [q.quotient.size for q in star.quotients]
         for a in range(algebra.size):
             classes = [f.by_rank[r] for f, r in zip(star.ambient.fibers, star.a_circle[a])]
-            assert list(np.unravel_index(emb.map[a], sizes)) == classes
+            digits, index = [], emb.map[a]
+            for n in reversed(sizes):
+                index, digit = divmod(index, n)
+                digits.insert(0, digit)
+            assert digits == classes
         if len(sizes) == 1:
             assert emb.cod is algebra and emb.map == tuple(range(algebra.size))
 

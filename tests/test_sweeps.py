@@ -84,8 +84,8 @@ def early_carry(self, x, y):
     """Adding copy index -1 to copy index 1, carries when the offsets reach
     one step below the top.  `mul` never adds pairs of opposite signs, so
     only the comparison of sums can see this."""
-    if (x.m, y.m) == (1, -1) and self.rank[self._op[x.a][y.a]] == self.height - 1:
-        return ChangPair(x.m + y.m + 1, self._od[x.a][y.a])
+    if (x.m, y.m) == (1, -1) and self.rank[self.chain.oplus[x.a][y.a]] == self.height - 1:
+        return ChangPair(x.m + y.m + 1, self.chain.odot[x.a][y.a])
     return ADD(self, x, y)
 
 
