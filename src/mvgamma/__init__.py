@@ -3,7 +3,7 @@
 The package has three layers:
 
 * table algebra — ``mv_core`` (finite MV-algebras as Cayley tables of ints,
-  morphisms, products), ``spectrum`` (ideals, primes, quotients and the
+  morphisms in closed form, products), ``spectrum`` (ideals, primes, quotients and the
   maps they induce);
 * group side — ``lgroup`` (chain groups, computed on integers and certified
   against Chang's carry pairs; finite products with a strong unit; unit

@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _VIOLATION_CAP = 100  # per axiom; garbage tables can fail on O(size^3) triples
-_NODE_CAP = 10**6  # partial maps a morphism search may try, so sweeps stay bounded
 
 
 def _shape(values, depth: int = 2) -> tuple[int, ...]:
@@ -242,17 +241,20 @@ def _assoc_failures(op: tuple) -> list[tuple[int, int, int]]:
     return found
 
 
-def _chain_product_certificate(algebra: FiniteMVAlgebra) -> bool:
-    """Whether an explicit f from a product of chains onto the carrier
-    carries the product's oplus and neg onto the tables; O(s^2), never raises.
+@functools.cache
+def _chain_decomposition(algebra: FiniteMVAlgebra) -> tuple | None:
+    """(f, heights): an isomorphism f from the product of the chains
+    `make_chain(n)` for n in heights onto the algebra, as the element f[k] of
+    each product index k; None when the tables are not such an image.
+    O(s^2), never raises.
 
     f is read off the tables: the minimal nonzero idempotents e_i of the
     order x <= y iff neg x oplus y = top, n_i the count of nonzero elements
     below e_i, the least of them a_i, and f(k) = sum_i k_i·a_i (on a lawful
     table, the decomposition into chains of CDM ch. 3).  Acceptance proves
     every law: f is onto, so every tuple of elements is an image under f,
-    and f carries the laws of the product of the `make_chain` chains
-    min(n, a + b), n - a (CDM ch. 1; tested against every law) onto them.
+    and f carries the laws of the product of the chains min(n, a + b),
+    n - a (CDM ch. 1; tested against every law) onto them.
     """
     s, op, below = algebra.size, algebra.oplus, algebra.below
     idem = frozenset(e for e in range(1, s) if op[e][e] == e)
@@ -263,7 +265,7 @@ def _chain_product_certificate(algebra: FiniteMVAlgebra) -> bool:
     for e in minimal:
         under = sorted(below[e] - {0})
         if not under or len(f) * (len(under) + 1) > s:  # each chain doubles len(f) or more
-            return False
+            return None
         atom, multiples = min(under, key=lambda x: len(below[x])), [0]
         for _ in under:
             multiples.append(op[multiples[-1]][atom])
@@ -271,14 +273,14 @@ def _chain_product_certificate(algebra: FiniteMVAlgebra) -> bool:
         f = tuple(itertools.chain.from_iterable(at_multiples(op[x]) for x in f))
         heights.append(len(under))
     if len(f) != s or len(set(f)) != s:
-        return False
-    product = make_product_many([make_chain(n) for n in heights])
-    if product is algebra:
-        return True  # the tables are a product of chains themselves
-    at_f = operator.itemgetter(*f)
-    return at_f(algebra.neg) == operator.itemgetter(*product.neg)(f) and all(
+        return None
+    product, at_f = make_product_many([make_chain(n) for n in heights]), operator.itemgetter(*f)
+    # a product of chains itself is accepted without comparing: f is the identity
+    if product is algebra or at_f(algebra.neg) == operator.itemgetter(*product.neg)(f) and all(
         at_f(op[x]) == operator.itemgetter(*row)(f) for x, row in zip(f, product.oplus)
-    )
+    ):
+        return f, tuple(heights)
+    return None
 
 
 @functools.cache
@@ -288,10 +290,11 @@ def check_mv_axioms(algebra: FiniteMVAlgebra) -> AxiomReport:
     Laws: associativity and commutativity of oplus, 0 as unit, neg involutive,
     top absorbing, and the characteristic law
     neg(neg a oplus b) oplus b = neg(neg b oplus a) oplus a.  All six hold
-    if `_chain_product_certificate` accepts; otherwise the failing arguments
-    of each law are found exhaustively, in row-major order.
+    exactly when the table has a `_chain_decomposition` (every finite
+    MV-algebra is a product of chains, CDM ch. 3); otherwise the failing
+    arguments of each law are found exhaustively, in row-major order.
     """
-    if _chain_product_certificate(algebra):
+    if _chain_decomposition(algebra) is not None:
         return AxiomReport(ok=True)
     s, op, ng, top = algebra.size, algebra.oplus, algebra.neg, algebra.top
     carrier, columns = tuple(range(s)), tuple(zip(*op))
@@ -348,65 +351,28 @@ def chain_rank(algebra: FiniteMVAlgebra) -> tuple[int, ...]:
     return tuple(len(algebra.below[a]) - 1 for a in range(algebra.size))
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """Raised when a backtracking enumeration exceeds its node budget."""
-
-
-def _prefix_consistent(img: list[int], k: int, op_d, ng_d, op_c, ng_c) -> bool:
-    """Whether the partial map img[0..k] respects every neg and oplus fact
-    whose arguments and value all lie in 0..k; img[k] is the fresh image.
-    The tables are the domain's and codomain's oplus and neg."""
-    y = img[k]
-    nk = ng_d[k]
-    if nk <= k and img[nk] != ng_c[y]:
-        return False
-    for a in range(k + 1):
-        xa = img[a]
-        r = op_d[a][k]
-        if r <= k and op_c[xa][y] != img[r]:
-            return False
-        r = op_d[k][a]
-        if r <= k and op_c[y][xa] != img[r]:
-            return False
-    # freshly assigned k may itself be the value of earlier pairs
-    for a in range(k):
-        for b in range(k):
-            if op_d[a][b] == k and op_c[img[a]][img[b]] != y:
-                return False
-    return True
-
-
 @functools.cache
 def find_morphisms(dom: FiniteMVAlgebra, cod: FiniteMVAlgebra) -> tuple[MVMorphism, ...]:
-    """All morphisms dom -> cod by backtracking over partial carrier maps.
+    """All morphisms dom -> cod, in ascending order of their map tuples.
 
-    Images are assigned in carrier order; a constraint is checked as soon as
-    every element it mentions has an image.  Node count is capped at
-    `_NODE_CAP` so sweeps stay bounded and reproducible.
+    Read through the chain decompositions f of dom and g of cod, of heights
+    n_i and m_j: a morphism into a chain has a prime kernel, so it factors
+    through one coordinate, and chains of heights n -> m have a morphism
+    exactly when n | m, a -> a·m/n (CDM ch. 3).  So each choice sigma of an
+    i with n_i | m_j for every j gives the one morphism sending f(k) to g of
+    the tuple (k_sigma(j)·m_j/n_sigma(j))_j.  A ValueError names a table
+    with no decomposition, as every table that fails the MV laws is.
     """
-    s = dom.size
-    op_d, ng_d, op_c, ng_c = dom.oplus, dom.neg, cod.oplus, cod.neg
-    img = [-1] * s
-    img[0] = 0
-    found: list[MVMorphism] = []
-    nodes = 0
-
-    def rec(k: int):
-        nonlocal nodes
-        if k == s:
-            found.append(MVMorphism(dom, cod, tuple(img)))
-            return
-        for y in range(cod.size):
-            nodes += 1
-            if nodes > _NODE_CAP:
-                raise SearchBudgetExceeded(f"morphism search exceeded {_NODE_CAP} nodes")
-            img[k] = y
-            if _prefix_consistent(img, k, op_d, ng_d, op_c, ng_c):
-                rec(k + 1)
-            img[k] = -1
-
-    if not _prefix_consistent(img, 0, op_d, ng_d, op_c, ng_c):
-        return ()
-    rec(1)
-    return tuple(found)
-
+    found = _chain_decomposition(dom), _chain_decomposition(cod)
+    for name, decomposition in zip(("dom", "cod"), found):
+        if decomposition is None:
+            raise ValueError(f"find_morphisms: {name} fails the MV laws (no chain decomposition)")
+    (f, ns), (g, ms) = found
+    # each element f(k) of dom with its coordinates k, in carrier order
+    elements = sorted(zip(f, itertools.product(*(range(n + 1) for n in ns))))
+    at_coords = dict(zip(itertools.product(*(range(m + 1) for m in ms)), g))
+    maps = sorted(
+        tuple(at_coords[tuple(k[i] * (m // ns[i]) for i, m in zip(sigma, ms))] for _, k in elements)
+        for sigma in itertools.product(*[[i for i, n in enumerate(ns) if m % n == 0] for m in ms])
+    )
+    return tuple(MVMorphism(dom, cod, m) for m in maps)

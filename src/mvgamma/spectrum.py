@@ -94,12 +94,15 @@ def ideal_violations(algebra: FiniteMVAlgebra, members: frozenset[int]) -> tuple
 
 
 def _idempotent_above(algebra: FiniteMVAlgebra, a: int) -> int:
-    """Least idempotent bounding every finite oplus-multiple of a."""
-    rows = algebra.oplus
-    e = a
-    while rows[e][e] != e:
+    """Least idempotent bounding every finite oplus-multiple of a: the one
+    its squares reach.  On a lawful table they rise until they reach it, so
+    within size steps; a ValueError names squares that cycle instead."""
+    rows, e = algebra.oplus, a
+    for _ in range(algebra.size):
+        if rows[e][e] == e:
+            return e
         e = rows[e][e]
-    return e
+    raise ValueError(f"the squares of {a} cycle through non-idempotents (not an MV-algebra)")
 
 
 def _generator(algebra: FiniteMVAlgebra, ideal: Ideal, improper: str) -> int:

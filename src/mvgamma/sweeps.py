@@ -7,8 +7,8 @@ The generated families are:
   * groups: products of chain-generated fiber groups with a unit picked per
     fiber by its height (the fiber-group value of the unit, 1..height_cap),
     over all ordered tuples of chains up to a fiber count and chain cap;
-  * morphisms: every map between generated algebras found by exhaustive
-    backtracking (candidate budget 10^6 per pair);
+  * morphisms: every morphism between generated algebras, read in closed
+    form off the two chain decompositions (`find_morphisms`);
   * group maps: every coordinatewise chain-morphism map between generated
     groups that preserves the unit.
 

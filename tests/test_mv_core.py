@@ -1,9 +1,11 @@
-"""Core algebra layer: tables, laws, morphisms, products, morphism search."""
+"""Core algebra layer: tables, laws, morphisms, products, and the backtracking
+morphism search kept as the oracle of the closed form."""
 
 from __future__ import annotations
 
 import copy
 import itertools
+import math
 import pickle
 import random
 from unittest import mock
@@ -17,7 +19,6 @@ from mvgamma.mv_core import (
     AxiomReport,
     FiniteMVAlgebra,
     MVMorphism,
-    SearchBudgetExceeded,
     check_morphism,
     check_mv_axioms,
     compose,
@@ -253,9 +254,9 @@ def axioms_full(algebra: FiniteMVAlgebra) -> AxiomReport:
 
 
 def exhaustive_axioms(algebra: FiniteMVAlgebra) -> AxiomReport:
-    """`check_mv_axioms` with the certificate turned off: every law is
-    checked on every tuple of arguments."""
-    with mock.patch.object(mv_core, "_chain_product_certificate", return_value=False):
+    """`check_mv_axioms` with the chain decomposition turned off: every law
+    is checked on every tuple of arguments."""
+    with mock.patch.object(mv_core, "_chain_decomposition", return_value=None):
         return check_mv_axioms.__wrapped__(algebra)
 
 
@@ -332,7 +333,7 @@ def overwritten(algebra: FiniteMVAlgebra, cells=(), negs=()) -> FiniteMVAlgebra:
 
 
 def certified(algebra: FiniteMVAlgebra) -> bool:
-    return mv_core._chain_product_certificate(algebra)
+    return mv_core._chain_decomposition(algebra) is not None
 
 
 def test_certificate_accepts_every_lawful_table_it_meets():
@@ -346,6 +347,13 @@ def test_certificate_accepts_every_lawful_table_it_meets():
         assert certified(algebra), algebra
         # the exhaustive check the certificate stands in for agrees
         assert exhaustive_axioms(algebra).ok, algebra
+    for hs, algebra in zip(shapes, products):
+        # on a product's own table the chains come in factor order, and f
+        # is the identity; on a relabelled copy f is an isomorphism onto it
+        assert mv_core._chain_decomposition(chain_product(hs)) == (tuple(range(256)), hs)
+        f, heights = mv_core._chain_decomposition(algebra)
+        h = MVMorphism(chain_product(heights), algebra, f)
+        assert sorted(heights) == sorted(hs) and h.is_injective() and check_morphism(h).ok
 
 
 def test_triple_loop_passes_every_generated_algebra():
@@ -541,19 +549,183 @@ def test_find_morphisms_returns_a_shared_tuple():
     assert find_morphisms(make_product(make_chain(1), make_chain(1)), make_chain(1)) is found
 
 
-def test_searches_stop_at_their_node_cap(fresh_memos):
-    sq = make_product(make_chain(1), make_chain(1))
-    with mock.patch.object(mv_core, "_NODE_CAP", 3):
-        with pytest.raises(SearchBudgetExceeded, match="morphism search exceeded 3 nodes"):
-            find_morphisms(sq, sq)
-
-
 def test_morphism_counts_frozen():
     assert len(find_morphisms(make_chain(1), make_chain(2))) == 1
     assert len(find_morphisms(make_chain(2), make_chain(3))) == 0
     sq = make_product(make_chain(1), make_chain(1))
     assert len(find_morphisms(sq, make_chain(1))) == 2
     assert len(find_morphisms(sq, sq)) == 4
+
+
+@pytest.mark.parametrize(
+    "lawless",
+    [
+        FiniteMVAlgebra(3, make_chain(2).oplus, [2, 2, 0]),  # neg is no involution
+        overwritten(relabelled(chain_product((2, 1, 3)), 7), cells=[((5, 9), 17)]),
+    ],
+)
+def test_find_morphisms_raises_on_lawless_tables(lawless):
+    assert not check_mv_axioms(lawless).ok
+    for dom, cod, name in [(lawless, make_chain(2), "dom"), (make_chain(2), lawless, "cod")]:
+        with pytest.raises(ValueError, match=f"^find_morphisms: {name} fails the MV laws"):
+            find_morphisms(dom, cod)
+
+
+def test_morphisms_at_a_size_the_search_cannot_reach():
+    # every pair of generated_algebras(36): 1,089 pairs and 679 maps, which
+    # the backtracking search took minutes over
+    shapes = [(n,) for n in range(1, 9)] + [
+        (m, n) for m in range(1, 9) for n in range(m, 9) if (m + 1) * (n + 1) <= 36
+    ]
+    algebras = generated_algebras(36)
+    assert [chain_product(hs) for hs in shapes] == algebras
+    total = 0
+    for (ns, dom), (ms, cod) in itertools.product(zip(shapes, algebras), repeat=2):
+        maps = [h.map for h in find_morphisms(dom, cod)]
+        # one coordinate of dom read by each coordinate of cod, where n | m
+        assert len(maps) == math.prod(sum(m % n == 0 for n in ns) for m in ms)
+        assert maps == sorted(set(maps))
+        assert all(check_morphism(h).ok for h in find_morphisms(dom, cod))
+        total += len(maps)
+    assert total == 679
+
+
+# -- the oracle: backtracking over partial carrier maps -------------------------
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """Raised when the backtracking search exceeds its node budget."""
+
+
+def _prefix_consistent(img: list[int], k: int, op_d, ng_d, op_c, ng_c) -> bool:
+    """Whether the partial map img[0..k] respects every neg and oplus fact
+    whose arguments and value all lie in 0..k; img[k] is the fresh image.
+    The tables are the domain's and codomain's oplus and neg."""
+    y = img[k]
+    nk = ng_d[k]
+    if nk <= k and img[nk] != ng_c[y]:
+        return False
+    for a in range(k + 1):
+        xa = img[a]
+        r = op_d[a][k]
+        if r <= k and op_c[xa][y] != img[r]:
+            return False
+        r = op_d[k][a]
+        if r <= k and op_c[y][xa] != img[r]:
+            return False
+    # freshly assigned k may itself be the value of earlier pairs
+    for a in range(k):
+        for b in range(k):
+            if op_d[a][b] == k and op_c[img[a]][img[b]] != y:
+                return False
+    return True
+
+
+def search_morphisms(dom, cod, node_cap: int = 10**6) -> list[tuple[int, ...]]:
+    """Oracle: the maps of all morphisms dom -> cod by backtracking over
+    partial carrier maps, lexicographic in the map tuple.  Images are
+    assigned in carrier order, each constraint checked as soon as every
+    element it mentions has an image; more than node_cap candidate images
+    raise."""
+    s = dom.size
+    op_d, ng_d, op_c, ng_c = dom.oplus, dom.neg, cod.oplus, cod.neg
+    img = [-1] * s
+    img[0] = 0
+    found: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def rec(k: int):
+        nonlocal nodes
+        if k == s:
+            found.append(tuple(img))
+            return
+        for y in range(cod.size):
+            nodes += 1
+            if nodes > node_cap:
+                raise SearchBudgetExceeded(f"morphism search exceeded {node_cap} nodes")
+            img[k] = y
+            if _prefix_consistent(img, k, op_d, ng_d, op_c, ng_c):
+                rec(k + 1)
+            img[k] = -1
+
+    if not _prefix_consistent(img, 0, op_d, ng_d, op_c, ng_c):
+        return []
+    rec(1)
+    return found
+
+
+def generation_order(algebra: FiniteMVAlgebra) -> list[int]:
+    """0, then everything that neg and oplus make of the elements listed so
+    far, ascending; when that is nothing new, the least element not listed."""
+    order = [0]
+    while len(order) < algebra.size:
+        made = {algebra.neg[x] for x in order} | {algebra.oplus[x][y] for x in order for y in order}
+        new = sorted(made - set(order)) or [min(set(range(algebra.size)) - set(order))]
+        order += new
+    return order
+
+
+def search_in_generation_order(dom, cod) -> list[tuple[int, ...]]:
+    """The search on dom relabelled in `generation_order`, so that every
+    image but those of a few generators is forced as soon as it is tried,
+    with its maps read back on dom's own carrier and sorted."""
+    label = [0] * dom.size
+    for k, x in enumerate(generation_order(dom)):
+        label[x] = k
+    found = search_morphisms(permuted_copy(dom, label), cod)
+    return sorted(tuple(m[label[x]] for x in range(dom.size)) for m in found)
+
+
+def test_searches_stop_at_their_node_cap():
+    sq = make_product(make_chain(1), make_chain(1))
+    with pytest.raises(SearchBudgetExceeded, match="morphism search exceeded 3 nodes"):
+        search_morphisms(sq, sq, node_cap=3)
+    assert len(search_morphisms(sq, sq)) == 4
+
+
+@pytest.mark.parametrize("max_size, total", [(12, 171), (16, 283)])
+def test_closed_form_matches_the_search_on_generated_algebras(max_size, total):
+    algebras = generated_algebras(max_size)
+    found = 0
+    for dom, cod in itertools.product(algebras, repeat=2):
+        maps = [h.map for h in find_morphisms(dom, cod)]
+        assert maps == search_morphisms(dom, cod), (dom, cod)
+        found += len(maps)
+    assert found == total
+
+
+def test_closed_form_matches_the_search_on_relabelled_tables():
+    # relabelled copies of generated_algebras(16) against
+    # generated_algebras(12), in both directions
+    small = generated_algebras(12)
+    found = 0
+    for seed, algebra in enumerate(generated_algebras(16)):
+        shuffled = relabelled(algebra, seed)
+        for dom, cod in [(shuffled, b) for b in small] + [(b, shuffled) for b in small]:
+            maps = [h.map for h in find_morphisms(dom, cod)]
+            assert maps == search_morphisms(dom, cod), (dom, cod)
+            found += len(maps)
+    assert found == 438
+
+
+@st.composite
+def shuffled_products(draw, max_size: int = 24):
+    """A product of chains with at most max_size elements, relabelled along
+    a drawn permutation that fixes 0."""
+    heights: list[int] = []
+    while draw(st.booleans()) or not heights:
+        room = max_size // math.prod(n + 1 for n in heights) - 1
+        if room < 1:
+            break
+        heights.append(draw(st.integers(1, room)))
+    product = chain_product(heights)
+    return permuted_copy(product, [0] + draw(st.permutations(range(1, product.size))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shuffled_products(), shuffled_products())
+def test_closed_form_matches_the_search_on_shuffled_products(dom, cod):
+    assert [h.map for h in find_morphisms(dom, cod)] == search_in_generation_order(dom, cod)
 
 
 # -- isomorphisms as bijective morphisms ----------------------------------------

@@ -78,6 +78,15 @@ def test_subset_filter_is_capped():
         ideals_by_subset_filter(make_product(L3, L3))
 
 
+def test_cycling_squares_raise_instead_of_hanging():
+    # a lawless table with 1 + 1 = 2 and 2 + 2 = 1: the squares of 1 never
+    # reach an idempotent
+    cycling = FiniteMVAlgebra(3, [[0, 1, 2], [1, 2, 2], [2, 2, 1]], [2, 1, 0])
+    for build in (enumerate_ideals, spectrum):
+        with pytest.raises(ValueError, match="^the squares of 1 cycle through non-idempotents"):
+            build(cycling)
+
+
 def test_prime_detection_in_square():
     zero = Ideal(SQ, frozenset({0}))
     assert not is_prime_ideal(SQ, zero)  # incomparable atoms separate
