@@ -251,13 +251,14 @@ def good_sequence_sum(segment: GammaSegment, runs: Iterable[tuple[int, int]]) ->
     return _runs_total(segment.elements[0], ((n, segment.elements[e]) for n, e in runs))
 
 
-def good_sequence_sums_hold(group: ProductLuGroup, bound: int) -> bool:
+@functools.cache
+def good_sequence_sums_hold(u: GroupElement, bound: int) -> bool:
     """Every nonnegative x within bound·u has a canonical sequence that sums
-    back to x."""
-    segment = gamma_segment(group)
+    back to x; it reads only the unit u, so it runs once per unit."""
+    segment = unit_segment(u)
     return all(
         good_sequence_sum(segment, canonical_good_sequence(segment, x).runs) == x
-        for x in itertools.product(*(range(bound * up + 1) for up in group.u))
+        for x in itertools.product(*(range(bound * up + 1) for up in u))
     )
 
 
@@ -577,17 +578,21 @@ class UpsilonResult:
         )
 
 
-def upsilon(group: ProductLuGroup, window: int = 4) -> UpsilonResult:
-    """Build the evaluation map and certify it on the given window.
+@functools.cache
+def upsilon(u: GroupElement, window: int = 4) -> UpsilonResult:
+    """Build the evaluation map of a group with unit u and certify it on the
+    given window, at least 1; it reads only u, so it runs once per unit.
 
-    Building it (`_segment_lifts`, once per unit) validates the prime
-    alignment and the lifts.  Each fiber then gets its certificate
+    Building it (`_segment_lifts`) validates the prime alignment and the
+    lifts.  Each fiber then gets its certificate
     (`_fiber_certificate`: additivity, order embedding, unit and zero, the
     segment identity `evaluate(iota(x)) = x` on that fiber's classes,
     surjectivity through one division by the unit per target).  On the
     product: the segment being exactly the box of class pairs, injectively.
     """
-    _, star, fibers = _segment_lifts(group.u)
+    if window < 1:
+        raise ValueError(f"window must be at least 1, not {window}")
+    _, star, fibers = _segment_lifts(u)
     *checks, sizes = zip(*(_fiber_certificate(fm, lift, window) for fm, lift in fibers))
     additive, order_embedding, preserves_unit, segment_identity, surjective = map(all, checks)
     box_size = math.prod(f.height + 1 for f in star.ambient.fibers)

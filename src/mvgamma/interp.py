@@ -356,7 +356,7 @@ class _Runner:
             report = iota_roundtrip(star)
             gen = segment_generation_check(star, bound=min(2, self.bound(cmd, "window", 1)))
             return report.holds and gen.ok, {**asdict(report), "window_generated": gen.ok}
-        result = upsilon(value, window=self.bound(cmd, "window", 1))
+        result = upsilon(value.u, self.bound(cmd, "window", 1))
         return result.holds, asdict(result)
 
     def _segment_context(self, cmd: Command):
@@ -432,15 +432,12 @@ class _Runner:
             square = iota_naturality(value).ok
             detail = {"morphism_law": law, "iota_square": square}
             return law and square, detail
-        result = upsilon(value, window=window)
-        ideals_ok = all(r.holds for r in coordinate_ideal_checks(value.u))
-        sums_ok = good_sequence_sums_hold(value, min(2, window))
         detail = {
-            "upsilon": result.holds,
-            "coordinate_ideals": ideals_ok,
-            "good_sequence_sums": sums_ok,
+            "upsilon": upsilon(value.u, window).holds,
+            "coordinate_ideals": all(r.holds for r in coordinate_ideal_checks(value.u)),
+            "good_sequence_sums": good_sequence_sums_hold(value.u, min(2, window)),
         }
-        return result.holds and ideals_ok and sums_ok, detail
+        return all(detail.values()), detail
 
     def cmd_export(self, cmd: Command):
         _, value = self.value(cmd.name, ("algebra", "group", "hom"), cmd.line)

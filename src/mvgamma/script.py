@@ -150,6 +150,14 @@ _INT = re.compile(r"-?[0-9]+")
 _FLAG = re.compile(r"--[a-z][a-z-]*")
 _PATH = re.compile(r"[^\s#]+")
 
+
+def _not_an_integer(text: str):
+    raise ValueError(f"{text} is not an integer")
+
+
+# Literals hold exact integers: a fraction, exponent, NaN or Infinity is a syntax error.
+_INTEGER_JSON = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
+
 _COMMANDS_NAME_ONLY = ("spec", "star", "gamma", "roundtrip")
 
 
@@ -230,9 +238,9 @@ class _Cursor:
     def json_fragment(self, what: str = "a JSON value"):
         self.skip()
         try:
-            value, end = json.JSONDecoder().raw_decode(self.text, self.pos)
-        except json.JSONDecodeError as exc:
-            self.error(ScriptSyntaxError, f"expected {what}: {exc.msg}")
+            value, end = _INTEGER_JSON.raw_decode(self.text, self.pos)
+        except ValueError as exc:  # a JSONDecodeError, or a number that is not an integer
+            self.error(ScriptSyntaxError, f"expected {what}: {getattr(exc, 'msg', exc)}")
         self.pos = end
         return value
 
@@ -255,7 +263,8 @@ class _Cursor:
 
 
 def parse_script(text: str) -> Script:
-    """Parse text into a Script, resolving names as they are bound."""
+    """Parse text into a Script, resolving names as they are bound: a name is
+    bound once its definition ends, so no definition can read its own name."""
     cur = _Cursor(text)
     names: set[str] = set()
     statements = []
@@ -268,7 +277,6 @@ def parse_script(text: str) -> Script:
             cur.error(ScriptSyntaxError, f"{word!r} is a keyword, not a name", pos)
         if word in names:
             cur.error(DuplicateNameError, f"name {word!r} is already bound", pos)
-        names.add(word)
         return word
 
     def used_name(what: str = "a bound name") -> str:
@@ -310,13 +318,13 @@ def parse_script(text: str) -> Script:
             cur.error(
                 ScriptLexError, f"unexpected character {cur.text[cur.pos]!r}"
             )
+        cur.word()
         if head == "algebra":
-            cur.word()
             name = new_name()
             cur.punct("=")
             statements.append(AlgebraDef(name, algebra_expr(), line))
+            names.add(name)
         elif head == "hom":
-            cur.word()
             name = new_name()
             cur.punct(":")
             dom = used_name("the domain name")
@@ -334,8 +342,8 @@ def parse_script(text: str) -> Script:
                         break
                     cur.punct(",")
             statements.append(HomDef(name, dom, cod, tuple(pairs), line))
+            names.add(name)
         elif head == "group":
-            cur.word()
             name = new_name()
             cur.punct("=")
             kw = cur.word("'fibers'")
@@ -362,21 +370,18 @@ def parse_script(text: str) -> Script:
                     break
             cur.punct("]")
             statements.append(GroupDef(name, tuple(sizes), tuple(unit), line))
+            names.add(name)
         elif head in _COMMANDS_NAME_ONLY:
-            cur.word()
             statements.append(Command(kind=head, name=used_name(), line=line))
         elif head in ("goodseq", "member"):
-            cur.word()
             name = used_name()
             element = cur.json_fragment("an element literal")
             statements.append(Command(kind=head, name=name, element=element, line=line))
         elif head == "freequotient":
-            cur.word()
             name = used_name()
             keep = cur.try_flag("--keep-zero")
             statements.append(Command(kind=head, name=name, keep_zero=keep, line=line))
         elif head == "check":
-            cur.word()
             cur.skip()
             target = cur.peek_word()
             if target == "all":
@@ -405,7 +410,6 @@ def parse_script(text: str) -> Script:
                 )
             )
         elif head == "export":
-            cur.word()
             name = used_name()
             statements.append(Command(kind="export", name=name, path=cur.path(), line=line))
         else:

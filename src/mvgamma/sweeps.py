@@ -32,9 +32,9 @@ one output fiber at a time; their product-window oracles live in the tests.
 
 Work shared between suites and configurations is memoized in the builders
 themselves, so a sweep context holds only its configuration: algebra work on
-interned algebras, segment work (segments, coordinate ideals, evaluation fiber
-maps) on the unit, all that [0, u] reads of a group, and fiber verdicts on
-fiber data.
+interned algebras, segment work (segments, coordinate ideals, `upsilon`,
+product-level sums) on the unit, all that [0, u] reads of a group, and fiber
+verdicts on fiber data.
 
 Suite results carry no timing or environment data, so a sweep's report is
 byte-stable across runs.
@@ -64,7 +64,7 @@ from .equivalence import (
     FiberMap,
     LGroupMap,
 )
-from .lgroup import ChangChainGroup, ProductLuGroup, chain_fiber, gamma_segment, unit_segment
+from .lgroup import ChangChainGroup, ProductLuGroup, chain_fiber, unit_segment
 from .mv_core import (
     FiniteMVAlgebra,
     check_mv_axioms,
@@ -101,14 +101,11 @@ class SuiteResult:
             self.failures.append(text)
 
 
-def generated_algebras(max_size: int, max_chain: int = 8) -> list[FiniteMVAlgebra]:
-    """Chains of height 1..max_chain, then binary products (nondecreasing
-    heights) with carrier at most max_size, in that order."""
-    out = []
-    top_chain = min(max_chain, max(1, max_size - 1))
-    for n in range(1, top_chain + 1):
-        if n + 1 <= max(max_size, 2):
-            out.append(make_chain(n))
+def generated_algebras(max_size: int) -> list[FiniteMVAlgebra]:
+    """Chains of height 1..8, then binary products (nondecreasing heights),
+    with carrier at most max_size (the two-element chain always), in order."""
+    top_chain = min(8, max(1, max_size - 1))
+    out = [make_chain(n) for n in range(1, top_chain + 1)]
     for m in range(1, top_chain + 1):
         for n in range(m, top_chain + 1):
             if (m + 1) * (n + 1) <= max_size:
@@ -150,7 +147,7 @@ class SweepContext:
         return ProductLuGroup([chain_fiber(n) for n in chains], heights)
 
     def algebras(self, cap: int | None = None) -> list[FiniteMVAlgebra]:
-        return generated_algebras(cap if cap is not None else self.max_size, self.max_chain)
+        return generated_algebras(cap if cap is not None else self.max_size)
 
     def group_configs(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         return list(
@@ -248,10 +245,9 @@ def suite_chain_roundtrip(ctx: SweepContext) -> SuiteResult:
     result = SuiteResult("chain_roundtrip", True, 0)
     for n in range(1, ctx.max_chain + 1):
         result.cases += 1
-        g = ProductLuGroup([chain_fiber(n)], (n,))
-        if gamma_segment(g).algebra != make_chain(n):
+        if unit_segment((n,)).algebra != make_chain(n):
             result.note_failure(f"segment of the height-{n} fiber group is not the chain")
-        elif not upsilon(g, window=4).surjective:
+        elif not upsilon((n,), 4).surjective:
             result.note_failure(f"unit division does not invert evaluation at height {n}")
     return result
 
@@ -276,7 +272,7 @@ def suite_general_roundtrip(ctx: SweepContext) -> SuiteResult:
             result.note_failure(f"window element not generated for a size-{a.size} algebra")
     for chains, heights in ctx.group_configs():
         result.cases += 1
-        if not upsilon(ctx.group(chains, heights), window=ctx.window).holds:
+        if not upsilon(heights, ctx.window).holds:
             result.note_failure(f"evaluation certificate fails at {chains}/{heights}")
     return result
 
@@ -295,7 +291,7 @@ def suite_good_sequences(ctx: SweepContext) -> SuiteResult:
         if not all(ok for ok, _ in verdicts):
             result.note_failure(f"fiber sequence case fails at {chains}/{heights}")
         if len(chains) == 2 and max(heights) <= 2:
-            if not good_sequence_sums_hold(ctx.group(chains, heights), 2):
+            if not good_sequence_sums_hold(heights, 2):
                 result.note_failure(f"product-level sums drift at {chains}/{heights}")
     return result
 
@@ -375,7 +371,7 @@ def suite_segment_ideals(ctx: SweepContext) -> SuiteResult:
     coordinate zero sets are exactly the primes."""
     result = SuiteResult("segment_ideals", True, 0)
     for chains, heights in ctx.group_configs():
-        for report in coordinate_ideal_checks(ctx.group(chains, heights).u):
+        for report in coordinate_ideal_checks(heights):
             result.cases += 1
             if not report.holds:
                 result.note_failure(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import mvgamma
 from mvgamma import equivalence
-from mvgamma.cli import main
+from mvgamma.cli import _run_text, main
 from mvgamma import interp
 from mvgamma.interp import MAX_CARRIER, MAX_LISTED, MAX_WINDOW, RunConfig, SemanticError, execute
 from mvgamma.mv_core import FiniteMVAlgebra
@@ -596,3 +596,128 @@ def test_cli_installed_command_on_path():
     proc = subprocess.run(["mvgamma", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "run" in proc.stdout and "check-all" in proc.stdout
+
+
+# ------------------------------------------------------------------ grammar fuzz
+
+COPIES = st.one_of(st.integers(-1, 3), st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def table_literals(draw) -> str:
+    """A `table` literal: a relabelled chain product, lawful or with one
+    entry changed, or a malformed object."""
+    product = chain_product(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+    s = product.size
+    copy = permuted_copy(product, [0] + draw(st.permutations(range(1, s))))
+    op, ng = [list(row) for row in copy.oplus], list(copy.neg)
+    changes = ["none"] * 6 + ["oplus", "neg", "size", "range", "shape", "keys"]
+    change, cell = draw(st.sampled_from(changes)), st.integers(0, s - 1)
+    if change == "oplus":
+        op[draw(cell)][draw(cell)] = draw(cell)
+    elif change == "neg":
+        ng[draw(cell)] = draw(cell)
+    elif change == "range":
+        ng[draw(cell)] = draw(st.sampled_from([-1, s, 10**30, "1", 0.5, None]))
+    elif change == "shape":
+        op = op[1:] if draw(st.booleans()) else [row[1:] for row in op]
+    obj = {"size": draw(st.sampled_from([s + 1, 0, -1, 10**30])) if change == "size" else s}
+    obj.update(oplus=op, neg=ng)
+    if change == "keys":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    return "table " + json.dumps(obj)
+
+
+ELEMENTS = st.one_of(
+    st.lists(st.fixed_dictionaries({"m": COPIES, "a": st.integers(-1, 3)}), min_size=1, max_size=3)
+    .map(lambda coords: {"coords": coords}),
+    st.sampled_from([{"coords": []}, {"coords": [{"m": 1}]}, {"m": 1, "a": 0}]),
+).map(json.dumps)
+
+
+@st.composite
+def grammar_scripts(draw, tmp: str) -> list[str]:
+    """A script drawn from the grammar: definitions, mostly lawful, of
+    algebras, groups and homs, then also every command kind with its flags,
+    on names mostly of the kind the command needs; now and then a name that
+    is unbound, bound twice or of another kind."""
+    bound: dict[str, str] = {}
+
+    def use(*kinds: str) -> str:
+        fitting = [n for n, k in bound.items() if k in kinds] or ["Z"]
+        return draw(st.sampled_from(fitting * 8 + list(bound) + ["Z"]))
+
+    chains = st.sampled_from([1, 2, 3] * 6 + [0, -1, 300, 10**30]).map("chain {}".format)
+    lines = []
+    for step in range(draw(st.integers(2, 7))):
+        kinds = ["algebra", "group"] + ["hom", "command", "command"] * (step > 1)
+        kind = draw(st.sampled_from(kinds))
+        name = draw(st.sampled_from([f"N{step}"] * 20 + list(bound)))
+        if kind == "algebra":
+            form = draw(st.sampled_from(["chain", "product", "table"]))
+            if form == "table":
+                expr = draw(table_literals())
+            elif form == "product" and "algebra" in bound.values():
+                expr = f"{draw(st.sampled_from([use('algebra'), draw(chains)]))} * {draw(chains)}"
+            else:
+                expr = draw(chains)
+            lines.append(f"algebra {name} = {expr}")
+        elif kind == "group":
+            fiber = st.sampled_from([2, 3, 4] * 8 + [1, 0, -1])
+            sizes = draw(st.lists(fiber, min_size=1, max_size=3))
+            copies = st.sampled_from([1, 1, 1, 1, 2, 2, 0, -1, 10**30])
+            unit = [(draw(copies), draw(st.integers(0, max(0, s - 2)))) for s in sizes]
+            if draw(st.integers(0, 9)) == 0:
+                unit = draw(st.sampled_from([unit[1:], unit + unit[:1]]))
+            elif draw(st.integers(0, 9)) == 0:
+                unit[0] = (unit[0][0], draw(st.sampled_from([-1, sizes[0] - 1, 10**30])))
+            body = ", ".join(f"({m}, {a})" for m, a in unit)
+            lines.append(f"group {name} = fibers {sizes} unit [{body}]")
+        elif kind == "hom":
+            arrows = st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 12)), max_size=5)
+            pairs = draw(st.one_of(st.sampled_from([[(0, 0), (1, 1)], [(0, 0), (1, 2)]]), arrows))
+            body = ", ".join(f"{a} -> {b}" for a, b in pairs)
+            lines.append(f"hom {name} : {use('algebra')} -> {use('algebra')} {{ {body} }}")
+        if kind != "command":
+            bound[name] = kind
+            continue
+        commands = ["spec", "star", "gamma", "roundtrip", "goodseq", "member", "freequotient"]
+        command = draw(st.sampled_from(commands + ["check", "export"]))
+        if command in ("spec", "star", "freequotient"):
+            flag = " --keep-zero" if command == "freequotient" and draw(st.booleans()) else ""
+            lines.append(f"{command} {use('algebra')}{flag}")
+        elif command == "gamma":
+            lines.append(f"gamma {use('group')}")
+        elif command == "roundtrip":
+            lines.append(f"roundtrip {use('algebra', 'group')}")
+        elif command in ("goodseq", "member"):
+            kinds = ("algebra", "group") + (("hom",) if command == "member" else ())
+            lines.append(f"{command} {use(*kinds)} {draw(ELEMENTS)}")
+        elif command == "check":
+            flags = [
+                draw(st.sampled_from(["", f" --max-size {draw(st.integers(-1, 4))}"])),
+                draw(st.sampled_from(["", " --window 9", f" --window {draw(st.integers(-1, 3))}"])),
+            ]
+            target = draw(st.sampled_from(["all", use("algebra", "group", "hom")]))
+            lines.append(f"check {target}{''.join(draw(st.permutations(flags)))}")
+        else:
+            path = draw(st.sampled_from(["out.json", "missing/out.json"]))
+            lines.append(f'export {use("algebra", "group", "hom")} "{tmp}/{path}"')
+    return lines
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_scripts_from_the_grammar_never_break_the_contract(tmp_path, capsys, data):
+    # scripts drawn from the grammar, lawful or not, print one JSON object
+    # and exit 0-3: a verdict, a parse error or a semantic error, never 4
+    lines = data.draw(grammar_scripts(str(tmp_path)))
+    code = _run_text("\n".join(lines) + "\n", RunConfig(max_size=4, window=2))
+    payload = json.loads(capsys.readouterr().out)
+    assert isinstance(payload, dict) and code in (0, 1, 2, 3), (lines, payload)
+    if code in (0, 1):
+        assert payload["overall"] == ("pass" if code == 0 else "fail")
+    else:
+        assert payload["error"]["code"] != "internal"

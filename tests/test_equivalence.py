@@ -63,6 +63,7 @@ from mvgamma.sweeps import (
     generated_algebras,
     group_shapes,
     suite_general_roundtrip,
+    suite_good_sequences,
 )
 
 
@@ -601,7 +602,7 @@ def test_upsilon_inverse_matches_the_map():
 )
 def test_upsilon_certificate_holds(fibers, u):
     g = make_product_group([ChangChainGroup(make_chain(n)) for n in fibers], u)
-    result = upsilon(g, window=3)
+    result = upsilon(g.u, window=3)
     assert result.additive
     assert result.order_embedding
     assert result.preserves_unit
@@ -684,7 +685,7 @@ def verdicts(result):
 def test_upsilon_matches_the_peeling_body(window):
     for chains, heights in group_shapes(2, 3, 2):
         g = SweepContext.group(chains, heights)
-        assert verdicts(upsilon(g, window=window)) == upsilon_by_peeling(g, window)
+        assert verdicts(upsilon(g.u, window=window)) == upsilon_by_peeling(g, window)
 
 
 def additive_by_pairs(f, window):
@@ -810,11 +811,11 @@ def evaluation_without_copies(monkeypatch):
 )
 def test_upsilon_mutants_fail_both_versions(mutant, monkeypatch, fresh_memos):
     g = SweepContext.group((1, 2), (2, 2))
-    assert upsilon(g, window=2).holds
+    assert upsilon(g.u, window=2).holds
     fresh_memos()  # a verdict cached by the clean run would hide the mutant
     try:
         oracle = mutant(monkeypatch)
-        assert not upsilon(g, window=2).holds
+        assert not upsilon(g.u, window=2).holds
         try:
             oracle_verdicts = oracle(g, 2)
         except KeyError:  # the peel met an entry the mutated lift lost
@@ -823,7 +824,7 @@ def test_upsilon_mutants_fail_both_versions(mutant, monkeypatch, fresh_memos):
             assert not all(oracle_verdicts[:6])
         if mutant is lift_bottom_off_by_one:
             # the segment identity itself fails, per fiber and on the product
-            assert not upsilon(g, window=2).segment_identity
+            assert not upsilon(g.u, window=2).segment_identity
             assert oracle_verdicts is not None and not oracle_verdicts[3]
     finally:
         monkeypatch.undo()
@@ -835,12 +836,23 @@ def test_equal_fiber_data_share_one_certificate(fresh_memos):
 
 
 def test_segment_lifts_miss_once_per_unit(fresh_memos):
+    # upsilon and the product-level sums read only the unit, so each runs
+    # once per unit and every further configuration is a hit
     ctx = SweepContext(16, 4)
     assert suite_general_roundtrip(ctx).ok
+    assert suite_good_sequences(ctx).ok
     units = {ctx.group(c, h).u for c, h in ctx.group_configs()}
-    info = eq._segment_lifts.cache_info()
-    assert info.misses == len(units) == 39
-    assert info.hits == len(ctx.group_configs()) - len(units)
+    assert eq._segment_lifts.cache_info().misses == len(units) == 39
+    info = eq.upsilon.cache_info()
+    assert (info.misses, info.hits) == (39, len(ctx.group_configs()) - 39)
+    sums = eq.good_sequence_sums_hold.cache_info()
+    assert (sums.misses, sums.misses + sums.hits) == (4, 64)
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_upsilon_rejects_a_window_below_one(window):
+    with pytest.raises(ValueError, match=f"window must be at least 1, not {window}"):
+        upsilon((1, 2), window=window)
 
 
 def test_segment_lifts_require_star_classes_in_rank_order(monkeypatch, fresh_memos):

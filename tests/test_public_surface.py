@@ -1,5 +1,6 @@
-"""Every public name has a caller outside the tests, and the package imports
-without numpy.
+"""Every public name has a caller outside the tests, the package exports
+exactly the library modules' `__all__` lists, and it imports without numpy
+or its front end.
 
 A name in a module's `__all__` counts as used when the package refers to it
 outside its own definition (the `__all__` lists and the re-exports in
@@ -9,10 +10,13 @@ calls is not public API; the test fails on it.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import mvgamma
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "mvgamma"
@@ -76,6 +80,44 @@ def test_every_public_name_has_a_caller():
             if name not in referenced(tree, skip=name):
                 unused.append(f"{stem}.{name}")
     assert unused == []
+
+
+LIBRARY = ("mv_core", "spectrum", "lgroup", "snf", "equivalence", "serialize", "sweeps")
+
+# The 52 names the package exported from a hand-written list; none may go.
+EXPORTED_BEFORE = """
+    AxiomReport ChangChainGroup ChangPair FiniteMVAlgebra GammaSegment GoodSequence
+    Ideal InternalInvariantError MVMorphism ProductLuGroup SchemaError Spectrum
+    StarAlgebra SweepContext abs_decompose canonical_entries canonical_good_sequence
+    check_morphism check_mv_axioms compose coordinate_ideal_checks dumps
+    enumerate_ideals export_json find_morphisms free_quotient_experiment
+    gamma_restriction gamma_segment generated_membership good_sequence_sum
+    invariant_factors iota_naturality iota_roundtrip is_good_sequence is_prime_ideal
+    loads make_chain make_product make_product_group make_product_many quotient
+    run_all_checks segment_generation_check smith_diagonal spectrum star_algebra
+    star_functoriality star_membership star_morphism to_jsonable upsilon
+    upsilon_naturality
+""".split()
+
+
+def test_package_exports_the_library_lists():
+    modules = [importlib.import_module(f"mvgamma.{stem}") for stem in LIBRARY]
+    expected = ["InternalInvariantError"] + [n for m in modules for n in m.__all__]
+    assert mvgamma.__all__ == expected and len(set(expected)) == len(expected)
+    assert all(getattr(mvgamma, n) is getattr(m, n) for m in modules for n in m.__all__)
+
+    assert len(EXPORTED_BEFORE) == 52 and set(EXPORTED_BEFORE) <= set(mvgamma.__all__)
+
+    # the script language, its interpreter and the command line load only
+    # when asked for
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, mvgamma\n"
+        "print([m for m in ('script', 'interp', 'cli') if f'mvgamma.{m}' in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_import_leaves_numpy_out():

@@ -157,6 +157,28 @@ def test_hom_requires_defined_endpoints():
         parse_script("algebra A = chain 1\nhom h : A -> B { 0->0, 1->1 }")
 
 
+@pytest.mark.parametrize(
+    "text, col",
+    [("algebra A = A", 13), ("algebra A = chain 1 * A", 23), ("hom A : A -> A { 0->0 }", 9)],
+)
+def test_definition_cannot_read_its_own_name(text, col):
+    # a name is bound when its definition ends; reading it inside the
+    # definition is an unknown name, not a lookup the interpreter misses
+    with pytest.raises(UnknownNameError) as err:
+        parse_script(text)
+    assert err.value.col == col
+
+
+@pytest.mark.parametrize("number", ["0.5", "1e3", "1.0", "NaN", "-Infinity"])
+def test_literal_numbers_must_be_integers(number):
+    # a float in a literal would reach the report's writer, which has no
+    # float form; it is a syntax error at the literal instead
+    text = f'group G = fibers [2] unit [(1,0)]\ngoodseq G {{"coords": [{{"m": {number}, "a": 0}}]}}'
+    with pytest.raises(ScriptSyntaxError, match=f"{number} is not an integer") as err:
+        parse_script(text)
+    assert (err.value.line, err.value.col) == (2, 11)
+
+
 def test_unknown_statement_word():
     with pytest.raises(ScriptSyntaxError, match="unknown statement"):
         parse_script("frobnicate A")

@@ -10,11 +10,13 @@ each carry-rule mutant.
 
 import pytest
 
+from mvgamma.equivalence import good_sequence_sums_hold, upsilon
 from mvgamma.lgroup import ChangChainGroup, ChangPair, chain_fiber
 from mvgamma.sweeps import (
     SweepContext,
     carry_rule_by_transport,
     generated_algebras,
+    run_all_checks,
     suite_pair_groups,
 )
 
@@ -139,3 +141,15 @@ def test_max_size_saturates_at_81(n):
     big, cap = vars(SweepContext(n)), vars(SweepContext(81))
     assert big.pop("max_size") == n and cap.pop("max_size") == 81
     assert big == cap
+
+
+# -- segment work per unit ------------------------------------------------------
+
+
+def test_sweep_certifies_each_unit_once(fresh_memos):
+    # upsilon reads only the unit: the 39 group units of the sweep and the
+    # chain units 4..8 (1..3 are group units too); the product-level sums run
+    # on the 4 two-fiber units of height at most 2
+    assert all(suite.ok for suite in run_all_checks(16, 4))
+    assert upsilon.cache_info().misses == 44
+    assert good_sequence_sums_hold.cache_info().misses == 4
