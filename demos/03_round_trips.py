@@ -47,7 +47,7 @@ G = make_product_group(
     [ChangChainGroup(make_chain(2)), ChangChainGroup(make_chain(3))],
     [(1, 1), (1, 0)],
 )
-result = upsilon(G.u, window=3)
+result = upsilon(G.u, 3)
 print("group with unit", G.u)
 print("   additive on window:     ", result.additive)
 print("   order preserved both ways:", result.order_embedding)

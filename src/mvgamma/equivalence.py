@@ -252,7 +252,7 @@ def good_sequence_sum(segment: GammaSegment, runs: Iterable[tuple[int, int]]) ->
 
 
 @functools.cache
-def good_sequence_sums_hold(u: GroupElement, bound: int) -> bool:
+def good_sequence_sums_hold(u: GroupElement, bound: int, /) -> bool:
     """Every nonnegative x within bound·u has a canonical sequence that sums
     back to x; it reads only the unit u, so it runs once per unit."""
     segment = unit_segment(u)
@@ -505,7 +505,7 @@ def _evaluation(group: ProductLuGroup) -> tuple[GammaSegment, LGroupMap]:
 
 @functools.cache
 def _fiber_certificate(
-    fiber_map: FiberMap, lift_by_rank: tuple[int, ...], window: int
+    fiber_map: FiberMap, lift_by_rank: tuple[int, ...], window: int, /
 ) -> tuple[bool, bool, bool, bool, bool, int]:
     """Upsilon's checks on one fiber: the evaluation f of a star fiber of
     height h = f.period into a group fiber with unit coordinate up = f.step,
@@ -579,7 +579,7 @@ class UpsilonResult:
 
 
 @functools.cache
-def upsilon(u: GroupElement, window: int = 4) -> UpsilonResult:
+def upsilon(u: GroupElement, window: int, /) -> UpsilonResult:
     """Build the evaluation map of a group with unit u and certify it on the
     given window, at least 1; it reads only u, so it runs once per unit.
 

@@ -352,7 +352,7 @@ def chain_rank(algebra: FiniteMVAlgebra) -> tuple[int, ...]:
 
 
 @functools.cache
-def find_morphisms(dom: FiniteMVAlgebra, cod: FiniteMVAlgebra) -> tuple[MVMorphism, ...]:
+def find_morphisms(dom: FiniteMVAlgebra, cod: FiniteMVAlgebra, /) -> tuple[MVMorphism, ...]:
     """All morphisms dom -> cod, in ascending order of their map tuples.
 
     Read through the chain decompositions f of dom and g of cod, of heights

@@ -1,107 +1,31 @@
-"""Smith normal form over the integers, exact, dependency-free.
+"""Smith normal form over the integers: one exact elimination on sparse rows.
 
-`smith_diagonal` takes lists of equal-length integer rows.  Python ints are
-unbounded, so there is no overflow regime to guard.  The reduction is one
-loop: move the smallest nonzero entry of the remaining block to (t, t) as the
-pivot, clear column t with row operations, then reduce row t modulo the pivot
-(with column t clear, those column operations touch row t only).  Any
-remainder left in column t or row t is smaller than the pivot and becomes the
-next pivot; once both are clear the pivot is a diagonal entry.  Then gcd/lcm
-exchanges, the one divisibility step, put the diagonal in divisibility order.
+Rows map column -> entry; `smith_diagonal` turns dense rows into such maps.
+Both phases rest on one fact: once a pivot's column is zero in every other
+row, a column operation (adding a multiple of the pivot column to another
+column) changes only the rows nonzero in the pivot column, so only the pivot
+row; the pivot row can then be reduced without touching the others.
 
-`invariant_factors` takes sparse rows (column -> entry) and first pivots on
-unit entries, as Havas and Sterling (1979) do for relation matrices of
-finitely presented abelian groups.  A pivot +-1 at (i, j) keeps the
-invariant factors: row operations clear column j, which is then zero outside
-row i, so column operations clear row i touching no other row; (+-1), one
-unit factor, is left beside the other rows without column j.  Clearing is
-lazy, so a redundant row is reduced to zero once: a visited row adds the
-rows of its pivot columns, and a new pivot row clears its column from the
-earlier ones.  A pass visits rows shortest first, pivoting on those within a
-length limit that grows when a pass adds no pivot; after that last pass each
-pivot column is zero outside its row.  The rest goes to `smith_diagonal`.
+The first phase pivots on unit entries, as Havas and Sterling (1979) do for
+relation matrices of finitely presented abelian groups; each pivot is one
+unit factor.  Clearing is lazy: a visited row adds the rows of its pivot
+columns, and a new pivot row clears its column from the earlier ones.
+Passes visit rows shortest first, under a length limit that grows when a
+pass adds no pivot.  The second phase reduces the rows left in place: the
+least entry is the pivot, row operations clear its column by floor division,
+then column operations reduce the pivot row modulo the pivot.  A remainder
+becomes the next pivot; a pivot alone in its row and column is a diagonal
+entry.  gcd/lcm exchanges over all pairs, a selection sort of each prime's
+exponents, order the diagonal by divisibility.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
+from operator import index
 
 __all__ = ["smith_diagonal", "invariant_factors", "matrix_rank"]
-
-
-def _pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
-    best = None
-    best_val = None
-    for i in range(t, len(a)):
-        row = a[i]
-        for j in range(t, len(row)):
-            v = abs(row[j])
-            if v and (best_val is None or v < best_val):
-                best, best_val = (i, j), v
-                if v == 1:
-                    return best
-    return best
-
-
-def smith_diagonal(rows: list[list[int]], ncols: int | None = None) -> list[int]:
-    """Diagonal of the Smith form, nonnegative, divisibility-ordered.
-
-    The result has length min(nrows, ncols) and is padded with zeros past the
-    rank.  An empty row list is allowed when ncols is given (rank 0).
-    """
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols is required for an empty matrix")
-        ncols = len(rows[0])
-    a = [list(map(int, r)) for r in rows]
-    for r in a:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-    m, n = len(a), ncols
-    bound = min(m, n)
-    diag: list[int] = []
-    t = 0
-    while t < bound:
-        pv = _pivot(a, t)
-        if pv is None:
-            break
-        pi, pj = pv
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        pivot_row = a[t]
-        p = pivot_row[t]
-        for i in range(t + 1, m):
-            q = a[i][t] // p
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], pivot_row)]
-        if any(a[i][t] for i in range(t + 1, m)):
-            continue  # a remainder below the pivot: the next pivot
-        for j in range(t + 1, n):
-            pivot_row[j] %= p
-        if any(pivot_row[t + 1 :]):
-            continue  # likewise in row t
-        diag.append(abs(p))
-        t += 1
-    diag.extend(0 for _ in range(bound - len(diag)))
-    # divisibility order (zeros count as divisible by everything, so they sink)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            x, y = diag[i], diag[i + 1]
-            divides = (y % x == 0) if x else (y == 0)
-            if not divides:
-                g = gcd(x, y)
-                diag[i] = g
-                diag[i + 1] = 0 if (x == 0 or y == 0) else x * y // g
-                changed = True
-    return diag
-
-
-def matrix_rank(rows: list[list[int]], ncols: int | None = None) -> int:
-    return sum(1 for d in smith_diagonal(rows, ncols) if d)
 
 
 def _add(row: dict[int, int], q: int, other: dict[int, int]) -> None:  # row += q * other
@@ -112,16 +36,10 @@ def _add(row: dict[int, int], q: int, other: dict[int, int]) -> None:  # row += 
             del row[j]
 
 
-def invariant_factors(rows: list[dict[int, int]], ncols: int) -> list[int]:
-    """Invariant factors of Z^ncols modulo the span of the (sparse) rows.
-
-    Torsion factors greater than 1 in divisibility order, then one 0 per free
-    rank.  Unit factors are dropped, so equality of two such lists is exactly
-    isomorphism of the described groups.
-    """
+def _unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+    """First phase: the number of unit pivots and the nonzero rows left without one."""
     basis: dict[int, dict[int, int]] = {}  # pivot column -> its row, +-1 there
-    rest = [r for r in ({j: v for j, v in row.items() if v} for row in rows) if r]
-    limit, pivots = 1, -1
+    limit, pivots, rest = 1, -1, rows
     while len(basis) > pivots or limit < max(map(len, rest), default=0):
         limit += len(basis) == pivots
         pending, rest, pivots = sorted(rest, key=len), [], len(basis)
@@ -137,7 +55,69 @@ def invariant_factors(rows: list[dict[int, int]], ncols: int) -> list[int]:
                 basis[pj] = row
             elif row:
                 rest.append(row)
-    cols = sorted({j for row in rest for j in row})
-    diag = smith_diagonal([[row.get(j, 0) for j in cols] for row in rest], len(cols))
-    rank = len(basis) + sum(1 for d in diag if d)
-    return [d for d in diag if d > 1] + [0] * (ncols - rank)
+    return len(basis), rest
+
+
+def _eliminate(rows: list[dict[int, int]]) -> list[int]:
+    """Second phase: the nonzero diagonal of the rows, in divisibility order."""
+    diag: list[int] = []
+    while rows:
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(rows) for j, v in row.items())
+        pivot_row = rows.pop(i)
+        p = pivot_row[j]
+        for row in rows:
+            if j in row:
+                _add(row, -(row[j] // p), pivot_row)
+        rows = [row for row in rows if row]
+        if not any(j in row for row in rows):  # column ops now touch the pivot row only
+            pivot_row = {k: r for k, v in pivot_row.items() if (r := v % p)}
+            if not pivot_row:
+                diag.append(abs(p))
+                continue
+            pivot_row[j] = p
+        rows.append(pivot_row)
+    for i, k in combinations(range(len(diag)), 2):
+        g = gcd(diag[i], diag[k])
+        diag[i], diag[k] = g, diag[i] * diag[k] // g
+    return diag
+
+
+def _diagonal(rows: list[dict[int, int]], ncols: int) -> list[int]:
+    """The nonzero Smith diagonal, units included, in divisibility order."""
+    if bad := set().union(*rows).difference(range(ncols)):
+        raise ValueError(f"column {bad.pop()!r} is outside range({ncols})")
+    work = [{j: v for j, v in zip(row, map(index, row.values())) if v} for row in rows]
+    units, rest = _unit_pivots(work)
+    return [1] * units + _eliminate(rest)
+
+
+def smith_diagonal(rows: list[list[int]], ncols: int | None = None) -> list[int]:
+    """Diagonal of the Smith form, nonnegative, divisibility-ordered.
+
+    The result has length min(nrows, ncols) and is padded with zeros past the
+    rank.  An empty row list is allowed when ncols is given (rank 0).
+    """
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols is required for an empty matrix")
+        ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    diag = _diagonal([dict(enumerate(r)) for r in rows], ncols)
+    return diag + [0] * (min(len(rows), ncols) - len(diag))
+
+
+def matrix_rank(rows: list[list[int]], ncols: int | None = None) -> int:
+    return sum(1 for d in smith_diagonal(rows, ncols) if d)
+
+
+def invariant_factors(rows: list[dict[int, int]], ncols: int) -> list[int]:
+    """Invariant factors of Z^ncols modulo the span of the (sparse) rows.
+
+    Torsion factors greater than 1 in divisibility order, then one 0 per free
+    rank.  Unit factors are dropped, so equality of two such lists is exactly
+    isomorphism of the described groups.  Entries must be integers and
+    columns must lie in range(ncols).
+    """
+    diag = _diagonal(rows, ncols)
+    return [d for d in diag if d > 1] + [0] * (ncols - len(diag))

@@ -78,7 +78,7 @@ class Spectrum:
 
 
 @functools.cache
-def ideal_violations(algebra: FiniteMVAlgebra, members: frozenset[int]) -> tuple[str, ...]:
+def ideal_violations(algebra: FiniteMVAlgebra, members: frozenset[int], /) -> tuple[str, ...]:
     """Human-readable reasons a subset fails to be an ideal (empty if none).
     Some x outside lies below a member y when neg(x) oplus y = top."""
     out = [] if 0 in members else ["does not contain 0"]
@@ -172,7 +172,7 @@ class QuotientResult:
 
 
 @functools.cache
-def quotient(algebra: FiniteMVAlgebra, ideal: Ideal) -> QuotientResult:
+def quotient(algebra: FiniteMVAlgebra, ideal: Ideal, /) -> QuotientResult:
     """Quotient by the congruence a ~ b iff (a ominus b) oplus (b ominus a) lies
     in the ideal.  Classes are indexed by first appearance, so the class of 0
     is 0 and quotients of identity congruences reuse the original indexing.

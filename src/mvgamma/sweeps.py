@@ -160,7 +160,7 @@ class SweepContext:
 
 
 @functools.cache
-def fiber_goodseq_case(h: int, window: int) -> tuple[bool, int]:
+def fiber_goodseq_case(h: int, window: int, /) -> tuple[bool, int]:
     """Canonical-sequence law, sum, and uniqueness over the window of one
     fiber with unit h, whose segment is the same over every chain.
 
@@ -297,7 +297,7 @@ def suite_good_sequences(ctx: SweepContext) -> SuiteResult:
 
 
 @functools.cache
-def _unital_feeds(fi: ChangChainGroup, fj: ChangChainGroup, ui: int, uj: int) -> tuple:
+def _unital_feeds(fi: ChangChainGroup, fj: ChangChainGroup, ui: int, uj: int, /) -> tuple:
     """The extensions of the chain morphisms fi -> fj that send ui to uj."""
     maps = (FiberMap.extension(h, fi, fj) for h in find_morphisms(fi.chain, fj.chain))
     return tuple(fm for fm in maps if fm(ui) == uj)

@@ -602,7 +602,7 @@ def test_upsilon_inverse_matches_the_map():
 )
 def test_upsilon_certificate_holds(fibers, u):
     g = make_product_group([ChangChainGroup(make_chain(n)) for n in fibers], u)
-    result = upsilon(g.u, window=3)
+    result = upsilon(g.u, 3)
     assert result.additive
     assert result.order_embedding
     assert result.preserves_unit
@@ -685,7 +685,7 @@ def verdicts(result):
 def test_upsilon_matches_the_peeling_body(window):
     for chains, heights in group_shapes(2, 3, 2):
         g = SweepContext.group(chains, heights)
-        assert verdicts(upsilon(g.u, window=window)) == upsilon_by_peeling(g, window)
+        assert verdicts(upsilon(g.u, window)) == upsilon_by_peeling(g, window)
 
 
 def additive_by_pairs(f, window):
@@ -811,11 +811,11 @@ def evaluation_without_copies(monkeypatch):
 )
 def test_upsilon_mutants_fail_both_versions(mutant, monkeypatch, fresh_memos):
     g = SweepContext.group((1, 2), (2, 2))
-    assert upsilon(g.u, window=2).holds
+    assert upsilon(g.u, 2).holds
     fresh_memos()  # a verdict cached by the clean run would hide the mutant
     try:
         oracle = mutant(monkeypatch)
-        assert not upsilon(g.u, window=2).holds
+        assert not upsilon(g.u, 2).holds
         try:
             oracle_verdicts = oracle(g, 2)
         except KeyError:  # the peel met an entry the mutated lift lost
@@ -824,7 +824,7 @@ def test_upsilon_mutants_fail_both_versions(mutant, monkeypatch, fresh_memos):
             assert not all(oracle_verdicts[:6])
         if mutant is lift_bottom_off_by_one:
             # the segment identity itself fails, per fiber and on the product
-            assert not upsilon(g.u, window=2).segment_identity
+            assert not upsilon(g.u, 2).segment_identity
             assert oracle_verdicts is not None and not oracle_verdicts[3]
     finally:
         monkeypatch.undo()
@@ -852,7 +852,7 @@ def test_segment_lifts_miss_once_per_unit(fresh_memos):
 @pytest.mark.parametrize("window", [0, -1])
 def test_upsilon_rejects_a_window_below_one(window):
     with pytest.raises(ValueError, match=f"window must be at least 1, not {window}"):
-        upsilon((1, 2), window=window)
+        upsilon((1, 2), window)
 
 
 def test_segment_lifts_require_star_classes_in_rank_order(monkeypatch, fresh_memos):
@@ -1113,7 +1113,7 @@ def test_free_quotient_star_rank_is_the_spectrum_size(algebra, rank):
 def all_pairs_relations(algebra, identify_zero):
     """Oracle: invariant factors and row count of the relation matrix built
     over every ordered pair (a, b), as dense rows reduced by the dense
-    `smith_diagonal` alone."""
+    oracle of `smith_oracle` alone."""
     n = algebra.size
     rows = []
     for a in range(n):

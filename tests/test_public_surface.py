@@ -128,3 +128,33 @@ def test_import_leaves_numpy_out():
     code = "import sys, mvgamma, mvgamma.cli\nprint('numpy' in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def is_cached(fn: ast.FunctionDef) -> bool:
+    """Whether `functools.cache` or `functools.lru_cache` decorates the definition."""
+    for decorator in fn.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if getattr(decorator, "attr", getattr(decorator, "id", None)) in ("cache", "lru_cache"):
+            return True
+    return False
+
+
+def test_cached_functions_have_one_call_form():
+    # a memo keys on the form of the call: f(1, 2), f(1, b=2) and, with b=2 a
+    # default, f(1) are three entries; so a cached function of two or more
+    # parameters takes them positional-only and without defaults
+    loose, checked = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.FunctionDef) and is_cached(node)):
+                continue
+            a = node.args
+            named = a.posonlyargs + a.args + a.kwonlyargs
+            if len(named) + bool(a.vararg) + bool(a.kwarg) < 2:
+                continue
+            checked.append(node.name)
+            if a.args or a.kwonlyargs or a.kwarg or a.defaults:
+                loose.append(f"{path.stem}.{node.name}")
+    assert loose == []
+    assert {"upsilon", "quotient", "find_morphisms", "_unital_feeds"} <= set(checked)

@@ -1,7 +1,9 @@
-"""Exact integer Smith form against two oracles: the determinantal divisors,
-and a reduction that absorbs every entry its pivot fails to divide before
-moving on.  The sparse unit-pivot route of `invariant_factors` is checked
-against the dense `smith_diagonal`."""
+"""Exact integer Smith form against three oracles: the determinantal
+divisors, a reduction that absorbs every entry its pivot fails to divide
+before moving on, and the dense reduction of `smith_oracle`.  The package's
+one elimination, sparse and unit pivots first, answers for
+`smith_diagonal`, `matrix_rank` and `invariant_factors` alike, and each is
+checked against the dense oracle on every input here."""
 
 from __future__ import annotations
 
@@ -14,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvgamma import snf
-from mvgamma.equivalence import free_quotient_experiment, star_algebra
+from mvgamma.equivalence import free_quotient_experiment
 from mvgamma.mv_core import make_chain, make_product
-from mvgamma.snf import _pivot, invariant_factors, matrix_rank, smith_diagonal
+from mvgamma.snf import invariant_factors, matrix_rank, smith_diagonal
 from mvgamma.sweeps import generated_algebras
+from smith_oracle import _pivot
+from smith_oracle import smith_diagonal as dense_diagonal
 from test_mv_core import relabelled
 
 
@@ -53,7 +57,43 @@ def divisor_chain(rows: list[list[int]], ncols: int) -> list[int]:
     return chain
 
 
+def sparse(rows: list[list[int]]) -> list[dict[int, int]]:
+    """Dense rows as the column -> entry mappings `invariant_factors` takes."""
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def factors_of(diag: list[int], ncols: int) -> list[int]:
+    """Invariant factors in `invariant_factors`' convention, read off a diagonal."""
+    return [d for d in diag if d > 1] + [0] * (ncols - sum(1 for d in diag if d))
+
+
+def dense_factors(rows: list[list[int]], ncols: int) -> list[int]:
+    """Oracle: the invariant factors read off the dense reduction."""
+    return factors_of(dense_diagonal(rows, ncols), ncols)
+
+
+def check_against_the_dense_oracle(rows: list[list[int]], ncols: int) -> None:
+    """The three views of the one elimination answer as the dense reduction."""
+    diag = dense_diagonal(rows, ncols)
+    assert smith_diagonal(rows, ncols) == diag
+    assert matrix_rank(rows, ncols) == sum(1 for d in diag if d)
+    assert invariant_factors(sparse(rows), ncols) == factors_of(diag, ncols)
+
+
+EXAMPLES = [
+    [[1, 0], [0, 1]],
+    [[2, 0], [0, 3]],
+    [[2, 0], [0, 4]],
+    [[0, 0], [0, 0]],
+    [[4, 6]],
+    [[1, 2, 3], [2, 4, 6], [1, 0, 1]],
+    [[6, 0, 0], [0, 10, 0], [0, 0, 15]],
+]
+
+
 def test_identity_and_diagonal_examples():
+    for rows in EXAMPLES:
+        check_against_the_dense_oracle(rows, len(rows[0]))
     assert smith_diagonal([[1, 0], [0, 1]]) == [1, 1]
     assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
     assert smith_diagonal([[2, 0], [0, 4]]) == [2, 4]
@@ -64,6 +104,7 @@ def test_single_row_and_empty():
     assert smith_diagonal([[4, 6]]) == [2]
     assert smith_diagonal([], ncols=3) == []
     assert invariant_factors([], ncols=3) == [0, 0, 0]
+    check_against_the_dense_oracle([], 3)
 
 
 def test_rectangular_rank_deficient():
@@ -93,6 +134,7 @@ def test_random_matrices_match_divisor_oracle(seed):
     diag = smith_diagonal(rows)
     nonzero = [d for d in diag if d]
     assert nonzero == divisor_chain(rows, n)
+    check_against_the_dense_oracle(rows, n)
     for a, b in zip(diag, diag[1:]):
         assert (b % a == 0) if a else (b == 0)
 
@@ -104,6 +146,25 @@ def test_quotient_factor_conventions():
     assert invariant_factors([{0: 2}], ncols=2) == [2, 0]
     # Z^2 / <0> = Z^2, with the zero entries spelled out or left out
     assert invariant_factors([{0: 0, 1: 0}, {}], ncols=2) == [0, 0]
+    for rows in ([[-1, 1], [1, 0]], [[2, 0]], [[0, 0], [0, 0]]):
+        check_against_the_dense_oracle(rows, 2)
+
+
+def test_float_entries_are_rejected():
+    # read through operator.index: 2.5 and 3.9 are not truncated to 2 and 3
+    with pytest.raises(TypeError):
+        smith_diagonal([[2.5, 0], [0, 3.9]])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[{5: 1}], [{0: 1}, {1: 1}, {2: 1}], [{-1: 2}]],
+    ids=["beyond", "one-past", "negative"],
+)
+def test_columns_outside_the_range_are_rejected(rows):
+    bad = next(j for row in rows for j in row if j not in range(2))
+    with pytest.raises(ValueError, match=rf"column {bad} is outside range\(2\)"):
+        invariant_factors(rows, ncols=2)
 
 
 def test_ragged_matrix_rejected():
@@ -139,6 +200,7 @@ def test_smith_diagonal_matches_divisor_oracle(rows):
     assert len(diag) == min(len(rows), n)
     nonzero = [d for d in diag if d]
     assert nonzero == divisor_chain(rows, n)
+    check_against_the_dense_oracle(rows, n)
     assert diag == nonzero + [0] * (len(diag) - len(nonzero))
     for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
@@ -243,33 +305,21 @@ def test_relation_matrices_match_the_absorbing_reduction(identify_zero):
         assert smith_diagonal(rows, algebra.size) == smith_diagonal_with_absorb(
             rows, algebra.size
         )
+        check_against_the_dense_oracle(rows, algebra.size)
 
 
 def test_wide_relation_matrix_matches_the_absorbing_reduction():
     algebra = make_product(make_chain(4), make_chain(7))  # 40 columns
     rows = relation_matrix(algebra, identify_zero=True)
     assert smith_diagonal(rows, 40) == smith_diagonal_with_absorb(rows, 40)
-
-
-def sparse(rows: list[list[int]]) -> list[dict[int, int]]:
-    """Dense rows as the column -> entry mappings `invariant_factors` takes."""
-    return [{j: v for j, v in enumerate(row) if v} for row in rows]
-
-
-def dense_factors(rows: list[list[int]], ncols: int) -> list[int]:
-    """Oracle: the invariant factors read off the dense `smith_diagonal`."""
-    diag = smith_diagonal(rows, ncols)
-    rank = sum(1 for d in diag if d)
-    return [d for d in diag if d > 1] + [0] * (ncols - rank)
+    check_against_the_dense_oracle(rows, 40)
 
 
 @pytest.mark.parametrize("identify_zero", [True, False])
 def test_sparse_route_matches_the_dense_route_on_relation_matrices(identify_zero):
     for algebra in generated_algebras(64):
         rows = relation_matrix(algebra, identify_zero)
-        assert invariant_factors(sparse(rows), algebra.size) == dense_factors(
-            rows, algebra.size
-        )
+        check_against_the_dense_oracle(rows, algebra.size)
 
 
 def test_sparse_route_matches_the_dense_route_on_relabelled_carriers():
@@ -277,15 +327,13 @@ def test_sparse_route_matches_the_dense_route_on_relabelled_carriers():
     for seed, algebra in enumerate(generated_algebras(24)):
         for identify_zero in (True, False):
             rows = relation_matrix(relabelled(algebra, seed), identify_zero)
-            assert invariant_factors(sparse(rows), algebra.size) == dense_factors(
-                rows, algebra.size
-            )
+            check_against_the_dense_oracle(rows, algebra.size)
 
 
 @st.composite
 def sparse_matrices(draw):
     """Up to 6 x 6 sparse rows, explicit zeros allowed; half the draws have
-    no unit entry at all, so only the dense residual can reduce them."""
+    no unit entry at all, so only the second phase can reduce them."""
     entries = [0, 2, -2, 3, 4, -6, 9, 12]
     if draw(st.booleans()):
         entries += [1, -1, 1, -1]
@@ -303,25 +351,26 @@ def test_sparse_route_matches_the_dense_route(case):
     factors = invariant_factors(rows, n)
     assert rows == before  # the input rows are left as they were
     assert factors == dense_factors(dense, n)
+    check_against_the_dense_oracle(dense, n)
     if len(rows) <= 4 and n <= 4:
         chain = divisor_chain(dense, n)
         assert factors == [d for d in chain if d > 1] + [0] * (n - len(chain))
 
 
 def test_free_quotient_sends_only_the_residual_to_the_dense_route(monkeypatch):
-    """A structural guard in place of a timing test: besides the star side's
-    one row per element, the dense reduction sees no more than a few rows,
-    so a fall-back to dense relation matrices fails here."""
-    dense, seen = snf.smith_diagonal, []
+    """A structural guard in place of a timing test: on the relation rows and
+    on the star side's rows alike, the unit-pivot phase leaves no more than a
+    few rows to the second phase, so losing the unit pivots fails here."""
+    unit_pivots, left = snf._unit_pivots, []
 
-    def spy(rows, ncols=None):
-        seen.append(len(rows))
-        return dense(rows, ncols)
+    def spy(rows):
+        units, rest = unit_pivots(rows)
+        left.append(len(rest))
+        return units, rest
 
-    monkeypatch.setattr(snf, "smith_diagonal", spy)
+    monkeypatch.setattr(snf, "_unit_pivots", spy)
     for algebra in generated_algebras(64):
         for identify_zero in (True, False):
-            seen.clear()
+            left.clear()
             free_quotient_experiment(algebra, identify_zero)
-            seen.remove(len(star_algebra(algebra).a_circle))
-            assert max(seen, default=0) <= 4, (algebra.size, identify_zero, seen)
+            assert len(left) == 2 and max(left) <= 4, (algebra.size, identify_zero, left)
