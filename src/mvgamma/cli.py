@@ -12,18 +12,30 @@ stdout as a single {"error": ...} object so that callers always get JSON.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from .errors import InternalInvariantError
 from .interp import RunConfig, SemanticError, execute
 from .script import ScriptError, parse_script
-from .serialize import dumps
+from .serialize import dumps, render
 
 __all__ = ["main"]
 
 
+# Pieces of the report shorter than this are joined before they are written:
+# stdout may be unbuffered, and then each write is one system call.
+_WRITE_SIZE = 1 << 16
+
+
 def _emit(obj) -> None:
     sys.stdout.write(dumps(obj))
+
+
+def _chunks(pieces: list[str]) -> list[str]:
+    """The pieces in order, each stretch of ones shorter than _WRITE_SIZE joined."""
+    stretches = itertools.groupby(pieces, lambda p: len(p) < _WRITE_SIZE)
+    return [c for small, run in stretches for c in (["".join(run)] if small else run)]
 
 
 def _run_text(text: str, config: RunConfig, json_out: str | None = None) -> int:
@@ -52,15 +64,15 @@ def _run_text(text: str, config: RunConfig, json_out: str | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - anything unplanned is a breach
         _emit({"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}})
         return 4
-    text_out = report.to_text()
+    chunks = _chunks(render(report.as_json()))
     if json_out:
         try:
             with open(json_out, "w", encoding="utf-8") as fh:
-                fh.write(text_out)
+                fh.writelines(chunks)
         except OSError as exc:
             _emit({"error": {"code": "semantic", "message": f"cannot write report: {exc}"}})
             return 3
-    sys.stdout.write(text_out)
+    sys.stdout.writelines(chunks)
     return report.exit_code
 
 

@@ -149,7 +149,7 @@ class StarAlgebra:
 
 
 @functools.cache
-def star_algebra(algebra: FiniteMVAlgebra) -> StarAlgebra:
+def star_algebra(algebra: FiniteMVAlgebra, /) -> StarAlgebra:
     """Build the enveloping-group presentation of a finite algebra."""
     spec = spectrum(algebra)
     quots = tuple(quotient(algebra, p) for p in spec.primes)
@@ -426,7 +426,7 @@ class LGroupMap:
 
 
 @functools.cache
-def star_morphism(hom: MVMorphism) -> LGroupMap:
+def star_morphism(hom: MVMorphism, /) -> LGroupMap:
     """Ambient-level extension of an algebra morphism: the map between the
     star ambients of its endpoints.
 
@@ -461,7 +461,7 @@ def star_morphism(hom: MVMorphism) -> LGroupMap:
 
 
 @functools.cache
-def _segment_lifts(u: GroupElement) -> tuple[GammaSegment, StarAlgebra, tuple]:
+def _segment_lifts(u: GroupElement, /) -> tuple[GammaSegment, StarAlgebra, tuple]:
     """The segment of unit u, its star, and per fiber t the evaluation of
     star fiber t onto group fiber t with its validated lift in rank order.
 
@@ -632,7 +632,7 @@ class SegmentIdealReport:
 
 
 @functools.cache
-def coordinate_ideal_checks(u: GroupElement) -> tuple[SegmentIdealReport, ...]:
+def coordinate_ideal_checks(u: GroupElement, /) -> tuple[SegmentIdealReport, ...]:
     """Check every coordinate ideal of a product group with unit u against
     its segment trace; segments read only u, so this runs once per unit.
 

@@ -19,10 +19,10 @@ Failure taxonomy (process exit codes in parentheses):
 A failing command does not stop the run; every command reports an outcome
 and the overall verdict is "pass" exactly when all of them passed.  An
 outcome, and each command's detail inside it, is a plain dict whose keys are
-the report's keys; a detail may hold package values (carry pairs, reports)
-as they are, and `dumps` lowers them when the report is written.  Reports
-contain no timing or environment data: the same script and config produce
-byte-identical JSON.
+the report's keys; a detail may hold package values (carry pairs, reports,
+good sequences as `Runs` of (count, value)) as they are, and `dumps` lowers
+them when the report is written.  Reports contain no timing or environment
+data: the same script and config produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .script import (
     TableExpr,
 )
 from .serialize import (
+    Runs,
     SchemaError,
     algebra_from_json,
     dumps,
@@ -378,8 +379,8 @@ class _Runner:
             raise InternalInvariantError("canonical sequence lost its sum")
         length = self.listed(cmd, gs.runs)
         detail = {
-            "entries": list(gs.entries),
-            "elements": _expand(gs.runs, lambda e: group.to_pairs(seg.elements[e])),
+            "entries": Runs(gs.runs),
+            "elements": Runs((n, group.to_pairs(seg.elements[e])) for n, e in gs.runs),
             "length": length,
         }
         return True, detail
@@ -399,8 +400,8 @@ class _Runner:
         self.listed(cmd, witness.positive, witness.negative)
         detail = {
             "member": witness.member,
-            "positive": _expand(witness.positive, group.to_pairs),
-            "negative": _expand(witness.negative, group.to_pairs),
+            "positive": Runs((n, group.to_pairs(x)) for n, x in witness.positive),
+            "negative": Runs((n, group.to_pairs(x)) for n, x in witness.negative),
         }
         if witness.missing is not None:
             detail["missing"] = group.to_pairs(witness.missing)
@@ -448,16 +449,6 @@ class _Runner:
                 f"cannot write {cmd.path!r}: {exc}", cmd.line, {"path": cmd.path}
             ) from exc
         return True, {"path": cmd.path}
-
-
-def _expand(runs, write) -> list:
-    """Runs (count, value) written out entry by entry for the report: each
-    run's value is written once and repeated by reference, so `dumps` also
-    renders it once."""
-    out = []
-    for n, e in runs:
-        out += [write(e)] * n
-    return out
 
 
 def execute(script: Script, config: RunConfig | None = None) -> RunReport:

@@ -137,7 +137,7 @@ class ChangChainGroup:
 
 
 @functools.cache
-def chain_fiber(n: int) -> ChangChainGroup:
+def chain_fiber(n: int, /) -> ChangChainGroup:
     """The fiber group over the chain of height n, built once per height."""
     return ChangChainGroup(make_chain(n))
 
@@ -266,7 +266,7 @@ def gamma_segment(group: ProductLuGroup) -> GammaSegment:
 
 
 @functools.cache
-def unit_segment(u: GroupElement) -> GammaSegment:
+def unit_segment(u: GroupElement, /) -> GammaSegment:
     """Carve the MV-algebra out of [0, u]: x oplus y = u meet (x + y),
     neg x = u - x.  The operations act coordinatewise, so the segment is the
     product of the chains `make_chain(u_t)`, carrier index = value; it is

@@ -197,7 +197,7 @@ def make_product_many(factors: Sequence[FiniteMVAlgebra]) -> FiniteMVAlgebra:
 
 
 @functools.cache
-def _product(factors: tuple[FiniteMVAlgebra, ...]) -> FiniteMVAlgebra:
+def _product(factors: tuple[FiniteMVAlgebra, ...], /) -> FiniteMVAlgebra:
     """Folding in a factor of size n, row (i, y) is the row i so far with
     each entry a replaced by the factor's row y shifted by a·n."""
     oplus, neg = ((0,),), (0,)
@@ -242,7 +242,7 @@ def _assoc_failures(op: tuple) -> list[tuple[int, int, int]]:
 
 
 @functools.cache
-def _chain_decomposition(algebra: FiniteMVAlgebra) -> tuple | None:
+def _chain_decomposition(algebra: FiniteMVAlgebra, /) -> tuple | None:
     """(f, heights): an isomorphism f from the product of the chains
     `make_chain(n)` for n in heights onto the algebra, as the element f[k] of
     each product index k; None when the tables are not such an image.
@@ -284,7 +284,7 @@ def _chain_decomposition(algebra: FiniteMVAlgebra) -> tuple | None:
 
 
 @functools.cache
-def check_mv_axioms(algebra: FiniteMVAlgebra) -> AxiomReport:
+def check_mv_axioms(algebra: FiniteMVAlgebra, /) -> AxiomReport:
     """Check the six defining laws on the whole carrier.
 
     Laws: associativity and commutativity of oplus, 0 as unit, neg involutive,
@@ -315,7 +315,7 @@ def check_mv_axioms(algebra: FiniteMVAlgebra) -> AxiomReport:
 
 
 @functools.cache
-def check_morphism(h: MVMorphism) -> MorphismReport:
+def check_morphism(h: MVMorphism, /) -> MorphismReport:
     """Check h(0)=0, h(a oplus b) = h(a) oplus h(b), h(neg a) = neg h(a)."""
     m, cod, at_images = h.map, h.cod, operator.itemgetter(*h.map)
     out = [("zero", (0,))] if m[0] != 0 else []

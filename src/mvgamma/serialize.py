@@ -18,8 +18,10 @@ as one (it needs its group to become integers, `ProductLuGroup.from_pairs`);
 a group's unit is converted here, in both directions.
 
 `dumps` is the one point where package values are lowered: it writes the
-text json's indent-2 encoder would give for `to_jsonable(value)` in one walk,
-and renders a run of one object repeated in a list once.
+text json's indent-2 encoder would give for `to_jsonable(value)` in one walk.
+A list held as `Runs` (count, value) is written out in full, but each run's
+value is rendered once and its text repeated; `render` returns the text as
+pieces, which the command line writes without joining.
 
 `loads` detects the kind from the key set and rebuilds the most structured
 standalone value: algebras, morphisms, and groups come back as package
@@ -31,7 +33,6 @@ pointer to the offending spot.
 
 from __future__ import annotations
 
-import itertools
 import json
 from typing import Any
 
@@ -42,7 +43,9 @@ from .spectrum import Ideal, Spectrum
 
 __all__ = [
     "SchemaError",
+    "Runs",
     "to_jsonable",
+    "render",
     "dumps",
     "export_json",
     "loads",
@@ -87,6 +90,13 @@ def _int_list(value: Any, where: str) -> list[int]:
 # -- export ---------------------------------------------------------------------
 
 
+class Runs(tuple):
+    """A list held as runs (count, value): its JSON form lists each value
+    count times, in order."""
+
+    __slots__ = ()
+
+
 def to_jsonable(value: Any) -> Any:
     """Lower a package value to plain JSON-ready data."""
     if isinstance(value, FiniteMVAlgebra):
@@ -107,6 +117,8 @@ def to_jsonable(value: Any) -> Any:
         return {"primes": [sorted(p.members) for p in value.primes]}
     if isinstance(value, ChangPair):
         return {"m": value.m, "a": value.a}
+    if isinstance(value, Runs):
+        return [x for n, v in value for x in [to_jsonable(v)] * n]
     if _is_element(value):
         return {"coords": [{"m": p.m, "a": p.a} for p in value]}
     if isinstance(value, ProductLuGroup):
@@ -138,17 +150,20 @@ def _is_element(value: Any) -> bool:
     return isinstance(value, tuple) and bool(value) and all(isinstance(p, ChangPair) for p in value)
 
 
-def dumps(value: Any) -> str:
-    """Deterministic JSON text: sorted keys, indent 2, one trailing newline.
+def render(value: Any) -> list[str]:
+    """The pieces of `dumps(value)`, in order, before they are joined.
 
-    Written in one walk as pieces joined once.  Consecutive list items that
-    are one and the same object (`is`, not `==`) are rendered once and the
-    text repeated, so a long good sequence costs one render per run.
-    """
+    Written in one walk.  Each run of a `Runs` is rendered once and its text
+    repeated, so a long good sequence costs one render per run."""
     out: list[str] = []
     _write(value, 0, out)
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def dumps(value: Any) -> str:
+    """Deterministic JSON text: sorted keys, indent 2, one trailing newline."""
+    return "".join(render(value))
 
 
 def _write(value: Any, level: int, out: list[str]) -> None:
@@ -158,31 +173,30 @@ def _write(value: Any, level: int, out: list[str]) -> None:
         out.append(json.dumps(value))
     elif isinstance(value, dict):
         lowered = {str(k): v for k, v in value.items()}
-        _block("{}", level, out, ((f"{json.dumps(k)}: ", [lowered[k]]) for k in sorted(lowered)))
+        _block("{}", level, out, ((f"{json.dumps(k)}: ", lowered[k], 1) for k in sorted(lowered)))
+    elif isinstance(value, Runs):
+        _block("[]", level, out, (("", v, n) for n, v in value if n > 0))
     elif isinstance(value, list) or (type(value) is tuple and not _is_element(value)):
         if value and all(type(v) is int for v in value):
             inner = "\n" + "  " * (level + 1)
             out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}\n{'  ' * level}]")
         else:
-            _block("[]", level, out, (("", run) for _, run in itertools.groupby(value, id)))
+            _block("[]", level, out, (("", v, 1) for v in value))
     else:
         _write(to_jsonable(value), level, out)
 
 
 def _block(brackets: str, level: int, out: list[str], items) -> None:
-    """Write (prefix, run) items between brackets, one per line, where a run
-    holds one object one or more times: it is rendered once and its text
-    repeated."""
+    """Write (prefix, value, count) items between brackets, one per line:
+    the value is rendered once and its text written count times."""
     inner = "\n" + "  " * (level + 1)
     sep = brackets[0] + inner
-    for prefix, run in items:
-        run = iter(run)
+    for prefix, value, count in items:
         out.append(sep + prefix)
         start = len(out)
-        _write(next(run), level + 1, out)
-        repeats = sum(1 for _ in run)
-        if repeats:
-            out.append(("," + inner + "".join(out[start:])) * repeats)
+        _write(value, level + 1, out)
+        if count > 1:
+            out.append(("," + inner + "".join(out[start:])) * (count - 1))
         sep = "," + inner
     out.append(brackets if sep[0] == brackets[0] else f"\n{'  ' * level}{brackets[1]}")
 

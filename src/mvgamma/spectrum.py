@@ -159,7 +159,7 @@ def is_prime_ideal(algebra: FiniteMVAlgebra, ideal: Ideal) -> bool:
 
 
 @functools.cache
-def spectrum(algebra: FiniteMVAlgebra) -> Spectrum:
+def spectrum(algebra: FiniteMVAlgebra, /) -> Spectrum:
     """Proper prime ideals in canonical (bitmask-ascending) order."""
     primes = [i for i in enumerate_ideals(algebra) if i.proper and is_prime_ideal(algebra, i)]
     return Spectrum(algebra, tuple(primes))

@@ -1,5 +1,6 @@
 """Interpreter semantics and the command-line exit-code contract."""
 
+import io
 import json
 import os
 import shutil
@@ -107,22 +108,26 @@ def test_goodseq_command():
     assert detail["entries"]  # canonical entries listed in segment indices
 
 
+# The long_runs script at copy index about 3,000: thousands of entries in a
+# few runs.
+DIGITS_SCALE = (
+    "algebra A = chain 2 * chain 3\n"
+    'algebra B = table {"size": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0]}\n'
+    "hom h : B -> A { 0 -> 0, 1 -> 11 }\n"
+    "group G = fibers [2, 3] unit [(1, 0), (1, 1)]\n"
+    'goodseq G {"coords": [{"m": 3000, "a": 0}, {"m": 1950, "a": 1}]}\n'
+    'member G {"coords": [{"m": 2775, "a": 0}, {"m": -2175, "a": 1}]}\n'
+    'member A {"coords": [{"m": -3000, "a": 1}, {"m": 2850, "a": 2}]}\n'
+    'member h {"coords": [{"m": 3000, "a": 0}, {"m": 3000, "a": 0}]}\n'
+    'member h {"coords": [{"m": -2925, "a": 1}, {"m": 3000, "a": 0}]}\n'
+)
+
+
 def test_long_runs_at_the_digits_scale_write_the_oracle_text(tmp_path, capsys):
-    # the long_runs script at copy index about 3,000: thousands of entries in a
-    # few runs, each written once and repeated, must read exactly as the
-    # standard library writes the same report
+    # each run written once and repeated must read exactly as the standard
+    # library writes the same report
     script = tmp_path / "digits.mvg"
-    script.write_text(
-        "algebra A = chain 2 * chain 3\n"
-        'algebra B = table {"size": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0]}\n'
-        "hom h : B -> A { 0 -> 0, 1 -> 11 }\n"
-        "group G = fibers [2, 3] unit [(1, 0), (1, 1)]\n"
-        'goodseq G {"coords": [{"m": 3000, "a": 0}, {"m": 1950, "a": 1}]}\n'
-        'member G {"coords": [{"m": 2775, "a": 0}, {"m": -2175, "a": 1}]}\n'
-        'member A {"coords": [{"m": -3000, "a": 1}, {"m": 2850, "a": 2}]}\n'
-        'member h {"coords": [{"m": 3000, "a": 0}, {"m": 3000, "a": 0}]}\n'
-        'member h {"coords": [{"m": -2925, "a": 1}, {"m": 3000, "a": 0}]}\n'
-    )
+    script.write_text(DIGITS_SCALE)
     assert main(["run", str(script)]) == 1
     out = capsys.readouterr().out
     assert out == json_oracle(execute(parse_script(script.read_text())).as_json())
@@ -131,6 +136,50 @@ def test_long_runs_at_the_digits_scale_write_the_oracle_text(tmp_path, capsys):
     assert goodseq["length"] == len(goodseq["entries"]) == len(goodseq["elements"]) == 3000
     assert [c["status"] for c in commands] == ["pass"] * 4 + ["fail"]
     assert min(len(c["detail"]["positive"]) for c in commands[1:]) > 1000
+
+
+@pytest.mark.parametrize("name", ["long_runs", "digits_scale"])
+def test_stdout_json_out_and_to_text_are_one_text(tmp_path, capsys, name):
+    script = GOLDEN / "long_runs.mvg" if name == "long_runs" else tmp_path / "digits.mvg"
+    if name == "digits_scale":
+        script.write_text(DIGITS_SCALE)
+    out = tmp_path / "report.json"
+    assert main(["run", str(script), "--json-out", str(out)]) == 1
+    text = execute(parse_script(script.read_text())).to_text().encode("utf-8")
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes() == text
+
+
+class CountingStdout(io.StringIO):
+    """A stdout stand-in that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_report_reaches_stdout_in_few_writes(monkeypatch):
+    # each write to an unbuffered stdout is one system call: the report's
+    # small pieces are joined before they are written
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["run", str(GOLDEN / "long_runs.mvg")]) == 1
+    assert stdout.getvalue().encode("utf-8") == (GOLDEN / "long_runs.out").read_bytes()
+    assert 0 < stdout.writes < 50
+
+
+def test_listing_at_the_cap_is_held_as_runs():
+    # 10^5 entries over two fibers are 3 runs, at most 2k for k fibers: the
+    # outcome lists no entry one by one
+    report = run_text(
+        "group G = fibers [3, 2] unit [(1,0),(1,0)]\n"
+        'goodseq G {"coords":[{"m":%d,"a":1},{"m":5,"a":0}]}\n' % (MAX_LISTED - 1)
+    )
+    detail = report.outcomes[0]["detail"]
+    assert detail["length"] == MAX_LISTED
+    assert len(detail["entries"]) == len(detail["elements"]) == 3 <= 2 * 2
+    assert sum(n for n, _ in detail["entries"]) == MAX_LISTED
 
 
 def test_goodseq_rejects_negative_element():

@@ -142,8 +142,9 @@ def is_cached(fn: ast.FunctionDef) -> bool:
 
 def test_cached_functions_have_one_call_form():
     # a memo keys on the form of the call: f(1, 2), f(1, b=2) and, with b=2 a
-    # default, f(1) are three entries; so a cached function of two or more
-    # parameters takes them positional-only and without defaults
+    # default, f(1) are three entries, and g(a) and g(algebra=a) are two; so
+    # every cached function takes its parameters positional-only and without
+    # defaults
     loose, checked = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -151,10 +152,11 @@ def test_cached_functions_have_one_call_form():
                 continue
             a = node.args
             named = a.posonlyargs + a.args + a.kwonlyargs
-            if len(named) + bool(a.vararg) + bool(a.kwarg) < 2:
+            if not (named or a.vararg or a.kwarg):
                 continue
             checked.append(node.name)
             if a.args or a.kwonlyargs or a.kwarg or a.defaults:
                 loose.append(f"{path.stem}.{node.name}")
     assert loose == []
     assert {"upsilon", "quotient", "find_morphisms", "_unital_feeds"} <= set(checked)
+    assert {"check_mv_axioms", "spectrum", "star_algebra", "unit_segment"} <= set(checked)

@@ -17,6 +17,7 @@ from mvgamma.mv_core import (
     make_product,
 )
 from mvgamma.serialize import (
+    Runs,
     SchemaError,
     algebra_from_json,
     dumps,
@@ -265,7 +266,7 @@ _LEAVES = (
     | st.sampled_from(_package_values())
 )
 # Equal neighbours that are different objects of different types: a writer
-# that grouped list items by `==` instead of by identity would merge them.
+# that rendered equal (`==`) list items once would write them alike.
 _LOOKALIKES = st.sampled_from(
     [
         [1, True, True],
@@ -276,12 +277,12 @@ _LOOKALIKES = st.sampled_from(
         [(ChangPair(0, 1),), ((0, 1),)],
     ]
 )
-# Long runs of one object in a list, as a report's good sequences hold them
-# (small objects only, so that a failing example stays quick to shrink).
+# Long runs of one object, as a plain list and as the `Runs` a report's good
+# sequences are held in, zero counts included (small objects only, so that a
+# failing example stays quick to shrink).
 _SMALL = st.integers(-3, 3) | st.booleans() | _PAIRS | _ELEMENTS | _LOOKALIKES
-_RUNS = st.lists(st.tuples(_SMALL, st.integers(1, 40)), max_size=3).map(
-    lambda runs: [x for v, n in runs for x in [v] * n]
-)
+_RUN_LISTS = st.lists(st.tuples(st.integers(0, 40), _SMALL), max_size=3)
+_RUNS = _RUN_LISTS.map(lambda runs: [x for n, v in runs for x in [v] * n]) | _RUN_LISTS.map(Runs)
 _VALUES = st.recursive(
     _LEAVES | _LOOKALIKES | _RUNS,
     lambda inner: st.lists(inner, max_size=5)
@@ -309,14 +310,21 @@ def test_dumps_repeated_element_at_two_depths():
     assert not witness.member and witness.missing in [x for _, x in witness.positive]
     detail = {
         "member": witness.member,
-        "positive": [g.to_pairs(x) for n, x in witness.positive for _ in range(n)],
-        "negative": [g.to_pairs(x) for n, x in witness.negative for _ in range(n)],
+        "positive": Runs((n, g.to_pairs(x)) for n, x in witness.positive),
+        "negative": Runs((n, g.to_pairs(x)) for n, x in witness.negative),
         "missing": g.to_pairs(witness.missing),
     }
     assert dumps(detail) == json_oracle(detail)
     top = g.to_pairs(gamma_segment(g).elements[-1])
     nested = {"top": top, "deeper": [[top], g.to_pairs(g.u)]}
     assert dumps(nested) == json_oracle(nested)
+
+
+def test_runs_list_every_entry_and_empty_runs_write_brackets():
+    assert to_jsonable(Runs([(2, 7), (0, 8), (1, (9,))])) == [7, 7, [9]]
+    for empty in (Runs(), Runs([(0, ChangPair(1, 0))]), Runs([(0, 1), (0, [2])])):
+        assert dumps(empty) == json_oracle(empty) == "[]\n"
+        assert dumps({"entries": empty}) == '{\n  "entries": []\n}\n'
 
 
 def test_dumps_rejects_strangers():
