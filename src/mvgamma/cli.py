@@ -4,15 +4,19 @@
     mvgamma check-all [--max-size N] [--window B]
 
 Exit codes: 0 every command passed; 1 at least one check failed; 2 the
-script did not parse (or could not be read); 3 a statement was ill-formed;
+script did not parse (or could not be read); 3 a statement was ill-formed,
+or the report could not be written (to --json-out or to a closed stdout);
 4 an internal invariant broke.  The report JSON goes to stdout; errors go to
 stdout as a single {"error": ...} object so that callers always get JSON.
+An error object that meets a closed stdout keeps its code (2, 3 or 4).  When
+the process's own stdout is closed, main() points fd 1 at os.devnull for good.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
 from .errors import InternalInvariantError
@@ -28,8 +32,17 @@ __all__ = ["main"]
 _WRITE_SIZE = 1 << 16
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(dumps(obj))
+def _write(*pieces: str) -> bool:
+    """Write pieces to stdout; False when its reader has gone."""
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+        return True
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:  # the exit's flush of the buffered rest must not raise
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return False
 
 
 def _chunks(pieces: list[str]) -> list[str]:
@@ -42,27 +55,19 @@ def _run_text(text: str, config: RunConfig, json_out: str | None = None) -> int:
     try:
         script = parse_script(text)
     except ScriptError as exc:
-        _emit(
-            {
-                "error": {
-                    "code": exc.code,
-                    "message": str(exc),
-                    "line": exc.line,
-                    "column": exc.col,
-                }
-            }
-        )
+        error = {"code": exc.code, "message": str(exc), "line": exc.line, "column": exc.col}
+        _write(dumps({"error": error}))
         return 2
     try:
         report = execute(script, config)
     except SemanticError as exc:
-        _emit({"error": exc.as_json()})
+        _write(dumps({"error": exc.as_json()}))
         return 3
     except InternalInvariantError as exc:
-        _emit({"error": {"code": "internal", "message": str(exc)}})
+        _write(dumps({"error": {"code": "internal", "message": str(exc)}}))
         return 4
     except Exception as exc:  # noqa: BLE001 - anything unplanned is a breach
-        _emit({"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}})
+        _write(dumps({"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}}))
         return 4
     chunks = _chunks(render(report.as_json()))
     if json_out:
@@ -70,10 +75,9 @@ def _run_text(text: str, config: RunConfig, json_out: str | None = None) -> int:
             with open(json_out, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
         except OSError as exc:
-            _emit({"error": {"code": "semantic", "message": f"cannot write report: {exc}"}})
+            _write(dumps({"error": {"code": "semantic", "message": f"cannot write report: {exc}"}}))
             return 3
-    sys.stdout.writelines(chunks)
-    return report.exit_code
+    return report.exit_code if _write(*chunks) else 3
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.script, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            _emit({"error": {"code": "io", "message": f"cannot read script: {exc}"}})
+            _write(dumps({"error": {"code": "io", "message": f"cannot read script: {exc}"}}))
             return 2
         return _run_text(text, config, args.json_out)
     return _run_text(f"check all --max-size {args.max_size} --window {args.window}\n", config)

@@ -68,9 +68,6 @@ __all__ = [
     "good_sequence_sums_hold",
     "MembershipWitness",
     "generated_membership",
-    "star_membership",
-    "GenerationReport",
-    "segment_generation_check",
     "IotaReport",
     "iota_roundtrip",
     "star_morphism",
@@ -315,30 +312,6 @@ def generated_membership(
     return MembershipWitness(member=True, positive=positive, negative=negative)
 
 
-def star_membership(star: StarAlgebra, x: GroupElement) -> MembershipWitness:
-    """Membership of an ambient element in the subgroup generated by a_circle."""
-    return generated_membership(star.ambient, star.circle_index, x)
-
-
-@dataclass(frozen=True)
-class GenerationReport:
-    ok: bool
-    checked: int
-    failure: GroupElement | None = None
-
-
-def segment_generation_check(star: StarAlgebra, bound: int = 4) -> GenerationReport:
-    """Every ambient element within bound·u is generated by the box [0, u].
-
-    Exhaustive over the ambient window; the canonical entries of each
-    element are checked against a_circle.
-    """
-    for checked, x in enumerate(star.ambient.window(bound), 1):
-        if not star_membership(star, x).member:
-            return GenerationReport(ok=False, checked=checked, failure=x)
-    return GenerationReport(ok=True, checked=checked)
-
-
 # -- iota round trip -------------------------------------------------------------
 
 
@@ -363,20 +336,22 @@ def iota_roundtrip(star: StarAlgebra) -> IotaReport:
     Three facts are checked exhaustively: iota is injective; its image is
     exactly the set of segment elements that pass the membership test; and
     the index-level map carrier -> segment carrier preserves the operations.
+
+    `onto_segment` also decides generation: the canonical entries of every
+    x >= 0 lie in the box [0, u], and a nonzero box element outside a_circle
+    is its own only entry and lies in every window of bound >= 1.
     """
     segment = gamma_segment(star.ambient)
     members_match = True
     onto = True
     for x in segment.elements:
         in_circle = x in star.circle_index
-        if star_membership(star, x).member != in_circle:
+        if generated_membership(star.ambient, star.circle_index, x).member != in_circle:
             members_match = False
         if not in_circle:
             onto = False
     index_map = tuple(segment.index[x] for x in star.a_circle)
-    morphism_ok = bool(
-        check_morphism(MVMorphism(star.source, segment.algebra, index_map)).ok
-    )
+    morphism_ok = check_morphism(MVMorphism(star.source, segment.algebra, index_map)).ok
     return IotaReport(
         injective=star.injective,
         onto_segment=onto,

@@ -29,7 +29,6 @@ __all__ = [
     "check_morphism",
     "compose",
     "find_morphisms",
-    "is_totally_ordered",
     "chain_rank",
 ]
 
@@ -334,11 +333,6 @@ def compose(first: MVMorphism, then: MVMorphism) -> MVMorphism:
     return MVMorphism(first.dom, then.cod, tuple(then.map[v] for v in first.map))
 
 
-def is_totally_ordered(algebra: FiniteMVAlgebra) -> bool:
-    below = algebra.below
-    return all(a in below[b] or b in below[a] for b in range(algebra.size) for a in range(b))
-
-
 def chain_rank(algebra: FiniteMVAlgebra) -> tuple[int, ...]:
     """Position of each element in the total order; error on non-chains.
 
@@ -346,9 +340,10 @@ def chain_rank(algebra: FiniteMVAlgebra) -> tuple[int, ...]:
     order iso onto {0..size-1} and the unique MV iso onto the same-size
     Lukasiewicz chain (finite chains are rigid).
     """
-    if not is_totally_ordered(algebra):
+    below = algebra.below
+    if not all(a in below[b] or b in below[a] for b in range(algebra.size) for a in range(b)):
         raise ValueError("algebra is not totally ordered")
-    return tuple(len(algebra.below[a]) - 1 for a in range(algebra.size))
+    return tuple(len(below[a]) - 1 for a in range(algebra.size))
 
 
 @functools.cache

@@ -9,6 +9,9 @@ Tests compare the package's `FiberMap` values against them point by point,
 and mutants are injected into both.  `evaluate` is looked up on this module
 at call time, so a test can patch it.  `canonical_embedding` is the map into
 the product table of the prime quotients, one mixed-radix index per element.
+`segment_generation_check` walks a product window of the star ambient and
+tests each element for membership in the subgroup a_circle generates; the
+package reads the same verdict off `iota_roundtrip(star).onto_segment`.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from mvgamma.equivalence import LGroupMap, star_algebra
-from mvgamma.lgroup import ChangChainGroup, ProductLuGroup, gamma_segment
+from mvgamma.equivalence import LGroupMap, StarAlgebra, generated_membership, star_algebra
+from mvgamma.lgroup import ChangChainGroup, GroupElement, ProductLuGroup, gamma_segment
 from mvgamma.mv_core import FiniteMVAlgebra, MVMorphism, make_product_many
 from mvgamma.spectrum import class_values, quotient, spectrum
 
@@ -81,3 +84,22 @@ def canonical_embedding(algebra: FiniteMVAlgebra) -> MVMorphism:
     for q in quots:
         combined = [v * q.quotient.size + c for v, c in zip(combined, q.class_of)]
     return MVMorphism(algebra, cod, tuple(combined))
+
+
+@dataclass(frozen=True)
+class GenerationReport:
+    ok: bool
+    checked: int
+    failure: GroupElement | None = None
+
+
+def segment_generation_check(star: StarAlgebra, bound: int = 4) -> GenerationReport:
+    """Every ambient element within bound·u is generated by a_circle.
+
+    Exhaustive over the ambient window, one membership test per element, so
+    its cost grows as a power of the fiber count.
+    """
+    for checked, x in enumerate(star.ambient.window(bound), 1):
+        if not generated_membership(star.ambient, star.circle_index, x).member:
+            return GenerationReport(ok=False, checked=checked, failure=x)
+    return GenerationReport(ok=True, checked=checked)

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -17,10 +18,11 @@ import mvgamma
 from mvgamma import equivalence
 from mvgamma.cli import _run_text, main
 from mvgamma import interp
+from mvgamma.lgroup import ProductLuGroup
 from mvgamma.interp import MAX_CARRIER, MAX_LISTED, MAX_WINDOW, RunConfig, SemanticError, execute
 from mvgamma.mv_core import FiniteMVAlgebra
 from mvgamma.script import parse_script
-from mvgamma.serialize import loads
+from mvgamma.serialize import dumps, loads
 from test_mv_core import axioms_full, chain_product, permuted_copy
 from test_serialize import json_oracle
 
@@ -34,6 +36,18 @@ def run_text(text, **kwargs):
     return execute(parse_script(text), RunConfig(**kwargs))
 
 
+def source_env():
+    """The environment for a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def text_of(report):
+    """The report as the CLI writes it."""
+    return dumps(report.as_json())
+
+
 # ---------------------------------------------------------------- interpreter
 
 
@@ -43,7 +57,7 @@ def test_passing_script_report():
         "group G = fibers [3] unit [(1,0)]\ngamma G"
     )
     assert report.exit_code == 0
-    payload = json.loads(report.to_text())
+    payload = json.loads(text_of(report))
     assert payload["overall"] == "pass"
     assert [c["command"] for c in payload["commands"]] == [
         "spec",
@@ -77,7 +91,7 @@ def test_spec_builds_the_star_that_star_reads(monkeypatch, fresh_memos):
 def test_failing_check_sets_exit_one():
     report = run_text("algebra A = chain 1\nfreequotient A --keep-zero")
     assert report.exit_code == 1
-    payload = json.loads(report.to_text())
+    payload = json.loads(text_of(report))
     assert payload["overall"] == "fail"
     assert payload["commands"][0]["status"] == "fail"
 
@@ -89,7 +103,7 @@ def test_member_failure_is_exit_one_not_an_error():
         'hom h : A -> B { 0->0, 1->2 }\nmember h {"coords":[{"m":0,"a":1}]}'
     )
     assert report.exit_code == 1
-    detail = json.loads(report.to_text())["commands"][0]["detail"]
+    detail = json.loads(text_of(report))["commands"][0]["detail"]
     assert detail["member"] is False
     assert detail["missing"] == {"coords": [{"m": 0, "a": 1}]}
 
@@ -97,14 +111,14 @@ def test_member_failure_is_exit_one_not_an_error():
 def test_member_success_reports_witness():
     report = run_text('algebra A = chain 2\nmember A {"coords":[{"m":0,"a":1}]}')
     assert report.exit_code == 0
-    detail = json.loads(report.to_text())["commands"][0]["detail"]
+    detail = json.loads(text_of(report))["commands"][0]["detail"]
     assert detail["member"] is True
 
 
 def test_goodseq_command():
     report = run_text('group G = fibers [3] unit [(1,0)]\ngoodseq G {"coords":[{"m":2,"a":1}]}')
     assert report.exit_code == 0
-    detail = json.loads(report.to_text())["commands"][0]["detail"]
+    detail = json.loads(text_of(report))["commands"][0]["detail"]
     assert detail["entries"]  # canonical entries listed in segment indices
 
 
@@ -145,7 +159,7 @@ def test_stdout_json_out_and_to_text_are_one_text(tmp_path, capsys, name):
         script.write_text(DIGITS_SCALE)
     out = tmp_path / "report.json"
     assert main(["run", str(script), "--json-out", str(out)]) == 1
-    text = execute(parse_script(script.read_text())).to_text().encode("utf-8")
+    text = text_of(execute(parse_script(script.read_text()))).encode("utf-8")
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes() == text
 
 
@@ -342,7 +356,7 @@ def test_freequotient_above_the_carrier_cap_exits_3(tmp_path, capsys):
 def test_check_single_group():
     report = run_text("group G = fibers [2, 3] unit [(1,0),(1,0)]\ncheck G")
     assert report.exit_code == 0
-    detail = json.loads(report.to_text())["commands"][0]["detail"]
+    detail = json.loads(text_of(report))["commands"][0]["detail"]
     assert detail == {
         "upsilon": True,
         "coordinate_ideals": True,
@@ -361,7 +375,7 @@ def test_check_single_hom():
 def test_roundtrip_group_command():
     report = run_text("group G = fibers [2, 2] unit [(1,1),(1,0)]\nroundtrip G", window=3)
     assert report.exit_code == 0
-    detail = json.loads(report.to_text())["commands"][0]["detail"]
+    detail = json.loads(text_of(report))["commands"][0]["detail"]
     for flag in (
         "additive",
         "order_embedding",
@@ -388,7 +402,7 @@ def test_export_to_unwritable_path_is_semantic(tmp_path):
 
 def test_report_is_deterministic():
     text = "algebra A = chain 2\nalgebra B = A * A\nspec B\nroundtrip B"
-    assert run_text(text).to_text() == run_text(text).to_text()
+    assert text_of(run_text(text)) == text_of(run_text(text))
 
 
 # ------------------------------------------------------------------ CLI shell
@@ -454,6 +468,40 @@ def test_cli_unwritable_json_out_prints_only_the_error(tmp_path, capsys):
     assert payload["error"]["code"] == "semantic"
 
 
+class ClosedStdout(io.StringIO):
+    """A stdout stand-in whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_cli_closed_stdout_is_three(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(["check-all", "--max-size", "4", "--window", "2"]) == 3
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_cli_closed_stdout_pipe_is_three_without_a_traceback(unbuffered):
+    # buffered, the rest of the report would raise again at the interpreter's
+    # final flush, after main has returned
+    env = source_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvgamma", "check-all", "--max-size", "6"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (3, b"")
+
+
 def test_cli_check_all(capsys):
     assert main(["check-all", "--max-size", "4", "--window", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -503,6 +551,8 @@ GROUP = "group G = fibers [2] unit [(1,0)]\n"
         (["check-all", "--max-size", "16", "--window", "30"], None, 1, "window"),
         (["run"], GROUP + f"check G --window {MAX_WINDOW + 1}\n", 2, "window"),
         (["run", "--window", "100"], GROUP + "roundtrip G\n", 2, "window"),
+        (["run", "--window", "0"], "algebra A = chain 1\nroundtrip A\n", 2, "window"),
+        (["run", "--window", "100"], "algebra A = chain 1\nroundtrip A\n", 2, "window"),
     ],
 )
 def test_out_of_range_window_or_max_size_is_three(tmp_path, capsys, argv, script, line, field):
@@ -513,6 +563,45 @@ def test_out_of_range_window_or_max_size_is_three(tmp_path, capsys, argv, script
     assert error["code"] == "semantic"
     assert error["line"] == line
     assert field in error["counterexample"]
+
+
+BOOLEAN_8 = "algebra A = " + " * ".join(["chain 1"] * 8) + "\nroundtrip A\n"
+
+
+def test_roundtrip_of_an_eight_factor_boolean_algebra_walks_no_window(
+    tmp_path, capsys, monkeypatch, fresh_memos
+):
+    # 256 elements, the carrier cap: generation is read off iota's onto-ness,
+    # one membership test per segment element, and no product window (5^8
+    # elements at bound 2) is walked
+    calls = {"window": 0, "membership": 0}
+    window, membership = ProductLuGroup.window, equivalence.generated_membership
+
+    def counted_window(self, bound):
+        calls["window"] += 1
+        return window(self, bound)
+
+    def counted_membership(*args):
+        calls["membership"] += 1
+        return membership(*args)
+
+    monkeypatch.setattr(ProductLuGroup, "window", counted_window)
+    monkeypatch.setattr(equivalence, "generated_membership", counted_membership)
+    assert main(["run", write(tmp_path, "boole.mvg", BOOLEAN_8)]) == 0
+    detail = json.loads(capsys.readouterr().out)["commands"][0]["detail"]
+    assert detail["checked"] == 256 and detail["window_generated"] is True
+    assert calls == {"window": 0, "membership": 256}
+
+
+def test_roundtrip_of_an_eight_factor_boolean_algebra_runs_cold_in_seconds(tmp_path):
+    # the window walk took 15 s here; the bound is loose, for a loaded host
+    cmd = [sys.executable, "-m", "mvgamma", "run", write(tmp_path, "boole.mvg", BOOLEAN_8)]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, capture_output=True, env=source_env())
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["commands"][0]["detail"]["window_generated"] is True
+    assert elapsed < 5.0
 
 
 def test_window_cap_is_eight_and_the_cap_itself_runs(tmp_path, capsys):

@@ -22,10 +22,8 @@ from mvgamma.equivalence import (
     iota_naturality,
     iota_roundtrip,
     is_good_sequence,
-    segment_generation_check,
     star_algebra,
     star_functoriality,
-    star_membership,
     star_morphism,
     upsilon,
     upsilon_naturality,
@@ -33,7 +31,11 @@ from mvgamma.equivalence import (
 import fiber_oracles
 import mvgamma.equivalence as eq
 import mvgamma.lgroup as lgroup
-from fiber_oracles import ChainStarMap, UpsilonMap
+from mvgamma import interp
+from mvgamma.interp import execute
+from mvgamma.script import parse_script
+from fiber_oracles import ChainStarMap, UpsilonMap, segment_generation_check
+from test_mv_core import chain_product, relabelled
 from test_snf import dense_factors
 from mvgamma.errors import InternalInvariantError
 from mvgamma.lgroup import (
@@ -383,7 +385,7 @@ def test_membership_witness_difference_of_atoms():
     a = make_product(make_chain(1), make_chain(1))
     star = star_algebra(a)
     x = star.ambient.sub(star.a_circle[2], star.a_circle[1])
-    w = star_membership(star, x)
+    w = generated_membership(star.ambient, star.circle_index, x)
     assert w.member and bool(w)
     ((n, p),), ((m, q),) = w.positive, w.negative
     assert n == m == 1
@@ -394,7 +396,7 @@ def test_membership_witness_difference_of_atoms():
 def test_membership_over_a_window_is_total_for_an_algebra():
     star = star_algebra(make_product(make_chain(1), make_chain(2)))
     for x in star.ambient.window(3):
-        assert star_membership(star, x).member
+        assert generated_membership(star.ambient, star.circle_index, x).member
 
 
 def test_non_member_against_a_proper_subalgebra():
@@ -412,8 +414,50 @@ def test_non_member_against_a_proper_subalgebra():
 def test_segment_generation_check_counts():
     star = star_algebra(make_product(make_chain(1), make_chain(2)))
     report = segment_generation_check(star, bound=2)
-    assert report.ok
+    assert report.ok and report.failure is None
     assert report.checked == 5 * 9  # per-fiber windows 2*2+1 and 2*4+1
+
+
+def generation_cases():
+    """Every generated algebra up to 64 elements, a relabelled copy of each
+    one above 2 elements, and products of 3 and 4 chains."""
+    generated = generated_algebras(64)
+    relabels = [relabelled(a, seed) for seed, a in enumerate(generated) if a.size > 2]
+    products = [(1, 1, 1), (1, 2, 3), (2, 2, 1), (1, 1, 1, 1), (1, 2, 1, 1)]
+    return generated + relabels + [chain_product(h) for h in products]
+
+
+def test_window_walk_agrees_with_iota_onto_the_segment():
+    # the box [0, u] holds the canonical entries of every x >= 0 and lies in
+    # every window of bound >= 1: the walk passes exactly when iota is onto it
+    for algebra in generation_cases():
+        star = star_algebra(algebra)
+        onto = iota_roundtrip(star).onto_segment
+        assert onto
+        for bound in (1, 2):
+            assert segment_generation_check(star, bound).ok == onto
+
+
+@pytest.mark.parametrize("heights", [(2,), (1, 2), (1, 1, 1)])
+def test_a_star_missing_one_box_element_generates_no_window(monkeypatch, heights):
+    # drop one nonzero box element from circle_index (0 has no canonical
+    # entries, and iota(0) = 0 in every real star): the walk, onto_segment
+    # and the roundtrip command's window_generated all turn False
+    star = star_algebra(chain_product(heights))
+    dropped = star.a_circle[1]
+    mutant = dataclasses.replace(
+        star, circle_index={x: a for x, a in star.circle_index.items() if x != dropped}
+    )
+    report = iota_roundtrip(mutant)
+    assert not report.onto_segment and not report.holds
+    for bound in (1, 2):
+        walk = segment_generation_check(mutant, bound)
+        assert not walk.ok and walk.failure is not None
+    monkeypatch.setattr(interp, "star_algebra", lambda algebra: mutant)
+    text = "algebra A = " + " * ".join(f"chain {h}" for h in heights) + "\nroundtrip A\n"
+    outcome = execute(parse_script(text)).as_json()["commands"][0]
+    assert outcome["status"] == "fail"
+    assert outcome["detail"]["window_generated"] is False
 
 
 # -- iota round trip --

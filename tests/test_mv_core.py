@@ -23,7 +23,6 @@ from mvgamma.mv_core import (
     check_mv_axioms,
     compose,
     find_morphisms,
-    is_totally_ordered,
     chain_rank,
     make_chain,
     make_product,
@@ -95,9 +94,9 @@ def test_chain_derived_ops_match_integer_formulas(n):
 
 
 def test_chain_is_totally_ordered_with_identity_rank():
-    c = make_chain(4)
-    assert is_totally_ordered(c)
-    assert chain_rank(c) == (0, 1, 2, 3, 4)
+    assert chain_rank(make_chain(4)) == (0, 1, 2, 3, 4)
+    with pytest.raises(ValueError, match="not totally ordered"):
+        chain_rank(make_product(make_chain(1), make_chain(1)))
 
 
 def test_trivial_algebra_is_rejected():
