@@ -22,8 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Container, Iterable
+from typing import Callable, Container, Iterable, NamedTuple
 
 from .errors import InternalInvariantError
 from .lgroup import (
@@ -89,8 +88,7 @@ __all__ = [
 # -- fiber maps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberMap:
+class FiberMap(NamedTuple):
     """One fiber of a coordinatewise map between chain groups, as a value:
     s -> (s div period)·step + table[s mod period].  Both maps of the
     equivalence have this shape, the extension of a chain morphism
@@ -120,8 +118,7 @@ class FiberMap:
 # -- the star of a finite algebra ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class StarAlgebra:
+class StarAlgebra(NamedTuple):
     """An algebra together with its enveloping-group data.
 
     `ambient` is the product of the chain groups over the prime quotient
@@ -194,25 +191,34 @@ def canonical_entries(u: GroupElement, x: GroupElement) -> tuple[tuple[int, Grou
     )
 
 
-@dataclass(frozen=True)
-class GoodSequence:
+class _GoodSequenceFields(NamedTuple):
+    algebra: FiniteMVAlgebra
+    runs: tuple[tuple[int, int], ...]
+
+
+class GoodSequence(_GoodSequenceFields):
     """Entries of a segment algebra where each absorbs its successor, held
     as runs (count, carrier index) of equal entries; `entries` writes them
     out one by one.
 
-    Normalized: no trailing zeros (the empty sequence stands for zero).
+    Normalized: no trailing zeros (the empty sequence stands for zero).  An
+    immutable record, checked whenever one is built, `_replace` included.
     """
 
-    algebra: FiniteMVAlgebra
-    runs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, algebra: FiniteMVAlgebra, runs: tuple[tuple[int, int], ...]):
         # each neighbouring pair once: a run boundary, or a ⊕ a = a in a run
-        pairs = [a for n, e in self.runs for a in (e, e)[:n]]
-        if any(n < 1 for n, _ in self.runs) or not is_good_sequence(self.algebra, pairs):
+        pairs = [a for n, e in runs for a in (e, e)[:n]]
+        if any(n < 1 for n, _ in runs) or not is_good_sequence(algebra, pairs):
             raise ValueError("entries violate the absorption law")
-        if self.runs and self.runs[-1][1] == 0:
+        if runs and runs[-1][1] == 0:
             raise ValueError("trailing zeros must be stripped")
+        return super().__new__(cls, algebra, runs)
+
+    @classmethod
+    def _make(cls, values) -> GoodSequence:
+        return cls(*values)
 
     @property
     def entries(self) -> tuple[int, ...]:
@@ -262,8 +268,7 @@ def good_sequence_sums_hold(u: GroupElement, bound: int, /) -> bool:
 # -- membership in the generated subgroup ---------------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipWitness:
+class MembershipWitness(NamedTuple):
     """Outcome of a generated-subgroup membership test.
 
     `positive`/`negative` are the canonical entries of the two halves of x,
@@ -315,8 +320,7 @@ def generated_membership(
 # -- iota round trip -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IotaReport:
+class IotaReport(NamedTuple):
     """Does a_circle sit inside the ambient segment as a faithful copy of A?"""
 
     injective: bool
@@ -337,19 +341,22 @@ def iota_roundtrip(star: StarAlgebra) -> IotaReport:
     exactly the set of segment elements that pass the membership test; and
     the index-level map carrier -> segment carrier preserves the operations.
 
+    On [0, u] the membership test reads only the canonical entries of x
+    itself (its negative half is 0), so it passes exactly on a_circle when
+    x != 0 is its own one entry, (1, x), 0 has none, and 0 is in a_circle:
+    `members_match` checks just that, in closed form (the membership loop
+    over the segment is the tests' oracle).
+
     `onto_segment` also decides generation: the canonical entries of every
     x >= 0 lie in the box [0, u], and a nonzero box element outside a_circle
     is its own only entry and lies in every window of bound >= 1.
     """
     segment = gamma_segment(star.ambient)
-    members_match = True
-    onto = True
-    for x in segment.elements:
-        in_circle = x in star.circle_index
-        if generated_membership(star.ambient, star.circle_index, x).member != in_circle:
-            members_match = False
-        if not in_circle:
-            onto = False
+    u, zero = star.ambient.u, star.ambient.zero
+    members_match = zero in star.circle_index and all(
+        canonical_entries(u, x) == (((1, x),) if x != zero else ()) for x in segment.elements
+    )
+    onto = all(x in star.circle_index for x in segment.elements)
     index_map = tuple(segment.index[x] for x in star.a_circle)
     morphism_ok = check_morphism(MVMorphism(star.source, segment.algebra, index_map)).ok
     return IotaReport(
@@ -364,8 +371,7 @@ def iota_roundtrip(star: StarAlgebra) -> IotaReport:
 # -- star of a general morphism ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LGroupMap:
+class LGroupMap(NamedTuple):
     """A coordinatewise map between unital products of chain groups.
 
     Codomain fiber j reads domain fiber `source_fiber[j]` through
@@ -520,8 +526,7 @@ def _fiber_certificate(
     return additive, order_embedding, preserves_unit, segment_identity, surjective, len(targets)
 
 
-@dataclass(frozen=True)
-class UpsilonResult:
+class UpsilonResult(NamedTuple):
     """Window-certified verdict that upsilon is a unital ordered isomorphism.
 
     Additivity, order embedding, unit preservation, the segment identity
@@ -585,8 +590,7 @@ def upsilon(u: GroupElement, window: int, /) -> UpsilonResult:
 # -- coordinate ideals of a product group -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SegmentIdealReport:
+class SegmentIdealReport(NamedTuple):
     """Segment-level facts about one coordinate ideal of a product group.
 
     The ideal consists of the group elements vanishing on `zero_fibers`; its
@@ -671,8 +675,7 @@ def gamma_restriction(
 # -- commuting squares ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CommuteReport:
+class CommuteReport(NamedTuple):
     """Verdict on one commuting square over a finite set of inputs.
 
     On success, `checked` is the size of the set the verdict covers: the
@@ -772,8 +775,7 @@ def upsilon_naturality(phi: LGroupMap, window: int = 4) -> CommuteReport:
 # -- free-presentation experiment -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SNFReport:
+class SNFReport(NamedTuple):
     """Invariant factors of the pairwise-relation quotient vs. the star group.
 
     `free_factors` presents the quotient of the free abelian group on the

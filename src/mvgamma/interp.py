@@ -28,8 +28,7 @@ data: the same script and config produce byte-identical JSON.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .equivalence import (
     coordinate_ideal_checks,
@@ -92,8 +91,7 @@ MAX_WINDOW = 8
 MAX_LISTED = 10**5
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     max_size: int = 12
     window: int = 4
 
@@ -123,15 +121,17 @@ def _capped(value: int, cap: int, line: int, what: str, key: str) -> int:
     return value
 
 
-@dataclass
 class RunReport:
-    """The run's config and one outcome per command, in script order.  An
-    outcome is the dict the report prints: command, line, target, status
-    ("pass" or "fail") and detail, a plain dict or a report object whose
-    package values `dumps` lowers."""
+    """The run's config and one outcome per command, in script order, which
+    the run appends to.  An outcome is the dict the report prints: command,
+    line, target, status ("pass" or "fail") and detail, a plain dict or a
+    report object whose package values `dumps` lowers."""
 
-    config: RunConfig
-    outcomes: list[dict] = field(default_factory=list)
+    __slots__ = ("config", "outcomes")
+
+    def __init__(self, config: RunConfig, outcomes: list[dict] | None = None):
+        self.config = config
+        self.outcomes = [] if outcomes is None else outcomes
 
     @property
     def overall(self) -> str:
@@ -143,7 +143,7 @@ class RunReport:
 
     def as_json(self) -> dict:
         return {
-            "config": asdict(self.config),
+            "config": self.config._asdict(),
             "commands": self.outcomes,
             "overall": self.overall,
         }
@@ -350,9 +350,9 @@ class _Runner:
         window = self.bound(cmd, "window", 1)  # refused out of range on both sides
         if kind == "algebra":
             report = iota_roundtrip(star_algebra(value))
-            return report.holds, {**asdict(report), "window_generated": report.onto_segment}
+            return report.holds, {**report._asdict(), "window_generated": report.onto_segment}
         result = upsilon(value.u, window)
-        return result.holds, asdict(result)
+        return result.holds, result._asdict()
 
     def _segment_context(self, cmd: Command):
         kind, value = self.value(cmd.name, ("algebra", "group"), cmd.line)
@@ -411,7 +411,7 @@ class _Runner:
         if cmd.check_all:
             max_size = self.bound(cmd, "max_size", 2)
             suites = run_all_checks(max_size=max_size, window=window)
-            return all(s.ok for s in suites), {"suites": [asdict(s) for s in suites]}
+            return all(s.ok for s in suites), {"suites": [s.as_json() for s in suites]}
         kind, value = self.value(cmd.name, ("algebra", "group", "hom"), cmd.line)
         if kind == "algebra":
             axioms = check_mv_axioms(value).ok

@@ -28,8 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalInvariantError
 from .mv_core import (
@@ -200,13 +199,9 @@ class ProductLuGroup:
     def leq(self, x: GroupElement, y: GroupElement) -> bool:
         return all(map(operator.le, x, y))
 
-    def window(self, bound: int) -> Iterator[GroupElement]:
-        """All x with |x| <= bound * u, coordinatewise product enumeration."""
-        return itertools.product(*self.fiber_windows(bound))
-
     def fiber_windows(self, bound: int) -> tuple[range, ...]:
-        """The factors of the window: each fiber's integers t with
-        |t| <= bound * u_t, ascending."""
+        """The factors of the window {x : |x| <= bound * u}: each fiber's
+        integers t with |t| <= bound * u_t, ascending."""
         return tuple(range(-bound * up, bound * up + 1) for up in self.u)
 
     def __eq__(self, other) -> bool:
@@ -241,8 +236,7 @@ def abs_decompose(
     return pos, neg_part, group.add(pos, neg_part)
 
 
-@dataclass(frozen=True)
-class GammaSegment:
+class GammaSegment(NamedTuple):
     """The unit segment [0, u], packaged as an MV-algebra.
 
     It reads only the unit: fiber t's segment [0, u_t] is the chain of u_t

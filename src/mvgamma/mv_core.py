@@ -14,8 +14,7 @@ import functools
 import itertools
 import operator
 import weakref
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "FiniteMVAlgebra",
@@ -131,8 +130,7 @@ class FiniteMVAlgebra:
         return f"FiniteMVAlgebra(size={self.size})"
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of check_mv_axioms: ok, plus (axiom, args) witnesses if not."""
 
     ok: bool
@@ -143,19 +141,29 @@ class AxiomReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class MVMorphism:
-    """A carrier map dom -> cod given as a tuple; laws via check_morphism."""
-
+class _MorphismFields(NamedTuple):
     dom: FiniteMVAlgebra
     cod: FiniteMVAlgebra
     map: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.map) != self.dom.size:
+
+class MVMorphism(_MorphismFields):
+    """A carrier map dom -> cod given as a tuple; laws via check_morphism.
+    An immutable record whose map is checked against both carriers whenever
+    one is built, `_replace` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, dom: FiniteMVAlgebra, cod: FiniteMVAlgebra, map: tuple[int, ...]):
+        if len(map) != dom.size:
             raise ValueError("morphism map length must equal dom carrier size")
-        if any(not (0 <= v < self.cod.size) for v in self.map):
+        if any(not (0 <= v < cod.size) for v in map):
             raise ValueError("morphism map value out of cod carrier range")
+        return super().__new__(cls, dom, cod, map)
+
+    @classmethod
+    def _make(cls, values) -> MVMorphism:
+        return cls(*values)
 
     def __call__(self, a: int) -> int:
         return self.map[a]
@@ -167,8 +175,7 @@ class MVMorphism:
         return len(set(self.map)) == self.cod.size
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     ok: bool
     violations: tuple[tuple[str, tuple[int, ...]], ...] = ()
 

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = [
     "ScriptError",
@@ -77,36 +76,30 @@ class UnknownNameError(ScriptError):
     code = "unknown-name"
 
 
-@dataclass(frozen=True)
-class ChainExpr:
+class ChainExpr(NamedTuple):
     height: int
 
 
-@dataclass(frozen=True)
-class NameExpr:
+class NameExpr(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class ProductExpr:
+class ProductExpr(NamedTuple):
     left: Any
     right: Any
 
 
-@dataclass(frozen=True)
-class TableExpr:
+class TableExpr(NamedTuple):
     obj: Any
 
 
-@dataclass(frozen=True)
-class AlgebraDef:
+class AlgebraDef(NamedTuple):
     name: str
     expr: Any
     line: int
 
 
-@dataclass(frozen=True)
-class HomDef:
+class HomDef(NamedTuple):
     name: str
     dom: str
     cod: str
@@ -114,16 +107,14 @@ class HomDef:
     line: int
 
 
-@dataclass(frozen=True)
-class GroupDef:
+class GroupDef(NamedTuple):
     name: str
     sizes: tuple[int, ...]
     unit: tuple[tuple[int, int], ...]
     line: int
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     kind: str
     name: str | None = None
     element: Any = None
@@ -135,8 +126,7 @@ class Command:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(NamedTuple):
     statements: tuple
 
 

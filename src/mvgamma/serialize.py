@@ -138,7 +138,8 @@ def to_jsonable(value: Any) -> Any:
         }
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    # exactly: a record is a tuple subclass, and one with no branch above has no JSON form
+    if type(value) in (list, tuple):
         return [to_jsonable(v) for v in value]
     if isinstance(value, (bool, int, str)) or value is None:
         return value

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 from .mv_core import FiniteMVAlgebra, MVMorphism
 
@@ -42,8 +41,7 @@ __all__ = [
 SUBSET_ORACLE_CAP = 12  # carrier size; the oracle filters all 2^size subsets
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(NamedTuple):
     algebra: FiniteMVAlgebra
     members: frozenset[int]
 
@@ -62,8 +60,9 @@ class Ideal:
         return f"Ideal({sorted(self.members)})"
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
+    """The proper primes of an algebra; `len` counts the primes."""
+
     algebra: FiniteMVAlgebra
     primes: tuple[Ideal, ...]
 
@@ -165,8 +164,7 @@ def spectrum(algebra: FiniteMVAlgebra, /) -> Spectrum:
     return Spectrum(algebra, tuple(primes))
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(NamedTuple):
     quotient: FiniteMVAlgebra
     class_of: tuple[int, ...]
 

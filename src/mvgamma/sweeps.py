@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .equivalence import (
@@ -83,16 +82,20 @@ __all__ = [
 ]
 
 
-@dataclass
 class SuiteResult:
-    """Outcome of one suite: every case passed, how many there were, and a
-    bounded list of failure descriptions (first ten).  The fields are the
-    report's keys: `check all` reports each suite as `asdict` of it."""
+    """Outcome of one suite, which the suite updates as it runs: every case
+    passed, how many there were, and a bounded list of failure descriptions
+    (first ten).  The slots are the report's keys: `check all` reports each
+    suite as `as_json` of it."""
 
-    name: str
-    ok: bool
-    cases: int
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("name", "ok", "cases", "failures")
+
+    def __init__(self, name: str, ok: bool, cases: int, failures: list[str] | None = None):
+        self.name, self.ok, self.cases = name, ok, cases
+        self.failures = [] if failures is None else failures
+
+    def as_json(self) -> dict:
+        return {key: getattr(self, key) for key in self.__slots__}
 
     def note_failure(self, text: str):
         self.ok = False

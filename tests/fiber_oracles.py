@@ -9,15 +9,21 @@ Tests compare the package's `FiberMap` values against them point by point,
 and mutants are injected into both.  `evaluate` is looked up on this module
 at call time, so a test can patch it.  `canonical_embedding` is the map into
 the product table of the prime quotients, one mixed-radix index per element.
-`segment_generation_check` walks a product window of the star ambient and
-tests each element for membership in the subgroup a_circle generates; the
-package reads the same verdict off `iota_roundtrip(star).onto_segment`.
+`window` enumerates a product window, the product of a group's fiber
+windows.  `segment_generation_check` walks a product window of the star
+ambient and tests each element for membership in the subgroup a_circle
+generates; the package reads the same verdict off
+`iota_roundtrip(star).onto_segment`.  `members_match_by_membership` runs the
+membership test on every element of [0, u], where `iota_roundtrip` reads
+`members_match` off the canonical entries in closed form.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from mvgamma.equivalence import LGroupMap, StarAlgebra, generated_membership, star_algebra
 from mvgamma.lgroup import ChangChainGroup, GroupElement, ProductLuGroup, gamma_segment
@@ -86,6 +92,21 @@ def canonical_embedding(algebra: FiniteMVAlgebra) -> MVMorphism:
     return MVMorphism(algebra, cod, tuple(combined))
 
 
+def window(group: ProductLuGroup, bound: int) -> Iterator[GroupElement]:
+    """All x with |x| <= bound·u: the product of the group's fiber windows."""
+    return itertools.product(*group.fiber_windows(bound))
+
+
+def members_match_by_membership(star: StarAlgebra) -> bool:
+    """The membership test passes on exactly the elements of [0, u] that lie
+    in a_circle: one `generated_membership` call per segment element."""
+    return all(
+        generated_membership(star.ambient, star.circle_index, x).member
+        == (x in star.circle_index)
+        for x in gamma_segment(star.ambient).elements
+    )
+
+
 @dataclass(frozen=True)
 class GenerationReport:
     ok: bool
@@ -99,7 +120,7 @@ def segment_generation_check(star: StarAlgebra, bound: int = 4) -> GenerationRep
     Exhaustive over the ambient window, one membership test per element, so
     its cost grows as a power of the fiber count.
     """
-    for checked, x in enumerate(star.ambient.window(bound), 1):
+    for checked, x in enumerate(window(star.ambient, bound), 1):
         if not generated_membership(star.ambient, star.circle_index, x).member:
             return GenerationReport(ok=False, checked=checked, failure=x)
     return GenerationReport(ok=True, checked=checked)

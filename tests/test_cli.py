@@ -572,25 +572,26 @@ def test_roundtrip_of_an_eight_factor_boolean_algebra_walks_no_window(
     tmp_path, capsys, monkeypatch, fresh_memos
 ):
     # 256 elements, the carrier cap: generation is read off iota's onto-ness,
-    # one membership test per segment element, and no product window (5^8
-    # elements at bound 2) is walked
-    calls = {"window": 0, "membership": 0}
-    window, membership = ProductLuGroup.window, equivalence.generated_membership
+    # the membership verdicts off one canonical-entries call per segment
+    # element, and no product window (5^8 elements at bound 2) is built
+    calls = {"fiber_windows": 0, "membership": 0, "entries": 0}
 
-    def counted_window(self, bound):
-        calls["window"] += 1
-        return window(self, bound)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    def counted_membership(*args):
-        calls["membership"] += 1
-        return membership(*args)
+        return wrapper
 
-    monkeypatch.setattr(ProductLuGroup, "window", counted_window)
-    monkeypatch.setattr(equivalence, "generated_membership", counted_membership)
+    monkeypatch.setattr(
+        ProductLuGroup, "fiber_windows", counted("fiber_windows", ProductLuGroup.fiber_windows)
+    )
+    for name, attr in (("membership", "generated_membership"), ("entries", "canonical_entries")):
+        monkeypatch.setattr(equivalence, attr, counted(name, getattr(equivalence, attr)))
     assert main(["run", write(tmp_path, "boole.mvg", BOOLEAN_8)]) == 0
     detail = json.loads(capsys.readouterr().out)["commands"][0]["detail"]
     assert detail["checked"] == 256 and detail["window_generated"] is True
-    assert calls == {"window": 0, "membership": 256}
+    assert calls == {"fiber_windows": 0, "membership": 0, "entries": 256}
 
 
 def test_roundtrip_of_an_eight_factor_boolean_algebra_runs_cold_in_seconds(tmp_path):

@@ -1,6 +1,5 @@
 """Round-trip layer: star algebras, good sequences, evaluation maps, SNF."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -34,7 +33,13 @@ import mvgamma.lgroup as lgroup
 from mvgamma import interp
 from mvgamma.interp import execute
 from mvgamma.script import parse_script
-from fiber_oracles import ChainStarMap, UpsilonMap, segment_generation_check
+from fiber_oracles import (
+    ChainStarMap,
+    UpsilonMap,
+    members_match_by_membership,
+    segment_generation_check,
+    window,
+)
 from test_mv_core import chain_product, relabelled
 from test_snf import dense_factors
 from mvgamma.errors import InternalInvariantError
@@ -369,7 +374,7 @@ def test_canonical_sequence_is_the_unique_one():
     for s in all_seqs:
         by_sum.setdefault(good_sequence_sum(seg, [(1, e) for e in s]), []).append(s)
     checked = 0
-    for x in g.window(3):
+    for x in window(g, 3):
         if not g.leq(g.zero, x):
             continue
         canon = canonical_good_sequence(seg, x).entries
@@ -395,7 +400,7 @@ def test_membership_witness_difference_of_atoms():
 
 def test_membership_over_a_window_is_total_for_an_algebra():
     star = star_algebra(make_product(make_chain(1), make_chain(2)))
-    for x in star.ambient.window(3):
+    for x in window(star.ambient, 3):
         assert generated_membership(star.ambient, star.circle_index, x).member
 
 
@@ -438,6 +443,30 @@ def test_window_walk_agrees_with_iota_onto_the_segment():
             assert segment_generation_check(star, bound).ok == onto
 
 
+def test_members_match_agrees_with_the_membership_loop():
+    # the closed form reads x's own canonical entries on [0, u]; the loop
+    # runs the membership test on every segment element
+    for algebra in generation_cases():
+        star = star_algebra(algebra)
+        assert iota_roundtrip(star).members_match
+        assert members_match_by_membership(star)
+
+
+@pytest.mark.parametrize("heights", [(2,), (1, 2), (1, 1, 1)])
+@pytest.mark.parametrize("dropped", [0, 1])
+def test_members_match_agrees_on_a_star_missing_one_box_element(heights, dropped):
+    # without a nonzero box element the test fails on it and it is outside
+    # a_circle, so both still match; without 0, which the test always
+    # passes, both fail
+    star = star_algebra(chain_product(heights))
+    gone = star.a_circle[dropped]
+    mutant = star._replace(
+        circle_index={x: a for x, a in star.circle_index.items() if x != gone}
+    )
+    closed_form = iota_roundtrip(mutant).members_match
+    assert closed_form == members_match_by_membership(mutant) == (dropped != 0)
+
+
 @pytest.mark.parametrize("heights", [(2,), (1, 2), (1, 1, 1)])
 def test_a_star_missing_one_box_element_generates_no_window(monkeypatch, heights):
     # drop one nonzero box element from circle_index (0 has no canonical
@@ -445,8 +474,8 @@ def test_a_star_missing_one_box_element_generates_no_window(monkeypatch, heights
     # and the roundtrip command's window_generated all turn False
     star = star_algebra(chain_product(heights))
     dropped = star.a_circle[1]
-    mutant = dataclasses.replace(
-        star, circle_index={x: a for x, a in star.circle_index.items() if x != dropped}
+    mutant = star._replace(
+        circle_index={x: a for x, a in star.circle_index.items() if x != dropped}
     )
     report = iota_roundtrip(mutant)
     assert not report.onto_segment and not report.holds
@@ -721,15 +750,11 @@ def upsilon_by_peeling(group, window):
     )
 
 
-def verdicts(result):
-    return tuple(getattr(result, f.name) for f in dataclasses.fields(result))
-
-
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_upsilon_matches_the_peeling_body(window):
     for chains, heights in group_shapes(2, 3, 2):
         g = SweepContext.group(chains, heights)
-        assert verdicts(upsilon(g.u, window)) == upsilon_by_peeling(g, window)
+        assert tuple(upsilon(g.u, window)) == upsilon_by_peeling(g, window)
 
 
 def additive_by_pairs(f, window):
@@ -825,7 +850,7 @@ def bump_lift(monkeypatch, r):
     def bumped(t, fm, lift):
         if t == 0:
             lift = lift[:r] + (lift[r] + 1,) + lift[r + 1 :]
-            fm = dataclasses.replace(fm, table=lift[:-1])
+            fm = fm._replace(table=lift[:-1])
         return fm, lift
 
     patch_fiber_data(monkeypatch, bumped)
@@ -842,7 +867,7 @@ def bump_lift(monkeypatch, r):
 
 def evaluation_without_copies(monkeypatch):
     patch_fiber_data(
-        monkeypatch, lambda t, fm, lift: (WithoutCopies(*dataclasses.astuple(fm)), lift)
+        monkeypatch, lambda t, fm, lift: (WithoutCopies(*fm), lift)
     )
     monkeypatch.setattr(
         fiber_oracles, "evaluate", lambda sf, up, lift, s: lift[sf.by_rank[s % sf.height]]
@@ -910,7 +935,7 @@ def test_segment_lifts_require_star_classes_in_rank_order(monkeypatch, fresh_mem
         fibers = star.ambient.fibers
         assert fibers[0].height == 2
         fibers = (ChangChainGroup(reversed_chain(2)),) + fibers[1:]
-        return dataclasses.replace(star, ambient=ProductLuGroup(fibers, star.ambient.u))
+        return star._replace(ambient=ProductLuGroup(fibers, star.ambient.u))
 
     monkeypatch.setattr(eq, "star_algebra", out_of_rank_order)
     with pytest.raises(InternalInvariantError, match="rank order"):
@@ -925,7 +950,7 @@ def test_upsilon_matches_direct_product_window():
     )
     _, um = eq._evaluation(g)
     amb = um.dom
-    win = list(amb.window(2))
+    win = list(window(amb, 2))
     for x in win:
         for y in win:
             assert um(amb.add(x, y)) == g.add(um(x), um(y))

@@ -123,13 +123,20 @@ def test_package_exports_the_library_lists():
 
 
 def test_import_leaves_numpy_out():
-    # tables are tuples of ints: a fresh interpreter that imports the
-    # package has not imported numpy
+    # tables are tuples of ints, and records are NamedTuples or slotted
+    # classes: in a fresh interpreter, importing the package and its front
+    # end loads neither numpy nor dataclasses (and with it inspect), whatever
+    # the interpreter's own start-up had loaded before
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    code = "import sys, mvgamma, mvgamma.cli\nprint('numpy' in sys.modules)\n"
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import mvgamma, mvgamma.cli\n"
+        "print(sorted({'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def is_cached(fn: ast.FunctionDef) -> bool:

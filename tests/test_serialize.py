@@ -7,7 +7,14 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from mvgamma.cli import main
-from mvgamma.equivalence import free_quotient_experiment, generated_membership
+from mvgamma.equivalence import (
+    free_quotient_experiment,
+    generated_membership,
+    iota_naturality,
+    iota_roundtrip,
+    star_algebra,
+    upsilon,
+)
 from mvgamma.lgroup import ChangChainGroup, ChangPair, gamma_segment, make_product_group
 from mvgamma.mv_core import (
     FiniteMVAlgebra,
@@ -229,6 +236,33 @@ def test_huge_copy_index_survives_the_boundary():
 def test_to_jsonable_rejects_strangers():
     with pytest.raises(TypeError):
         to_jsonable(object())
+
+
+def _identity(a):
+    return MVMorphism(a, a, tuple(range(a.size)))
+
+
+RECORDS_WITHOUT_JSON = {
+    "IotaReport": lambda a: iota_roundtrip(star_algebra(a)),
+    "UpsilonResult": lambda a: upsilon((1, 2), 1),
+    "CommuteReport": lambda a: iota_naturality(_identity(a)),
+    "AxiomReport": check_mv_axioms,
+    "MembershipWitness": lambda a: generated_membership(
+        star_algebra(a).ambient, star_algebra(a).circle_index, star_algebra(a).a_circle[1]
+    ),
+    "StarAlgebra": star_algebra,
+}
+
+
+@pytest.mark.parametrize("name", RECORDS_WITHOUT_JSON)
+def test_records_without_a_json_form_are_refused(name):
+    # records are tuples, but only a plain list or tuple lowers to a list
+    record = RECORDS_WITHOUT_JSON[name](make_product(make_chain(1), make_chain(2)))
+    assert type(record).__name__ == name and isinstance(record, tuple)
+    with pytest.raises(TypeError, match=f"no JSON form for {name}"):
+        to_jsonable(record)
+    with pytest.raises(TypeError, match=f"no JSON form for {name}"):
+        dumps({"d": record})
 
 
 def json_oracle(value) -> str:
