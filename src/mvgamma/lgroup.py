@@ -199,11 +199,6 @@ class ProductLuGroup:
     def leq(self, x: GroupElement, y: GroupElement) -> bool:
         return all(map(operator.le, x, y))
 
-    def fiber_windows(self, bound: int) -> tuple[range, ...]:
-        """The factors of the window {x : |x| <= bound * u}: each fiber's
-        integers t with |t| <= bound * u_t, ascending."""
-        return tuple(range(-bound * up, bound * up + 1) for up in self.u)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProductLuGroup):
             return NotImplemented

@@ -18,6 +18,7 @@ import functools
 import operator
 from typing import Hashable, NamedTuple, Sequence
 
+from .errors import InternalInvariantError
 from .mv_core import FiniteMVAlgebra, MVMorphism
 
 __all__ = [
@@ -228,7 +229,7 @@ def induced_morphism(h: MVMorphism, dom_q: QuotientResult, cod_q: QuotientResult
     """
     assignment = class_values(dom_q, [cod_q.class_of[b] for b in h.map])
     if assignment is None:
-        raise RuntimeError("induced map not constant on congruence classes")
+        raise InternalInvariantError("induced map not constant on congruence classes")
     return MVMorphism(dom_q.quotient, cod_q.quotient, assignment)
 
 

@@ -23,12 +23,12 @@ once and keep a direct product-level re-check on the configurations small
 enough to afford it.
 
 The naturality squares compare coordinatewise maps: each output fiber of a
-star map, a generated group map or an evaluation map reads exactly one input
-fiber, through one `FiberMap` s -> (s div period)·step + table[s mod period].
-Two such maps that fix 0 and keep the unit positive agree on a product window
-exactly when, for every output fiber, they read the same input fiber and agree
-on that fiber's window, so `star_functoriality` and `upsilon_naturality` check
-one output fiber at a time; their product-window oracles live in the tests.
+star map, a generated group map, an evaluation map or a composite of them
+reads exactly one input fiber, through one `FiberMap` s -> (s div
+period)·step + table[s mod period].  Two such fiber maps agree on ℤ once they
+agree on a common period and its step, so `star_functoriality` and
+`upsilon_naturality` decide each square on the whole group, one output fiber
+at a time; their product-window oracles live in the tests.
 
 Work shared between suites and configurations is memoized in the builders
 themselves, so a sweep context holds only its configuration: algebra work on
@@ -324,10 +324,10 @@ def _generated_group_maps(dom: ProductLuGroup, cod: ProductLuGroup) -> list[LGro
 
 def suite_naturality(ctx: SweepContext) -> SuiteResult:
     """Every found morphism satisfies the iota square; star respects
-    composition on windows for every composable pair; every generated
-    unit-preserving group map satisfies the evaluation square.  Both window
-    squares are checked one output fiber at a time (see the module
-    docstring); each case still covers its whole product window."""
+    composition for every composable pair; every generated unit-preserving
+    group map satisfies the evaluation square.  Both squares of maps are
+    decided on the whole group, one output fiber at a time (see the module
+    docstring)."""
     result = SuiteResult("naturality", True, 0)
     algebras = ctx.algebras(min(12, ctx.max_size))
     homs = {
@@ -340,7 +340,6 @@ def suite_naturality(ctx: SweepContext) -> SuiteResult:
             result.cases += 1
             if not iota_naturality(h).ok:
                 result.note_failure(f"iota square fails for a map {i}->{j}")
-    comp_window = min(2, ctx.window)
     for (i, j), first_list in homs.items():
         for (j2, k), then_list in homs.items():
             if j2 != j:
@@ -348,8 +347,7 @@ def suite_naturality(ctx: SweepContext) -> SuiteResult:
             for h1 in first_list:
                 for h2 in then_list:
                     result.cases += 1
-                    rep = star_functoriality(h1, h2, window=comp_window)
-                    if not rep.ok:
+                    if not star_functoriality(h1, h2).ok:
                         result.note_failure(f"composition square fails {i}->{j}->{k}")
     map_configs = list(
         group_shapes(min(2, ctx.group_fibers), ctx.map_chain_cap, min(2, ctx.group_height_cap))
@@ -359,7 +357,7 @@ def suite_naturality(ctx: SweepContext) -> SuiteResult:
         for hi, hgrp in enumerate(groups):
             for phi in _generated_group_maps(g, hgrp):
                 result.cases += 1
-                if not upsilon_naturality(phi, window=min(3, ctx.window)).ok:
+                if not upsilon_naturality(phi).ok:
                     result.note_failure(
                         f"evaluation square fails {map_configs[gi]}->{map_configs[hi]}"
                     )

@@ -20,12 +20,11 @@ membership test on every element of [0, u], where `iota_roundtrip` reads
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from mvgamma.equivalence import LGroupMap, StarAlgebra, generated_membership, star_algebra
+from mvgamma.equivalence import StarAlgebra, generated_membership, star_algebra
 from mvgamma.lgroup import ChangChainGroup, GroupElement, ProductLuGroup, gamma_segment
 from mvgamma.mv_core import FiniteMVAlgebra, MVMorphism, make_product_many
 from mvgamma.spectrum import class_values, quotient, spectrum
@@ -66,12 +65,10 @@ class UpsilonMap:
             class_values(q, [x[j] for x in self.segment.elements])
             for j, q in enumerate(self.star.quotients)
         )
-        self.evaluation = LGroupMap(
-            dom=self.star.ambient,
-            cod=group,
-            source_fiber=tuple(range(group.k)),
-            fiber_maps=tuple(functools.partial(self.fiber_value, t) for t in range(group.k)),
-        )
+
+    def evaluation(self, x: GroupElement) -> GroupElement:
+        """Evaluate a star ambient element, star fiber t into group fiber t."""
+        return tuple(self.fiber_value(t, s) for t, s in enumerate(x))
 
     def fiber_value(self, t: int, s: int) -> int:
         """Evaluate star fiber t at s, landing in group fiber t."""
@@ -93,8 +90,9 @@ def canonical_embedding(algebra: FiniteMVAlgebra) -> MVMorphism:
 
 
 def window(group: ProductLuGroup, bound: int) -> Iterator[GroupElement]:
-    """All x with |x| <= bound·u: the product of the group's fiber windows."""
-    return itertools.product(*group.fiber_windows(bound))
+    """All x with |x| <= bound·u: the product of the fiber windows, each
+    fiber's integers t with |t| <= bound·u_t, ascending."""
+    return itertools.product(*(range(-bound * up, bound * up + 1) for up in group.u))
 
 
 def members_match_by_membership(star: StarAlgebra) -> bool:

@@ -1,15 +1,18 @@
-"""The composition and evaluation squares, checked one fiber at a time,
-against product-window oracles that enumerate every window element."""
+"""The composition and evaluation squares, decided on the whole group by
+fiber-map values, against product-window oracles that enumerate every
+window element."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiber_oracles
 from fiber_oracles import ChainStarMap, UpsilonMap
 from mvgamma import equivalence as eq
 from mvgamma.equivalence import FiberMap, LGroupMap
-from mvgamma.lgroup import ChangChainGroup, gamma_segment, make_product_group
+from mvgamma.lgroup import ChangChainGroup, make_product_group
 from mvgamma.mv_core import (
     MVMorphism,
     check_morphism,
@@ -79,9 +82,9 @@ def composable_pairs(algebras):
 def test_composition_square_matches_its_oracle():
     total = 0
     for first, then in composable_pairs(generated_algebras(6)):
-        fast = eq.star_functoriality(first, then, window=2)
-        slow = star_functoriality_oracle(first, then, window=2)
-        assert (fast.ok, fast.checked) == (slow.ok, slow.checked)
+        fast = eq.star_functoriality(first, then)
+        for window in (1, 2, 3):
+            assert fast.ok == star_functoriality_oracle(first, then, window).ok
         assert fast.ok
         total += 1
     assert total == 235
@@ -92,9 +95,9 @@ def test_evaluation_square_matches_its_oracle():
     total = 0
     for g, h in itertools.product(groups, repeat=2):
         for phi in _generated_group_maps(g, h):
-            fast = eq.upsilon_naturality(phi, window=3)
-            slow = upsilon_naturality_oracle(phi, window=3)
-            assert (fast.ok, fast.checked) == (slow.ok, slow.checked)
+            fast = eq.upsilon_naturality(phi)
+            for window in (1, 2, 3):
+                assert fast.ok == upsilon_naturality_oracle(phi, window).ok
             assert fast.ok
             total += 1
     assert total == 158
@@ -146,7 +149,14 @@ def wrong_hom(sm):
     """Fiber 0 maps the chain element of rank 1, strictly between 0 and the
     top, to 0."""
     fm = sm.fiber_maps[0]
-    bad = fm._replace(table=(fm.table[0], 0, *fm.table[2:]))
+    bad = FiberMap(fm.period, fm.step, (fm.table[0], 0, *fm.table[2:]))
+    return sm._replace(fiber_maps=(bad, *sm.fiber_maps[1:]))
+
+
+def far_out(sm):
+    """Fiber 0 is s -> s with period 20, except at s = 10 mod 20, which no
+    window of bound 4 or less reaches on a fiber of unit 2."""
+    bad = FiberMap(20, 20, (*range(10), 11, *range(11, 20)))
     return sm._replace(fiber_maps=(bad, *sm.fiber_maps[1:]))
 
 
@@ -161,9 +171,14 @@ def patch_star_morphism(monkeypatch, target, mutate):
     monkeypatch.setattr(eq, "star_morphism", patched)
 
 
-def is_unit_on_one_fiber(star_ambient, x):
-    nonzero = [i for i, p in enumerate(x) if p != 0]
-    return len(nonzero) == 1 and x[nonzero[0]] == star_ambient.u[nonzero[0]]
+def on_one_fiber(x):
+    return sum(p != 0 for p in x) <= 1
+
+
+def replays(report, lhs, rhs):
+    """The failure (x, left, right) is what the two routes give at x, apart."""
+    x, left, right = report.failure
+    return (lhs(x), rhs(x)) == (left, right) and left != right
 
 
 # chain(2) x chain(2): two star fibers over the same chain, so a swapped
@@ -175,33 +190,47 @@ def identity(algebra):
     return MVMorphism(algebra, algebra, tuple(range(algebra.size)))
 
 
-@pytest.mark.parametrize("mutate", [wrong_source, wrong_hom])
-@pytest.mark.parametrize("which", ["first", "then", "composite"])
-def test_composition_square_rejects_mutants(monkeypatch, fresh_memos, mutate, which):
-    first, then = identity(SQUARE), identity(SQUARE)
-    target = {
+def composition_routes(first, then):
+    """The two routes of the composition square, looked up at call time."""
+    return (
+        lambda x: eq.star_morphism(compose(first, then))(x),
+        lambda x: eq.star_morphism(then)(eq.star_morphism(first)(x)),
+    )
+
+
+def pick(which, first, then):
+    return {
         "first": lambda h: h is first,
         "then": lambda h: h is then,
         "composite": lambda h: h is not first and h is not then,
     }[which]
-    patch_star_morphism(monkeypatch, target, mutate)
-    dom = eq.star_morphism(first).dom
-    window = set(fiber_oracles.window(dom, 2))
-    for report in (
-        eq.star_functoriality(first, then, window=2),
-        star_functoriality_oracle(first, then, window=2),
-    ):
-        assert not report.ok
-        x, lhs, rhs = report.failure
-        assert x in window
-        replay = (
-            eq.star_morphism(compose(first, then))(x),
-            eq.star_morphism(then)(eq.star_morphism(first)(x)),
-        )
-        assert replay == (lhs, rhs) and lhs != rhs
-    if mutate is wrong_source:
-        x = eq.star_functoriality(first, then, window=2).failure[0]
-        assert is_unit_on_one_fiber(dom, x)
+
+
+@pytest.mark.parametrize("mutate", [wrong_source, wrong_hom])
+@pytest.mark.parametrize("which", ["first", "then", "composite"])
+def test_composition_square_rejects_mutants(monkeypatch, fresh_memos, mutate, which):
+    first, then = identity(SQUARE), identity(SQUARE)
+    patch_star_morphism(monkeypatch, pick(which, first, then), mutate)
+    routes = composition_routes(first, then)
+    report = eq.star_functoriality(first, then)
+    assert not report.ok and replays(report, *routes) and on_one_fiber(report.failure[0])
+    slow = star_functoriality_oracle(first, then, window=2)
+    assert not slow.ok and replays(slow, *routes)
+    assert slow.failure[0] in set(fiber_oracles.window(eq.star_morphism(first).dom, 2))
+
+
+@pytest.mark.parametrize("which", ["first", "then", "composite"])
+def test_composition_square_rejects_a_mutant_beyond_the_windows(
+    monkeypatch, fresh_memos, which
+):
+    # the product-window walk passes it up to bound 4, the value route does not
+    first, then = identity(SQUARE), identity(SQUARE)
+    patch_star_morphism(monkeypatch, pick(which, first, then), far_out)
+    assert all(star_functoriality_oracle(first, then, w).ok for w in (1, 2, 3, 4))
+    assert not star_functoriality_oracle(first, then, 5).ok
+    report = eq.star_functoriality(first, then)
+    assert not report.ok and report.failure[0] == (10, 0)
+    assert replays(report, *composition_routes(first, then))
 
 
 def square_group():
@@ -209,40 +238,49 @@ def square_group():
     return make_product_group([f, f], [(1, 0), (1, 0)])
 
 
-@pytest.mark.parametrize("mutate", [wrong_source, wrong_hom])
-def test_evaluation_square_rejects_mutants(monkeypatch, fresh_memos, mutate):
-    g = square_group()
+def identity_map(g):
     f = g.fibers[0]
     ident = FiberMap.extension(identity(f.chain), f, f)
-    phi = LGroupMap(dom=g, cod=g, source_fiber=(0, 1), fiber_maps=(ident, ident))
-    patch_star_morphism(monkeypatch, lambda h: True, mutate)
+    return LGroupMap(dom=g, cod=g, source_fiber=(0, 1), fiber_maps=(ident, ident))
+
+
+def evaluation_routes(phi):
+    """The two routes of the evaluation square, through the oracle's evaluation."""
     um_dom, um_cod = UpsilonMap(phi.dom), UpsilonMap(phi.cod)
-    segment = gamma_segment(g)
-    sm = eq.star_morphism(eq.gamma_restriction(phi, segment, segment))
-    window = set(fiber_oracles.window(sm.dom, 2))
-    for report in (
-        eq.upsilon_naturality(phi, window=2),
-        upsilon_naturality_oracle(phi, window=2),
-    ):
-        assert not report.ok
-        x, lhs, rhs = report.failure
-        assert x in window
-        assert (phi(um_dom.evaluation(x)), um_cod.evaluation(sm(x))) == (lhs, rhs)
-        assert lhs != rhs
-    if mutate is wrong_source:
-        x = eq.upsilon_naturality(phi, window=2).failure[0]
-        assert is_unit_on_one_fiber(sm.dom, x)
+    sm = eq.star_morphism(eq.gamma_restriction(phi, um_dom.segment, um_cod.segment))
+    return sm, lambda x: phi(um_dom.evaluation(x)), lambda x: um_cod.evaluation(sm(x))
 
 
-# fiber maps on the group over chain(2), whose unit is 2, that break the
-# premise of the unit probe (fix 0, keep the unit positive), so only the rest
-# of the per-fiber scan can tell whether two routes reading different fibers
-# agree
+@pytest.mark.parametrize("mutate", [wrong_source, wrong_hom])
+def test_evaluation_square_rejects_mutants(monkeypatch, fresh_memos, mutate):
+    phi = identity_map(square_group())
+    patch_star_morphism(monkeypatch, lambda h: True, mutate)
+    sm, *routes = evaluation_routes(phi)
+    report = eq.upsilon_naturality(phi)
+    assert not report.ok and replays(report, *routes) and on_one_fiber(report.failure[0])
+    slow = upsilon_naturality_oracle(phi, window=2)
+    assert not slow.ok and replays(slow, *routes)
+    assert slow.failure[0] in set(fiber_oracles.window(sm.dom, 2))
+
+
+def test_evaluation_square_rejects_a_mutant_beyond_the_windows(monkeypatch, fresh_memos):
+    phi = identity_map(square_group())
+    patch_star_morphism(monkeypatch, lambda h: True, far_out)
+    assert all(upsilon_naturality_oracle(phi, w).ok for w in (1, 2, 3, 4))
+    assert not upsilon_naturality_oracle(phi, 5).ok
+    report = eq.upsilon_naturality(phi)
+    assert not report.ok and report.failure[0] == (10, 0)
+    assert replays(report, *evaluation_routes(phi)[1:])
+
+
+# fiber maps on the group over chain(2), whose unit is 2, among them maps
+# that do not fix 0 or keep the unit positive: two routes reading different
+# fibers agree exactly when both maps are constant and equal
 ODD_FIBER_MAPS = {
-    "zero": lambda t: 0,
-    "unit": lambda t: 2,
-    "shift": lambda t: t + 2,
-    "id": lambda t: t,
+    "zero": FiberMap(1, 0, (0,)),
+    "unit": FiberMap(1, 0, (2,)),
+    "shift": FiberMap(1, 1, (2,)),
+    "id": FiberMap(1, 1, (0,)),
 }
 
 
@@ -268,51 +306,101 @@ def test_routes_reading_different_fibers_match_the_oracle(
         return mutate(sm, True, left)
 
     monkeypatch.setattr(eq, "star_morphism", patched)
-    fast = eq.star_functoriality(first, then, window=2)
-    slow = star_functoriality_oracle(first, then, window=2)
-    assert fast.ok == slow.ok == (left == right and left in ("zero", "unit"))
-    if fast.ok:
-        assert fast.checked == slow.checked
-    else:
-        x, lhs, rhs = fast.failure
-        assert x in set(fiber_oracles.window(original(first).dom, 2))
-        replay = (
-            eq.star_morphism(compose(first, then))(x),
-            eq.star_morphism(then)(eq.star_morphism(first)(x)),
-        )
-        assert replay == (lhs, rhs) and lhs != rhs
-
-
-class OneStepHigh(FiberMap):
-    """A star map that reads its input one step high."""
-
-    def __call__(self, t):
-        return super().__call__(t + 1)
+    fast = eq.star_functoriality(first, then)
+    for window in (1, 2, 3):
+        assert fast.ok == star_functoriality_oracle(first, then, window).ok
+    assert fast.ok == (left == right and left in ("zero", "unit"))
+    if not fast.ok:
+        assert replays(fast, *composition_routes(first, then))
+        assert on_one_fiber(fast.failure[0])
 
 
 EXTENSION = FiberMap.extension
 
 
 def one_step_high(cls, hom, dom, cod):
-    """`FiberMap.extension`, but every star map it builds is `OneStepHigh`."""
-    return OneStepHigh(*EXTENSION(hom, dom, cod))
+    """`FiberMap.extension`, but every star map it builds reads its input
+    one step high: s -> fm(s + 1), the same period and step."""
+    fm = EXTENSION(hom, dom, cod)
+    return FiberMap(fm.period, fm.step, tuple(fm(r + 1) for r in range(fm.period)))
 
 
 def test_star_map_off_by_one_fails_every_square(monkeypatch, fresh_memos):
     # fresh_memos: a map cached by another test before the patch would hide it
     first, then = identity(SQUARE), identity(SQUARE)
-    g = square_group()
-    f = g.fibers[0]
-    ident = FiberMap.extension(identity(f.chain), f, f)
-    phi = LGroupMap(dom=g, cod=g, source_fiber=(0, 1), fiber_maps=(ident, ident))
+    phi = identity_map(square_group())
     monkeypatch.setattr(FiberMap, "extension", classmethod(one_step_high))
     try:
         assert not eq.iota_naturality(first).ok
-        assert not eq.star_functoriality(first, then, window=2).ok
+        assert not eq.star_functoriality(first, then).ok
         assert not star_functoriality_oracle(first, then, window=2).ok
-        assert not eq.upsilon_naturality(phi, window=2).ok
+        assert not eq.upsilon_naturality(phi).ok
         assert not upsilon_naturality_oracle(phi, window=2).ok
     finally:
         monkeypatch.undo()
         fresh_memos()  # maps cached under the patch would hide the repair
-    assert eq.iota_naturality(first).ok and eq.upsilon_naturality(phi, window=2).ok
+    assert eq.iota_naturality(first).ok and eq.upsilon_naturality(phi).ok
+
+
+# -- properties of the value route ---------------------------------------------------
+
+
+@st.composite
+def fiber_maps(draw, constant=False):
+    period = draw(st.integers(1, 6))
+    if constant:
+        return FiberMap(period, 0, (draw(st.integers(-6, 6)),) * period)
+    table = draw(st.lists(st.integers(-12, 12), min_size=period, max_size=period))
+    return FiberMap(period, draw(st.integers(-6, 6)), tuple(table))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fiber_maps(), fiber_maps())
+def test_composite_fiber_map_is_pointwise_composition(f, g):
+    h = f.then(g)
+    span = range(-3 * h.period, 3 * h.period + 1)
+    assert [h(s) for s in span] == [g(f(s)) for s in span]
+
+
+def unrolled(f, k):
+    """The same map as f, written with k times its period."""
+    return FiberMap(k * f.period, k * f.step, tuple(f(r) for r in range(k * f.period)))
+
+
+@st.composite
+def route_pairs(draw):
+    """Two maps out of a one- or two-fiber group, each output fiber reading
+    any input fiber; the right-hand fiber map is often the left one written
+    over a longer period, and the maps are often constant."""
+    k = draw(st.integers(1, 2))
+    dom = SweepContext.group((2,) * k, tuple(draw(st.integers(1, 2)) for _ in range(k)))
+    outputs = draw(st.integers(1, 2))
+    sources = [draw(st.integers(0, k - 1)) for _ in range(2 * outputs)]
+    left, right = [], []
+    for _ in range(outputs):
+        f = draw(fiber_maps(constant=draw(st.booleans())))
+        kind = draw(st.sampled_from(["unrolled", "constant", "any"]))
+        if kind == "unrolled":
+            g = unrolled(f, draw(st.integers(1, 3)))
+        else:
+            g = draw(fiber_maps(constant=kind == "constant"))
+        left.append(f)
+        right.append(g)
+    return (
+        LGroupMap(dom, dom, tuple(sources[:outputs]), tuple(left)),
+        LGroupMap(dom, dom, tuple(sources[outputs:]), tuple(right)),
+        tuple(draw(st.integers(-60, 60)) for _ in range(k)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(route_pairs())
+def test_value_route_agrees_with_the_window_oracle(case):
+    lhs, rhs, far = case
+    report = eq._routes_agree(lhs, rhs)
+    if report.ok:
+        for window in (1, 2, 3):
+            assert all(lhs(x) == rhs(x) for x in fiber_oracles.window(lhs.dom, window))
+        assert lhs(far) == rhs(far)
+    else:
+        assert replays(report, lhs, rhs) and on_one_fiber(report.failure[0])

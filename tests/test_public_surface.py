@@ -11,6 +11,7 @@ calls is not public API; the test fails on it.
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -169,3 +170,16 @@ def test_cached_functions_have_one_call_form():
     assert loose == []
     assert {"upsilon", "quotient", "find_morphisms", "_unital_feeds"} <= set(checked)
     assert {"check_mv_axioms", "spectrum", "star_algebra", "unit_segment"} <= set(checked)
+
+
+def test_the_squares_take_no_window():
+    # the squares are decided on the whole group by fiber-map values, so
+    # they have no bound to choose
+    from mvgamma.equivalence import _routes_agree, star_functoriality, upsilon_naturality
+
+    def params(fn):
+        return tuple(inspect.signature(fn).parameters)
+
+    assert params(star_functoriality) == ("first", "then")
+    assert params(upsilon_naturality) == ("phi",)
+    assert params(_routes_agree) == ("lhs", "rhs")

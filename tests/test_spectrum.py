@@ -37,6 +37,7 @@ from mvgamma.spectrum import (
     spectrum,
 )
 from mvgamma.equivalence import star_algebra
+from mvgamma.errors import InternalInvariantError
 from mvgamma.lgroup import gamma_segment
 from mvgamma.sweeps import SweepContext, generated_algebras
 from fiber_oracles import canonical_embedding
@@ -338,7 +339,7 @@ def test_induced_morphism_rejects_incompatible_quotients():
     coarse = quotient(SQ, Ideal(SQ, frozenset({0, 1})))
     other = quotient(SQ, Ideal(SQ, frozenset({0, 2})))
     assert induced_morphism(ident, quotient(SQ, Ideal(SQ, frozenset({0}))), coarse).map == (0, 0, 1, 1)
-    with pytest.raises(RuntimeError, match="not constant"):
+    with pytest.raises(InternalInvariantError, match="not constant"):
         induced_morphism(ident, coarse, other)
 
 
