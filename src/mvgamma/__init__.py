@@ -29,10 +29,11 @@ algebras compare and hash by identity.  Ideals and product groups compare and
 hash by value over them.  The pure builders (``check_mv_axioms``,
 ``find_morphisms``, ``spectrum``, ``quotient``, ``lgroup.unit_segment``,
 ``star_algebra``, ``star_morphism``, ``coordinate_ideal_checks``,
-``upsilon``, ``good_sequence_sums_hold``, and the evaluation maps of a unit
-as ``equivalence.FiberMap`` values) are memoized with ``functools.cache``,
-so equal inputs share one result, and ``cache_info()`` counts the hits.  A
-builder of several parameters takes them positional-only, one call form.
+``upsilon``, ``good_sequence_sums_hold``, the evaluation maps of a unit
+as ``equivalence.FiberMap`` values, and their composites) are memoized with
+``functools.cache``, so equal inputs share one result, and ``cache_info()``
+counts the hits.  A builder of several parameters takes them
+positional-only, one call form.
 """
 
 from sys import modules as _modules

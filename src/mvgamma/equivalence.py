@@ -8,13 +8,14 @@ recovers A as the unit segment.  The other direction starts from a group with
 a chosen positive unit, takes its unit segment as an algebra, and rebuilds
 the group from the segment's enveloping group.  Both bridging maps live here:
 iota (algebra into its star ambient) and upsilon (star ambient of a segment
-back onto the original group), together with checkers that certify on finite
-windows that they are inverse to each other.
+back onto the original group), together with checkers that certify that they
+are inverse to each other.
 
-Everything is exact integer arithmetic.  Upsilon's certificate enumerates
-a finite window; every other verdict holds on the whole group.  Operations
-on product groups act coordinatewise, so quantifiers factor through the
-fibers; checkers that exploit the factorization document it on the spot.
+Everything is exact integer arithmetic, and every verdict holds on the whole
+group: each fiber of a map here is a `FiberMap`, which gains its step when s
+gains its period, so one period decides it on all of ℤ.  Operations on
+product groups act coordinatewise, so quantifiers factor through the fibers;
+checkers that exploit the factorization document it on the spot.
 """
 
 from __future__ import annotations
@@ -104,11 +105,8 @@ class FiberMap(NamedTuple):
         return m * self.step + self.table[r]
 
     def then(self, g: FiberMap) -> FiberMap:
-        """The composite s -> g(self(s)): over P = period·g.period / gcd(step,
-        g.period) the input moves by a multiple of g's period, so P is a period."""
-        period = self.period * g.period // math.gcd(self.step, g.period)
-        values = tuple(g(self(r)) for r in range(period + 1))
-        return FiberMap(period, values[-1] - values[0], values[:-1])
+        """The composite s -> g(self(s)), built once per pair of values."""
+        return _composite(self, g)
 
     @classmethod
     def extension(cls, hom: MVMorphism, dom: ChangChainGroup, cod: ChangChainGroup) -> FiberMap:
@@ -120,6 +118,15 @@ class FiberMap(NamedTuple):
         """
         table = tuple(cod.rank[hom.map[a]] for a in dom.by_rank[: dom.height])
         return cls(dom.height, cod.height, table)
+
+
+@functools.cache
+def _composite(f: FiberMap, g: FiberMap, /) -> FiberMap:
+    """g after f: over P = f.period·g.period / gcd(f.step, g.period) the input
+    of g moves by a multiple of g's period, so P is a period."""
+    period = f.period * g.period // math.gcd(f.step, g.period)
+    values = tuple(g(f(r)) for r in range(period + 1))
+    return FiberMap(period, values[-1] - values[0], values[:-1])
 
 
 # -- the star of a finite algebra ----------------------------------------------
@@ -492,56 +499,46 @@ def _evaluation(group: ProductLuGroup) -> tuple[GammaSegment, LGroupMap]:
 
 @functools.cache
 def _fiber_certificate(
-    fiber_map: FiberMap, lift_by_rank: tuple[int, ...], window: int, /
-) -> tuple[bool, bool, bool, bool, bool, int]:
-    """Upsilon's checks on one fiber: the evaluation f of a star fiber of
-    height h = f.period into a group fiber with unit coordinate up = f.step,
-    whose class of rank r lifts to lift_by_rank[r].
+    fiber_map: FiberMap, lift_by_rank: tuple[int, ...], /
+) -> tuple[bool, bool, bool, bool, bool]:
+    """Upsilon's checks on one fiber, on all of ℤ: the evaluation f of a star
+    fiber of height h = f.period into a group fiber with unit coordinate
+    up = f.step, whose class of rank r lifts to lift_by_rank[r], r in 0..h.
 
-    Each check is exhaustive.  Additivity on all pairs of the star fiber's
-    window is checked as linearity, f(s) = s·f(1) on the doubled window, in
-    one pass of O(window·h) instead of O((window·h)²).  The two agree:
-    pairwise additivity on the window gives f(0) = 0 and f(s ± 1) = f(s) ±
-    f(1), so f(k) = k·f(1) on the window; every point of the doubled window
-    is a sum of two window points, so that extends to the doubled window;
-    and a linear map is additive.  Then strict monotonicity over the window
-    (order embedding and injectivity in one pass); unit and zero
-    preservation; the segment identity, f(r) = lift_by_rank[r] for r in
-    0..h (the top class has rank h, one whole unit, so this is where the
-    carry to u_t is checked); and surjectivity onto the group fiber's
-    window, each target divided once, v = n·up + r, and hit by n·h plus the
-    rank that lifts to r.  Returns (additive, order_embedding,
-    preserves_unit, segment_identity, surjective, size of the group fiber's
-    window).  Every argument is a value, so equal maps share one certificate.
+    f(s + h) = f(s) + up, so f is read on one period, 0..h, and each
+    residue below up is checked once.  Additivity is linearity, f(s) =
+    s·f(1) on 0..h: that gives f(0) = 0 and up = f(h) = h·f(1), and the step
+    carries it to ℤ.  Order embedding and injectivity in one pass: strictly
+    increasing over 0..h, and the differences f(s + 1) - f(s) repeat with
+    period h.  Unit and zero preservation.  The segment identity, f(r) =
+    lift_by_rank[r] (the top class has rank h, one whole unit, so this is
+    where the carry to up is checked).  Surjectivity: v = n·up + r is hit
+    by n·h plus the rank that lifts to r exactly when that rank evaluates
+    to r.  Returns (additive, order_embedding, preserves_unit,
+    segment_identity, surjective).  Every argument is a value, so equal
+    maps share one certificate.
     """
     h, up = fiber_map.period, fiber_map.step
-    inner = range(-window * h, window * h + 1)
-    table = {s: fiber_map(s) for s in range(-2 * window * h, 2 * window * h + 1)}
-    additive = all(v == s * table[1] for s, v in table.items())
-    values = [table[s] for s in inner]
-    order_embedding = all(v < w for v, w in zip(values, values[1:]))
-    preserves_unit = table[h] == up and table[0] == 0
-    segment_identity = all(table[r] == v for r, v in enumerate(lift_by_rank))
+    values = tuple(fiber_map(s) for s in range(h + 1))
+    additive = all(v == s * values[1] for s, v in enumerate(values))
+    order_embedding = all(v < w for v, w in itertools.pairwise(values))
+    preserves_unit = values[0] == 0 and values[h] == up
+    segment_identity = values == lift_by_rank
     rank_of = {v: r for r, v in enumerate(lift_by_rank)}
-    targets = range(-window * up, window * up + 1)
-    surjective = True
-    for v in targets:
-        n, r = divmod(v, up)
-        rank = rank_of.get(r)
-        surjective &= rank is not None and fiber_map(n * h + rank) == v
-    return additive, order_embedding, preserves_unit, segment_identity, surjective, len(targets)
+    surjective = all(r in rank_of and fiber_map(rank_of[r]) == r for r in range(up))
+    return additive, order_embedding, preserves_unit, segment_identity, surjective
 
 
 class UpsilonResult(NamedTuple):
-    """Window-certified verdict that upsilon is a unital ordered isomorphism.
+    """Verdict, on the whole group, that upsilon is a unital ordered
+    isomorphism.
 
     Additivity, order embedding, unit preservation, the segment identity
     and surjectivity are checked one fiber at a time, each fiber by its
     cached certificate.  Because every operation involved (addition, order,
     iota, the map itself) acts coordinatewise, a product quantifier is
-    exactly the conjunction of the per-fiber ones; `window_elements` reports
-    the size of the product window those conjunctions cover.  The box is
-    checked on the product itself.
+    exactly the conjunction of the per-fiber ones.  The box is checked on
+    the product itself.
     """
 
     additive: bool
@@ -550,46 +547,29 @@ class UpsilonResult(NamedTuple):
     segment_identity: bool
     surjective: bool
     box_is_circle: bool
-    window_elements: int
 
     @property
     def holds(self) -> bool:
-        return (
-            self.additive
-            and self.order_embedding
-            and self.preserves_unit
-            and self.segment_identity
-            and self.surjective
-            and self.box_is_circle
-        )
+        return all(self)
 
 
 @functools.cache
-def upsilon(u: GroupElement, window: int, /) -> UpsilonResult:
+def upsilon(u: GroupElement, /) -> UpsilonResult:
     """Build the evaluation map of a group with unit u and certify it on the
-    given window, at least 1; it reads only u, so it runs once per unit.
+    whole group; it reads only u, so it runs once per unit.
 
     Building it (`_segment_lifts`) validates the prime alignment and the
     lifts.  Each fiber then gets its certificate
     (`_fiber_certificate`: additivity, order embedding, unit and zero, the
     segment identity `evaluate(iota(x)) = x` on that fiber's classes,
-    surjectivity through one division by the unit per target).  On the
+    surjectivity one residue of the unit at a time).  On the
     product: the segment being exactly the box of class pairs, injectively.
     """
-    if window < 1:
-        raise ValueError(f"window must be at least 1, not {window}")
     _, star, fibers = _segment_lifts(u)
-    *checks, sizes = zip(*(_fiber_certificate(fm, lift, window) for fm, lift in fibers))
-    additive, order_embedding, preserves_unit, segment_identity, surjective = map(all, checks)
+    checks = zip(*(_fiber_certificate(fm, lift) for fm, lift in fibers))
     box_size = math.prod(f.height + 1 for f in star.ambient.fibers)
     return UpsilonResult(
-        additive=additive,
-        order_embedding=order_embedding,
-        preserves_unit=preserves_unit,
-        segment_identity=segment_identity,
-        surjective=surjective,
-        box_is_circle=star.injective and len(star.a_circle) == box_size,
-        window_elements=math.prod(sizes),
+        *map(all, checks), box_is_circle=star.injective and len(star.a_circle) == box_size
     )
 
 

@@ -351,8 +351,9 @@ class _Runner:
         if kind == "algebra":
             report = iota_roundtrip(star_algebra(value))
             return report.holds, {**report._asdict(), "window_generated": report.onto_segment}
-        result = upsilon(value.u, window)
-        return result.holds, result._asdict()
+        result = upsilon(value.u)
+        window_elements = math.prod(2 * window * up + 1 for up in value.u)
+        return result.holds, {**result._asdict(), "window_elements": window_elements}
 
     def _segment_context(self, cmd: Command):
         kind, value = self.value(cmd.name, ("algebra", "group"), cmd.line)
@@ -428,7 +429,7 @@ class _Runner:
             detail = {"morphism_law": law, "iota_square": square}
             return law and square, detail
         detail = {
-            "upsilon": upsilon(value.u, window).holds,
+            "upsilon": upsilon(value.u).holds,
             "coordinate_ideals": all(r.holds for r in coordinate_ideal_checks(value.u)),
             "good_sequence_sums": good_sequence_sums_hold(value.u, min(2, window)),
         }

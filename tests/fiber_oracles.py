@@ -10,7 +10,9 @@ and mutants are injected into both.  `evaluate` is looked up on this module
 at call time, so a test can patch it.  `canonical_embedding` is the map into
 the product table of the prime quotients, one mixed-radix index per element.
 `window` enumerates a product window, the product of a group's fiber
-windows.  `segment_generation_check` walks a product window of the star
+windows.  `fiber_certificate_on_window` is the earlier body of upsilon's
+per-fiber certificate, which walked a window of the star fiber and of the
+group fiber; the package reads one period and the residues of the unit.  `segment_generation_check` walks a product window of the star
 ambient and tests each element for membership in the subgroup a_circle
 generates; the package reads the same verdict off
 `iota_roundtrip(star).onto_segment`.  `members_match_by_membership` runs the
@@ -24,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from mvgamma.equivalence import StarAlgebra, generated_membership, star_algebra
+from mvgamma.equivalence import FiberMap, StarAlgebra, generated_membership, star_algebra
 from mvgamma.lgroup import ChangChainGroup, GroupElement, ProductLuGroup, gamma_segment
 from mvgamma.mv_core import FiniteMVAlgebra, MVMorphism, make_product_many
 from mvgamma.spectrum import class_values, quotient, spectrum
@@ -93,6 +95,34 @@ def window(group: ProductLuGroup, bound: int) -> Iterator[GroupElement]:
     """All x with |x| <= bound·u: the product of the fiber windows, each
     fiber's integers t with |t| <= bound·u_t, ascending."""
     return itertools.product(*(range(-bound * up, bound * up + 1) for up in group.u))
+
+
+def fiber_certificate_on_window(
+    fiber_map: FiberMap, lift_by_rank: tuple[int, ...], window: int
+) -> tuple[bool, bool, bool, bool, bool, int]:
+    """Upsilon's five checks on one fiber, over windows: linearity on the
+    doubled window of the star fiber (height h = f.period), which is
+    pairwise additivity on the window; strict monotonicity over the window;
+    unit and zero; the segment identity on the ranks 0..h; and every target
+    of the group fiber's window |v| <= window·up, up = f.step, hit by n·h
+    plus the rank that lifts to r, where v = n·up + r.  Returns the five
+    verdicts and the size of the group fiber's window."""
+    h, up = fiber_map.period, fiber_map.step
+    inner = range(-window * h, window * h + 1)
+    table = {s: fiber_map(s) for s in range(-2 * window * h, 2 * window * h + 1)}
+    additive = all(v == s * table[1] for s, v in table.items())
+    values = [table[s] for s in inner]
+    order_embedding = all(v < w for v, w in zip(values, values[1:]))
+    preserves_unit = table[h] == up and table[0] == 0
+    segment_identity = all(table[r] == v for r, v in enumerate(lift_by_rank))
+    rank_of = {v: r for r, v in enumerate(lift_by_rank)}
+    targets = range(-window * up, window * up + 1)
+    surjective = True
+    for v in targets:
+        n, r = divmod(v, up)
+        rank = rank_of.get(r)
+        surjective &= rank is not None and fiber_map(n * h + rank) == v
+    return additive, order_embedding, preserves_unit, segment_identity, surjective, len(targets)
 
 
 def members_match_by_membership(star: StarAlgebra) -> bool:

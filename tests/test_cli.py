@@ -613,6 +613,27 @@ def test_window_cap_is_eight_and_the_cap_itself_runs(tmp_path, capsys):
     assert error is None
 
 
+def test_group_verdicts_do_not_move_with_the_window(tmp_path, capsys):
+    # upsilon is decided on the whole group; the window only sizes the
+    # reported count, the product of 2·w·u_t + 1 over the unit u
+    script = write(
+        tmp_path,
+        "tour_group.mvg",
+        "group G = fibers [2, 3] unit [(1, 0), (1, 1)]\nroundtrip G\ncheck G\n",
+    )
+    verdicts = []
+    for w in (1, 4, 8):
+        assert main(["run", script, "--window", str(w)]) == 0
+        roundtrip, check = json.loads(capsys.readouterr().out)["commands"]
+        count = roundtrip["detail"].pop("window_elements")
+        assert count == (2 * w * 1 + 1) * (2 * w * 3 + 1)  # u = (1, 3)
+        verdicts.append((roundtrip["detail"], check["detail"]))
+        if w == 4:
+            assert count == 225  # as in the tour's golden report
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert all(verdicts[0][0].values()) and all(verdicts[0][1].values())
+
+
 @pytest.mark.parametrize("command", ["goodseq", "member"])
 def test_listing_above_the_cap_is_three_at_any_length(tmp_path, capsys, command):
     # 10^100 copies of the unit and one step more: 10^100 + 1 entries, refused

@@ -31,11 +31,12 @@ import fiber_oracles
 import mvgamma.equivalence as eq
 import mvgamma.lgroup as lgroup
 from mvgamma import interp
-from mvgamma.interp import execute
+from mvgamma.interp import RunConfig, execute
 from mvgamma.script import parse_script
 from fiber_oracles import (
     ChainStarMap,
     UpsilonMap,
+    fiber_certificate_on_window,
     members_match_by_membership,
     segment_generation_check,
     window,
@@ -680,7 +681,7 @@ def test_upsilon_inverse_matches_the_map():
 )
 def test_upsilon_certificate_holds(fibers, u):
     g = make_product_group([ChangChainGroup(make_chain(n)) for n in fibers], u)
-    result = upsilon(g.u, 3)
+    result = upsilon(g.u)
     assert result.additive
     assert result.order_embedding
     assert result.preserves_unit
@@ -688,7 +689,6 @@ def test_upsilon_certificate_holds(fibers, u):
     assert result.surjective
     assert result.box_is_circle
     assert result.holds
-    assert result.window_elements > 1
 
 
 def upsilon_by_peeling(group, window):
@@ -755,11 +755,26 @@ def upsilon_by_peeling(group, window):
     )
 
 
+def roundtrip_details(groups, window):
+    """The `roundtrip` detail of each group, from one script run at the window."""
+    lines = []
+    for i, g in enumerate(groups):
+        sizes = [f.height + 1 for f in g.fibers]
+        unit = ", ".join(str(tuple(p)) for p in g.to_pairs(g.u))
+        lines += [f"group G{i} = fibers {sizes} unit [{unit}]", f"roundtrip G{i}"]
+    report = execute(parse_script("\n".join(lines)), RunConfig(window=window))
+    return [c["detail"] for c in report.as_json()["commands"]]
+
+
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_upsilon_matches_the_peeling_body(window):
-    for chains, heights in group_shapes(2, 3, 2):
-        g = SweepContext.group(chains, heights)
-        assert tuple(upsilon(g.u, window)) == upsilon_by_peeling(g, window)
+    # the six verdicts hold on the whole group, so they match the peeling
+    # body at every window; the window count is the one `roundtrip` reports
+    groups = [SweepContext.group(c, h) for c, h in group_shapes(2, 3, 2)]
+    for g, detail in zip(groups, roundtrip_details(groups, window), strict=True):
+        *verdicts, window_elements = upsilon_by_peeling(g, window)
+        assert tuple(upsilon(g.u)) == tuple(verdicts)
+        assert detail == {**upsilon(g.u)._asdict(), "window_elements": window_elements}
 
 
 def additive_by_pairs(f, window):
@@ -780,8 +795,33 @@ def fiber_data(group):
 def test_linearity_matches_pairwise_additivity(window):
     for chains, heights in group_shapes(2, 3, 2):
         for fm, lift in fiber_data(SweepContext.group(chains, heights)):
-            certificate = eq._fiber_certificate(fm, lift, window)
+            certificate = eq._fiber_certificate(fm, lift)
             assert certificate[0] == additive_by_pairs(fm, window)
+
+
+@st.composite
+def fiber_map_and_lift(draw):
+    """A `FiberMap` of period 1..6 and step 1..8 with any table, or an
+    evaluation map (the identity of one period), and a lift for each rank
+    0..h: its own values or random ones."""
+    h = draw(st.integers(1, 6))
+    table = st.tuples(*[st.integers(-3, 12)] * h)
+    f = draw(
+        st.builds(FiberMap, st.just(h), st.integers(1, 8), table)
+        | st.just(FiberMap(h, h, tuple(range(h))))
+    )
+    honest = tuple(f(r) for r in range(h + 1))
+    lift = draw(st.just(honest) | st.tuples(*[st.integers(-1, 8)] * (h + 1)))
+    return f, lift
+
+
+@settings(max_examples=500, deadline=None)
+@given(fiber_map_and_lift())
+def test_certificate_matches_the_window_oracle(case):
+    # one period and the residues of the step decide what every window does
+    f, lift = case
+    for window in (1, 2, 3):
+        assert eq._fiber_certificate(f, lift) == fiber_certificate_on_window(f, lift, window)[:5]
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
@@ -800,26 +840,24 @@ def test_evaluation_fiber_maps_match_the_old_evaluation(window):
         assert (ev.dom, ev.cod) == (um.star.ambient, g)
 
 
-class OffAtTwoPeriodsPlusOne(FiberMap):
-    """One value off by one at s = 2h + 1, away from 0 and the unit."""
-
-    def __call__(self, s):
-        return super().__call__(s) + (s == 2 * self.period + 1)
+def table_entry_one_high(fm):
+    """The value at rank 1 one step high, in every copy."""
+    return fm._replace(table=fm.table[:1] + (fm.table[1] + 1,) + fm.table[2:])
 
 
-class WithoutCopies(FiberMap):
-    """(m, c) evaluates to the lift of c, dropping the m·u_t term."""
-
-    def __call__(self, s):
-        return self.table[s % self.period]
+def step_one_high(fm):
+    """Each copy one step past the unit: f(h) = u_t + 1 overshoots the lift."""
+    return fm._replace(step=fm.step + 1)
 
 
-@pytest.mark.parametrize("window", [2, 3])
-def test_additivity_mutant_fails_both_versions(window, fresh_memos):
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_additivity_mutant_fails_both_versions(window):
+    # evaluation maps are plain `FiberMap` values, so their mutants are too
     for fm, lift in fiber_data(SweepContext.group((1, 2), (2, 2))):
-        bad = OffAtTwoPeriodsPlusOne(fm.period, fm.step, fm.table)
-        assert not additive_by_pairs(bad, window)
-        assert not eq._fiber_certificate(bad, lift, window)[0]
+        for bad in (table_entry_one_high(fm), step_one_high(fm)):
+            assert not additive_by_pairs(bad, window)
+            assert not fiber_certificate_on_window(bad, lift, window)[0]
+            assert not eq._fiber_certificate(bad, lift)[0]
 
 
 def patch_fiber_data(monkeypatch, mutate):
@@ -870,35 +908,57 @@ def bump_lift(monkeypatch, r):
     monkeypatch.setattr(UpsilonMap, "__init__", bumped_oracle)
 
 
-def evaluation_without_copies(monkeypatch):
-    patch_fiber_data(
-        monkeypatch, lambda t, fm, lift: (WithoutCopies(*fm), lift)
-    )
+def patch_evaluations(monkeypatch, mutate, bump):
+    """Mutate every evaluation fiber map, in the package by value and in the
+    oracle by bump(star fiber, s), the amount its evaluation gains at s."""
+    patch_fiber_data(monkeypatch, lambda t, fm, lift: (mutate(fm), lift))
+    evaluate = fiber_oracles.evaluate
     monkeypatch.setattr(
-        fiber_oracles, "evaluate", lambda sf, up, lift, s: lift[sf.by_rank[s % sf.height]]
+        fiber_oracles,
+        "evaluate",
+        lambda sf, up, lift, s: evaluate(sf, up, lift, s) + bump(sf, s),
     )
     return upsilon_by_peeling
 
 
+def evaluation_table_entry_one_high(monkeypatch):
+    return patch_evaluations(
+        monkeypatch, table_entry_one_high, lambda sf, s: s % sf.height == 1
+    )
+
+
+def evaluation_step_one_high(monkeypatch):
+    return patch_evaluations(monkeypatch, step_one_high, lambda sf, s: s // sf.height)
+
+
 @pytest.mark.parametrize(
-    "mutant", [lift_off_by_one, evaluation_without_copies, lift_bottom_off_by_one]
+    "mutant",
+    [
+        lift_off_by_one,
+        evaluation_table_entry_one_high,
+        evaluation_step_one_high,
+        lift_bottom_off_by_one,
+    ],
 )
 def test_upsilon_mutants_fail_both_versions(mutant, monkeypatch, fresh_memos):
     g = SweepContext.group((1, 2), (2, 2))
-    assert upsilon(g.u, 2).holds
+    assert upsilon(g.u).holds
     fresh_memos()  # a verdict cached by the clean run would hide the mutant
     try:
         oracle = mutant(monkeypatch)
-        assert not upsilon(g.u, 2).holds
+        assert not upsilon(g.u).holds
         try:
             oracle_verdicts = oracle(g, 2)
         except KeyError:  # the peel met an entry the mutated lift lost
             oracle_verdicts = None
         if oracle_verdicts is not None:
             assert not all(oracle_verdicts[:6])
+        if mutant.__name__.startswith("evaluation_"):
+            # a value mutant keeps every lift, so the peel runs through
+            assert oracle_verdicts is not None
         if mutant is lift_bottom_off_by_one:
             # the segment identity itself fails, per fiber and on the product
-            assert not upsilon(g.u, 2).segment_identity
+            assert not upsilon(g.u).segment_identity
             assert oracle_verdicts is not None and not oracle_verdicts[3]
     finally:
         monkeypatch.undo()
@@ -921,12 +981,6 @@ def test_segment_lifts_miss_once_per_unit(fresh_memos):
     assert (info.misses, info.hits) == (39, len(ctx.group_configs()) - 39)
     sums = eq.good_sequence_sums_hold.cache_info()
     assert (sums.misses, sums.misses + sums.hits) == (4, 64)
-
-
-@pytest.mark.parametrize("window", [0, -1])
-def test_upsilon_rejects_a_window_below_one(window):
-    with pytest.raises(ValueError, match=f"window must be at least 1, not {window}"):
-        upsilon((1, 2), window)
 
 
 def test_segment_lifts_require_star_classes_in_rank_order(monkeypatch, fresh_memos):

@@ -21,7 +21,13 @@ from mvgamma.mv_core import (
     make_chain,
     make_product,
 )
-from mvgamma.sweeps import SweepContext, _generated_group_maps, generated_algebras, group_shapes
+from mvgamma.sweeps import (
+    SweepContext,
+    _generated_group_maps,
+    generated_algebras,
+    group_shapes,
+    suite_naturality,
+)
 
 # -- product-window oracles ------------------------------------------------------
 #
@@ -360,6 +366,23 @@ def test_composite_fiber_map_is_pointwise_composition(f, g):
     h = f.then(g)
     span = range(-3 * h.period, 3 * h.period + 1)
     assert [h(s) for s in span] == [g(f(s)) for s in span]
+
+
+def test_a_fresh_naturality_suite_composes_each_pair_once(monkeypatch, fresh_memos):
+    # composites are cached by value: the suite asks for 3,616 of them, built
+    # from 42 distinct pairs of fiber maps, and builds each pair once
+    composite = eq._composite
+    pairs = []
+
+    def recorded(f, g):
+        pairs.append((f, g))
+        return composite(f, g)
+
+    monkeypatch.setattr(eq, "_composite", recorded)
+    assert suite_naturality(SweepContext(16, 4)).ok
+    info = composite.cache_info()
+    assert (info.misses, info.hits) == (len(set(pairs)), len(pairs) - len(set(pairs)))
+    assert (len(set(pairs)), len(pairs)) == (42, 3616)
 
 
 def unrolled(f, k):

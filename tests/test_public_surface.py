@@ -183,3 +183,12 @@ def test_the_squares_take_no_window():
     assert params(star_functoriality) == ("first", "then")
     assert params(upsilon_naturality) == ("phi",)
     assert params(_routes_agree) == ("lhs", "rhs")
+
+
+def test_upsilon_takes_no_window():
+    # each evaluation fiber map is decided on one period and the residues of
+    # its step, so upsilon's certificate has no bound to choose either
+    from mvgamma.equivalence import _fiber_certificate, upsilon
+
+    assert tuple(inspect.signature(upsilon).parameters) == ("u",)
+    assert len(inspect.signature(_fiber_certificate).parameters) == 2

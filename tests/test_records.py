@@ -75,7 +75,7 @@ def records() -> list:
         generated_membership(star.ambient, star.circle_index, star.a_circle[1]),
         iota_roundtrip(star),
         star_morphism(identity(A)),
-        upsilon((1, 2), 1),
+        upsilon((1, 2)),
         coordinate_ideal_checks((1, 2))[0],
         iota_naturality(identity(A)),
         free_quotient_experiment(A),

@@ -244,7 +244,7 @@ def _identity(a):
 
 RECORDS_WITHOUT_JSON = {
     "IotaReport": lambda a: iota_roundtrip(star_algebra(a)),
-    "UpsilonResult": lambda a: upsilon((1, 2), 1),
+    "UpsilonResult": lambda a: upsilon((1, 2)),
     "CommuteReport": lambda a: iota_naturality(_identity(a)),
     "AxiomReport": check_mv_axioms,
     "MembershipWitness": lambda a: generated_membership(
