@@ -107,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
             _write(dumps({"error": {"code": "io", "message": f"cannot read script: {exc}"}}))
             return 2
         return _run_text(text, config, args.json_out)
-    return _run_text(f"check all --max-size {args.max_size} --window {args.window}\n", config)
+    return _run_text("check all\n", config)
 
 
 if __name__ == "__main__":

@@ -499,33 +499,32 @@ def _evaluation(group: ProductLuGroup) -> tuple[GammaSegment, LGroupMap]:
 
 @functools.cache
 def _fiber_certificate(
-    fiber_map: FiberMap, lift_by_rank: tuple[int, ...], /
+    fiber_map: FiberMap, lift_by_rank: tuple[int, ...], up: int, /
 ) -> tuple[bool, bool, bool, bool, bool]:
     """Upsilon's checks on one fiber, on all of ℤ: the evaluation f of a star
-    fiber of height h = f.period into a group fiber with unit coordinate
-    up = f.step, whose class of rank r lifts to lift_by_rank[r], r in 0..h.
+    fiber of height h = f.period into a group fiber with unit coordinate up,
+    whose class of rank r lifts to lift_by_rank[r], r in 0..h.
 
-    f(s + h) = f(s) + up, so f is read on one period, 0..h, and each
-    residue below up is checked once.  Additivity is linearity, f(s) =
-    s·f(1) on 0..h: that gives f(0) = 0 and up = f(h) = h·f(1), and the step
-    carries it to ℤ.  Order embedding and injectivity in one pass: strictly
-    increasing over 0..h, and the differences f(s + 1) - f(s) repeat with
-    period h.  Unit and zero preservation.  The segment identity, f(r) =
-    lift_by_rank[r] (the top class has rank h, one whole unit, so this is
-    where the carry to up is checked).  Surjectivity: v = n·up + r is hit
-    by n·h plus the rank that lifts to r exactly when that rank evaluates
-    to r.  Returns (additive, order_embedding, preserves_unit,
-    segment_identity, surjective).  Every argument is a value, so equal
-    maps share one certificate.
+    f(s + h) = f(s) + f(h) - f(0), so f is read on one period, 0..h, and at
+    one rank per residue below up.  Additivity is linearity, f(s) = s·f(1)
+    on 0..h, which the period carries to ℤ.  Order embedding and
+    injectivity: strictly increasing over 0..h.  Unit and zero: f(0) = 0
+    and f(h) = up, the group's unit, not the map's step.  The segment
+    identity: f(r) = lift_by_rank[r].  Surjectivity: v = n·up + r is hit by
+    n·h plus the rank that lifts to r exactly when f gains up per period and
+    that rank evaluates to r.  Every argument is a value, so equal fibers
+    share one certificate.
     """
-    h, up = fiber_map.period, fiber_map.step
+    h = fiber_map.period
     values = tuple(fiber_map(s) for s in range(h + 1))
     additive = all(v == s * values[1] for s, v in enumerate(values))
     order_embedding = all(v < w for v, w in itertools.pairwise(values))
     preserves_unit = values[0] == 0 and values[h] == up
     segment_identity = values == lift_by_rank
     rank_of = {v: r for r, v in enumerate(lift_by_rank)}
-    surjective = all(r in rank_of and fiber_map(rank_of[r]) == r for r in range(up))
+    surjective = values[h] - values[0] == up and all(
+        r in rank_of and fiber_map(rank_of[r]) == r for r in range(up)
+    )
     return additive, order_embedding, preserves_unit, segment_identity, surjective
 
 
@@ -566,7 +565,7 @@ def upsilon(u: GroupElement, /) -> UpsilonResult:
     product: the segment being exactly the box of class pairs, injectively.
     """
     _, star, fibers = _segment_lifts(u)
-    checks = zip(*(_fiber_certificate(fm, lift) for fm, lift in fibers))
+    checks = zip(*(_fiber_certificate(*fiber, up) for fiber, up in zip(fibers, u)))
     box_size = math.prod(f.height + 1 for f in star.ambient.fibers)
     return UpsilonResult(
         *map(all, checks), box_is_circle=star.injective and len(star.a_circle) == box_size

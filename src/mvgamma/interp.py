@@ -83,8 +83,8 @@ __all__ = ["RunConfig", "SemanticError", "RunReport", "execute"]
 # random one in 0.08-0.11 s, one with a single neg entry off (associative, so
 # every triple is checked) in 0.32-0.36 s, and freequotient runs in 0.5 s.
 MAX_CARRIER = 256
-# `check all` enumerates about size^(window+1) sequences per fiber: cold,
-# `check-all --max-size 16` took 0.35 s at window 4 and 1.6 s at window 8.
+# `check all` sums good sequences over the window, linear in it: cold,
+# `check-all --max-size 16` took 0.27-0.44 s at window 8, as at window 4.
 MAX_WINDOW = 8
 # Good-sequence entries a report lists: 10^5 took 0.54 s cold and 139 MB for a
 # two-fiber `goodseq` plus `member`; digits' longest sequence has 3,163.

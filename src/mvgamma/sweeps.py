@@ -19,9 +19,9 @@ so the product claim is exactly the conjunction of the per-fiber claims.  The
 general round trip certifies every configuration on the whole group through
 the evaluation fiber maps of its unit: each is read on one period, whatever
 the window, and the per-fiber certificates are cached by value and so shared
-across configurations.  Good sequences verify each distinct fiber case
-once and keep a direct product-level re-check on the configurations small
-enough to afford it.
+across configurations.  Good sequences verify each fiber unit once, by
+its segment's ⊕ table and sums over the window, and re-check the small
+configurations directly at product level.
 
 The naturality squares compare coordinatewise maps: each output fiber of a
 star map, a generated group map, an evaluation map or a composite of them
@@ -48,10 +48,8 @@ import itertools
 from typing import Iterator
 
 from .equivalence import (
-    canonical_good_sequence,
     coordinate_ideal_checks,
     free_quotient_experiment,
-    good_sequence_sum,
     good_sequence_sums_hold,
     iota_naturality,
     iota_roundtrip,
@@ -164,30 +162,29 @@ class SweepContext:
 
 @functools.cache
 def fiber_goodseq_case(h: int, window: int, /) -> bool:
-    """Canonical-sequence law, sum, and uniqueness over the window of one
-    fiber with unit h, whose segment is the same over every chain.
+    """Good sequences of one fiber with unit h, whose segment is the same
+    over every chain: each x >= 0 has exactly one, and over the window the
+    canonical one sums back to x.
 
-    Uniqueness oracle: enumerate every normalized sequence over the
-    segment carrier satisfying the absorption law, up to one more than
-    the longest length a window sum can need, bucket them by their sum,
-    and require each nonnegative window element to own exactly its
-    canonical sequence.
+    Uniqueness is read off the segment's table, for every x >= 0 and every
+    length: a ⊕ b = a exactly when a is the top or b = 0, where the top is
+    h, zero is 0 and the other elements are 1..h-1, once each.  A
+    normalized good sequence is then n tops and at most one more entry r in
+    1..h-1, summing to n·h + r, so x owns the one with n = x div h and
+    r = x mod h and no other.  The sums over [0, window·h] come from
+    `good_sequence_sums_hold`, whose `GoodSequence` records check absorption.
     """
     seg = unit_segment((h,))
     a = seg.algebra
-    by_sum: dict[tuple, list[tuple[int, ...]]] = {good_sequence_sum(seg, ()): [()]}
-    for length in range(1, window + 2):
-        for tup in itertools.product(range(a.size), repeat=length):
-            if tup[-1] != 0 and is_good_sequence(a, tup):
-                by_sum.setdefault(good_sequence_sum(seg, [(1, e) for e in tup]), []).append(tup)
-    ok = True
-    for x in ((t,) for t in range(window * h + 1)):
-        canon = canonical_good_sequence(seg, x)
-        if good_sequence_sum(seg, canon.runs) != x:
-            ok = False
-        if by_sum.get(x, []) != [canon.entries]:
-            ok = False
-    return ok
+    pairs = itertools.product(range(a.size), repeat=2)
+    absorbs = all(is_good_sequence(a, (x, y)) == (x == a.top or y == 0) for x, y in pairs)
+    carrier = seg.elements
+    return (
+        absorbs
+        and sorted(carrier) == [(t,) for t in range(h + 1)]
+        and (carrier[0], carrier[a.top]) == ((0,), (h,))
+        and good_sequence_sums_hold((h,), window)
+    )
 
 
 # -- suites ------------------------------------------------------------------------
@@ -281,9 +278,9 @@ def suite_general_roundtrip(ctx: SweepContext) -> SuiteResult:
 def suite_good_sequences(ctx: SweepContext) -> SuiteResult:
     """Canonical sequences over every generated configuration: absorption
     law, exact sum, and uniqueness.  Entry extraction, the law, and sums all
-    act coordinatewise, so each fiber unit is certified once over its own
-    window and a configuration passes when all its fiber units do; small
-    configurations are re-checked directly at product level.
+    act coordinatewise, so each fiber unit is certified once
+    (`fiber_goodseq_case`) and a configuration passes when all its fiber
+    units do; small configurations are re-checked directly at product level.
     """
     result = SuiteResult("good_sequences", True, 0)
     for chains, heights in ctx.group_configs():

@@ -12,7 +12,12 @@ the product table of the prime quotients, one mixed-radix index per element.
 `window` enumerates a product window, the product of a group's fiber
 windows.  `fiber_certificate_on_window` is the earlier body of upsilon's
 per-fiber certificate, which walked a window of the star fiber and of the
-group fiber; the package reads one period and the residues of the unit.  `segment_generation_check` walks a product window of the star
+group fiber; the package reads one period and the residues of the unit.
+`goodseq_case_by_enumeration` lists every good sequence of one fiber up to
+one entry past the longest length a window sum needs, where the package reads uniqueness
+off the segment's ⊕ table; it reads the good-sequence functions on
+`mvgamma.equivalence` at call time, so a test can patch them.
+`segment_generation_check` walks a product window of the star
 ambient and tests each element for membership in the subgroup a_circle
 generates; the package reads the same verdict off
 `iota_roundtrip(star).onto_segment`.  `members_match_by_membership` runs the
@@ -22,12 +27,20 @@ membership test on every element of [0, u], where `iota_roundtrip` reads
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
+from mvgamma import equivalence
 from mvgamma.equivalence import FiberMap, StarAlgebra, generated_membership, star_algebra
-from mvgamma.lgroup import ChangChainGroup, GroupElement, ProductLuGroup, gamma_segment
+from mvgamma.lgroup import (
+    ChangChainGroup,
+    GroupElement,
+    ProductLuGroup,
+    gamma_segment,
+    unit_segment,
+)
 from mvgamma.mv_core import FiniteMVAlgebra, MVMorphism, make_product_many
 from mvgamma.spectrum import class_values, quotient, spectrum
 
@@ -98,16 +111,16 @@ def window(group: ProductLuGroup, bound: int) -> Iterator[GroupElement]:
 
 
 def fiber_certificate_on_window(
-    fiber_map: FiberMap, lift_by_rank: tuple[int, ...], window: int
+    fiber_map: FiberMap, lift_by_rank: tuple[int, ...], up: int, window: int
 ) -> tuple[bool, bool, bool, bool, bool, int]:
     """Upsilon's five checks on one fiber, over windows: linearity on the
     doubled window of the star fiber (height h = f.period), which is
     pairwise additivity on the window; strict monotonicity over the window;
     unit and zero; the segment identity on the ranks 0..h; and every target
-    of the group fiber's window |v| <= window·up, up = f.step, hit by n·h
-    plus the rank that lifts to r, where v = n·up + r.  Returns the five
-    verdicts and the size of the group fiber's window."""
-    h, up = fiber_map.period, fiber_map.step
+    of the group fiber's window |v| <= window·up, up the group's unit
+    coordinate, hit by n·h plus the rank that lifts to r, where v = n·up + r.
+    Returns the five verdicts and the size of the group fiber's window."""
+    h = fiber_map.period
     inner = range(-window * h, window * h + 1)
     table = {s: fiber_map(s) for s in range(-2 * window * h, 2 * window * h + 1)}
     additive = all(v == s * table[1] for s, v in table.items())
@@ -123,6 +136,27 @@ def fiber_certificate_on_window(
         rank = rank_of.get(r)
         surjective &= rank is not None and fiber_map(n * h + rank) == v
     return additive, order_embedding, preserves_unit, segment_identity, surjective, len(targets)
+
+
+def goodseq_case_by_enumeration(h: int, window: int) -> bool:
+    """Uniqueness and sums of good sequences in the fiber of unit h, by
+    listing: every normalized sequence over the segment carrier that
+    satisfies the absorption law, up to one more than the longest length a
+    window sum can need, bucketed by its sum; each x in [0, window·h] must
+    own exactly its canonical sequence, which sums back to x."""
+    seg = unit_segment((h,))
+    a = seg.algebra
+    total = functools.partial(equivalence.good_sequence_sum, seg)
+    by_sum: dict[GroupElement, list[tuple[int, ...]]] = {total(()): [()]}
+    for length in range(1, window + 2):
+        for tup in itertools.product(range(a.size), repeat=length):
+            if tup[-1] != 0 and equivalence.is_good_sequence(a, tup):
+                by_sum.setdefault(total([(1, e) for e in tup]), []).append(tup)
+    ok = True
+    for x in ((t,) for t in range(window * h + 1)):
+        canon = equivalence.canonical_good_sequence(seg, x)
+        ok &= total(canon.runs) == x and by_sum.get(x, []) == [canon.entries]
+    return ok
 
 
 def members_match_by_membership(star: StarAlgebra) -> bool:

@@ -787,23 +787,25 @@ def additive_by_pairs(f, window):
 
 
 def fiber_data(group):
-    """(evaluation fiber map, lift in rank order) for each fiber of the group."""
-    return eq._segment_lifts(group.u)[2]
+    """(evaluation fiber map, lift in rank order, unit coordinate) for each
+    fiber of the group."""
+    return [(fm, lift, up) for (fm, lift), up in zip(eq._segment_lifts(group.u)[2], group.u)]
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_linearity_matches_pairwise_additivity(window):
     for chains, heights in group_shapes(2, 3, 2):
-        for fm, lift in fiber_data(SweepContext.group(chains, heights)):
-            certificate = eq._fiber_certificate(fm, lift)
+        for fm, lift, up in fiber_data(SweepContext.group(chains, heights)):
+            certificate = eq._fiber_certificate(fm, lift, up)
             assert certificate[0] == additive_by_pairs(fm, window)
 
 
 @st.composite
 def fiber_map_and_lift(draw):
     """A `FiberMap` of period 1..6 and step 1..8 with any table, or an
-    evaluation map (the identity of one period), and a lift for each rank
-    0..h: its own values or random ones."""
+    evaluation map (the identity of one period), a lift for each rank 0..h
+    (its own values or random ones), and a unit coordinate (its step or a
+    random one)."""
     h = draw(st.integers(1, 6))
     table = st.tuples(*[st.integers(-3, 12)] * h)
     f = draw(
@@ -812,16 +814,16 @@ def fiber_map_and_lift(draw):
     )
     honest = tuple(f(r) for r in range(h + 1))
     lift = draw(st.just(honest) | st.tuples(*[st.integers(-1, 8)] * (h + 1)))
-    return f, lift
+    return f, lift, draw(st.just(f.step) | st.integers(1, 8))
 
 
 @settings(max_examples=500, deadline=None)
 @given(fiber_map_and_lift())
+@example((FiberMap(2, 2, (0, 1)), (0, 1, 2), 3))  # every residue hit, but a period gains 2
 def test_certificate_matches_the_window_oracle(case):
-    # one period and the residues of the step decide what every window does
-    f, lift = case
+    # one period and the residues of the unit decide what every window does
     for window in (1, 2, 3):
-        assert eq._fiber_certificate(f, lift) == fiber_certificate_on_window(f, lift, window)[:5]
+        assert eq._fiber_certificate(*case) == fiber_certificate_on_window(*case, window)[:5]
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
@@ -831,7 +833,7 @@ def test_evaluation_fiber_maps_match_the_old_evaluation(window):
         g = SweepContext.group(chains, heights)
         um = UpsilonMap(g)
         _, ev = eq._evaluation(g)
-        for t, (fm, lift) in enumerate(fiber_data(g)):
+        for t, (fm, lift, _) in enumerate(fiber_data(g)):
             sf = um.star.ambient.fibers[t]
             assert lift == tuple(um.lifts[t][c] for c in sf.by_rank)
             points = range(-window * sf.height, window * sf.height + 1)
@@ -853,11 +855,14 @@ def step_one_high(fm):
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_additivity_mutant_fails_both_versions(window):
     # evaluation maps are plain `FiberMap` values, so their mutants are too
-    for fm, lift in fiber_data(SweepContext.group((1, 2), (2, 2))):
+    for fm, lift, up in fiber_data(SweepContext.group((1, 2), (2, 2))):
         for bad in (table_entry_one_high(fm), step_one_high(fm)):
             assert not additive_by_pairs(bad, window)
-            assert not fiber_certificate_on_window(bad, lift, window)[0]
-            assert not eq._fiber_certificate(bad, lift)[0]
+            assert not fiber_certificate_on_window(bad, lift, up, window)[0]
+            assert not eq._fiber_certificate(bad, lift, up)[0]
+        bad = step_one_high(fm)  # f(h) = step + f(0): the unit check reads u_t
+        assert not fiber_certificate_on_window(bad, lift, up, window)[2]
+        assert not eq._fiber_certificate(bad, lift, up)[2]
 
 
 def patch_fiber_data(monkeypatch, mutate):
@@ -956,6 +961,10 @@ def test_upsilon_mutants_fail_both_versions(mutant, monkeypatch, fresh_memos):
         if mutant.__name__.startswith("evaluation_"):
             # a value mutant keeps every lift, so the peel runs through
             assert oracle_verdicts is not None
+        if mutant is evaluation_step_one_high:
+            # f(h) overshoots the group's unit coordinate
+            assert not upsilon(g.u).preserves_unit
+            assert oracle_verdicts is not None and not oracle_verdicts[2]
         if mutant is lift_bottom_off_by_one:
             # the segment identity itself fails, per fiber and on the product
             assert not upsilon(g.u).segment_identity
@@ -970,8 +979,10 @@ def test_equal_fiber_data_share_one_certificate(fresh_memos):
 
 
 def test_segment_lifts_miss_once_per_unit(fresh_memos):
-    # upsilon and the product-level sums read only the unit, so each runs
-    # once per unit and every further configuration is a hit
+    # upsilon and the good-sequence sums read only the unit, so each runs
+    # once per unit and every further configuration is a hit; the sums run
+    # on the 4 product units of two fibers and height at most 2, and on the
+    # fiber units (1,), (2,) and (3,), once each
     ctx = SweepContext(16, 4)
     assert suite_general_roundtrip(ctx).ok
     assert suite_good_sequences(ctx).ok
@@ -980,7 +991,7 @@ def test_segment_lifts_miss_once_per_unit(fresh_memos):
     info = eq.upsilon.cache_info()
     assert (info.misses, info.hits) == (39, len(ctx.group_configs()) - 39)
     sums = eq.good_sequence_sums_hold.cache_info()
-    assert (sums.misses, sums.misses + sums.hits) == (4, 64)
+    assert (sums.misses, sums.misses + sums.hits) == (7, 67)
 
 
 def test_segment_lifts_require_star_classes_in_rank_order(monkeypatch, fresh_memos):

@@ -187,8 +187,9 @@ def test_the_squares_take_no_window():
 
 def test_upsilon_takes_no_window():
     # each evaluation fiber map is decided on one period and the residues of
-    # its step, so upsilon's certificate has no bound to choose either
+    # the group's unit coordinate, so upsilon's certificate has no bound to
+    # choose either; it reads that coordinate, not the map's step
     from mvgamma.equivalence import _fiber_certificate, upsilon
 
     assert tuple(inspect.signature(upsilon).parameters) == ("u",)
-    assert len(inspect.signature(_fiber_certificate).parameters) == 2
+    assert len(inspect.signature(_fiber_certificate).parameters) == 3

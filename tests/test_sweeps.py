@@ -1,22 +1,29 @@
-"""The pair-group suite against its enumeration oracle, and the sweep's
-size bound.
+"""The pair-group suite and the good-sequence certificate against their
+enumeration oracles, and the sweep's size bound.
 
 `suite_pair_groups` certifies the carry rule by transport through phi (see
 `carry_rule_by_transport`).  The oracle below is the suite it replaced: it
 re-derives the group and lattice laws on pairs, with meet and join read off
 `leq`, over the same window.  Both must accept the real rule and reject
-each carry-rule mutant.
+each carry-rule mutant.  `fiber_goodseq_case` reads uniqueness off the
+segment's ⊕ table; its oracle, `goodseq_case_by_enumeration`, lists every
+good sequence up to the window's lengths.
 """
 
 import pytest
 
+import mvgamma.equivalence as eq
+import mvgamma.sweeps as sweeps
+from fiber_oracles import goodseq_case_by_enumeration
 from mvgamma.equivalence import good_sequence_sums_hold, upsilon
 from mvgamma.lgroup import ChangChainGroup, ChangPair, chain_fiber
 from mvgamma.sweeps import (
     SweepContext,
     carry_rule_by_transport,
+    fiber_goodseq_case,
     generated_algebras,
     run_all_checks,
+    suite_good_sequences,
     suite_pair_groups,
 )
 
@@ -148,8 +155,77 @@ def test_max_size_saturates_at_81(n):
 
 def test_sweep_certifies_each_unit_once(fresh_memos):
     # upsilon reads only the unit: the 39 group units of the sweep and the
-    # chain units 4..8 (1..3 are group units too); the product-level sums run
-    # on the 4 two-fiber units of height at most 2
+    # chain units 4..8 (1..3 are group units too); the good-sequence sums run
+    # on the 4 two-fiber units of height at most 2 and on the fiber units
+    # (1,), (2,) and (3,)
     assert all(suite.ok for suite in run_all_checks(16, 4))
     assert upsilon.cache_info().misses == 44
-    assert good_sequence_sums_hold.cache_info().misses == 4
+    assert good_sequence_sums_hold.cache_info().misses == 7
+
+
+# -- good sequences by the segment table ----------------------------------------
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_goodseq_certificate_matches_the_enumeration(h):
+    for window in range(1, 6):
+        assert fiber_goodseq_case(h, window)
+        assert goodseq_case_by_enumeration(h, window)
+
+
+def accept_every_pair(monkeypatch):
+    def accepts(algebra, entries):
+        return all(0 <= e < algebra.size for e in entries)
+
+    monkeypatch.setattr(eq, "is_good_sequence", accepts)
+    monkeypatch.setattr(sweeps, "is_good_sequence", accepts)
+
+
+def first_run_one_too_long(monkeypatch):
+    entries = eq.canonical_entries
+
+    def longer(u, x):
+        runs = entries(u, x)
+        return ((runs[0][0] + 1, runs[0][1]),) + runs[1:] if runs else runs
+
+    monkeypatch.setattr(eq, "canonical_entries", longer)
+
+
+def sum_drops_the_last_run(monkeypatch):
+    total = eq.good_sequence_sum
+    monkeypatch.setattr(eq, "good_sequence_sum", lambda seg, runs: total(seg, list(runs)[:-1]))
+
+
+def rejects(case, h, window):
+    """False from a good-sequence case, or a `GoodSequence` refusing its
+    entries (the absorption law) on the way."""
+    try:
+        return not case(h, window)
+    except ValueError as exc:
+        assert "absorption" in str(exc)
+        return True
+
+
+@pytest.mark.parametrize(
+    "mutant", [accept_every_pair, first_run_one_too_long, sum_drops_the_last_run]
+)
+def test_goodseq_mutants_fail_both_versions(mutant, monkeypatch, fresh_memos):
+    mutant(monkeypatch)
+    for h in (1, 2, 3):
+        for window in (1, 2, 3):
+            assert rejects(fiber_goodseq_case, h, window)
+            assert rejects(goodseq_case_by_enumeration, h, window)
+
+
+@pytest.mark.parametrize("window", [4, 8])
+def test_good_sequences_read_each_fiber_table_once(window, monkeypatch, fresh_memos):
+    # (h + 1)² pairs for each fiber unit h = 1..3, whatever the window; the
+    # enumeration called it 1,296 times at window 4 and 282,336 at window 8
+    calls = []
+    is_good = sweeps.is_good_sequence
+    monkeypatch.setattr(
+        sweeps, "is_good_sequence", lambda a, entries: calls.append(entries) or is_good(a, entries)
+    )
+    assert suite_good_sequences(SweepContext(16, window)).ok
+    assert len(calls) <= sum((h + 1) ** 2 for h in (1, 2, 3)) == 29
+    assert all(len(entries) == 2 for entries in calls)
