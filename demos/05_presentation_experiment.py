@@ -4,9 +4,12 @@ Take the free abelian group on the carrier of A and divide by the relations
 
     e_a + e_b = e_{a(+)b} + e_{a(.)b}        (one row per pair a, b)
 
-plus e_0 = 0.  Smith reduction of the relation matrix gives the invariant
-factors of the quotient.  The conjecture under test: the quotient is free
-of rank |primes of A| — the same rank as the enveloping group itself.
+plus e_0 = 0.  Each relation lies in the kernel of the map sending e_x to
+the chain coordinates of x (a + b = (a (+) b) + (a (.) b) in every chain),
+and the relations span it, so the quotient is free of rank |primes of A|;
+one pass over the pairs checks every relation.  The enveloping group's own
+rank is measured apart, by Smith reduction of the iota images, and the two
+are compared.
 
 Run:  python3 demos/05_presentation_experiment.py
 """

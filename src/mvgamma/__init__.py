@@ -7,8 +7,8 @@ The package has three layers:
   maps they induce);
 * group side — ``lgroup`` (chain groups, computed on integers and certified
   against Chang's carry pairs; finite products with a strong unit; unit
-  segments), ``snf`` (integer Smith reduction used by the
-  presentation experiment);
+  segments), ``snf`` (integer Smith reduction: the rank of the
+  enveloping group in the presentation experiment);
 * the bridge — ``equivalence`` (enveloping groups, with the subdirect
   embedding built once as iota; good sequences, round trips), with
   ``serialize``, ``script``, ``interp``, ``cli``, and ``sweeps`` on top.

@@ -39,10 +39,11 @@ from .lgroup import (
 from .mv_core import (
     FiniteMVAlgebra,
     MVMorphism,
+    chain_decomposition,
     check_morphism,
     compose,
 )
-from .snf import invariant_factors, matrix_rank
+from .snf import matrix_rank
 from .spectrum import (
     Ideal,
     QuotientResult,
@@ -780,41 +781,44 @@ def free_quotient_experiment(
     """Compare the pairwise-relation presentation with the actual star group.
 
     The relation rows say that the pair (a, b) may be replaced by the pair
-    (a(+)b, a(.)b) without changing the sum.  Both operations commute, so
-    row (a, b) equals row (b, a) and only a <= b is built: duplicate rows
-    leave the row span, and so the factors, unchanged.  `relation_rows`
-    still counts the nonzero rows over ordered pairs.  Each row is a dict
-    over at most four columns, so no n-length row is built.  Columns follow
-    a linear extension of the order (by the count of elements below), so
-    the reduction's pivot, a row's last unit column, is its largest element
-    on relabelled tables too.  The star side takes the iota images, already
-    integers, as rows and measures their row space.
+    (a(+)b, a(.)b) without changing the sum.  Read through the chain
+    decomposition, a product of k chains of heights n_i, each row lies in the
+    kernel of the map E sending e_x to the coordinates of x, since
+    min(n, p+q) + max(0, p+q-n) = p + q in each chain (Mundici 1986); one
+    pass over a <= b checks it (both operations commute, so row (b, a) is
+    row (a, b)) and counts the nonzero rows over ordered pairs.  The rows
+    span that kernel: with y one step below x in chain i, row (y, atom_i)
+    is e_y + e_atom_i - e_x - e_0.  E is onto Z^k, so with e_0 the quotient
+    is Z^k; without it, e_x -> 1 adds one more free generator.  The star
+    side is measured apart: the rank of the iota images, through the
+    spectrum and its quotients.  A ValueError names a table with no
+    decomposition, as every table that fails the MV laws is.
     """
-    n = algebra.size
-    oplus, odot, below = algebra.oplus, algebra.odot, algebra.below
-    col = {x: k for k, x in enumerate(sorted(range(n), key=lambda x: len(below[x])))}
-    rows = []
-    relation_rows = 0
-    for a in range(n):
+    found = chain_decomposition(algebra)
+    if found is None:
+        raise ValueError(
+            "free_quotient_experiment: the algebra fails the MV laws (no chain decomposition)"
+        )
+    (f, heights), n = found, algebra.size
+    # coordinates as one integer in radix 2n: a sum of two carries nothing,
+    # so sums compare coordinatewise
+    code = [0] * n
+    for x, k in zip(f, itertools.product(*(range(h + 1) for h in heights))):
+        code[x] = sum(c * (2 * n) ** i for i, c in enumerate(k))
+    relation_rows = int(identify_zero)  # the e_0 row
+    for a, (plus, times) in enumerate(zip(algebra.oplus, algebra.odot)):
         for b in range(a, n):
-            cols = col[a], col[b], col[oplus[a][b]], col[odot[a][b]]
-            row = dict.fromkeys(cols, 0)
-            for c, v in zip(cols, (1, 1, -1, -1)):
-                row[c] += v
-            if any(row.values()):
-                rows.append(row)
+            p, q = plus[b], times[b]
+            if code[a] + code[b] != code[p] + code[q]:
+                raise InternalInvariantError(f"relation row ({a}, {b}) is outside the kernel")
+            if {a, b} != {p, q}:
                 relation_rows += 1 if a == b else 2
-    if identify_zero:
-        rows.append({col[0]: 1})
-        relation_rows += 1
-    free_factors = tuple(invariant_factors(rows, ncols=n))
     star = star_algebra(algebra)
-    star_factors = tuple([0] * matrix_rank([list(x) for x in star.a_circle]))
     return SNFReport(
         size=n,
         identify_zero=identify_zero,
         relation_rows=relation_rows,
         spectrum_size=len(star.spec.primes),
-        free_factors=free_factors,
-        star_factors=star_factors,
+        free_factors=(0,) * (len(heights) + (not identify_zero)),
+        star_factors=(0,) * matrix_rank([list(x) for x in star.a_circle]),
     )

@@ -81,10 +81,12 @@ __all__ = ["RunConfig", "SemanticError", "RunReport", "execute"]
 
 # At the cap, in process, a lawful table builds and checks in about 10 ms, a
 # random one in 0.08-0.11 s, one with a single neg entry off (associative, so
-# every triple is checked) in 0.32-0.36 s, and freequotient runs in 0.5 s.
+# every triple is checked) in 0.32-0.36 s, and freequotient in 0.04-0.13 s.
 MAX_CARRIER = 256
 # `check all` sums good sequences over the window, linear in it: cold,
 # `check-all --max-size 16` took 0.27-0.44 s at window 8, as at window 4.
+# `check G` sums them only to bound min(2, window): they number
+# (bound·u_t + 1)^k, and eight fibers of unit 1 would need 9^8 at window 8.
 MAX_WINDOW = 8
 # Good-sequence entries a report lists: 10^5 took 0.54 s cold and 139 MB for a
 # two-fiber `goodseq` plus `member`; digits' longest sequence has 3,163.

@@ -29,6 +29,7 @@ __all__ = [
     "compose",
     "find_morphisms",
     "chain_rank",
+    "chain_decomposition",
 ]
 
 _VIOLATION_CAP = 100  # per axiom; garbage tables can fail on O(size^3) triples
@@ -248,7 +249,7 @@ def _assoc_failures(op: tuple) -> list[tuple[int, int, int]]:
 
 
 @functools.cache
-def _chain_decomposition(algebra: FiniteMVAlgebra, /) -> tuple | None:
+def chain_decomposition(algebra: FiniteMVAlgebra, /) -> tuple | None:
     """(f, heights): an isomorphism f from the product of the chains
     `make_chain(n)` for n in heights onto the algebra, as the element f[k] of
     each product index k; None when the tables are not such an image.
@@ -296,11 +297,11 @@ def check_mv_axioms(algebra: FiniteMVAlgebra, /) -> AxiomReport:
     Laws: associativity and commutativity of oplus, 0 as unit, neg involutive,
     top absorbing, and the characteristic law
     neg(neg a oplus b) oplus b = neg(neg b oplus a) oplus a.  All six hold
-    exactly when the table has a `_chain_decomposition` (every finite
+    exactly when the table has a `chain_decomposition` (every finite
     MV-algebra is a product of chains, CDM ch. 3); otherwise the failing
     arguments of each law are found exhaustively, in row-major order.
     """
-    if _chain_decomposition(algebra) is not None:
+    if chain_decomposition(algebra) is not None:
         return AxiomReport(ok=True)
     s, op, ng, top = algebra.size, algebra.oplus, algebra.neg, algebra.top
     carrier, columns = tuple(range(s)), tuple(zip(*op))
@@ -365,7 +366,7 @@ def find_morphisms(dom: FiniteMVAlgebra, cod: FiniteMVAlgebra, /) -> tuple[MVMor
     the tuple (k_sigma(j)·m_j/n_sigma(j))_j.  A ValueError names a table
     with no decomposition, as every table that fails the MV laws is.
     """
-    found = _chain_decomposition(dom), _chain_decomposition(cod)
+    found = chain_decomposition(dom), chain_decomposition(cod)
     for name, decomposition in zip(("dom", "cod"), found):
         if decomposition is None:
             raise ValueError(f"find_morphisms: {name} fails the MV laws (no chain decomposition)")

@@ -1,4 +1,6 @@
-"""Dense Smith reduction, kept as an independent oracle for `mvgamma.snf`.
+"""Dense Smith reduction, kept as an independent oracle for `mvgamma.snf`,
+and the relation matrices `freequotient` once reduced, as the oracle for
+its closed form.
 
 `smith_diagonal` reduces a list of equal-length integer rows in one loop:
 move the smallest nonzero entry of the remaining block to (t, t) by row and
@@ -6,10 +8,14 @@ column swaps, clear column t with row operations, then reduce row t modulo
 the pivot.  Any remainder becomes the next pivot; once both are clear the
 pivot is a diagonal entry.  gcd/lcm exchanges then put the diagonal, zeros
 included, in divisibility order.  `_pivot` finds the smallest entry.
+`dense_factors` reads invariant factors off that diagonal,
+`relation_matrix` builds the pairwise-relation rows of an algebra, and
+`relation_diagonal` reduces them once.
 """
 
 from __future__ import annotations
 
+import functools
 from math import gcd
 
 def _pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -82,3 +88,39 @@ def smith_diagonal(rows: list[list[int]], ncols: int | None = None) -> list[int]
                 changed = True
     return diag
 
+
+def factors_of(diag: list[int], ncols: int) -> list[int]:
+    """Invariant factors of Z^ncols modulo a row span with Smith diagonal
+    diag: torsion factors greater than 1 in divisibility order, then one 0
+    per free rank."""
+    return [d for d in diag if d > 1] + [0] * (ncols - sum(1 for d in diag if d))
+
+
+def dense_factors(rows: list[list[int]], ncols: int) -> list[int]:
+    """The invariant factors read off the dense reduction."""
+    return factors_of(smith_diagonal(rows, ncols), ncols)
+
+
+def relation_matrix(algebra, identify_zero: bool) -> list[list[int]]:
+    """Rows e_a + e_b - e_{a(+)b} - e_{a(.)b} for a <= b, plus e_0 when
+    `identify_zero`: the presentation `freequotient` describes."""
+    n = algebra.size
+    rows = []
+    for a in range(n):
+        for b in range(a, n):
+            row = [0] * n
+            row[a] += 1
+            row[b] += 1
+            row[algebra.oplus[a][b]] -= 1
+            row[algebra.odot[a][b]] -= 1
+            rows.append(row)
+    if identify_zero:
+        rows.append([1] + [0] * (n - 1))
+    return rows
+
+
+@functools.cache
+def relation_diagonal(algebra, identify_zero: bool, /) -> list[int]:
+    """The dense diagonal of `relation_matrix`, reduced once per algebra and
+    flag for every test that compares with it (callers must not mutate it)."""
+    return smith_diagonal(relation_matrix(algebra, identify_zero), algebra.size)

@@ -614,6 +614,23 @@ def test_window_cap_is_eight_and_the_cap_itself_runs(tmp_path, capsys):
     assert error is None
 
 
+def test_group_check_sums_good_sequences_to_bound_two_at_most(tmp_path, capsys, monkeypatch):
+    # the sums cost (w·u_t + 1)^k: on this 256-element segment 3^8 = 6,561
+    # at bound 2, but 9^8 (about 43 million) at window 8, so `check G` caps
+    # the bound at min(2, window); a larger bound is recorded, not summed
+    bounds, sums_hold = [], interp.good_sequence_sums_hold
+
+    def spy(u, bound):
+        bounds.append(bound)
+        return bound <= 2 and sums_hold(u, bound)
+
+    monkeypatch.setattr(interp, "good_sequence_sums_hold", spy)
+    text = f"group G = fibers [{', '.join(['2'] * 8)}] unit [{', '.join(['(1,0)'] * 8)}]\n"
+    assert main(["run", write(tmp_path, "wide.mvg", text + "check G --window 8\n")]) == 0
+    assert json.loads(capsys.readouterr().out)["commands"][0]["detail"]["good_sequence_sums"]
+    assert bounds == [2]
+
+
 def test_group_verdicts_do_not_move_with_the_window(tmp_path, capsys):
     # upsilon is decided on the whole group; the window only sizes the
     # reported count, the product of 2·w·u_t + 1 over the unit u

@@ -1,6 +1,7 @@
 """Round-trip layer: star algebras, good sequences, evaluation maps, SNF."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +31,7 @@ from mvgamma.equivalence import (
 import fiber_oracles
 import mvgamma.equivalence as eq
 import mvgamma.lgroup as lgroup
-from mvgamma import interp
+from mvgamma import interp, snf
 from mvgamma.interp import RunConfig, execute
 from mvgamma.script import parse_script
 from fiber_oracles import (
@@ -42,7 +43,7 @@ from fiber_oracles import (
     window,
 )
 from test_mv_core import chain_product, relabelled
-from test_snf import dense_factors
+from smith_oracle import dense_factors, factors_of, relation_diagonal, relation_matrix
 from mvgamma.errors import InternalInvariantError
 from mvgamma.lgroup import (
     ChangChainGroup,
@@ -54,6 +55,7 @@ from mvgamma.mv_core import (
     FiniteMVAlgebra,
     MVMorphism,
     check_morphism,
+    check_mv_axioms,
     compose,
     find_morphisms,
     make_chain,
@@ -1276,6 +1278,105 @@ def test_free_quotient_matches_all_pairs():
         assert (report.free_factors, report.relation_rows) == all_pairs_relations(
             algebra, identify_zero
         )
+
+
+def relation_oracle(algebra, identify_zero):
+    """(free_factors, relation_rows) the way `freequotient` once found them:
+    the dense reduction of the relation matrix over a <= b, and its nonzero
+    rows counted over ordered pairs, so a row (a, b) with a < b counts twice."""
+    n = algebra.size
+    rows = relation_matrix(algebra, identify_zero)
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    nonzero = sum(1 if a == b else 2 for (a, b), row in zip(pairs, rows) if any(row))
+    return tuple(factors_of(relation_diagonal(algebra, identify_zero), n)), nonzero + identify_zero
+
+
+def closed_form_matches(report, oracle):
+    return (report.free_factors, report.relation_rows) == oracle
+
+
+def oracle_cases():
+    """generated_algebras(64), relabelled generated_algebras(24), and the
+    products of 3 to 5 chains with at most 64 elements."""
+    yield from generated_algebras(64)
+    yield from (relabelled(a, seed) for seed, a in enumerate(generated_algebras(24)))
+    for count in (3, 4, 5):
+        for hs in itertools.combinations_with_replacement(range(1, 8), count):
+            if math.prod(h + 1 for h in hs) <= 64:
+                yield chain_product(hs)
+
+
+def test_free_quotient_closed_form_matches_the_dense_oracle():
+    for algebra in oracle_cases():
+        for identify_zero in (True, False):
+            report = free_quotient_experiment(algebra, identify_zero)
+            assert closed_form_matches(report, relation_oracle(algebra, identify_zero))
+            assert report.isomorphic == identify_zero
+
+
+def test_free_quotient_rejects_an_odot_entry_off_by_one(monkeypatch):
+    # every cell the pass reads (a <= b) of a three-chain product
+    algebra = chain_product((2, 1, 1))
+    lawful = algebra.odot
+    for a, b in itertools.combinations_with_replacement(range(algebra.size), 2):
+        odot = [list(row) for row in lawful]
+        odot[a][b] = (odot[a][b] + 1) % algebra.size
+        monkeypatch.setitem(vars(algebra), "odot", tuple(map(tuple, odot)))
+        with pytest.raises(InternalInvariantError, match=rf"row \({a}, {b}\)"):
+            free_quotient_experiment(algebra)
+    monkeypatch.undo()
+    assert free_quotient_experiment(algebra).isomorphic
+
+
+@pytest.mark.parametrize("heights", [(4,), (2, 1, 1)])
+def test_free_quotient_rejects_a_decomposition_with_two_elements_swapped(monkeypatch, heights):
+    # neither algebra has an automorphism that swaps just two elements (a
+    # chain has none but the identity), so every swap breaks f
+    algebra = chain_product(heights)
+    f, found = eq.chain_decomposition(algebra)
+    for i, j in itertools.combinations(range(1, algebra.size), 2):
+        swapped = list(f)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        monkeypatch.setattr(eq, "chain_decomposition", lambda _, g=tuple(swapped): (g, found))
+        with pytest.raises(InternalInvariantError, match="outside the kernel"):
+            free_quotient_experiment(algebra)
+
+
+def test_free_quotient_count_without_the_zero_row_fails_the_oracle():
+    for algebra in generated_algebras(16):
+        report = free_quotient_experiment(algebra)
+        oracle = relation_oracle(algebra, True)
+        assert closed_form_matches(report, oracle)
+        dropped = report._replace(relation_rows=report.relation_rows - 1)
+        assert not closed_form_matches(dropped, oracle)
+
+
+def test_free_quotient_refuses_a_lawless_table():
+    chain = make_chain(2)
+    oplus = [list(row) for row in chain.oplus]
+    oplus[1][1] = 1  # 1 (+) 1 = 1: idempotent, yet not a chain's
+    lawless = FiniteMVAlgebra(3, oplus, chain.neg)
+    assert not check_mv_axioms(lawless).ok
+    with pytest.raises(ValueError, match="fails the MV laws"):
+        free_quotient_experiment(lawless)
+
+
+def test_free_quotient_reduces_only_the_star_side(monkeypatch):
+    """A structural guard: Smith reduction sees one matrix per call, the
+    iota images (size rows of one column per prime), and never a relation
+    matrix."""
+    seen, smith_diagonal = [], snf.smith_diagonal
+
+    def spy(rows, ncols=None):
+        seen.append((len(rows), ncols if ncols is not None else len(rows[0])))
+        return smith_diagonal(rows, ncols)
+
+    monkeypatch.setattr(snf, "smith_diagonal", spy)
+    for algebra in generated_algebras(64):
+        for identify_zero in (True, False):
+            seen.clear()
+            report = free_quotient_experiment(algebra, identify_zero)
+            assert seen == [(algebra.size, report.spectrum_size)]
 
 
 def test_free_quotient_isomorphism_survey_small():

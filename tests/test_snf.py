@@ -1,9 +1,9 @@
 """Exact integer Smith form against three oracles: the determinantal
 divisors, a reduction that absorbs every entry its pivot fails to divide
 before moving on, and the dense reduction of `smith_oracle`.  The package's
-one elimination, sparse and unit pivots first, answers for
-`smith_diagonal`, `matrix_rank` and `invariant_factors` alike, and each is
-checked against the dense oracle on every input here."""
+one elimination, on sparse rows, answers for `smith_diagonal` and
+`matrix_rank` alike, and both are checked against the dense oracle on every
+input here."""
 
 from __future__ import annotations
 
@@ -15,12 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgamma import snf
-from mvgamma.equivalence import free_quotient_experiment
 from mvgamma.mv_core import make_chain, make_product
-from mvgamma.snf import invariant_factors, matrix_rank, smith_diagonal
+from mvgamma.snf import matrix_rank, smith_diagonal
 from mvgamma.sweeps import generated_algebras
-from smith_oracle import _pivot
+from smith_oracle import _pivot, relation_diagonal, relation_matrix
 from smith_oracle import smith_diagonal as dense_diagonal
 from test_mv_core import relabelled
 
@@ -57,27 +55,11 @@ def divisor_chain(rows: list[list[int]], ncols: int) -> list[int]:
     return chain
 
 
-def sparse(rows: list[list[int]]) -> list[dict[int, int]]:
-    """Dense rows as the column -> entry mappings `invariant_factors` takes."""
-    return [{j: v for j, v in enumerate(row) if v} for row in rows]
-
-
-def factors_of(diag: list[int], ncols: int) -> list[int]:
-    """Invariant factors in `invariant_factors`' convention, read off a diagonal."""
-    return [d for d in diag if d > 1] + [0] * (ncols - sum(1 for d in diag if d))
-
-
-def dense_factors(rows: list[list[int]], ncols: int) -> list[int]:
-    """Oracle: the invariant factors read off the dense reduction."""
-    return factors_of(dense_diagonal(rows, ncols), ncols)
-
-
 def check_against_the_dense_oracle(rows: list[list[int]], ncols: int) -> None:
-    """The three views of the one elimination answer as the dense reduction."""
+    """Both views of the one elimination answer as the dense reduction."""
     diag = dense_diagonal(rows, ncols)
     assert smith_diagonal(rows, ncols) == diag
     assert matrix_rank(rows, ncols) == sum(1 for d in diag if d)
-    assert invariant_factors(sparse(rows), ncols) == factors_of(diag, ncols)
 
 
 EXAMPLES = [
@@ -103,7 +85,6 @@ def test_identity_and_diagonal_examples():
 def test_single_row_and_empty():
     assert smith_diagonal([[4, 6]]) == [2]
     assert smith_diagonal([], ncols=3) == []
-    assert invariant_factors([], ncols=3) == [0, 0, 0]
     check_against_the_dense_oracle([], 3)
 
 
@@ -139,32 +120,10 @@ def test_random_matrices_match_divisor_oracle(seed):
         assert (b % a == 0) if a else (b == 0)
 
 
-def test_quotient_factor_conventions():
-    # Z^2 / <e1 - e0, e0> is trivial
-    assert invariant_factors([{0: -1, 1: 1}, {0: 1}], ncols=2) == []
-    # Z^2 / <2 e0> = Z/2 + Z
-    assert invariant_factors([{0: 2}], ncols=2) == [2, 0]
-    # Z^2 / <0> = Z^2, with the zero entries spelled out or left out
-    assert invariant_factors([{0: 0, 1: 0}, {}], ncols=2) == [0, 0]
-    for rows in ([[-1, 1], [1, 0]], [[2, 0]], [[0, 0], [0, 0]]):
-        check_against_the_dense_oracle(rows, 2)
-
-
 def test_float_entries_are_rejected():
     # read through operator.index: 2.5 and 3.9 are not truncated to 2 and 3
     with pytest.raises(TypeError):
         smith_diagonal([[2.5, 0], [0, 3.9]])
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [[{5: 1}], [{0: 1}, {1: 1}, {2: 1}], [{-1: 2}]],
-    ids=["beyond", "one-past", "negative"],
-)
-def test_columns_outside_the_range_are_rejected(rows):
-    bad = next(j for row in rows for j in row if j not in range(2))
-    with pytest.raises(ValueError, match=rf"column {bad} is outside range\(2\)"):
-        invariant_factors(rows, ncols=2)
 
 
 def test_ragged_matrix_rejected():
@@ -280,24 +239,6 @@ def smith_diagonal_with_absorb(rows: list[list[int]], ncols: int) -> list[int]:
     return diag
 
 
-def relation_matrix(algebra, identify_zero: bool) -> list[list[int]]:
-    """Rows e_a + e_b - e_{a(+)b} - e_{a(.)b} for a <= b, plus e_0 when
-    `identify_zero`: the presentation `freequotient` reduces."""
-    n = algebra.size
-    rows = []
-    for a in range(n):
-        for b in range(a, n):
-            row = [0] * n
-            row[a] += 1
-            row[b] += 1
-            row[algebra.oplus[a][b]] -= 1
-            row[algebra.odot[a][b]] -= 1
-            rows.append(row)
-    if identify_zero:
-        rows.append([1] + [0] * (n - 1))
-    return rows
-
-
 @pytest.mark.parametrize("identify_zero", [True, False])
 def test_relation_matrices_match_the_absorbing_reduction(identify_zero):
     for algebra in generated_algebras(16):
@@ -319,7 +260,9 @@ def test_wide_relation_matrix_matches_the_absorbing_reduction():
 def test_sparse_route_matches_the_dense_route_on_relation_matrices(identify_zero):
     for algebra in generated_algebras(64):
         rows = relation_matrix(algebra, identify_zero)
-        check_against_the_dense_oracle(rows, algebra.size)
+        diag = relation_diagonal(algebra, identify_zero)
+        assert smith_diagonal(rows, algebra.size) == diag
+        assert matrix_rank(rows, algebra.size) == sum(1 for d in diag if d)
 
 
 def test_sparse_route_matches_the_dense_route_on_relabelled_carriers():
@@ -331,46 +274,24 @@ def test_sparse_route_matches_the_dense_route_on_relabelled_carriers():
 
 
 @st.composite
-def sparse_matrices(draw):
-    """Up to 6 x 6 sparse rows, explicit zeros allowed; half the draws have
-    no unit entry at all, so only the second phase can reduce them."""
-    entries = [0, 2, -2, 3, 4, -6, 9, 12]
+def unit_free_or_not_matrices(draw):
+    """Up to 6 x 6, mostly zero entries; half the draws have no unit entry
+    at all, so no pivot is a unit until a remainder makes one."""
+    entries = [0, 0, 0, 2, -2, 3, 4, -6, 9, 12]
     if draw(st.booleans()):
         entries += [1, -1, 1, -1]
     n = draw(st.integers(1, 6))
-    cell = st.dictionaries(st.integers(0, n - 1), st.sampled_from(entries), max_size=n)
-    return draw(st.lists(cell, max_size=6)), n
+    row = st.lists(st.sampled_from(entries), min_size=n, max_size=n)
+    return draw(st.lists(row, max_size=6)), n
 
 
 @settings(max_examples=400, deadline=None)
-@given(sparse_matrices())
+@given(unit_free_or_not_matrices())
 def test_sparse_route_matches_the_dense_route(case):
     rows, n = case
-    before = [dict(row) for row in rows]
-    dense = [[row.get(j, 0) for j in range(n)] for row in rows]
-    factors = invariant_factors(rows, n)
+    before = [list(row) for row in rows]
+    diag = smith_diagonal(rows, n)
     assert rows == before  # the input rows are left as they were
-    assert factors == dense_factors(dense, n)
-    check_against_the_dense_oracle(dense, n)
+    check_against_the_dense_oracle(rows, n)
     if len(rows) <= 4 and n <= 4:
-        chain = divisor_chain(dense, n)
-        assert factors == [d for d in chain if d > 1] + [0] * (n - len(chain))
-
-
-def test_free_quotient_sends_only_the_residual_to_the_dense_route(monkeypatch):
-    """A structural guard in place of a timing test: on the relation rows and
-    on the star side's rows alike, the unit-pivot phase leaves no more than a
-    few rows to the second phase, so losing the unit pivots fails here."""
-    unit_pivots, left = snf._unit_pivots, []
-
-    def spy(rows):
-        units, rest = unit_pivots(rows)
-        left.append(len(rest))
-        return units, rest
-
-    monkeypatch.setattr(snf, "_unit_pivots", spy)
-    for algebra in generated_algebras(64):
-        for identify_zero in (True, False):
-            left.clear()
-            free_quotient_experiment(algebra, identify_zero)
-            assert len(left) == 2 and max(left) <= 4, (algebra.size, identify_zero, left)
+        assert [d for d in diag if d] == divisor_chain(rows, n)
