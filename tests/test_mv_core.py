@@ -205,6 +205,37 @@ def test_shape_and_range_validation():
     assert live is make_chain(1)
 
 
+def test_built_tables_meet_the_live_algebra_before_validation(monkeypatch):
+    # chains, products and quotients build tuples of int tuples, which are
+    # looked up first; user tables are validated before any lookup
+    from mvgamma.spectrum import quotient, spectrum
+
+    chain, square = make_chain(5), make_product(make_chain(1), make_chain(2))
+    prime = spectrum(square).primes[0]
+    fiber = quotient(square, prime).quotient
+    validated = []
+    original = mv_core._table
+
+    def spy(*args):
+        validated.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(mv_core, "_table", spy)
+    assert make_chain(5) is chain
+    assert mv_core._product.__wrapped__(tuple(map(make_chain, (1, 2)))) is square
+    assert quotient.__wrapped__(square, prime).quotient is fiber
+    assert validated == []
+    assert FiniteMVAlgebra(6, chain.oplus, chain.neg) is chain
+    assert validated == ["oplus", "neg"]
+    # float or ragged tables equal to, or shaped like, a live key are refused as before
+    live = make_chain(1)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        FiniteMVAlgebra(2, ((0.0, 1.0), (1.0, 1.0)), (1.0, 0.0))
+    with pytest.raises(ValueError, match=r"^oplus must have shape \(2, 2\), got ragged rows$"):
+        FiniteMVAlgebra(2, ((0, 1), (1,)), (1, 0))
+    assert FiniteMVAlgebra(2, ((False, True), (True, True)), (True, False)) is live
+
+
 def test_axiom_checker_catches_broken_tables():
     c = make_chain(2)
     op = [list(row) for row in c.oplus]

@@ -1,8 +1,10 @@
 """The composition and evaluation squares, decided on the whole group by
 fiber-map values, against product-window oracles that enumerate every
-window element."""
+window element; and the sweep's composition certificate, once per morphism
+and once per chain triple, against the walk over every composable pair."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import fiber_oracles
 from fiber_oracles import ChainStarMap, UpsilonMap
 from mvgamma import equivalence as eq
+from mvgamma import mv_core, sweeps
 from mvgamma.equivalence import FiberMap, LGroupMap
 from mvgamma.lgroup import ChangChainGroup, make_product_group
 from mvgamma.mv_core import (
@@ -20,8 +23,10 @@ from mvgamma.mv_core import (
     find_morphisms,
     make_chain,
     make_product,
+    make_product_many,
 )
 from mvgamma.sweeps import (
+    SuiteResult,
     SweepContext,
     _generated_group_maps,
     generated_algebras,
@@ -369,7 +374,8 @@ def test_composite_fiber_map_is_pointwise_composition(f, g):
 
 
 def test_a_fresh_naturality_suite_composes_each_pair_once(monkeypatch, fresh_memos):
-    # composites are cached by value: the suite asks for 3,616 of them, built
+    # composites are cached by value: the suite asks for 1,080 of them, 38
+    # for the chain triples and the rest for the evaluation squares, built
     # from 42 distinct pairs of fiber maps, and builds each pair once
     composite = eq._composite
     pairs = []
@@ -382,7 +388,7 @@ def test_a_fresh_naturality_suite_composes_each_pair_once(monkeypatch, fresh_mem
     assert suite_naturality(SweepContext(16, 4)).ok
     info = composite.cache_info()
     assert (info.misses, info.hits) == (len(set(pairs)), len(pairs) - len(set(pairs)))
-    assert (len(set(pairs)), len(pairs)) == (42, 3616)
+    assert (len(set(pairs)), len(pairs)) == (42, 1080)
 
 
 def unrolled(f, k):
@@ -427,3 +433,143 @@ def test_value_route_agrees_with_the_window_oracle(case):
         assert lhs(far) == rhs(far)
     else:
         assert replays(report, lhs, rhs) and on_one_fiber(report.failure[0])
+
+
+# -- the composition certificate against the pair walk ----------------------------------
+
+
+def pair_walk(algebras):
+    """The earlier suite's composition squares: `star_functoriality` on every
+    composable pair of found morphisms, counted and reported per pair."""
+    result = SuiteResult("naturality", True, 0)
+    ends = range(len(algebras))
+    homs = {(i, j): find_morphisms(algebras[i], algebras[j]) for i in ends for j in ends}
+    for i, j, k in itertools.product(ends, repeat=3):
+        for first in homs[i, j]:
+            for then in homs[j, k]:
+                result.cases += 1
+                if not eq.star_functoriality(first, then).ok:
+                    result.note_failure(f"composition square fails {i}->{j}->{k}")
+    return result
+
+
+def certify(monkeypatch, algebras):
+    """`suite_naturality` over the given algebras and no group maps: the iota
+    squares and the composition certificate alone."""
+    monkeypatch.setattr(sweeps, "generated_algebras", lambda cap: list(algebras))
+    monkeypatch.setattr(sweeps, "group_shapes", lambda *shape: iter(()))
+    return suite_naturality(SweepContext(12, 4))
+
+
+def composites_are_certified(algebras):
+    """What carries the certificate from single morphisms to every pair: the
+    composite of a composable pair is a found morphism, so its star is
+    certified too, and that star reads input fiber sigma1(sigma2(k)) for
+    output fiber k."""
+    for a, b, c in itertools.product(algebras, repeat=3):
+        found = set(find_morphisms(a, c))
+        for first in find_morphisms(a, b):
+            for then in find_morphisms(b, c):
+                both = mv_core.compose(first, then)
+                s1, s2 = (eq.star_morphism(h).source_fiber for h in (first, then))
+                if both not in found or eq.star_morphism(both).source_fiber != tuple(
+                    s1[j] for j in s2
+                ):
+                    return False
+    return True
+
+
+def chain_products(count, cap):
+    """The products of `count` chains, nondecreasing heights, of at most cap elements."""
+    return [
+        make_product_many([make_chain(n) for n in heights])
+        for heights in itertools.combinations_with_replacement(range(1, 9), count)
+        if math.prod(n + 1 for n in heights) <= cap
+    ]
+
+
+FAMILIES = {
+    # (algebras, found morphisms, composable pairs)
+    "binary": (generated_algebras(12), 171, 1777),
+    "three chains": (generated_algebras(12) + chain_products(3, 12), 418, 15497),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_certificate_agrees_with_the_pair_walk(monkeypatch, fresh_memos, family):
+    algebras, morphisms, pairs = FAMILIES[family]
+    suite = certify(monkeypatch, algebras)
+    walk = pair_walk(algebras)
+    assert (suite.ok, suite.failures) == (walk.ok, walk.failures) == (True, [])
+    assert (suite.cases, walk.cases) == (morphisms + pairs, pairs)
+    assert composites_are_certified(algebras)
+
+
+def misread_one_fiber(sm):
+    """Output fiber 0 reads the next input fiber instead of its own."""
+    wrong = (sm.source_fiber[0] + 1) % len(sm.dom.fibers)
+    return sm._replace(source_fiber=(wrong, *sm.source_fiber[1:]))
+
+
+def test_a_star_map_reading_a_wrong_fiber_fails_certificate_and_walk(monkeypatch, fresh_memos):
+    target = identity(SQUARE)
+    original = eq.star_morphism
+
+    def patched(hom):
+        return misread_one_fiber(original(hom)) if hom == target else original(hom)
+
+    for module in (eq, sweeps):
+        monkeypatch.setattr(module, "star_morphism", patched)
+    # both fibers have height 2, so the misread fiber is still a scaling; the
+    # iota square, which fixes the fiber each output reads, rejects it
+    suite = certify(monkeypatch, [SQUARE])
+    assert suite.failures == ["iota square fails for a map 0->0"]
+    assert not pair_walk([SQUARE]).ok
+
+
+def test_a_star_map_off_its_scaling_fails_certificate_and_walk(monkeypatch, fresh_memos):
+    # fiber 0 of the identity's star maps rank 1 to 0: one table entry off
+    target = identity(SQUARE)
+    original = eq.star_morphism
+
+    def patched(hom):
+        return wrong_hom(original(hom)) if hom == target else original(hom)
+
+    for module in (eq, sweeps):
+        monkeypatch.setattr(module, "star_morphism", patched)
+    suite = certify(monkeypatch, [SQUARE])
+    assert "star of a map 0->0 is not its chain scalings" in suite.failures
+    assert not pair_walk([SQUARE]).ok
+
+
+def test_a_composite_one_high_fails_certificate_and_walk(monkeypatch, fresh_memos):
+    # the scaling of the chain of height 2 onto itself, composed with itself,
+    # gets its first table entry one high
+    composite, ident = eq._composite, sweeps._scaling(2, 2)
+
+    def bumped(f, g):
+        h = composite(f, g)
+        return h._replace(table=(h.table[0] + 1, *h.table[1:])) if f == g == ident else h
+
+    monkeypatch.setattr(eq, "_composite", bumped)
+    suite = certify(monkeypatch, [SQUARE])
+    assert suite.failures == ["chain scalings 2->2->2 do not compose"]
+    assert not pair_walk([SQUARE]).ok
+
+
+def test_a_compose_that_swaps_its_arguments_fails_certificate_and_walk(monkeypatch, fresh_memos):
+    # on the endomorphisms of one algebra a swapped compose is well typed: the
+    # walk builds the star of the wrong composite, and the step from single
+    # morphisms to pairs finds composites whose stars read the wrong fibers;
+    # the suite itself composes no morphism, so its verdict does not move
+    original = mv_core.compose
+
+    def swapped(first, then):
+        return original(then, first)
+
+    for module in (mv_core, eq):
+        monkeypatch.setattr(module, "compose", swapped)
+    assert certify(monkeypatch, [SQUARE]).ok
+    assert not composites_are_certified([SQUARE])
+    assert not pair_walk([SQUARE]).ok
+

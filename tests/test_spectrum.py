@@ -39,6 +39,7 @@ from mvgamma.spectrum import (
 from mvgamma.equivalence import star_algebra
 from mvgamma.errors import InternalInvariantError
 from mvgamma.lgroup import gamma_segment
+import mvgamma.sweeps as sweeps
 from mvgamma.sweeps import SweepContext, generated_algebras
 from fiber_oracles import canonical_embedding
 from test_mv_core import chain_product, ominus, permuted_copy, relabelled
@@ -77,6 +78,63 @@ def test_enumeration_matches_subset_filter(algebra):
 def test_subset_filter_is_capped():
     with pytest.raises(ValueError):
         ideals_by_subset_filter(make_product(L3, L3))
+
+
+def test_the_subset_filter_cap_error_is_unchanged():
+    assert len(ideals_by_subset_filter(make_product(L2, L3))) == 4  # 12 elements
+    for algebra in (make_chain(12), make_product(L3, L3)):
+        with pytest.raises(ValueError, match=r"^subset oracle capped at size 12$"):
+            ideals_by_subset_filter(algebra)
+
+
+def subset_filter_oracle(algebra: FiniteMVAlgebra) -> list[Ideal]:
+    """The earlier filter: every subset with 0, as a frozenset in bitmask
+    order, kept when `ideal_violations` finds nothing wrong with it."""
+    s = algebra.size
+    subsets = (frozenset(a for a in range(s) if bits >> a & 1) for bits in range(1, 1 << s, 2))
+    return [Ideal(algebra, m) for m in subsets if not ideal_violations.__wrapped__(algebra, m)]
+
+
+def test_bitmask_filter_matches_the_frozenset_filter_on_the_generated_family():
+    for algebra in generated_algebras(12):
+        assert ideals_by_subset_filter(algebra) == subset_filter_oracle(algebra)
+
+
+@st.composite
+def small_tables(draw):
+    """Tables of 2 to 8 elements: any cells at all, or a relabelled chain
+    product with a few cells overwritten, or left lawful."""
+    if draw(st.booleans()):
+        s = draw(st.integers(2, 8))
+        cells = st.integers(0, s - 1)
+        oplus = draw(st.lists(st.lists(cells, min_size=s, max_size=s), min_size=s, max_size=s))
+        return FiniteMVAlgebra(s, oplus, draw(st.lists(cells, min_size=s, max_size=s)))
+    heights = draw(st.sampled_from([(1,), (3,), (7,), (1, 1), (1, 2), (1, 3), (1, 1, 1)]))
+    algebra = relabelled(chain_product(heights), draw(st.integers(0, 99)))
+    s, oplus = algebra.size, [list(row) for row in algebra.oplus]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b, v = (draw(st.integers(0, s - 1)) for _ in range(3))
+        oplus[a][b] = v
+    return FiniteMVAlgebra(s, oplus, algebra.neg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_tables())
+def test_bitmask_filter_matches_the_frozenset_filter_on_any_table(algebra):
+    assert ideals_by_subset_filter(algebra) == subset_filter_oracle(algebra)
+
+
+def test_a_dropped_ideal_fails_the_spectrum_oracle_suite(monkeypatch):
+    # the enumeration loses the ideal {0, 1} of the four-element Boolean algebra
+    original = sweeps.enumerate_ideals
+
+    def dropping(algebra):
+        found = original(algebra)
+        return [i for i in found if i.members != {0, 1}] if algebra is SQ else found
+
+    monkeypatch.setattr(sweeps, "enumerate_ideals", dropping)
+    result = sweeps.suite_spectrum_oracle(SweepContext(16, 4))
+    assert (result.ok, result.failures) == (False, ["ideal lists disagree on a size-4 algebra"])
 
 
 def test_cycling_squares_raise_instead_of_hanging():

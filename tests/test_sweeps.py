@@ -10,6 +10,9 @@ segment's ⊕ table; its oracle, `goodseq_case_by_enumeration`, lists every
 good sequence up to the window's lengths.
 """
 
+import collections
+import sys
+
 import pytest
 
 import mvgamma.equivalence as eq
@@ -24,7 +27,9 @@ from mvgamma.sweeps import (
     generated_algebras,
     run_all_checks,
     suite_good_sequences,
+    suite_naturality,
     suite_pair_groups,
+    suite_spectrum_oracle,
 )
 
 
@@ -229,3 +234,43 @@ def test_good_sequences_read_each_fiber_table_once(window, monkeypatch, fresh_me
     assert suite_good_sequences(SweepContext(16, window)).ok
     assert len(calls) <= sum((h + 1) ** 2 for h in (1, 2, 3)) == 29
     assert all(len(entries) == 2 for entries in calls)
+
+
+# -- what the product walks no longer call --------------------------------------------
+
+
+def count_calls(monkeypatch, module, names):
+    """Count the calls of each named function of the module, wherever a
+    module of the package binds it, through its `__wrapped__` too."""
+    calls = collections.Counter()
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        counted.__wrapped__ = counted
+        for other in list(sys.modules.values()):
+            if getattr(other, "__name__", "").startswith("mvgamma") and (
+                getattr(other, name, None) is original
+            ):
+                monkeypatch.setattr(other, name, counted)
+    return calls
+
+
+def test_a_fresh_naturality_suite_walks_no_pair(monkeypatch, fresh_memos):
+    # the composition squares are certified per morphism and per chain
+    # triple: no morphism is composed and no pair's square is walked; the
+    # 306 route comparisons are the evaluation squares'
+    names = ("compose", "star_functoriality", "_routes_agree")
+    calls = count_calls(monkeypatch, eq, names)
+    result = suite_naturality(SweepContext(16, 4))
+    assert (result.ok, result.cases) == (True, 2254)
+    assert calls == {"_routes_agree": 306}
+
+
+def test_a_fresh_spectrum_oracle_suite_asks_no_ideal_violations(monkeypatch, fresh_memos):
+    calls = count_calls(monkeypatch, sys.modules["mvgamma.spectrum"], ("ideal_violations",))
+    result = suite_spectrum_oracle(SweepContext(16, 4))
+    assert (result.ok, result.cases, calls) == (True, 15, {})
