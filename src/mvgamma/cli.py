@@ -61,7 +61,12 @@ def _run_text(text: str, config: RunConfig, json_out: str | None = None) -> int:
     try:
         report = execute(script, config)
     except SemanticError as exc:
-        _write(dumps({"error": exc.as_json()}))
+        error = exc.as_json()
+        try:
+            text = dumps({"error": error})
+        except RecursionError:  # a counterexample nested too deeply to write
+            text = dumps({"error": {**error, "counterexample": None}})
+        _write(text)
         return 3
     except InternalInvariantError as exc:
         _write(dumps({"error": {"code": "internal", "message": str(exc)}}))

@@ -221,11 +221,17 @@ class _Runner:
                     f"{expr.name!r} is a {kind}, not an algebra", line, {"name": expr.name}
                 )
             return value
-        if isinstance(expr, ProductExpr):
-            left = self.eval_algebra_expr(expr.left, line)
-            right = self.eval_algebra_expr(expr.right, line)
-            self.check_carrier(left.size * right.size, line, "product")
-            return make_product(left, right)
+        if isinstance(expr, ProductExpr):  # a loop down the left-nested spine: no recursion
+            rights = []
+            while isinstance(expr, ProductExpr):
+                rights.append(expr.right)
+                expr = expr.left
+            product = self.eval_algebra_expr(expr, line)
+            for right in reversed(rights):
+                factor = self.eval_algebra_expr(right, line)
+                self.check_carrier(product.size * factor.size, line, "product")
+                product = make_product(product, factor)
+            return product
         if isinstance(expr, TableExpr):
             size = expr.obj.get("size") if isinstance(expr.obj, dict) else None
             if isinstance(size, int):

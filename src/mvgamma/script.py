@@ -135,10 +135,10 @@ KEYWORDS = frozenset(
     "goodseq member freequotient check export all".split()
 )
 
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT = re.compile(r"-?[0-9]+")
-_FLAG = re.compile(r"--[a-z][a-z-]*")
-_PATH = re.compile(r"[^\s#]+")
+_BLANKS = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")
+_WORD = r"[A-Za-z_][A-Za-z0-9_]*"
+_INT = r"-?[0-9]+"
+_KEYWORD = f"(?:{'|'.join(sorted(KEYWORDS))})(?![A-Za-z0-9_])"
 
 
 def _not_an_integer(text: str):
@@ -152,104 +152,47 @@ _COMMANDS_NAME_ONLY = ("spec", "star", "gamma", "roundtrip")
 
 
 class _Cursor:
+    """A position in the text; `start` is where the last token began."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-
-    def location(self, pos: int | None = None) -> tuple[int, int]:
-        p = self.pos if pos is None else pos
-        line = self.text.count("\n", 0, p) + 1
-        col = p - (self.text.rfind("\n", 0, p) + 1) + 1
-        return line, col
+        self.pos = self.start = 0
 
     def error(self, cls, message: str, pos: int | None = None):
-        line, col = self.location(pos)
-        raise cls(message, line, col)
+        p = self.start if pos is None else pos
+        raise cls(message, self.text.count("\n", 0, p) + 1, p - self.text.rfind("\n", 0, p))
 
     def skip(self):
-        text, n = self.text, len(self.text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "#":
-                nl = text.find("\n", self.pos)
-                self.pos = n if nl < 0 else nl + 1
-            else:
-                return
+        self.start = self.pos = _BLANKS.match(self.text, self.pos).end()
 
-    @property
-    def done(self) -> bool:
+    def take(self, pattern: str, what: str | None = None) -> str | None:
+        """Skip blanks and comments, then consume a match of pattern and
+        return its text; on no match, return None, or raise "expected {what}"
+        when what is given."""
         self.skip()
-        return self.pos >= len(self.text)
-
-    def peek_word(self) -> str | None:
-        self.skip()
-        m = _WORD.match(self.text, self.pos)
-        return m.group(0) if m else None
-
-    def word(self, what: str = "a name") -> str:
-        self.skip()
-        m = _WORD.match(self.text, self.pos)
-        if not m:
-            self.error(ScriptSyntaxError, f"expected {what}")
+        m = re.compile(pattern).match(self.text, self.pos)
+        if m is None:
+            if what:
+                self.error(ScriptSyntaxError, f"expected {what}")
+            return None
         self.pos = m.end()
-        return m.group(0)
-
-    def integer(self, what: str = "an integer") -> int:
-        self.skip()
-        m = _INT.match(self.text, self.pos)
-        if not m:
-            self.error(ScriptSyntaxError, f"expected {what}")
-        self.pos = m.end()
-        return int(m.group(0))
+        return m.group()
 
     def punct(self, token: str):
-        self.skip()
-        if not self.text.startswith(token, self.pos):
-            self.error(ScriptSyntaxError, f"expected {token!r}")
-        self.pos += len(token)
+        self.take(re.escape(token), repr(token))
 
-    def try_punct(self, token: str) -> bool:
-        self.skip()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
+    def integer(self, what: str) -> int:
+        return int(self.take(_INT, what))
 
-    def try_flag(self, flag: str) -> bool:
-        self.skip()
-        m = _FLAG.match(self.text, self.pos)
-        if m and m.group(0) == flag:
-            self.pos = m.end()
-            return True
-        return False
-
-    def json_fragment(self, what: str = "a JSON value"):
+    def json_fragment(self, what: str):
         self.skip()
         try:
-            value, end = _INTEGER_JSON.raw_decode(self.text, self.pos)
+            value, self.pos = _INTEGER_JSON.raw_decode(self.text, self.pos)
+        except RecursionError:
+            self.error(ScriptSyntaxError, f"expected {what}: nested too deeply")
         except ValueError as exc:  # a JSONDecodeError, or a number that is not an integer
             self.error(ScriptSyntaxError, f"expected {what}: {getattr(exc, 'msg', exc)}")
-        self.pos = end
         return value
-
-    def path(self) -> str:
-        self.skip()
-        if self.text.startswith('"', self.pos):
-            try:
-                value, end = json.JSONDecoder().raw_decode(self.text, self.pos)
-            except json.JSONDecodeError:
-                self.error(ScriptSyntaxError, "unterminated path string")
-            if not isinstance(value, str):
-                self.error(ScriptSyntaxError, "expected a path string")
-            self.pos = end
-            return value
-        m = _PATH.match(self.text, self.pos)
-        if not m:
-            self.error(ScriptSyntaxError, "expected a path")
-        self.pos = m.end()
-        return m.group(0)
 
 
 def parse_script(text: str) -> Script:
@@ -259,140 +202,109 @@ def parse_script(text: str) -> Script:
     names: set[str] = set()
     statements = []
 
-    def new_name() -> str:
-        cur.skip()
-        pos = cur.pos
-        word = cur.word("a name")
-        if word in KEYWORDS:
-            cur.error(ScriptSyntaxError, f"{word!r} is a keyword, not a name", pos)
-        if word in names:
-            cur.error(DuplicateNameError, f"name {word!r} is already bound", pos)
-        return word
-
-    def used_name(what: str = "a bound name") -> str:
-        cur.skip()
-        pos = cur.pos
-        word = cur.word(what)
-        if word not in names:
-            cur.error(UnknownNameError, f"unknown name {word!r}", pos)
+    def name(what: str, new: bool = False) -> str:
+        word = cur.take(_WORD, what)
+        if new and word in KEYWORDS:
+            cur.error(ScriptSyntaxError, f"{word!r} is a keyword, not a name")
+        if new and word in names:
+            cur.error(DuplicateNameError, f"name {word!r} is already bound")
+        if not new and word not in names:
+            cur.error(UnknownNameError, f"unknown name {word!r}")
         return word
 
     def algebra_atom():
-        cur.skip()
-        pos = cur.pos
-        word = cur.peek_word()
-        if word == "chain":
-            cur.word()
+        keyword = cur.take(_KEYWORD)
+        if keyword == "chain":
             return ChainExpr(cur.integer("a chain height"))
-        if word == "table":
-            cur.word()
+        if keyword == "table":
             return TableExpr(cur.json_fragment("an algebra table"))
-        if word is None:
-            cur.error(ScriptSyntaxError, "expected an algebra expression")
-        if word in KEYWORDS:
-            cur.error(ScriptSyntaxError, f"{word!r} cannot start an algebra expression", pos)
-        return NameExpr(used_name("an algebra name"))
+        if keyword:
+            cur.error(ScriptSyntaxError, f"{keyword!r} cannot start an algebra expression")
+        return NameExpr(name("an algebra expression"))
 
-    def algebra_expr():
-        node = algebra_atom()
-        while cur.try_punct("*"):
-            node = ProductExpr(node, algebra_atom())
-        return node
+    def listed(item) -> tuple:
+        """[item, item, ...], at least one item."""
+        cur.punct("[")
+        items = [item()]
+        while cur.take(","):
+            items.append(item())
+        cur.punct("]")
+        return tuple(items)
 
-    while not cur.done:
-        cur.skip()
-        line, _ = cur.location()
-        head_pos = cur.pos
-        head = cur.peek_word()
+    def unit_pair() -> tuple[int, int]:
+        cur.punct("(")
+        m = cur.integer("a copy count")
+        cur.punct(",")
+        a = cur.integer("an offset")
+        cur.punct(")")
+        return m, a
+
+    def expect_word(word: str):
+        if cur.take(_WORD, repr(word)) != word:  # a wrong word is reported where it ends
+            cur.error(ScriptSyntaxError, f"expected {word!r}", cur.pos)
+
+    line, counted = 1, 0  # each newline is counted once, so a long script parses in linear time
+    while (head := cur.take(_WORD)) or cur.pos < len(text):
+        line += text.count("\n", counted, cur.start)
+        counted = cur.start
         if head is None:
-            cur.error(
-                ScriptLexError, f"unexpected character {cur.text[cur.pos]!r}"
-            )
-        cur.word()
+            cur.error(ScriptLexError, f"unexpected character {text[cur.pos]!r}")
         if head == "algebra":
-            name = new_name()
+            bound = name("a name", new=True)
             cur.punct("=")
-            statements.append(AlgebraDef(name, algebra_expr(), line))
-            names.add(name)
+            expr = algebra_atom()
+            while cur.take(r"\*"):
+                expr = ProductExpr(expr, algebra_atom())
+            statements.append(AlgebraDef(bound, expr, line))
+            names.add(bound)
         elif head == "hom":
-            name = new_name()
+            bound = name("a name", new=True)
             cur.punct(":")
-            dom = used_name("the domain name")
+            dom = name("the domain name")
             cur.punct("->")
-            cod = used_name("the codomain name")
+            cod = name("the codomain name")
             cur.punct("{")
             pairs = []
-            if not cur.try_punct("}"):
+            if not cur.take("}"):
                 while True:
                     a = cur.integer("a carrier index")
                     cur.punct("->")
-                    b = cur.integer("a carrier index")
-                    pairs.append((a, b))
-                    if cur.try_punct("}"):
+                    pairs.append((a, cur.integer("a carrier index")))
+                    if cur.take("}"):
                         break
                     cur.punct(",")
-            statements.append(HomDef(name, dom, cod, tuple(pairs), line))
-            names.add(name)
+            statements.append(HomDef(bound, dom, cod, tuple(pairs), line))
+            names.add(bound)
         elif head == "group":
-            name = new_name()
+            bound = name("a name", new=True)
             cur.punct("=")
-            kw = cur.word("'fibers'")
-            if kw != "fibers":
-                cur.error(ScriptSyntaxError, "expected 'fibers'")
-            cur.punct("[")
-            sizes = [cur.integer("a fiber chain size")]
-            while cur.try_punct(","):
-                sizes.append(cur.integer("a fiber chain size"))
-            cur.punct("]")
-            kw = cur.word("'unit'")
-            if kw != "unit":
-                cur.error(ScriptSyntaxError, "expected 'unit'")
-            cur.punct("[")
-            unit = []
-            while True:
-                cur.punct("(")
-                m = cur.integer("a copy count")
-                cur.punct(",")
-                a = cur.integer("an offset")
-                cur.punct(")")
-                unit.append((m, a))
-                if not cur.try_punct(","):
-                    break
-            cur.punct("]")
-            statements.append(GroupDef(name, tuple(sizes), tuple(unit), line))
-            names.add(name)
+            expect_word("fibers")
+            sizes = listed(lambda: cur.integer("a fiber chain size"))
+            expect_word("unit")
+            statements.append(GroupDef(bound, sizes, listed(unit_pair), line))
+            names.add(bound)
         elif head in _COMMANDS_NAME_ONLY:
-            statements.append(Command(kind=head, name=used_name(), line=line))
+            statements.append(Command(kind=head, name=name("a bound name"), line=line))
         elif head in ("goodseq", "member"):
-            name = used_name()
+            target = name("a bound name")
             element = cur.json_fragment("an element literal")
-            statements.append(Command(kind=head, name=name, element=element, line=line))
+            statements.append(Command(kind=head, name=target, element=element, line=line))
         elif head == "freequotient":
-            name = used_name()
-            keep = cur.try_flag("--keep-zero")
-            statements.append(Command(kind=head, name=name, keep_zero=keep, line=line))
+            target = name("a bound name")
+            keep = cur.take("--keep-zero(?![a-z-])") is not None
+            statements.append(Command(kind=head, name=target, keep_zero=keep, line=line))
         elif head == "check":
-            cur.skip()
-            target = cur.peek_word()
-            if target == "all":
-                cur.word()
-                name, check_all = None, True
-            else:
-                name, check_all = used_name(), False
+            check_all = cur.take(r"all(?![A-Za-z0-9_])") is not None
+            target = None if check_all else name("a bound name")
             flags: dict[str, int] = {}
-            while True:
-                cur.skip()
-                flag_pos = cur.pos
-                flag = next((f for f in ("--max-size", "--window") if cur.try_flag(f)), None)
-                if flag is None:
-                    break
+            while flag := cur.take("--(?:max-size|window)(?![a-z-])"):
                 if flag in flags:
-                    cur.error(ScriptSyntaxError, f"repeated flag {flag!r}", flag_pos)
+                    cur.error(ScriptSyntaxError, f"repeated flag {flag!r}")
                 flags[flag] = cur.integer("an integer")
             statements.append(
                 Command(
                     kind="check",
-                    name=name,
+                    name=target,
                     check_all=check_all,
                     max_size=flags.get("--max-size"),
                     window=flags.get("--window"),
@@ -400,10 +312,17 @@ def parse_script(text: str) -> Script:
                 )
             )
         elif head == "export":
-            name = used_name()
-            statements.append(Command(kind="export", name=name, path=cur.path(), line=line))
+            target = name("a bound name")
+            if cur.take('"'):
+                try:
+                    path, cur.pos = json.decoder.scanstring(text, cur.pos)
+                except ValueError:
+                    cur.error(ScriptSyntaxError, "unterminated path string")
+            else:
+                path = cur.take(r"[^\s#]+", "a path")
+            statements.append(Command(kind="export", name=target, path=path, line=line))
+        elif head in KEYWORDS:
+            cur.error(ScriptSyntaxError, f"{head!r} cannot start a statement")
         else:
-            if head in KEYWORDS:
-                cur.error(ScriptSyntaxError, f"{head!r} cannot start a statement", head_pos)
-            cur.error(ScriptSyntaxError, f"unknown statement {head!r}", head_pos)
+            cur.error(ScriptSyntaxError, f"unknown statement {head!r}")
     return Script(statements=tuple(statements))

@@ -297,6 +297,8 @@ def loads(text: str):
     """Parse JSON text and rebuild the value whose key set it matches."""
     try:
         obj = json.loads(text)
+    except RecursionError as exc:
+        raise SchemaError("not JSON: nested too deeply", "/") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not JSON: {exc}", "/") from exc
     if not isinstance(obj, dict):

@@ -296,22 +296,17 @@ def suite_good_sequences(ctx: SweepContext) -> SuiteResult:
     return result
 
 
-@functools.cache
-def _unital_feeds(fi: ChangChainGroup, fj: ChangChainGroup, ui: int, uj: int, /) -> tuple:
-    """The extensions of the chain morphisms fi -> fj that send ui to uj."""
-    maps = (FiberMap.extension(h, fi, fj) for h in find_morphisms(fi.chain, fj.chain))
-    return tuple(fm for fm in maps if fm(ui) == uj)
-
-
 def _generated_group_maps(dom: ProductLuGroup, cod: ProductLuGroup) -> list[LGroupMap]:
     """Every unit-preserving coordinatewise chain-morphism map dom -> cod.
-    A map is unital exactly when each fiber map sends the unit coordinate it
-    reads to the one it writes, so each fiber's feeds are filtered alone."""
+    Every generated fiber is a chain's, so fiber i feeds fiber j through the
+    one chain scaling when there is one.  A map is unital exactly when each
+    fiber map sends the unit coordinate it reads to the one it writes, so
+    each fiber's feeds are filtered alone."""
     choices = [
         [
-            (i, fm)
+            (i, s)
             for i, fi in enumerate(dom.fibers)
-            for fm in _unital_feeds(fi, fj, dom.u[i], cod.u[j])
+            if (s := _scaling(fi.height, fj.height)) is not None and s(dom.u[i]) == cod.u[j]
         ]
         for j, fj in enumerate(cod.fibers)
     ]

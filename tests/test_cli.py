@@ -330,6 +330,37 @@ def test_carrier_above_the_cap_is_semantic(monkeypatch, text, size, builder):
     assert err.value.counterexample == {"size": size, "cap": MAX_CARRIER}
 
 
+def test_a_long_product_is_refused_as_a_short_one_is(capsys):
+    # the factors are evaluated and capped one by one, with no recursion
+    # down the left-nested product, so 3,000 factors stop where 10 do
+    outs = []
+    for factors in (10, 3000):
+        code = _run_text("algebra A = " + " * ".join(["chain 1"] * factors), RunConfig())
+        outs.append((code, capsys.readouterr().out))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 3 and "product would have 512 elements" in outs[0][1]
+
+
+@pytest.mark.parametrize("depth", [600, 1000, 5000])
+@pytest.mark.parametrize(
+    "head, column, what",
+    [("goodseq G ", 11, "an element literal"), ("algebra A = table ", 19, "an algebra table")],
+    ids=["element", "table"],
+)
+def test_deeply_nested_literals_keep_the_error_contract(capsys, depth, head, column, what):
+    # a literal the decoder cannot nest is a syntax error at the literal; one
+    # it can nest is a semantic error whose counterexample is too deep for
+    # the report writer, so it is written as null
+    code = _run_text(f"{GROUP}{head}{'[' * depth}{']' * depth}", RunConfig())
+    error = json.loads(capsys.readouterr().out)["error"]
+    if depth < 1000:
+        assert (code, error["code"], error["line"]) == (3, "semantic", 2)
+        assert error["counterexample"] is None
+    else:
+        message = f"expected {what}: nested too deeply (line 2, column {column})"
+        assert (code, error["code"], error["message"]) == (2, "syntax", message)
+
+
 def test_carrier_at_the_cap_is_accepted(monkeypatch):
     monkeypatch.setattr(interp, "gamma_segment", refuse)
     report = run_text(
@@ -783,18 +814,25 @@ def test_cli_installed_command_on_path():
 # ------------------------------------------------------------------ grammar fuzz
 
 COPIES = st.one_of(st.integers(-1, 3), st.integers(-(10**30), 10**30))
+# Literals nested past what the report writer (about 450 levels) or the
+# decoder (about 1,000) can take.
+NESTED = (st.sampled_from([600, 1000, 5000]) | st.integers(600, 5000)).map(
+    lambda n: "[" * n + "]" * n
+)
 
 
 @st.composite
 def table_literals(draw) -> str:
     """A `table` literal: a relabelled chain product, lawful or with one
-    entry changed, or a malformed object."""
+    entry changed, or a malformed object, or a list nested deeply."""
     product = chain_product(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
     s = product.size
     copy = permuted_copy(product, [0] + draw(st.permutations(range(1, s))))
     op, ng = [list(row) for row in copy.oplus], list(copy.neg)
-    changes = ["none"] * 6 + ["oplus", "neg", "size", "range", "shape", "keys"]
+    changes = ["none"] * 6 + ["oplus", "neg", "size", "range", "shape", "keys"] + ["nested"] * 2
     change, cell = draw(st.sampled_from(changes)), st.integers(0, s - 1)
+    if change == "nested":
+        return "table " + draw(NESTED)
     if change == "oplus":
         op[draw(cell)][draw(cell)] = draw(cell)
     elif change == "neg":
@@ -812,9 +850,11 @@ def table_literals(draw) -> str:
 
 ELEMENTS = st.one_of(
     st.lists(st.fixed_dictionaries({"m": COPIES, "a": st.integers(-1, 3)}), min_size=1, max_size=3)
-    .map(lambda coords: {"coords": coords}),
-    st.sampled_from([{"coords": []}, {"coords": [{"m": 1}]}, {"m": 1, "a": 0}]),
-).map(json.dumps)
+    .map(lambda coords: {"coords": coords})
+    .map(json.dumps),
+    st.sampled_from([{"coords": []}, {"coords": [{"m": 1}]}, {"m": 1, "a": 0}]).map(json.dumps),
+    NESTED.map('{{"coords": {}}}'.format),
+)
 
 
 @st.composite
@@ -840,7 +880,9 @@ def grammar_scripts(draw, tmp: str) -> list[str]:
             if form == "table":
                 expr = draw(table_literals())
             elif form == "product" and "algebra" in bound.values():
-                expr = f"{draw(st.sampled_from([use('algebra'), draw(chains)]))} * {draw(chains)}"
+                factors = draw(st.integers(1, 3000)) if draw(st.integers(0, 4)) == 0 else 1
+                first = draw(st.sampled_from([use("algebra"), draw(chains)]))
+                expr = " * ".join([first] + [draw(chains)] * factors)
             else:
                 expr = draw(chains)
             lines.append(f"algebra {name} = {expr}")

@@ -170,7 +170,7 @@ def test_cached_functions_have_one_call_form():
             if a.args or a.kwonlyargs or a.kwarg or a.defaults:
                 loose.append(f"{path.stem}.{node.name}")
     assert loose == []
-    assert {"upsilon", "quotient", "find_morphisms", "_unital_feeds"} <= set(checked)
+    assert {"upsilon", "quotient", "find_morphisms", "_scaling"} <= set(checked)
     assert {"check_mv_axioms", "spectrum", "star_algebra", "unit_segment"} <= set(checked)
 
 

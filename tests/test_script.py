@@ -1,6 +1,10 @@
 """Parser: grammar, positions, and the four error classes."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgamma.script import (
     AlgebraDef,
@@ -11,6 +15,7 @@ from mvgamma.script import (
     HomDef,
     NameExpr,
     ProductExpr,
+    ScriptError,
     ScriptLexError,
     ScriptSyntaxError,
     TableExpr,
@@ -196,9 +201,214 @@ def test_empty_script_is_fine():
 
 def test_parser_totality_on_junk():
     # anything at all either parses or raises a positioned ScriptError
-    from mvgamma.script import ScriptError
-
     for junk in ["{", "algebra", "hom h :", "group G = fibers", "\x00", "€", "((((", "-"]:
         with pytest.raises(ScriptError) as err:
             parse_script(junk)
         assert err.value.line >= 1 and err.value.col >= 1
+
+
+# One script for each message template the parser can raise, with the class,
+# message and position it gives.  "expected 'fibers'" and "expected 'unit'"
+# stand at the word's start when there is no word, and after a wrong word.
+PARSE_ERRORS = [
+    ("algebra A = chain 1\n@spec A", ScriptLexError, "unexpected character '@'", 2, 1),
+    ("fibers [2]", ScriptSyntaxError, "'fibers' cannot start a statement", 1, 1),
+    ("frobnicate A", ScriptSyntaxError, "unknown statement 'frobnicate'", 1, 1),
+    ("algebra A = spec", ScriptSyntaxError, "'spec' cannot start an algebra expression", 1, 13),
+    ("algebra chain = chain 1", ScriptSyntaxError, "'chain' is a keyword, not a name", 1, 9),
+    (
+        "algebra A = chain 1\nalgebra A = chain 2",
+        DuplicateNameError,
+        "name 'A' is already bound",
+        2,
+        9,
+    ),
+    ("spec A", UnknownNameError, "unknown name 'A'", 1, 6),
+    ("check all --window 2 --window 3", ScriptSyntaxError, "repeated flag '--window'", 1, 22),
+    (
+        'algebra A = chain 1\nexport A "out.json',
+        ScriptSyntaxError,
+        "unterminated path string",
+        2,
+        10,
+    ),
+    ("algebra = chain 1", ScriptSyntaxError, "expected a name", 1, 9),
+    ("spec 1", ScriptSyntaxError, "expected a bound name", 1, 6),
+    ("algebra A = chain 1\nhom h : 1", ScriptSyntaxError, "expected the domain name", 2, 9),
+    ("algebra A = chain 1\nhom h : A -> 1", ScriptSyntaxError, "expected the codomain name", 2, 14),
+    ("algebra A = chain x", ScriptSyntaxError, "expected a chain height", 1, 19),
+    (
+        "algebra A = chain 1\nhom h : A -> A { 0 -> x }",
+        ScriptSyntaxError,
+        "expected a carrier index",
+        2,
+        23,
+    ),
+    ("group G = fibers [x]", ScriptSyntaxError, "expected a fiber chain size", 1, 19),
+    ("group G = fibers [2] unit [(x, 0)]", ScriptSyntaxError, "expected a copy count", 1, 29),
+    ("group G = fibers [2] unit [(1, x)]", ScriptSyntaxError, "expected an offset", 1, 32),
+    ("check all --window x", ScriptSyntaxError, "expected an integer", 1, 20),
+    ("algebra A = chain 1\nexport A  # no path", ScriptSyntaxError, "expected a path", 2, 20),
+    ("algebra A = 1", ScriptSyntaxError, "expected an algebra expression", 1, 13),
+    (
+        "algebra A = table {",
+        ScriptSyntaxError,
+        "expected an algebra table: Expecting property name enclosed in double quotes",
+        1,
+        19,
+    ),
+    (
+        "group G = fibers [2] unit [(1,0)]\ngoodseq G [1,",
+        ScriptSyntaxError,
+        "expected an element literal: Expecting value",
+        2,
+        11,
+    ),
+    ("algebra A chain 1", ScriptSyntaxError, "expected '='", 1, 11),
+    ("algebra A = chain 1\nhom h A -> A { }", ScriptSyntaxError, "expected ':'", 2, 7),
+    ("algebra A = chain 1\nhom h : A A { }", ScriptSyntaxError, "expected '->'", 2, 11),
+    ("algebra A = chain 1\nhom h : A -> A 0 -> 0 }", ScriptSyntaxError, "expected '{'", 2, 16),
+    (
+        "algebra A = chain 1\nhom h : A -> A { 0 -> 0 1 -> 1 }",
+        ScriptSyntaxError,
+        "expected ','",
+        2,
+        25,
+    ),
+    ("group G = fibers 2 unit [(1,0)]", ScriptSyntaxError, "expected '['", 1, 18),
+    ("group G = fibers [2 unit [(1,0)]", ScriptSyntaxError, "expected ']'", 1, 21),
+    ("group G = fibers [2] unit (1,0)", ScriptSyntaxError, "expected '['", 1, 27),
+    ("group G = fibers [2] unit [1,0]", ScriptSyntaxError, "expected '('", 1, 28),
+    ("group G = fibers [2] unit [(1 0)]", ScriptSyntaxError, "expected ','", 1, 31),
+    ("group G = fibers [2] unit [(1,0]", ScriptSyntaxError, "expected ')'", 1, 32),
+    ("group G = fibers [2] unit [(1,0)", ScriptSyntaxError, "expected ']'", 1, 33),
+    ("group G = 2", ScriptSyntaxError, "expected 'fibers'", 1, 11),
+    ("group G = fiber [2]", ScriptSyntaxError, "expected 'fibers'", 1, 16),
+    ("group G = fibers [2] 1", ScriptSyntaxError, "expected 'unit'", 1, 22),
+    ("group G = fibers [2] units [(1,0)]", ScriptSyntaxError, "expected 'unit'", 1, 27),
+]
+CODES = {
+    ScriptLexError: "lex",
+    ScriptSyntaxError: "syntax",
+    DuplicateNameError: "duplicate-name",
+    UnknownNameError: "unknown-name",
+}
+
+
+@pytest.mark.parametrize("text, cls, message, line, col", PARSE_ERRORS)
+def test_every_parse_error_keeps_its_class_code_message_and_position(
+    text, cls, message, line, col
+):
+    with pytest.raises(ScriptError) as err:
+        parse_script(text)
+    assert type(err.value) is cls and err.value.code == CODES[cls]
+    assert str(err.value) == f"{message} (line {line}, column {col})"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+# ------------------------------------------------------------ round trip
+
+INTS = st.integers(-(10**20), 10**20)
+PAIRS = st.tuples(INTS, INTS)
+JSON = st.recursive(
+    st.none() | st.booleans() | INTS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# blanks and comments between tokens; a comment runs to the end of its line
+GAPS = st.sampled_from([" ", "\t", "\r", "\n", " \t\r\n ", "# c -> { [ \n", " #\n\t", "\n#\n#\r\n"])
+# a stem with the statement's index is a new name, and never a keyword
+STEMS = st.sampled_from(["A", "g", "_", "x_1", "chain", "all", "Table"])
+COMMANDS = st.sampled_from(
+    "spec star gamma roundtrip goodseq member freequotient check export".split()
+)
+FLAGS = st.permutations(["max_size", "window"]).flatmap(
+    lambda flags: st.integers(0, 2).map(lambda n: flags[:n])
+)
+# a bare path runs to a blank or a comment, and does not start with a quote
+BARE_PATHS = st.tuples(st.sampled_from("a/.-é"), st.text("a/._-é€\\'\"{", max_size=5)).map(
+    "".join
+)
+
+
+@st.composite
+def scripts(draw):
+    """Statements drawn as records, each rendered as its tokens with random
+    gaps between them; the records carry the line their first token is on."""
+    bound: list[str] = []
+    text, records = draw(GAPS), []
+    for _ in range(draw(st.integers(1, 6))):
+        kinds = ["algebra", "group"] + ["hom", "command", "command"] * bool(bound)
+        kind = draw(st.sampled_from(kinds))
+        used = st.sampled_from(bound or [""])
+        name = f"{draw(STEMS)}{len(records)}"
+        if kind == "algebra":
+            tokens, expr = ["algebra", name, "="], None
+            for _ in range(draw(st.integers(1, 3))):
+                atom = draw(st.sampled_from(["chain", "table", "name"][: 2 + bool(bound)]))
+                if atom == "chain":
+                    factor = ChainExpr(draw(INTS))
+                    atom_tokens = ["chain", str(factor.height)]
+                elif atom == "table":
+                    factor = TableExpr(draw(JSON))
+                    atom_tokens = ["table", json.dumps(factor.obj)]
+                else:
+                    factor = NameExpr(draw(used))
+                    atom_tokens = [factor.name]
+                tokens += (["*"] if expr else []) + atom_tokens
+                expr = ProductExpr(expr, factor) if expr else factor
+            record = AlgebraDef(name, expr, 0)
+        elif kind == "hom":
+            dom, cod = draw(used), draw(used)
+            pairs = tuple(draw(st.lists(PAIRS, max_size=3)))
+            arrows = [t for a, b in pairs for t in [",", str(a), "->", str(b)]][1:]
+            tokens = ["hom", name, ":", dom, "->", cod, "{", *arrows, "}"]
+            record = HomDef(name, dom, cod, pairs, 0)
+        elif kind == "group":
+            sizes = tuple(draw(st.lists(INTS, min_size=1, max_size=3)))
+            unit = tuple(draw(st.lists(PAIRS, min_size=1, max_size=3)))
+            size_tokens = [t for n in sizes for t in [",", str(n)]][1:]
+            unit_tokens = [t for m, a in unit for t in [",", "(", str(m), ",", str(a), ")"]][1:]
+            tokens = ["group", name, "=", "fibers", "[", *size_tokens, "]"]
+            tokens += ["unit", "[", *unit_tokens, "]"]
+            record = GroupDef(name, sizes, unit, 0)
+        else:
+            command, target = draw(COMMANDS), draw(used)
+            tokens, fields = [command, target], {"name": target}
+            if command in ("goodseq", "member"):
+                fields["element"] = draw(JSON)
+                tokens.append(json.dumps(fields["element"]))
+            elif command == "freequotient":
+                fields["keep_zero"] = draw(st.booleans())
+                tokens += ["--keep-zero"] * fields["keep_zero"]
+            elif command == "check":
+                if draw(st.booleans()):
+                    tokens[1], fields = "all", {"check_all": True}
+                for flag in draw(FLAGS):
+                    fields[flag] = draw(INTS)
+                    tokens += ["--" + flag.replace("_", "-"), str(fields[flag])]
+            elif command == "export":
+                if draw(st.booleans()):
+                    fields["path"] = draw(st.text(max_size=6))
+                    tokens.append(json.dumps(fields["path"], ensure_ascii=draw(st.booleans())))
+                else:
+                    fields["path"] = draw(BARE_PATHS)
+                    tokens.append(fields["path"])
+            record = Command(kind=command, **fields)
+        line = text.count("\n") + 1
+        text += "".join(token + draw(GAPS) for token in tokens)
+        records.append(record._replace(line=line))
+        if kind != "command":
+            bound.append(name)
+    return text, tuple(records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scripts())
+def test_rendered_records_parse_back_to_themselves(case):
+    # every statement and command kind, flags in either order, quoted and
+    # bare paths, with blanks, tabs, carriage returns and comments between
+    # the tokens, parses back to the records it was rendered from
+    text, records = case
+    assert parse_script(text).statements == records

@@ -143,6 +143,12 @@ def test_schema_error_locations():
         loads("[1, 2]")
 
 
+def test_a_document_nested_past_the_decoder_is_a_schema_error():
+    with pytest.raises(SchemaError, match="not JSON: nested too deeply") as err:
+        loads('{"coords": ' + "[" * 5000)
+    assert err.value.location == "/"
+
+
 @pytest.mark.parametrize("bad", [True, 1.0])
 @pytest.mark.parametrize(
     "place, location",
