@@ -51,37 +51,37 @@ def _chunks(pieces: list[str]) -> list[str]:
     return [c for small, run in stretches for c in (["".join(run)] if small else run)]
 
 
+def _error(exit_code: int, code: str, message: str, **fields) -> int:
+    """Write the one {"error": ...} object of a failed run; its exit code."""
+    error = {"code": code, "message": message, **fields}
+    try:
+        text = dumps({"error": error})
+    except RecursionError:  # a counterexample nested too deeply to write
+        text = dumps({"error": {**error, "counterexample": None}})
+    _write(text)
+    return exit_code
+
+
 def _run_text(text: str, config: RunConfig, json_out: str | None = None) -> int:
     try:
         script = parse_script(text)
     except ScriptError as exc:
-        error = {"code": exc.code, "message": str(exc), "line": exc.line, "column": exc.col}
-        _write(dumps({"error": error}))
-        return 2
+        return _error(2, exc.code, str(exc), line=exc.line, column=exc.col)
     try:
         report = execute(script, config)
     except SemanticError as exc:
-        error = exc.as_json()
-        try:
-            text = dumps({"error": error})
-        except RecursionError:  # a counterexample nested too deeply to write
-            text = dumps({"error": {**error, "counterexample": None}})
-        _write(text)
-        return 3
+        return _error(3, "semantic", str(exc), line=exc.line, counterexample=exc.counterexample)
     except InternalInvariantError as exc:
-        _write(dumps({"error": {"code": "internal", "message": str(exc)}}))
-        return 4
+        return _error(4, "internal", str(exc))
     except Exception as exc:  # noqa: BLE001 - anything unplanned is a breach
-        _write(dumps({"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}}))
-        return 4
+        return _error(4, "internal", f"{type(exc).__name__}: {exc}")
     chunks = _chunks(render(report.as_json()))
     if json_out:
         try:
             with open(json_out, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
         except OSError as exc:
-            _write(dumps({"error": {"code": "semantic", "message": f"cannot write report: {exc}"}}))
-            return 3
+            return _error(3, "semantic", f"cannot write report: {exc}")
     return report.exit_code if _write(*chunks) else 3
 
 
@@ -91,16 +91,16 @@ def main(argv: list[str] | None = None) -> int:
         description="Drive the finite segment/enveloping-group toolkit from scripts.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--max-size", type=int, default=RunConfig().max_size)
+    bounds.add_argument("--window", type=int, default=RunConfig().window)
 
-    run = sub.add_parser("run", help="parse and execute a script file")
+    run = sub.add_parser("run", help="parse and execute a script file", parents=[bounds])
     run.add_argument("script", help="path to the script")
-    run.add_argument("--max-size", type=int, default=12, dest="max_size")
-    run.add_argument("--window", type=int, default=4)
     run.add_argument("--json-out", default=None, dest="json_out")
-
-    check = sub.add_parser("check-all", help="run every suite over the generated families")
-    check.add_argument("--max-size", type=int, default=12, dest="max_size")
-    check.add_argument("--window", type=int, default=4)
+    sub.add_parser(
+        "check-all", help="run every suite over the generated families", parents=[bounds]
+    )
 
     args = parser.parse_args(argv)
     config = RunConfig(max_size=args.max_size, window=args.window)
@@ -109,8 +109,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.script, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            _write(dumps({"error": {"code": "io", "message": f"cannot read script: {exc}"}}))
-            return 2
+            return _error(2, "io", f"cannot read script: {exc}")
         return _run_text(text, config, args.json_out)
     return _run_text("check all\n", config)
 

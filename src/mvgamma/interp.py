@@ -107,14 +107,6 @@ class SemanticError(ValueError):
         self.counterexample = counterexample
         super().__init__(f"{message} (line {line})")
 
-    def as_json(self) -> dict:
-        return {
-            "code": "semantic",
-            "message": str(self),
-            "line": self.line,
-            "counterexample": self.counterexample,
-        }
-
 
 def _capped(value: int, cap: int, line: int, what: str, key: str) -> int:
     """value, or a SemanticError saying what it is when it is above cap."""

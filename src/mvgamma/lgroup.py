@@ -165,7 +165,6 @@ class ProductLuGroup:
         require_positive_unit(u)
         self.u = u
         self.zero: GroupElement = (0,) * len(u)
-        self._hash = hash((self.fibers, u))
 
     @property
     def k(self) -> int:
@@ -205,7 +204,7 @@ class ProductLuGroup:
         return self.fibers == other.fibers and self.u == other.u
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.fibers, self.u))
 
     def __repr__(self) -> str:
         heights = [g.height for g in self.fibers]

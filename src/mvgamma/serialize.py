@@ -169,33 +169,30 @@ def dumps(value: Any) -> str:
 
 def _write(value: Any, level: int, out: list[str]) -> None:
     """Append `to_jsonable(value)` as json's indent-2 encoder writes it at
-    nesting `level`, lowering package values on the way."""
+    nesting `level`, lowering package values on the way.  A container's
+    items are (prefix, value, count), one per line: the value is rendered
+    once and its text written count times."""
     if value is None or isinstance(value, (str, int)):
         out.append(json.dumps(value))
-    elif isinstance(value, dict):
+        return
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(value, dict):
         lowered = {str(k): v for k, v in value.items()}
-        _block("{}", level, out, ((f"{json.dumps(k)}: ", lowered[k], 1) for k in sorted(lowered)))
+        brackets, items = "{}", ((f"{json.dumps(k)}: ", lowered[k], 1) for k in sorted(lowered))
     elif isinstance(value, Runs):
-        _block("[]", level, out, (("", v, n) for n, v in value if n > 0))
+        brackets, items = "[]", (("", v, n) for n, v in value if n > 0)
     elif isinstance(value, list) or (type(value) is tuple and not _is_element(value)):
         if value and all(type(v) is int for v in value):
-            inner = "\n" + "  " * (level + 1)
             out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}\n{'  ' * level}]")
-        else:
-            _block("[]", level, out, (("", v, 1) for v in value))
+            return
+        brackets, items = "[]", (("", v, 1) for v in value)
     else:
-        _write(to_jsonable(value), level, out)
-
-
-def _block(brackets: str, level: int, out: list[str], items) -> None:
-    """Write (prefix, value, count) items between brackets, one per line:
-    the value is rendered once and its text written count times."""
-    inner = "\n" + "  " * (level + 1)
+        return _write(to_jsonable(value), level, out)
     sep = brackets[0] + inner
-    for prefix, value, count in items:
+    for prefix, item, count in items:
         out.append(sep + prefix)
         start = len(out)
-        _write(value, level + 1, out)
+        _write(item, level + 1, out)
         if count > 1:
             out.append(("," + inner + "".join(out[start:])) * (count - 1))
         sep = "," + inner
@@ -283,12 +280,12 @@ def spectrum_members_from_json(obj: Any, where: str = "") -> tuple[frozenset[int
 
 
 _KIND_KEYS = (
-    ({"size", "oplus", "neg"}, lambda o, w: algebra_from_json(o, w)),
-    ({"dom", "cod", "map"}, lambda o, w: morphism_from_json(o, w)),
-    ({"coords"}, lambda o, w: element_from_json(o, w)),
-    ({"fibers", "u"}, lambda o, w: group_from_json(o, w)),
+    ({"size", "oplus", "neg"}, algebra_from_json),
+    ({"dom", "cod", "map"}, morphism_from_json),
+    ({"coords"}, element_from_json),
+    ({"fibers", "u"}, group_from_json),
     ({"members"}, lambda o, w: frozenset(_int_list(o["members"], f"{w}/members"))),
-    ({"primes"}, lambda o, w: spectrum_members_from_json(o, w)),
+    ({"primes"}, spectrum_members_from_json),
     ({"free_factors", "star_factors"}, lambda o, w: dict(o)),
 )
 

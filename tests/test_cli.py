@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mvgamma
-from mvgamma import equivalence
+from mvgamma import cli, equivalence, interp
 from mvgamma.cli import _run_text, main
-from mvgamma import interp
+from mvgamma.errors import InternalInvariantError
 from mvgamma.lgroup import ProductLuGroup
 from mvgamma.interp import MAX_CARRIER, MAX_LISTED, MAX_WINDOW, RunConfig, SemanticError, execute
 from mvgamma.mv_core import FiniteMVAlgebra
@@ -299,7 +299,7 @@ def test_huge_element_literal_renders_unchanged():
     literal = {"coords": [{"a": 1, "m": -(10**100)}]}
     with pytest.raises(SemanticError, match="nonnegative") as info:
         run_text(f"group G = fibers [3] unit [(1,0)]\ngoodseq G {json.dumps(literal)}")
-    assert json.loads(mvgamma.dumps(info.value.as_json()))["counterexample"] == literal
+    assert json.loads(mvgamma.dumps(info.value.counterexample)) == literal
 
 
 def refuse(*_args):
@@ -349,16 +349,53 @@ def test_a_long_product_is_refused_as_a_short_one_is(capsys):
 )
 def test_deeply_nested_literals_keep_the_error_contract(capsys, depth, head, column, what):
     # a literal the decoder cannot nest is a syntax error at the literal; one
-    # it can nest is a semantic error whose counterexample is too deep for
-    # the report writer, so it is written as null
-    code = _run_text(f"{GROUP}{head}{'[' * depth}{']' * depth}", RunConfig())
+    # it can nest is a semantic error whose counterexample is written in full
+    literal = f"{'[' * depth}{']' * depth}"
+    code = _run_text(f"{GROUP}{head}{literal}", RunConfig())
     error = json.loads(capsys.readouterr().out)["error"]
     if depth < 1000:
         assert (code, error["code"], error["line"]) == (3, "semantic", 2)
-        assert error["counterexample"] is None
+        assert error["counterexample"] == json.loads(literal)
     else:
         message = f"expected {what}: nested too deeply (line 2, column {column})"
         assert (code, error["code"], error["message"]) == (2, "syntax", message)
+
+
+def test_a_counterexample_too_deep_to_write_is_null(monkeypatch, capsys):
+    # past what the report writer can nest, the error keeps its shape and
+    # exit code, and only the counterexample is dropped
+    written = []
+
+    def shallow_dumps(value):
+        if not written:
+            written.append(value)
+            raise RecursionError("maximum recursion depth exceeded")
+        return dumps(value)
+
+    monkeypatch.setattr(cli, "dumps", shallow_dumps)
+    code = _run_text(f"{GROUP}goodseq G [[0]]", RunConfig())
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert written[0]["error"]["counterexample"] == [[0]]
+    assert (code, error["code"], error["line"]) == (3, "semantic", 2)
+    assert error["counterexample"] is None
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (InternalInvariantError("probe"), "probe"),
+        (ZeroDivisionError("probe"), "ZeroDivisionError: probe"),
+    ],
+    ids=["invariant", "unplanned"],
+)
+def test_a_breach_during_the_run_exits_4(monkeypatch, capsys, exc, message):
+    def breach(*_args):
+        raise exc
+
+    monkeypatch.setattr(cli, "execute", breach)
+    assert main(["check-all"]) == 4
+    error = {"code": "internal", "message": message}
+    assert json.loads(capsys.readouterr().out) == {"error": error}
 
 
 def test_carrier_at_the_cap_is_accepted(monkeypatch):
@@ -814,8 +851,8 @@ def test_cli_installed_command_on_path():
 # ------------------------------------------------------------------ grammar fuzz
 
 COPIES = st.one_of(st.integers(-1, 3), st.integers(-(10**30), 10**30))
-# Literals nested past what the report writer (about 450 levels) or the
-# decoder (about 1,000) can take.
+# Literals nested deeply, up to and past what the decoder (about 1,000 levels)
+# can take.
 NESTED = (st.sampled_from([600, 1000, 5000]) | st.integers(600, 5000)).map(
     lambda n: "[" * n + "]" * n
 )

@@ -33,6 +33,7 @@ from mvgamma.serialize import (
     group_from_json,
     loads,
     morphism_from_json,
+    render,
     to_jsonable,
 )
 from mvgamma.spectrum import Ideal, spectrum
@@ -365,6 +366,17 @@ def test_runs_list_every_entry_and_empty_runs_write_brackets():
     for empty in (Runs(), Runs([(0, ChangPair(1, 0))]), Runs([(0, 1), (0, [2])])):
         assert dumps(empty) == json_oracle(empty) == "[]\n"
         assert dumps({"entries": empty}) == '{\n  "entries": []\n}\n'
+
+
+@pytest.mark.parametrize("depth", [600, 900])
+def test_lists_nested_as_deep_as_json_writes_them(depth):
+    # the writer recurses once per nesting level, as json's encoder does
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    expected = json.dumps(value, indent=2) + "\n"
+    assert dumps(value) == expected
+    assert "".join(render(value)) == expected
 
 
 def test_dumps_rejects_strangers():
