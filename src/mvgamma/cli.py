@@ -15,27 +15,21 @@ the process's own stdout is closed, main() points fd 1 at os.devnull for good.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 
 from .errors import InternalInvariantError
 from .interp import RunConfig, SemanticError, execute
 from .script import ScriptError, parse_script
-from .serialize import dumps, render
+from .serialize import dumps, render, write_pieces
 
 __all__ = ["main"]
 
 
-# Pieces of the report shorter than this are joined before they are written:
-# stdout may be unbuffered, and then each write is one system call.
-_WRITE_SIZE = 1 << 16
-
-
-def _write(*pieces: str) -> bool:
-    """Write pieces to stdout; False when its reader has gone."""
+def _write(pieces: list[tuple[str, int]]) -> bool:
+    """Write rendered pieces to stdout; False when its reader has gone."""
     try:
-        sys.stdout.writelines(pieces)
+        write_pieces(pieces, sys.stdout)
         sys.stdout.flush()
         return True
     except BrokenPipeError:
@@ -45,12 +39,6 @@ def _write(*pieces: str) -> bool:
         return False
 
 
-def _chunks(pieces: list[str]) -> list[str]:
-    """The pieces in order, each stretch of ones shorter than _WRITE_SIZE joined."""
-    stretches = itertools.groupby(pieces, lambda p: len(p) < _WRITE_SIZE)
-    return [c for small, run in stretches for c in (["".join(run)] if small else run)]
-
-
 def _error(exit_code: int, code: str, message: str, **fields) -> int:
     """Write the one {"error": ...} object of a failed run; its exit code."""
     error = {"code": code, "message": message, **fields}
@@ -58,7 +46,7 @@ def _error(exit_code: int, code: str, message: str, **fields) -> int:
         text = dumps({"error": error})
     except RecursionError:  # a counterexample nested too deeply to write
         text = dumps({"error": {**error, "counterexample": None}})
-    _write(text)
+    _write([(text, 1)])
     return exit_code
 
 
@@ -75,14 +63,14 @@ def _run_text(text: str, config: RunConfig, json_out: str | None = None) -> int:
         return _error(4, "internal", str(exc))
     except Exception as exc:  # noqa: BLE001 - anything unplanned is a breach
         return _error(4, "internal", f"{type(exc).__name__}: {exc}")
-    chunks = _chunks(render(report.as_json()))
+    pieces = render(report.as_json())
     if json_out:
         try:
             with open(json_out, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
+                write_pieces(pieces, fh)
         except OSError as exc:
             return _error(3, "semantic", f"cannot write report: {exc}")
-    return report.exit_code if _write(*chunks) else 3
+    return report.exit_code if _write(pieces) else 3
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,11 +17,13 @@ written as a tuple of `ChangPair`s (`ProductLuGroup.to_pairs`) and read back
 as one (it needs its group to become integers, `ProductLuGroup.from_pairs`);
 a group's unit is converted here, in both directions.
 
-`dumps` is the one point where package values are lowered: it writes the
-text json's indent-2 encoder would give for `to_jsonable(value)` in one walk.
-A list held as `Runs` (count, value) is written out in full, but each run's
-value is rendered once and its text repeated; `render` returns the text as
-pieces, which the command line writes without joining.
+`render` is the one point where package values are lowered: it writes the
+text json's indent-2 encoder would give for `to_jsonable(value)` in one walk,
+as pieces (text, count), the text written count times.  A list held as
+`Runs` (count, value) is written out in full, but each run is one piece, and
+each distinct group element is rendered once per nesting level.
+`write_pieces` writes the pieces to a stream in blocks of bounded size, so
+no writer holds a whole report; `dumps` joins them.
 
 `loads` detects the kind from the key set and rebuilds the most structured
 standalone value: algebras, morphisms, and groups come back as package
@@ -34,7 +36,7 @@ pointer to the offending spot.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, TextIO
 
 from .equivalence import SNFReport
 from .lgroup import ChangPair, ProductLuGroup, chain_fiber, make_product_group
@@ -47,6 +49,7 @@ __all__ = [
     "to_jsonable",
     "render",
     "dumps",
+    "write_pieces",
     "export_json",
     "loads",
     "algebra_from_json",
@@ -151,30 +154,36 @@ def _is_element(value: Any) -> bool:
     return isinstance(value, tuple) and bool(value) and all(isinstance(p, ChangPair) for p in value)
 
 
-def render(value: Any) -> list[str]:
-    """The pieces of `dumps(value)`, in order, before they are joined.
-
-    Written in one walk.  Each run of a `Runs` is rendered once and its text
-    repeated, so a long good sequence costs one render per run."""
-    out: list[str] = []
-    _write(value, 0, out)
-    out.append("\n")
+def render(value: Any) -> list[tuple[str, int]]:
+    """The pieces of `dumps(value)`, in order: (text, count), the text
+    written count times."""
+    out: list[tuple[str, int]] = []
+    _write(value, 0, out, {})
+    out.append(("\n", 1))
     return out
 
 
 def dumps(value: Any) -> str:
     """Deterministic JSON text: sorted keys, indent 2, one trailing newline."""
-    return "".join(render(value))
+    return "".join(t * n for t, n in render(value))
 
 
-def _write(value: Any, level: int, out: list[str]) -> None:
+def _write(value: Any, level: int, out: list, seen: dict) -> None:
     """Append `to_jsonable(value)` as json's indent-2 encoder writes it at
-    nesting `level`, lowering package values on the way.  A container's
-    items are (prefix, value, count), one per line: the value is rendered
-    once and its text written count times."""
+    nesting `level`, as pieces.  A container's items are (prefix, value,
+    count), one per line: the value is rendered once, its text repeated is
+    one piece.  `seen` maps (element, level) to a group element's text."""
+    if type(value) is int:
+        return out.append((int.__repr__(value), 1))
     if value is None or isinstance(value, (str, int)):
-        out.append(json.dumps(value))
-        return
+        return out.append((json.dumps(value), 1))
+    pairs = type(value) is tuple and {type(p) for p in value} == {ChangPair}
+    if pairs and {type(c) for p in value for c in p} == {int}:  # equal ones write alike
+        if (value, level) not in seen:
+            pieces: list = []
+            _write(to_jsonable(value), level, pieces, seen)
+            seen[value, level] = ("".join(t * n for t, n in pieces), 1)
+        return out.append(seen[value, level])
     inner = "\n" + "  " * (level + 1)
     if isinstance(value, dict):
         lowered = {str(k): v for k, v in value.items()}
@@ -183,25 +192,50 @@ def _write(value: Any, level: int, out: list[str]) -> None:
         brackets, items = "[]", (("", v, n) for n, v in value if n > 0)
     elif isinstance(value, list) or (type(value) is tuple and not _is_element(value)):
         if value and all(type(v) is int for v in value):
-            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}\n{'  ' * level}]")
-            return
+            text = f"[{inner}{(',' + inner).join(map(int.__repr__, value))}\n{'  ' * level}]"
+            return out.append((text, 1))
         brackets, items = "[]", (("", v, 1) for v in value)
     else:
-        return _write(to_jsonable(value), level, out)
+        return _write(to_jsonable(value), level, out, seen)
     sep = brackets[0] + inner
     for prefix, item, count in items:
-        out.append(sep + prefix)
+        out.append((sep + prefix, 1))
         start = len(out)
-        _write(item, level + 1, out)
+        _write(item, level + 1, out, seen)
         if count > 1:
-            out.append(("," + inner + "".join(out[start:])) * (count - 1))
+            out.append(("," + inner + "".join(t * n for t, n in out[start:]), count - 1))
         sep = "," + inner
-    out.append(brackets if sep[0] == brackets[0] else f"\n{'  ' * level}{brackets[1]}")
+    out.append((brackets if sep[0] == brackets[0] else f"\n{'  ' * level}{brackets[1]}", 1))
+
+
+# Blocks of about this many characters: each write to an unbuffered stream is one system call.
+_WRITE_SIZE = 1 << 16
+
+
+def write_pieces(pieces: list[tuple[str, int]], stream: TextIO) -> None:
+    """Write `render`'s pieces to a text stream in order, short ones joined up
+    to _WRITE_SIZE characters.  A longer run is one block of whole copies, of
+    at most that size, made once and written as often as it fits, then sliced."""
+    held, size = [], 0
+    for text, count in pieces:
+        whole = len(text) * count
+        if size and size + whole > _WRITE_SIZE:
+            stream.write("".join(held))
+            held, size = [], 0
+        if count > 1 and whole > _WRITE_SIZE:
+            block = text * (_WRITE_SIZE // len(text) or 1)
+            full, whole = divmod(whole, len(block))
+            for _ in range(full):
+                stream.write(block)
+            text, count = block[:whole], 1
+        held.append(text * count)
+        size += whole
+    stream.write("".join(held))
 
 
 def export_json(value: Any, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(value))
+        write_pieces(render(value), fh)
 
 
 # -- import ---------------------------------------------------------------------

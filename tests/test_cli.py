@@ -7,6 +7,8 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -194,6 +196,28 @@ def test_listing_at_the_cap_is_held_as_runs():
     assert detail["length"] == MAX_LISTED
     assert len(detail["entries"]) == len(detail["elements"]) == 3 <= 2 * 2
     assert sum(n for n, _ in detail["entries"]) == MAX_LISTED
+
+
+def test_report_at_the_cap_is_written_in_bounded_memory(tmp_path):
+    # the 23.5 MB report of the listing above reaches its file in blocks: no
+    # copy of the whole report is ever held
+    path = write(
+        tmp_path,
+        "cap.mvg",
+        "group G = fibers [3, 2] unit [(1,0),(1,0)]\n"
+        'goodseq G {"coords":[{"m":%d,"a":1},{"m":5,"a":0}]}\n' % (MAX_LISTED - 1),
+    )
+    report = tmp_path / "report.json"
+    with open(report, "w", encoding="utf-8") as fh, redirect_stdout(fh):
+        tracemalloc.start()
+        try:
+            assert main(["run", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2**20
+    text = Path(path).read_text(encoding="utf-8")
+    assert report.read_text(encoding="utf-8") == json_oracle(execute(parse_script(text)).as_json())
 
 
 def test_goodseq_rejects_negative_element():
@@ -546,6 +570,23 @@ class ClosedStdout(io.StringIO):
 def test_cli_closed_stdout_is_three(monkeypatch):
     monkeypatch.setattr(sys, "stdout", ClosedStdout())
     assert main(["check-all", "--max-size", "4", "--window", "2"]) == 3
+
+
+class ClosingStdout(io.StringIO):
+    """A stdout stand-in whose reader goes after the first write."""
+
+    def write(self, text):
+        if self.tell():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_cli_stdout_closed_mid_report_is_three(monkeypatch):
+    # the long_runs report takes two writes: the second meets a closed pipe
+    stdout = ClosingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["run", str(GOLDEN / "long_runs.mvg")]) == 3
+    assert 0 < len(stdout.getvalue()) < len((GOLDEN / "long_runs.out").read_text())
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

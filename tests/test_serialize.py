@@ -1,11 +1,13 @@
 """JSON round trips and schema errors."""
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from mvgamma import serialize
 from mvgamma.cli import main
 from mvgamma.equivalence import (
     free_quotient_experiment,
@@ -35,6 +37,7 @@ from mvgamma.serialize import (
     morphism_from_json,
     render,
     to_jsonable,
+    write_pieces,
 )
 from mvgamma.spectrum import Ideal, spectrum
 
@@ -368,6 +371,63 @@ def test_runs_list_every_entry_and_empty_runs_write_brackets():
         assert dumps({"entries": empty}) == '{\n  "entries": []\n}\n'
 
 
+def test_dumps_mixes_scalars_runs_and_one_element_at_two_levels():
+    # ints take their own path and bools json's; an element's text is kept by
+    # (element, level), so its deeper copy is indented afresh
+    x = (ChangPair(2, 1), ChangPair(-1, 0))
+    value = {
+        "flags": [True, False, 1, 0, None, [x]],
+        "runs": Runs([(2, x), (3, True), (2, 1), (1, None), (2, False), (3, 0)]),
+        "top": x,
+        "deeper": [[x, 0], {"x": x, "none": None}],
+    }
+    assert dumps(value) == json.dumps(to_jsonable(value), indent=2, sort_keys=True) + "\n"
+
+
+def test_elements_equal_to_other_elements_keep_their_own_text():
+    # (True, False) == (1, 0), but a pair of bools is written as bools, and
+    # a pair with a float has no JSON form, whatever was written before it
+    ones, bools = (ChangPair(1, 0),), (ChangPair(True, False),)
+    value = [ones, bools, Runs([(2, bools), (2, ones)]), {"b": bools, "o": ones}]
+    assert dumps(value) == json_oracle(value)
+    with pytest.raises(TypeError, match="no JSON form for float"):
+        dumps([ones, (ChangPair(1.0, 0),)])
+
+
+class RecordingStream:
+    """A text stream stand-in that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+_PIECES = st.lists(st.tuples(st.text("ab\n", max_size=6), st.integers(0, 60)), max_size=8)
+
+
+@given(_PIECES, st.integers(1, 40))
+def test_write_pieces_writes_the_text_in_bounded_blocks(pieces, size):
+    # a run is written as a block of whole copies, made once; no write is
+    # longer than the block size or the longest piece
+    stream = RecordingStream()
+    with mock.patch.object(serialize, "_WRITE_SIZE", size):
+        write_pieces(pieces, stream)
+    assert "".join(stream.writes) == "".join(t * n for t, n in pieces)
+    longest = max([size] + [len(t) for t, _ in pieces])
+    assert all(len(w) <= longest for w in stream.writes)
+
+
+def test_a_long_run_costs_a_few_writes_of_one_block():
+    stream = RecordingStream()
+    write_pieces([("[", 1), ("xyz,", 10**6), ("]\n", 1)], stream)
+    assert "".join(stream.writes) == "[" + "xyz," * 10**6 + "]\n"
+    assert len(stream.writes) <= 4 * 10**6 // serialize._WRITE_SIZE + 3
+    blocks = {id(w) for w in stream.writes if len(w) == serialize._WRITE_SIZE}
+    assert len(blocks) == 1
+
+
 @pytest.mark.parametrize("depth", [600, 900])
 def test_lists_nested_as_deep_as_json_writes_them(depth):
     # the writer recurses once per nesting level, as json's encoder does
@@ -376,7 +436,7 @@ def test_lists_nested_as_deep_as_json_writes_them(depth):
         value = [value]
     expected = json.dumps(value, indent=2) + "\n"
     assert dumps(value) == expected
-    assert "".join(render(value)) == expected
+    assert "".join(t * n for t, n in render(value)) == expected
 
 
 def test_dumps_rejects_strangers():
