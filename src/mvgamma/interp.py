@@ -1,17 +1,19 @@
 """Execution of parsed scripts: bind names, dispatch commands, build a report.
 
+Statements reach their handlers by type, and commands by kind, as parsed.
+
 Failure taxonomy (process exit codes in parentheses):
 
   * parse errors never reach this module — the parser raises first (2);
   * semantic errors (3): a definition or command whose inputs are the wrong
     kind or break a law at binding time — a morphism that fails the morphism
-    laws, a table that fails the axioms, a negative element where a
-    nonnegative one is required, a fiber-count mismatch, an unwritable
-    export path, a window below 1 or above MAX_WINDOW = 8 or a max size
-    below 2, a carrier above MAX_CARRIER = 256 elements (a chain, product
-    or table algebra, a fiber chain, or a group's unit segment), rejected
-    before it is built, and a good sequence or membership witness of more
-    than MAX_LISTED = 100,000 entries, rejected before it is listed;
+    laws, a table that fails the axioms, a negative element where a nonnegative
+    one is required, an element or unit of the wrong arity, an unwritable
+    export path, a window below 1 or above MAX_WINDOW = 8 or a max size below
+    2, a carrier above MAX_CARRIER = 256 elements (a chain, product or table
+    algebra, a fiber chain, or a group's unit segment), rejected before it is
+    built, and a good sequence or membership witness of more than MAX_LISTED =
+    100,000 entries, rejected before it is listed;
   * command failures (1): well-posed checks whose verdict is negative — a
     non-member, a failed round trip, a non-isomorphic free quotient;
   * internal invariant breaches (4) propagate as InternalInvariantError.
@@ -61,7 +63,6 @@ from .script import (
     NameExpr,
     ProductExpr,
     Script,
-    TableExpr,
 )
 from .serialize import (
     Runs,
@@ -185,14 +186,8 @@ class _Runner:
             coords = element_from_json(raw)
         except SchemaError as exc:
             raise SemanticError(f"bad element literal: {exc}", line, raw) from exc
-        if len(coords) != group.k:
-            raise SemanticError(
-                f"element has {len(coords)} coordinates, the group has {group.k}",
-                line,
-                raw,
-            )
         try:
-            return group.from_pairs(coords)
+            return group.from_pairs(coords)  # the arity and each offset
         except ValueError as exc:
             raise SemanticError(f"bad element: {exc}", line, raw) from exc
 
@@ -207,40 +202,29 @@ class _Runner:
             self.check_carrier(expr.height + 1, line, "chain")
             return make_chain(expr.height)
         if isinstance(expr, NameExpr):
-            kind, value = self.env[expr.name]
-            if kind != "algebra":
-                raise SemanticError(
-                    f"{expr.name!r} is a {kind}, not an algebra", line, {"name": expr.name}
-                )
-            return value
-        if isinstance(expr, ProductExpr):  # a loop down the left-nested spine: no recursion
-            rights = []
-            while isinstance(expr, ProductExpr):
-                rights.append(expr.right)
-                expr = expr.left
-            product = self.eval_algebra_expr(expr, line)
-            for right in reversed(rights):
-                factor = self.eval_algebra_expr(right, line)
+            return self.value(expr.name, ("algebra",), line)[1]
+        if isinstance(expr, ProductExpr):  # the factors are atoms, folded left and capped
+            product = self.eval_algebra_expr(expr.factors[0], line)
+            for atom in expr.factors[1:]:
+                factor = self.eval_algebra_expr(atom, line)
                 self.check_carrier(product.size * factor.size, line, "product")
                 product = make_product(product, factor)
             return product
-        if isinstance(expr, TableExpr):
-            size = expr.obj.get("size") if isinstance(expr.obj, dict) else None
-            if isinstance(size, int):
-                self.check_carrier(size, line, "table")
-            try:
-                a = algebra_from_json(expr.obj)
-            except SchemaError as exc:
-                raise SemanticError(f"bad table: {exc}", line, expr.obj) from exc
-            report = check_mv_axioms(a)
-            if not report.ok:
-                raise SemanticError(
-                    f"table violates the {report.violations[0][0]} axiom",
-                    line,
-                    {"violations": [[n, list(w)] for n, w in report.violations[:5]]},
-                )
-            return a
-        raise InternalInvariantError(f"unknown algebra expression {expr!r}")
+        size = expr.obj.get("size") if isinstance(expr.obj, dict) else None  # a TableExpr
+        if isinstance(size, int):
+            self.check_carrier(size, line, "table")
+        try:
+            a = algebra_from_json(expr.obj)
+        except SchemaError as exc:
+            raise SemanticError(f"bad table: {exc}", line, expr.obj) from exc
+        report = check_mv_axioms(a)
+        if not report.ok:
+            raise SemanticError(
+                f"table violates the {report.violations[0][0]} axiom",
+                line,
+                {"violations": [[n, list(w)] for n, w in report.violations[:5]]},
+            )
+        return a
 
     def define_algebra(self, stmt: AlgebraDef):
         self.env[stmt.name] = ("algebra", self.eval_algebra_expr(stmt.expr, stmt.line))
@@ -276,25 +260,16 @@ class _Runner:
         self.env[stmt.name] = ("hom", h)
 
     def define_group(self, stmt: GroupDef):
-        if len(stmt.unit) != len(stmt.sizes):
-            raise SemanticError(
-                f"{len(stmt.sizes)} fibers but {len(stmt.unit)} unit coordinates",
-                stmt.line,
-                {"fibers": list(stmt.sizes), "unit": [list(p) for p in stmt.unit]},
-            )
         for s in stmt.sizes:
             if s < 2:
                 raise SemanticError(f"fiber chain size {s} is too small", stmt.line, s)
             self.check_carrier(s, stmt.line, "fiber chain")
         fibers = [chain_fiber(s - 1) for s in stmt.sizes]
         try:
-            g = make_product_group(fibers, stmt.unit)
+            g = make_product_group(fibers, stmt.unit)  # the unit count and each pair
         except ValueError as exc:
-            raise SemanticError(
-                f"bad unit: {exc}", stmt.line, [list(p) for p in stmt.unit]
-            ) from exc
-        segment = math.prod(t + 1 for t in g.u)
-        self.check_carrier(segment, stmt.line, "unit segment")
+            raise SemanticError(f"bad unit: {exc}", stmt.line, list(map(list, stmt.unit))) from exc
+        self.check_carrier(math.prod(t + 1 for t in g.u), stmt.line, "unit segment")
         self.env[stmt.name] = ("group", g)
 
     # -- commands --
@@ -302,13 +277,12 @@ class _Runner:
     def run_command(self, cmd: Command):
         """Run one command and append its outcome: a dict holding the
         command's detail as the handler returned it, unlowered."""
-        handler = getattr(self, f"cmd_{cmd.kind}")
-        passed, detail = handler(cmd)
+        passed, detail = getattr(self, f"cmd_{cmd.kind}")(cmd)
         self.report.outcomes.append(
             {
                 "command": cmd.kind,
                 "line": cmd.line,
-                "target": cmd.name if not cmd.check_all else "all",
+                "target": cmd.name,
                 "status": "pass" if passed else "fail",
                 "detail": detail,
             }
@@ -355,15 +329,10 @@ class _Runner:
         window_elements = math.prod(2 * window * up + 1 for up in value.u)
         return result.holds, {**result._asdict(), "window_elements": window_elements}
 
-    def _segment_context(self, cmd: Command):
-        kind, value = self.value(cmd.name, ("algebra", "group"), cmd.line)
-        if kind == "group":
-            return value, gamma_segment(value)
-        star = star_algebra(value)
-        return star.ambient, gamma_segment(star.ambient)
-
     def cmd_goodseq(self, cmd: Command):
-        group, seg = self._segment_context(cmd)
+        kind, value = self.value(cmd.name, ("algebra", "group"), cmd.line)
+        group = value if kind == "group" else star_algebra(value).ambient
+        seg = gamma_segment(group)
         x = self.element_in(group, cmd.element, cmd.line)
         if not group.leq(group.zero, x):
             raise SemanticError(
@@ -409,7 +378,7 @@ class _Runner:
 
     def cmd_check(self, cmd: Command):
         window = self.bound(cmd, "window", 1)
-        if cmd.check_all:
+        if cmd.name == "all":
             max_size = self.bound(cmd, "max_size", 2)
             suites = run_all_checks(max_size=max_size, window=window)
             return all(s.ok for s in suites), {"suites": [s.as_json() for s in suites]}
@@ -444,19 +413,19 @@ class _Runner:
         return True, {"path": cmd.path}
 
 
+# The handler of each statement type the parser emits; a command's is `cmd_<kind>`.
+_HANDLERS = {
+    AlgebraDef: _Runner.define_algebra,
+    HomDef: _Runner.define_hom,
+    GroupDef: _Runner.define_group,
+    Command: _Runner.run_command,
+}
+
+
 def execute(script: Script, config: RunConfig | None = None) -> RunReport:
     """Run a parsed script.  Returns the report; raises SemanticError for
     ill-formed statements and lets InternalInvariantError propagate."""
     runner = _Runner(config or RunConfig())
     for stmt in script.statements:
-        if isinstance(stmt, AlgebraDef):
-            runner.define_algebra(stmt)
-        elif isinstance(stmt, HomDef):
-            runner.define_hom(stmt)
-        elif isinstance(stmt, GroupDef):
-            runner.define_group(stmt)
-        elif isinstance(stmt, Command):
-            runner.run_command(stmt)
-        else:
-            raise InternalInvariantError(f"unknown statement {stmt!r}")
+        _HANDLERS[type(stmt)](runner, stmt)
     return runner.report

@@ -173,7 +173,7 @@ class ProductLuGroup:
     def from_pairs(self, x: Sequence[tuple[int, int]]) -> GroupElement:
         """The element given by one carry pair (m, a) per fiber."""
         if len(x) != self.k:
-            raise ValueError("element arity does not match fiber count")
+            raise ValueError(f"element arity {len(x)} does not match fiber count {self.k}")
         return tuple(g.phi(p) for g, p in zip(self.fibers, x))
 
     def to_pairs(self, x: GroupElement) -> tuple[ChangPair, ...]:
@@ -216,7 +216,7 @@ def make_product_group(
 ) -> ProductLuGroup:
     """The product group whose unit is given as one carry pair per fiber."""
     if len(u) != len(fibers):
-        raise ValueError("unit must have one coordinate per fiber")
+        raise ValueError(f"unit must have one coordinate per fiber, not {len(u)} for {len(fibers)}")
     return ProductLuGroup(fibers, tuple(g.phi(p) for g, p in zip(fibers, u)))
 
 

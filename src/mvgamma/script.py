@@ -12,16 +12,18 @@ of line.  Statements:
     check (all | NAME) [--max-size INT] [--window INT]   (flags in any order, each once)
     export NAME PATH
 
-where <algebra-expr> is `chain INT`, a bound NAME, a product of
-algebra-exprs with `*`, or `table <json>`; elements are JSON fragments like
-{"coords": [{"m": 1, "a": 0}]}; PATH is a bare token or a double-quoted
-string.  Fiber entries in a group are chain sizes; unit entries are
-(copies, offset) pairs, one per fiber.
+where <algebra-expr> is `chain INT`, a bound NAME, `table <json>`, or a
+product of any number of these with `*`, one flat node, folded left;
+elements are JSON fragments like {"coords": [{"m": 1, "a": 0}]}, nested at
+most MAX_NESTING = 700 deep from any caller; PATH is a bare token or a
+double-quoted string.  Fiber entries in a group are chain sizes; unit
+entries are (copies, offset) pairs, one per fiber.  `check all` targets
+"all", a keyword and so never a name.
 
 Parsing is total: any input either yields a Script or raises a ScriptError
 subclass carrying a 1-based line and column.  Names must be defined before
 use and bound exactly once; both are enforced here, so an executing script
-never sees an unbound name.
+never sees an unbound name.  What a name is bound to is for the interpreter.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from __future__ import annotations
 import json
 import re
 from typing import Any, NamedTuple
+
+from .serialize import nested_too_deeply
 
 __all__ = [
     "ScriptError",
@@ -85,8 +89,7 @@ class NameExpr(NamedTuple):
 
 
 class ProductExpr(NamedTuple):
-    left: Any
-    right: Any
+    factors: tuple
 
 
 class TableExpr(NamedTuple):
@@ -122,7 +125,6 @@ class Command(NamedTuple):
     keep_zero: bool = False
     max_size: int | None = None
     window: int | None = None
-    check_all: bool = False
     line: int = 0
 
 
@@ -148,7 +150,7 @@ def _not_an_integer(text: str):
 # Literals hold exact integers: a fraction, exponent, NaN or Infinity is a syntax error.
 _INTEGER_JSON = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
 
-_COMMANDS_NAME_ONLY = ("spec", "star", "gamma", "roundtrip")
+COMMANDS = tuple("spec star gamma roundtrip goodseq member freequotient check export".split())
 
 
 class _Cursor:
@@ -186,12 +188,17 @@ class _Cursor:
 
     def json_fragment(self, what: str):
         self.skip()
-        try:
-            value, self.pos = _INTEGER_JSON.raw_decode(self.text, self.pos)
+        start = self.pos
+        try:  # decoded first, so that only a literal of many brackets is scanned
+            value, self.pos = _INTEGER_JSON.raw_decode(self.text, start)
+            if nested_too_deeply(self.text, start, self.pos):
+                raise RecursionError
         except RecursionError:
             self.error(ScriptSyntaxError, f"expected {what}: nested too deeply")
         except ValueError as exc:  # a JSONDecodeError, or a number that is not an integer
-            self.error(ScriptSyntaxError, f"expected {what}: {getattr(exc, 'msg', exc)}")
+            deep = nested_too_deeply(self.text, start)
+            reason = "nested too deeply" if deep else getattr(exc, "msg", exc)
+            self.error(ScriptSyntaxError, f"expected {what}: {reason}")
         return value
 
 
@@ -249,80 +256,59 @@ def parse_script(text: str) -> Script:
         counted = cur.start
         if head is None:
             cur.error(ScriptLexError, f"unexpected character {text[cur.pos]!r}")
+        bound = name("a name", new=True) if head in ("algebra", "hom", "group") else None
         if head == "algebra":
-            bound = name("a name", new=True)
             cur.punct("=")
-            expr = algebra_atom()
+            factors = [algebra_atom()]
             while cur.take(r"\*"):
-                expr = ProductExpr(expr, algebra_atom())
+                factors.append(algebra_atom())
+            expr = ProductExpr(tuple(factors)) if factors[1:] else factors[0]
             statements.append(AlgebraDef(bound, expr, line))
-            names.add(bound)
         elif head == "hom":
-            bound = name("a name", new=True)
             cur.punct(":")
             dom = name("the domain name")
             cur.punct("->")
             cod = name("the codomain name")
             cur.punct("{")
             pairs = []
-            if not cur.take("}"):
-                while True:
-                    a = cur.integer("a carrier index")
-                    cur.punct("->")
-                    pairs.append((a, cur.integer("a carrier index")))
-                    if cur.take("}"):
-                        break
+            while not cur.take("}"):
+                if pairs:
                     cur.punct(",")
+                a = cur.integer("a carrier index")
+                cur.punct("->")
+                pairs.append((a, cur.integer("a carrier index")))
             statements.append(HomDef(bound, dom, cod, tuple(pairs), line))
-            names.add(bound)
         elif head == "group":
-            bound = name("a name", new=True)
             cur.punct("=")
             expect_word("fibers")
             sizes = listed(lambda: cur.integer("a fiber chain size"))
             expect_word("unit")
             statements.append(GroupDef(bound, sizes, listed(unit_pair), line))
-            names.add(bound)
-        elif head in _COMMANDS_NAME_ONLY:
-            statements.append(Command(kind=head, name=name("a bound name"), line=line))
-        elif head in ("goodseq", "member"):
-            target = name("a bound name")
-            element = cur.json_fragment("an element literal")
-            statements.append(Command(kind=head, name=target, element=element, line=line))
-        elif head == "freequotient":
-            target = name("a bound name")
-            keep = cur.take("--keep-zero(?![a-z-])") is not None
-            statements.append(Command(kind=head, name=target, keep_zero=keep, line=line))
-        elif head == "check":
-            check_all = cur.take(r"all(?![A-Za-z0-9_])") is not None
-            target = None if check_all else name("a bound name")
-            flags: dict[str, int] = {}
-            while flag := cur.take("--(?:max-size|window)(?![a-z-])"):
-                if flag in flags:
-                    cur.error(ScriptSyntaxError, f"repeated flag {flag!r}")
-                flags[flag] = cur.integer("an integer")
-            statements.append(
-                Command(
-                    kind="check",
-                    name=target,
-                    check_all=check_all,
-                    max_size=flags.get("--max-size"),
-                    window=flags.get("--window"),
-                    line=line,
-                )
-            )
-        elif head == "export":
-            target = name("a bound name")
-            if cur.take('"'):
+        elif head in COMMANDS:  # the target first: a bound name, or `all` for `check`
+            every = head == "check" and cur.take(r"all(?![A-Za-z0-9_])")
+            fields: dict[str, Any] = {"name": every or name("a bound name"), "line": line}
+            if head in ("goodseq", "member"):
+                fields["element"] = cur.json_fragment("an element literal")
+            elif head == "freequotient":
+                fields["keep_zero"] = cur.take("--keep-zero(?![a-z-])") is not None
+            elif head == "check":
+                while flag := cur.take("--(?:max-size|window)(?![a-z-])"):
+                    key = flag[2:].replace("-", "_")
+                    if key in fields:
+                        cur.error(ScriptSyntaxError, f"repeated flag {flag!r}")
+                    fields[key] = cur.integer("an integer")
+            elif head == "export" and cur.take('"'):  # a quoted path
                 try:
-                    path, cur.pos = json.decoder.scanstring(text, cur.pos)
+                    fields["path"], cur.pos = json.decoder.scanstring(text, cur.pos)
                 except ValueError:
                     cur.error(ScriptSyntaxError, "unterminated path string")
-            else:
-                path = cur.take(r"[^\s#]+", "a path")
-            statements.append(Command(kind="export", name=target, path=path, line=line))
+            elif head == "export":
+                fields["path"] = cur.take(r"[^\s#]+", "a path")
+            statements.append(Command(head, **fields))
         elif head in KEYWORDS:
             cur.error(ScriptSyntaxError, f"{head!r} cannot start a statement")
         else:
             cur.error(ScriptSyntaxError, f"unknown statement {head!r}")
+        if bound:  # bound once its definition ends
+            names.add(bound)
     return Script(statements=tuple(statements))

@@ -30,12 +30,14 @@ standalone value: algebras, morphisms, and groups come back as package
 objects, elements as tuples of carry pairs; ideals and spectra come back as
 member sets (they need an algebra for full reconstruction); reports come
 back as dicts.  Schema violations raise SchemaError carrying a JSON
-pointer to the offending spot.
+pointer to the offending spot; one nested past MAX_NESTING, to "/".
 """
 
 from __future__ import annotations
 
 import json
+import re
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, TextIO
 
 from .equivalence import SNFReport
@@ -52,6 +54,7 @@ __all__ = [
     "write_pieces",
     "export_json",
     "loads",
+    "nested_too_deeply",
     "algebra_from_json",
     "morphism_from_json",
     "element_from_json",
@@ -175,7 +178,9 @@ def _write(value: Any, level: int, out: list, seen: dict) -> None:
     one piece.  `seen` maps (element, level) to a group element's text."""
     if type(value) is int:
         return out.append((int.__repr__(value), 1))
-    if value is None or isinstance(value, (str, int)):
+    if isinstance(value, str):  # json.dumps's own quoting, without its dispatch
+        return out.append((_json_string(value), 1))
+    if value is None or isinstance(value, int):  # bools and None keep json's text
         return out.append((json.dumps(value), 1))
     pairs = type(value) is tuple and {type(p) for p in value} == {ChangPair}
     if pairs and {type(c) for p in value for c in p} == {int}:  # equal ones write alike
@@ -187,7 +192,7 @@ def _write(value: Any, level: int, out: list, seen: dict) -> None:
     inner = "\n" + "  " * (level + 1)
     if isinstance(value, dict):
         lowered = {str(k): v for k, v in value.items()}
-        brackets, items = "{}", ((f"{json.dumps(k)}: ", lowered[k], 1) for k in sorted(lowered))
+        brackets, items = "{}", ((f"{_json_string(k)}: ", lowered[k], 1) for k in sorted(lowered))
     elif isinstance(value, Runs):
         brackets, items = "[]", (("", v, n) for n, v in value if n > 0)
     elif isinstance(value, list) or (type(value) is tuple and not _is_element(value)):
@@ -297,7 +302,6 @@ def group_from_json(obj: Any, where: str = "") -> ProductLuGroup:
     _expect(all(s >= 2 for s in sizes), "fiber chain size must be at least 2", f"{where}/fibers")
     fibers = [chain_fiber(s - 1) for s in sizes]
     raw_u = element_from_json(obj["u"], f"{where}/u")
-    _expect(len(raw_u) == len(fibers), "unit arity must match the fiber count", f"{where}/u")
     try:
         return make_product_group(fibers, raw_u)
     except ValueError as exc:
@@ -324,9 +328,29 @@ _KIND_KEYS = (
 )
 
 
+MAX_NESTING = 700  # fixed, well below the 1,000 frames the decoder may recurse into
+_BRACKETS = re.compile(r'[][{}]|"[^"\\]*(?:\\.[^"\\]*)*"')
+
+
+def nested_too_deeply(text: str, pos: int = 0, end: int | None = None) -> bool:
+    """Whether the JSON value at pos nests brackets more than MAX_NESTING deep:
+    a scan that skips strings, made only if [pos, end) opens more than that."""
+    opening = text.count("[", pos, end) + text.count("{", pos, end)
+    if opening <= MAX_NESTING or not text.startswith(("[", "{"), pos):
+        return False
+    depth = 0
+    for token in _BRACKETS.finditer(text, pos):
+        depth += {"[": 1, "{": 1, "]": -1, "}": -1}.get(token.group(), 0)
+        if not 0 < depth <= MAX_NESTING:
+            return depth > 0
+    return False
+
+
 def loads(text: str):
     """Parse JSON text and rebuild the value whose key set it matches."""
     try:
+        if nested_too_deeply(text.lstrip()):  # reported as the decoder's own overflow is
+            raise RecursionError
         obj = json.loads(text)
     except RecursionError as exc:
         raise SchemaError("not JSON: nested too deeply", "/") from exc

@@ -105,10 +105,14 @@ class SuiteResult:
             self.failures.append(text)
 
 
+def _chain_cap(max_size: int) -> int:  # the tallest generated chain's height: 1..8
+    return min(8, max(1, max_size - 1))
+
+
 def generated_algebras(max_size: int) -> list[FiniteMVAlgebra]:
     """Chains of height 1..8, then binary products (nondecreasing heights),
     with carrier at most max_size (the two-element chain always), in order."""
-    top_chain = min(8, max(1, max_size - 1))
+    top_chain = _chain_cap(max_size)
     out = [make_chain(n) for n in range(1, top_chain + 1)]
     for m in range(1, top_chain + 1):
         for n in range(m, top_chain + 1):
@@ -138,7 +142,7 @@ class SweepContext:
             raise ValueError("window must be at least 1")
         self.max_size = max_size
         self.window = window
-        self.max_chain = min(8, max(1, max_size - 1))
+        self.max_chain = _chain_cap(max_size)
         self.group_fibers = 3 if max_size >= 16 else 2
         self.group_chain_cap = min(4, self.max_chain)
         self.group_height_cap = 3 if max_size >= 16 else 2

@@ -22,11 +22,11 @@ from mvgamma.cli import _run_text, main
 from mvgamma.errors import InternalInvariantError
 from mvgamma.lgroup import ProductLuGroup
 from mvgamma.interp import MAX_CARRIER, MAX_LISTED, MAX_WINDOW, RunConfig, SemanticError, execute
-from mvgamma.mv_core import FiniteMVAlgebra
-from mvgamma.script import parse_script
-from mvgamma.serialize import dumps, loads
+from mvgamma.mv_core import FiniteMVAlgebra, make_chain, make_product
+from mvgamma.script import COMMANDS, Command, parse_script
+from mvgamma.serialize import MAX_NESTING, dumps, loads
 from test_mv_core import axioms_full, chain_product, permuted_copy
-from test_serialize import json_oracle
+from test_serialize import called_deeper, json_oracle, nesting
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -317,6 +317,57 @@ def test_element_out_of_range_is_semantic():
         run_text('group G = fibers [2] unit [(1,0)]\ngoodseq G {"coords":[{"m":0,"a":7}]}')
 
 
+@pytest.mark.parametrize("command", ["goodseq G", "member G", "goodseq A", "member h"])
+def test_an_element_of_the_wrong_arity_is_semantic(capsys, command):
+    # one coordinate where the group, or the star of A (two fibers), has two
+    head = "group G = fibers [2, 3] unit [(1,0), (1,0)]\nalgebra A = chain 1 * chain 1\n"
+    head += "hom h : A -> A { 0->0, 1->1, 2->2, 3->3 }\n"
+    literal = '{"coords": [{"m": 1, "a": 0}]}'
+    code = _run_text(f"{head}{command} {literal}\n", RunConfig())
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (code, error["code"], error["line"]) == (3, "semantic", 4)
+    assert error["counterexample"] == json.loads(literal)
+
+
+@pytest.mark.parametrize("expr", ["chain 1 * G", "G * chain 1", "G", "chain 1 * chain 1 * G"])
+def test_a_group_inside_an_algebra_expression_is_semantic(capsys, expr):
+    code = _run_text(f"{GROUP}algebra A = {expr}\n", RunConfig())
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (code, error["code"], error["line"]) == (3, "semantic", 2)
+    assert error["counterexample"] == {"name": "G", "kind": "group"}
+
+
+def test_a_product_binds_the_left_fold_of_its_factors():
+    # algebras are interned, so the fold is the very object built pairwise
+    runner = interp._Runner(RunConfig())
+    runner.define_algebra(parse_script("algebra A = chain 1 * chain 1 * chain 2").statements[0])
+    c1, c2 = make_chain(1), make_chain(2)
+    assert runner.env["A"][0] == "algebra"
+    assert runner.env["A"][1] is make_product(make_product(c1, c1), c2)
+
+
+def test_every_statement_and_command_the_parser_emits_has_a_handler(tmp_path):
+    # one statement of each type and one command of each keyword: every type
+    # has its entry in the handler table, every kind its `cmd_` method, and
+    # the script runs through, each command to an outcome
+    element = '{"coords": [{"m": 1, "a": 0}]}'
+    commands = {
+        "gamma": "gamma G",
+        "goodseq": f"goodseq G {element}",
+        "member": f"member G {element}",
+        "check": "check all --max-size 2 --window 1",
+        "export": f'export A "{tmp_path}/a.json"',
+    }
+    text = GROUP + "algebra A = chain 1 * chain 1\nhom h : A -> A { 0->0, 1->1, 2->2, 3->3 }\n"
+    text += "\n".join(commands.get(kind, f"{kind} A") for kind in COMMANDS)
+    statements = parse_script(text).statements
+    assert set(map(type, statements)) == set(interp._HANDLERS)
+    kinds = [stmt.kind for stmt in statements if isinstance(stmt, Command)]
+    assert kinds == list(COMMANDS)
+    assert all(callable(getattr(interp._Runner, f"cmd_{kind}", None)) for kind in kinds)
+    assert [o["command"] for o in run_text(text).outcomes] == kinds
+
+
 def test_huge_element_literal_renders_unchanged():
     # the literal crosses pairs -> integers -> pairs and comes back verbatim
     # in the counterexample of the refused good sequence
@@ -383,6 +434,49 @@ def test_deeply_nested_literals_keep_the_error_contract(capsys, depth, head, col
     else:
         message = f"expected {what}: nested too deeply (line 2, column {column})"
         assert (code, error["code"], error["message"]) == (2, "syntax", message)
+
+
+@pytest.mark.parametrize("frames", [0, 200])
+@pytest.mark.parametrize(
+    "head, column, what",
+    [("goodseq G ", 11, "an element literal"), ("algebra A = table ", 19, "an algebra table")],
+    ids=["element", "table"],
+)
+def test_the_nesting_limit_does_not_move_with_the_callers_stack(
+    capsys, frames, head, column, what
+):
+    # 650 levels parse and 701 are a syntax error, from this stack and from
+    # 200 frames further down it: the limit is a fixed depth, not what is
+    # left of the interpreter's recursion limit
+    below, above = (f"{'[' * d}{']' * d}" for d in (650, MAX_NESTING + 1))
+    parsed = called_deeper(frames, parse_script, f"{GROUP}{head}{below}").statements[1]
+    assert nesting(parsed.element if head.startswith("goodseq") else parsed.expr.obj) == 650
+    code = called_deeper(frames, _run_text, f"{GROUP}{head}{above}", RunConfig())
+    error = json.loads(capsys.readouterr().out)["error"]
+    message = f"expected {what}: nested too deeply (line 2, column {column})"
+    assert (code, error["code"], error["message"]) == (2, "syntax", message)
+
+
+DEEP = f"{'[' * (MAX_NESTING + 1)}{']' * (MAX_NESTING + 1)}"
+
+
+@pytest.mark.parametrize(
+    "body, code, line, reason",
+    [
+        (f"goodseq G 5\ngoodseq G {DEEP}", 2, 3, "nested too deeply"),
+        (f"goodseq G x\ngoodseq G {DEEP}", 2, 2, "Expecting value"),
+        (f"goodseq G {'[' * (MAX_NESTING + 1)}", 2, 2, "nested too deeply"),
+        (f'goodseq G ["{"[" * 2000}"]', 3, 2, "bad element literal"),
+    ],
+    ids=["scalar-then-deep", "malformed-then-deep", "deep-and-unclosed", "brackets-in-a-string"],
+)
+def test_the_nesting_scan_reads_only_the_literal_it_starts_at(capsys, body, code, line, reason):
+    # a scalar's scan does not run on into the next literal, an unclosed
+    # literal is judged by its depth before its syntax, and a string's
+    # brackets are text: each error is its own literal's, on its own line
+    assert _run_text(f"{GROUP}{body}\n", RunConfig()) == code
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["line"] == line and reason in error["message"]
 
 
 def test_a_counterexample_too_deep_to_write_is_null(monkeypatch, capsys):
@@ -892,8 +986,8 @@ def test_cli_installed_command_on_path():
 # ------------------------------------------------------------------ grammar fuzz
 
 COPIES = st.one_of(st.integers(-1, 3), st.integers(-(10**30), 10**30))
-# Literals nested deeply, up to and past what the decoder (about 1,000 levels)
-# can take.
+# Literals nested deeply, up to and past the 700-level limit and the decoder's
+# own reach (about 1,000 levels).
 NESTED = (st.sampled_from([600, 1000, 5000]) | st.integers(600, 5000)).map(
     lambda n: "[" * n + "]" * n
 )

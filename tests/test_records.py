@@ -54,7 +54,7 @@ def records() -> list:
     return [
         ChainExpr(2),
         NameExpr("A"),
-        ProductExpr(ChainExpr(1), NameExpr("A")),
+        ProductExpr((ChainExpr(1), NameExpr("A"))),
         TableExpr({"size": 2}),
         AlgebraDef("A", ChainExpr(1), 1),
         HomDef("h", "A", "A", ((0, 0), (1, 1)), 2),

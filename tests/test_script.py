@@ -29,19 +29,20 @@ def test_two_statements():
     assert len(s.statements) == 2
     first, second = s.statements
     assert isinstance(first, AlgebraDef)
-    assert first.expr == ProductExpr(ChainExpr(2), ChainExpr(3))
+    assert first.expr == ProductExpr((ChainExpr(2), ChainExpr(3)))
     assert second == Command(kind="spec", name="A", line=2)
 
 
 def test_product_associates_left():
+    # one flat node, its factors in order; the interpreter folds them left
     s = parse_script("algebra A = chain 1 * chain 1 * chain 2")
     expr = s.statements[0].expr
-    assert expr == ProductExpr(ProductExpr(ChainExpr(1), ChainExpr(1)), ChainExpr(2))
+    assert expr == ProductExpr((ChainExpr(1), ChainExpr(1), ChainExpr(2)))
 
 
 def test_name_reference_in_expression():
     s = parse_script("algebra A = chain 1\nalgebra B = A * chain 2")
-    assert s.statements[1].expr == ProductExpr(NameExpr("A"), ChainExpr(2))
+    assert s.statements[1].expr == ProductExpr((NameExpr("A"), ChainExpr(2)))
 
 
 def test_table_expression():
@@ -80,8 +81,8 @@ def test_commands_with_elements_and_flags():
     goodseq, freeq, check_g, check_all, exp, exp_quoted = s.statements[1:]
     assert goodseq.element == {"coords": [{"m": 2, "a": 0}]}
     assert freeq.keep_zero
-    assert check_g.max_size == 8 and check_g.window == 2 and not check_g.check_all
-    assert check_all.check_all and check_all.max_size == 6 and check_all.window is None
+    assert check_g.name == "G" and check_g.max_size == 8 and check_g.window == 2
+    assert check_all.name == "all" and check_all.max_size == 6 and check_all.window is None
     assert exp.path == "out/g.json"
     assert exp_quoted.path == "a path with spaces.json"
 
@@ -344,7 +345,7 @@ def scripts(draw):
         used = st.sampled_from(bound or [""])
         name = f"{draw(STEMS)}{len(records)}"
         if kind == "algebra":
-            tokens, expr = ["algebra", name, "="], None
+            tokens, factors = ["algebra", name, "="], []
             for _ in range(draw(st.integers(1, 3))):
                 atom = draw(st.sampled_from(["chain", "table", "name"][: 2 + bool(bound)]))
                 if atom == "chain":
@@ -356,8 +357,9 @@ def scripts(draw):
                 else:
                     factor = NameExpr(draw(used))
                     atom_tokens = [factor.name]
-                tokens += (["*"] if expr else []) + atom_tokens
-                expr = ProductExpr(expr, factor) if expr else factor
+                tokens += (["*"] if factors else []) + atom_tokens
+                factors.append(factor)
+            expr = ProductExpr(tuple(factors)) if factors[1:] else factors[0]
             record = AlgebraDef(name, expr, 0)
         elif kind == "hom":
             dom, cod = draw(used), draw(used)
@@ -384,7 +386,7 @@ def scripts(draw):
                 tokens += ["--keep-zero"] * fields["keep_zero"]
             elif command == "check":
                 if draw(st.booleans()):
-                    tokens[1], fields = "all", {"check_all": True}
+                    tokens[1] = fields["name"] = "all"
                 for flag in draw(FLAGS):
                     fields[flag] = draw(INTS)
                     tokens += ["--" + flag.replace("_", "-"), str(fields[flag])]

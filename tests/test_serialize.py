@@ -26,6 +26,7 @@ from mvgamma.mv_core import (
     make_product,
 )
 from mvgamma.serialize import (
+    MAX_NESTING,
     Runs,
     SchemaError,
     algebra_from_json,
@@ -151,6 +152,33 @@ def test_a_document_nested_past_the_decoder_is_a_schema_error():
     with pytest.raises(SchemaError, match="not JSON: nested too deeply") as err:
         loads('{"coords": ' + "[" * 5000)
     assert err.value.location == "/"
+
+
+def called_deeper(frames: int, fn, *args):
+    """fn(*args), called `frames` Python frames below the caller."""
+    return fn(*args) if frames == 0 else called_deeper(frames - 1, fn, *args)
+
+
+def nesting(value) -> int:
+    """How deep a value nests lists, down its first items."""
+    depth = 0
+    while isinstance(value, list):
+        value, depth = value[0] if value else None, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("frames", [0, 200])
+@pytest.mark.parametrize("depth", [650, MAX_NESTING + 1])
+def test_the_nesting_limit_does_not_move_with_the_callers_stack(frames, depth):
+    # the object is one level, its list the rest; strings hold no levels
+    inner = "[" * (depth - 1) + "]" * (depth - 1)
+    text = f' {{"free_factors": {inner}, "star_factors": ["{"[" * 2000}"]}}'
+    if depth <= MAX_NESTING:
+        assert nesting(called_deeper(frames, loads, text)["free_factors"]) == depth - 1
+    else:
+        with pytest.raises(SchemaError, match="not JSON: nested too deeply") as err:
+            called_deeper(frames, loads, text)
+        assert err.value.location == "/"
 
 
 @pytest.mark.parametrize("bad", [True, 1.0])
