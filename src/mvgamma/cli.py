@@ -15,6 +15,7 @@ the process's own stdout is closed, main() points fd 1 at os.devnull for good.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -74,6 +75,18 @@ def _run_text(text: str, config: RunConfig, json_out: str | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """One run with the cycle collector paused, and the caller's state back
+    however it ends: a run leaves a fixed few cycles (argparse's parser)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="mvgamma",
         description="Drive the finite segment/enveloping-group toolkit from scripts.",

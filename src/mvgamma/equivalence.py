@@ -53,6 +53,7 @@ from .spectrum import (
     induced_morphism,
     preimage_ideal,
     prime_alignment,
+    prime_quotients,
     quotient,
     spectrum,
 )
@@ -159,9 +160,8 @@ class StarAlgebra(NamedTuple):
 
 @functools.cache
 def star_algebra(algebra: FiniteMVAlgebra, /) -> StarAlgebra:
-    """Build the enveloping-group presentation of a finite algebra."""
-    spec = spectrum(algebra)
-    quots = tuple(quotient(algebra, p) for p in spec.primes)
+    """Build the enveloping-group presentation of a finite algebra from its `prime_quotients`."""
+    spec, quots = spectrum(algebra), tuple(q for _, q in prime_quotients(algebra))
     fibers = [ChangChainGroup(q.quotient) for q in quots]
     a_circle = tuple(
         tuple(f.rank[q.class_of[a]] for f, q in zip(fibers, quots))

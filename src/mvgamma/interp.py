@@ -52,7 +52,7 @@ from .mv_core import (
     check_morphism,
     check_mv_axioms,
     make_chain,
-    make_product,
+    make_product_many,
 )
 from .script import (
     AlgebraDef,
@@ -203,13 +203,12 @@ class _Runner:
             return make_chain(expr.height)
         if isinstance(expr, NameExpr):
             return self.value(expr.name, ("algebra",), line)[1]
-        if isinstance(expr, ProductExpr):  # the factors are atoms, folded left and capped
-            product = self.eval_algebra_expr(expr.factors[0], line)
+        if isinstance(expr, ProductExpr):  # the factors are atoms, capped from the left
+            factors = [self.eval_algebra_expr(expr.factors[0], line)]
             for atom in expr.factors[1:]:
-                factor = self.eval_algebra_expr(atom, line)
-                self.check_carrier(product.size * factor.size, line, "product")
-                product = make_product(product, factor)
-            return product
+                factors.append(self.eval_algebra_expr(atom, line))
+                self.check_carrier(math.prod(f.size for f in factors), line, "product")
+            return make_product_many(factors)  # one table, which the decomposition finds again
         size = expr.obj.get("size") if isinstance(expr.obj, dict) else None  # a TableExpr
         if isinstance(size, int):
             self.check_carrier(size, line, "table")

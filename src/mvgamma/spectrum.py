@@ -9,7 +9,8 @@ idempotent.  The embedding into the prime quotients is `star_algebra`'s iota.
 
 The spectrum is the set of proper prime ideals in a fixed canonical order
 (ascending membership bitmask), so everything downstream that says "the j-th
-fiber" is reproducible across runs.
+fiber" is reproducible across runs.  The primes and their quotients are read
+off the certified chain decomposition (`prime_quotients`), no ideal enumerated.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import operator
 from typing import Hashable, NamedTuple, Sequence
 
 from .errors import InternalInvariantError
-from .mv_core import FiniteMVAlgebra, MVMorphism
+from .mv_core import FiniteMVAlgebra, MVMorphism, chain_decomposition
 
 __all__ = [
     "Ideal",
@@ -28,8 +29,8 @@ __all__ = [
     "ideal_violations",
     "enumerate_ideals",
     "ideals_by_subset_filter",
-    "is_prime_ideal",
     "spectrum",
+    "prime_quotients",
     "quotient",
     "preimage_ideal",
     "prime_alignment",
@@ -105,19 +106,6 @@ def _idempotent_above(algebra: FiniteMVAlgebra, a: int) -> int:
     raise ValueError(f"the squares of {a} cycle through non-idempotents (not an MV-algebra)")
 
 
-def _generator(algebra: FiniteMVAlgebra, ideal: Ideal, improper: str) -> int:
-    """The largest member e of a proper ideal, which is then the down-set of
-    e: the oplus of all members, which lies above each and inside the ideal.
-    A ValueError names a subset that is no ideal, or says `improper`."""
-    bad = ideal_violations(algebra, ideal.members)
-    if bad:
-        raise ValueError("not an ideal: " + "; ".join(bad))
-    if not ideal.proper:
-        raise ValueError(improper)
-    op = algebra.oplus
-    return functools.reduce(lambda e, a: op[e][a], ideal.members, 0)
-
-
 def enumerate_ideals(algebra: FiniteMVAlgebra) -> list[Ideal]:
     """All ideals, {0} and the improper one included, in bitmask order.
 
@@ -150,31 +138,44 @@ def ideals_by_subset_filter(algebra: FiniteMVAlgebra) -> list[Ideal]:
     return [Ideal(algebra, m) for m in subsets if m.issuperset(op[a][b] for a in m for b in m)]
 
 
-def is_prime_ideal(algebra: FiniteMVAlgebra, ideal: Ideal) -> bool:
-    """Proper, and the quotient is a chain.
+class QuotientResult(NamedTuple):
+    quotient: FiniteMVAlgebra
+    class_of: tuple[int, ...]
 
-    The ideal is the down-set of its largest member e, which is Boolean, and
-    A/↓e is isomorphic to the segment [0, neg e] (CDM ch. 1), so the ideal
-    is prime exactly when the down-set of neg e is a chain.  A finite
-    MV-algebra is a product of chains (CDM ch. 3), whose idempotents are the
-    tuples of bottoms and tops, so it is a chain exactly when its only
-    idempotents are 0 and its top.  The definition (a ominus b or b ominus a
-    in the ideal, for all a, b) is the oracle in the tests.
-    """
-    ne = algebra.neg[_generator(algebra, ideal, "primality is asked of proper ideals only")]
-    return all(algebra.oplus[x][x] != x for x in algebra.below[ne] - {0, ne})
+
+@functools.cache
+def prime_quotients(algebra: FiniteMVAlgebra, /) -> tuple[tuple[Ideal, QuotientResult], ...]:
+    """Each proper prime with `quotient(algebra, prime)`, in spectrum order,
+    read off the chain decomposition f: prime i is the kernel of coordinate
+    i of f(k), the class of x is that coordinate of x, numbered by first
+    appearance in carrier order, and the table is chain i's, min(n, a + b)
+    and n - a, under that numbering.  A ValueError names a table with no
+    decomposition, as every table that fails the MV laws is."""
+    found = chain_decomposition(algebra)
+    if found is None:
+        raise ValueError("spectrum: the algebra fails the MV laws (no chain decomposition)")
+    (f, heights), out = found, []
+    index, stride = sorted(range(len(f)), key=f.__getitem__), len(f)  # index[f(k)] = k
+    for n in heights:
+        stride //= n + 1
+        column = [k // stride % (n + 1) for k in index]
+        values = list(dict.fromkeys(column))  # the coordinate of each class
+        rank = {v: c for c, v in enumerate(values)}
+        q_oplus = tuple(tuple(rank[min(n, v + w)] for w in values) for v in values)
+        q = FiniteMVAlgebra._built(n + 1, q_oplus, tuple(rank[n - v] for v in values))
+        class_of = tuple(map(rank.__getitem__, column))
+        prime = Ideal(algebra, frozenset(x for x, c in enumerate(class_of) if not c))
+        out.append((prime, QuotientResult(q, class_of)))
+    return tuple(sorted(out, key=lambda pq: pq[0].bitmask))
 
 
 @functools.cache
 def spectrum(algebra: FiniteMVAlgebra, /) -> Spectrum:
-    """Proper prime ideals in canonical (bitmask-ascending) order."""
-    primes = [i for i in enumerate_ideals(algebra) if i.proper and is_prime_ideal(algebra, i)]
-    return Spectrum(algebra, tuple(primes))
-
-
-class QuotientResult(NamedTuple):
-    quotient: FiniteMVAlgebra
-    class_of: tuple[int, ...]
+    """Proper prime ideals in canonical (bitmask-ascending) order, read off
+    the chain decomposition (`prime_quotients`): the ideals of a product of
+    chains are the products of one ideal, {0} or all, per chain, and the
+    quotient by one is a chain exactly when it keeps one coordinate (CDM ch. 3)."""
+    return Spectrum(algebra, tuple(p for p, _ in prime_quotients(algebra)))
 
 
 @functools.cache
@@ -183,12 +184,18 @@ def quotient(algebra: FiniteMVAlgebra, ideal: Ideal, /) -> QuotientResult:
     in the ideal.  Classes are indexed by first appearance, so the class of 0
     is 0 and quotients of identity congruences reuse the original indexing.
 
-    The ideal is the downset of its largest member e, an idempotent, and
-    a |-> a odot neg(e) has kernel exactly that downset, so it keys the
-    classes without comparing pairs of elements.
+    The ideal is the downset of its largest member e, an idempotent (the
+    oplus of all members), and a |-> a odot neg(e) has kernel exactly that
+    downset, so it keys the classes without comparing pairs of elements.  A
+    ValueError names a subset that is no ideal, or the improper one.
     """
-    improper = "quotient by the improper ideal would be the excluded one-element algebra"
-    op, ng, e = algebra.oplus, algebra.neg, _generator(algebra, ideal, improper)
+    bad = ideal_violations(algebra, ideal.members)
+    if bad:
+        raise ValueError("not an ideal: " + "; ".join(bad))
+    if not ideal.proper:
+        raise ValueError("quotient by the improper ideal would be the excluded one-element algebra")
+    op, ng = algebra.oplus, algebra.neg
+    e = functools.reduce(lambda e, a: op[e][a], ideal.members, 0)
     key = [ng[op[na][e]] for na in ng]
     reps = list(dict.fromkeys(key))
     rank = {r: c for c, r in enumerate(reps)}

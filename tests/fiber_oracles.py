@@ -23,6 +23,9 @@ generates; the package reads the same verdict off
 `iota_roundtrip(star).onto_segment`.  `members_match_by_membership` runs the
 membership test on every element of [0, u], where `iota_roundtrip` reads
 `members_match` off the canonical entries in closed form.
+`is_prime_ideal` is the earlier primality test of `spectrum`, and
+`primes_by_enumeration` the earlier spectrum: every proper ideal that passes
+it, where the package reads the primes off the chain decomposition.
 """
 
 from __future__ import annotations
@@ -42,7 +45,14 @@ from mvgamma.lgroup import (
     unit_segment,
 )
 from mvgamma.mv_core import FiniteMVAlgebra, MVMorphism, make_product_many
-from mvgamma.spectrum import class_values, quotient, spectrum
+from mvgamma.spectrum import (
+    Ideal,
+    class_values,
+    enumerate_ideals,
+    ideal_violations,
+    quotient,
+    spectrum,
+)
 
 
 @dataclass(frozen=True)
@@ -102,6 +112,32 @@ def canonical_embedding(algebra: FiniteMVAlgebra) -> MVMorphism:
     for q in quots:
         combined = [v * q.quotient.size + c for v, c in zip(combined, q.class_of)]
     return MVMorphism(algebra, cod, tuple(combined))
+
+
+def is_prime_ideal(algebra: FiniteMVAlgebra, ideal: Ideal) -> bool:
+    """Proper, and the quotient is a chain.
+
+    The ideal is the down-set of its largest member e, which is Boolean, and
+    A/↓e is isomorphic to the segment [0, neg e] (CDM ch. 1), so the ideal
+    is prime exactly when the down-set of neg e is a chain.  A finite
+    MV-algebra is a product of chains (CDM ch. 3), whose idempotents are the
+    tuples of bottoms and tops, so it is a chain exactly when its only
+    idempotents are 0 and its top.  A ValueError names a subset that is no
+    ideal, or an improper one.
+    """
+    bad = ideal_violations(algebra, ideal.members)
+    if bad:
+        raise ValueError("not an ideal: " + "; ".join(bad))
+    if not ideal.proper:
+        raise ValueError("primality is asked of proper ideals only")
+    op = algebra.oplus
+    ne = algebra.neg[functools.reduce(lambda e, a: op[e][a], ideal.members, 0)]
+    return all(op[x][x] != x for x in algebra.below[ne] - {0, ne})
+
+
+def primes_by_enumeration(algebra: FiniteMVAlgebra) -> list[Ideal]:
+    """The proper prime ideals among all ideals, in bitmask order."""
+    return [i for i in enumerate_ideals(algebra) if i.proper and is_prime_ideal(algebra, i)]
 
 
 def window(group: ProductLuGroup, bound: int) -> Iterator[GroupElement]:

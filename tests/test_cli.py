@@ -1,5 +1,7 @@
 """Interpreter semantics and the command-line exit-code contract."""
 
+import gc
+import importlib
 import io
 import json
 import os
@@ -17,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mvgamma
-from mvgamma import cli, equivalence, interp
+from mvgamma import cli, equivalence, interp, mv_core
 from mvgamma.cli import _run_text, main
 from mvgamma.errors import InternalInvariantError
 from mvgamma.lgroup import ProductLuGroup
@@ -70,22 +72,13 @@ def test_passing_script_report():
     assert all(c["status"] == "pass" for c in payload["commands"])
 
 
-def test_spec_builds_the_star_that_star_reads(monkeypatch, fresh_memos):
+def test_spec_builds_the_star_that_star_reads(fresh_memos):
     # spec reads the cached star, so star is a cache hit, and no product
-    # table is built besides the one the definition asks for
-    built = []
-    for name, module in list(sys.modules.items()):
-        if name.startswith("mvgamma.") and hasattr(module, "make_product_many"):
-            real = module.make_product_many
-
-            def spy(factors, real=real):
-                built.append([f.size for f in factors])
-                return real(factors)
-
-            monkeypatch.setattr(module, "make_product_many", spy)
+    # table is built besides the one the definition asks for: the chain
+    # decomposition's product of chains is that table again
     report = run_text("algebra A = chain 2 * chain 3\nspec A\nstar A")
     assert report.exit_code == 0
-    assert built == [[3, 4]]
+    assert mv_core._product.cache_info().misses == 1
     info = equivalence.star_algebra.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
@@ -387,7 +380,7 @@ def refuse(*_args):
     "text,size,builder",
     [
         (f"algebra A = chain {MAX_CARRIER}", MAX_CARRIER + 1, "make_chain"),
-        ("algebra A = chain 1 * chain 128", 258, "make_product"),
+        ("algebra A = chain 1 * chain 128", 258, "make_product_many"),
         (
             f'algebra A = table {{"size": {MAX_CARRIER + 1}, "oplus": [], "neg": []}}',
             MAX_CARRIER + 1,
@@ -703,6 +696,98 @@ def test_cli_closed_stdout_pipe_is_three_without_a_traceback(unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (3, b"")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_run_pauses_the_collector_and_restores_the_callers_state(monkeypatch, tmp_path, enabled):
+    during = []
+    real = cli._run_text
+
+    def spy(*args):
+        during.append(gc.isenabled())
+        return real(*args)
+
+    def breach(*_args):
+        raise InternalInvariantError("probe")
+
+    monkeypatch.setattr(cli, "_run_text", spy)
+    ok = ["run", write(tmp_path, "ok.mvg", "algebra A = chain 2\nspec A\n")]
+    runs = [  # argv, exit code (None: argparse exits), a patch for the run
+        (ok, 0, None),
+        (["run", str(tmp_path / "missing.mvg")], 2, None),
+        (["run", write(tmp_path, "bad.mvg", "algebra A =\n")], 2, None),
+        (["run", write(tmp_path, "cap.mvg", "algebra A = chain 1 * chain 128\n")], 3, None),
+        (ok, 4, (cli, "execute", breach)),
+        (ok, 3, (sys, "stdout", ClosedStdout())),
+        (["run"], None, None),
+    ]
+    after = []
+    try:
+        for argv, code, patch in runs:
+            (gc.enable if enabled else gc.disable)()
+            with monkeypatch.context() as m:
+                if patch:
+                    m.setattr(*patch)
+                if code is None:
+                    with pytest.raises(SystemExit):
+                        main(argv)
+                else:
+                    assert main(argv) == code
+            after.append(gc.isenabled())
+    finally:
+        gc.enable()
+    assert during == [False] * 5
+    assert after == [enabled] * len(runs)
+
+
+def test_a_paused_run_leaves_no_more_cycles_than_an_empty_script(monkeypatch, tmp_path):
+    # in a fresh interpreter: what the collector finds after a run is
+    # argparse's parser, as many objects for the carriers workload as for
+    # an empty script
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    carriers = write(tmp_path, "carriers.mvg", workloads.build("carriers", 3).script)
+    empty = write(tmp_path, "empty.mvg", "")
+    code = (
+        "import gc, sys\n"
+        "from mvgamma.cli import main\n"
+        "gc.collect()\n"
+        "found = []\n"
+        "for path in sys.argv[1:]:\n"
+        "    assert main(['run', path]) == 0\n"
+        "    found.append(gc.collect())\n"
+        "print(*found, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, empty, carriers, empty],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    first_empty, after_carriers, second_empty = map(int, proc.stderr.split())
+    assert after_carriers <= first_empty == second_empty
+
+
+def test_a_product_table_is_built_once(fresh_memos):
+    # the definition builds the product in one step, and the chain
+    # decomposition behind spec and check finds that table in the cache
+    report = run_text("algebra A = chain 11 * chain 2 * chain 4\nspec A\ncheck A")
+    assert report.exit_code == 0
+    assert mv_core._product.cache_info().misses == 1
+
+
+def test_a_product_over_the_cap_keeps_its_error(capsys):
+    # capped factor by factor: 4 * 8 = 32 passes, 32 * 9 = 288 does not
+    assert _run_text("algebra A = chain 3 * chain 7 * chain 8\n", RunConfig()) == 3
+    error = {
+        "code": "semantic",
+        "counterexample": {"cap": 256, "size": 288},
+        "line": 1,
+        "message": "product would have 288 elements, above the cap of 256 (line 1)",
+    }
+    assert json.loads(capsys.readouterr().out) == {"error": error}
 
 
 def test_cli_check_all(capsys):

@@ -534,6 +534,41 @@ def test_row_wise_morphism_check_matches_the_cell_by_cell_oracle():
     assert sum(name == "oplus" for name, _ in check_morphism(h).violations) == 100
 
 
+def test_the_identity_passes_unread_and_other_maps_read_the_tables():
+    # the identity holds on any tables: a lawless 3-element table too
+    cycling = FiniteMVAlgebra(3, [[0, 1, 2], [1, 2, 2], [2, 2, 1]], [2, 1, 0])
+    assert check_morphism(MVMorphism(cycling, cycling, (0, 1, 2))) == (True, ())
+    # the swap of chain 1 * chain 1 is an automorphism, read off the tables:
+    # after 1 + 1 is overwritten to 3, the identity still passes and the swap fails
+    sq = make_product(make_chain(1), make_chain(1))
+    swap = (0, 2, 1, 3)
+    assert check_morphism(MVMorphism(sq, sq, swap)).ok
+    broken = overwritten(sq, cells=[((1, 1), 3)])
+    assert check_morphism(MVMorphism(broken, broken, (0, 1, 2, 3))).ok
+    h = MVMorphism(broken, broken, swap)
+    assert list(check_morphism(h).violations) == morphism_violations(h) != []
+    # near-identity maps fail with the violations the full check found
+    a = make_product(make_chain(2), make_chain(1))
+    h = MVMorphism(a, a, (0, 1, 1, 3, 4, 5))
+    assert check_morphism(h).violations == (
+        *(("oplus", cell) for cell in ((1, 2), (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2))),
+        ("neg", (2,)),
+        ("neg", (3,)),
+    )
+    for image in itertools.permutations(range(1, 6)):
+        h = MVMorphism(a, a, (0, *image))
+        assert list(check_morphism(h).violations) == morphism_violations(h)
+
+
+def test_down_sets_read_by_column_match_the_row_loop():
+    generated = generated_algebras(81)
+    for algebra in generated + [relabelled(a, seed) for seed, a in enumerate(generated)]:
+        rows, top = [algebra.oplus[na] for na in algebra.neg], algebra.top
+        down = mv_core._DownSets(algebra)
+        for b in range(algebra.size):
+            assert down[b] == frozenset([a for a, row in enumerate(rows) if row[b] == top])
+
+
 def test_compose_and_identity():
     l1, l2 = make_chain(1), make_chain(2)
     h = MVMorphism(l1, l2, (0, 2))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -29,7 +31,6 @@ from mvgamma.spectrum import (
     ideals_by_subset_filter,
     ideal_violations,
     induced_morphism,
-    is_prime_ideal,
     preimage_ideal,
     prime_alignment,
     quotient,
@@ -39,9 +40,10 @@ from mvgamma.spectrum import (
 from mvgamma.equivalence import star_algebra
 from mvgamma.errors import InternalInvariantError
 from mvgamma.lgroup import gamma_segment
+from mvgamma.serialize import algebra_from_json
 import mvgamma.sweeps as sweeps
 from mvgamma.sweeps import SweepContext, generated_algebras
-from fiber_oracles import canonical_embedding
+from fiber_oracles import canonical_embedding, is_prime_ideal, primes_by_enumeration
 from test_mv_core import chain_product, ominus, permuted_copy, relabelled
 
 SRC = str(Path(mvgamma.__file__).resolve().parents[1])
@@ -141,9 +143,11 @@ def test_cycling_squares_raise_instead_of_hanging():
     # a lawless table with 1 + 1 = 2 and 2 + 2 = 1: the squares of 1 never
     # reach an idempotent
     cycling = FiniteMVAlgebra(3, [[0, 1, 2], [1, 2, 2], [2, 2, 1]], [2, 1, 0])
-    for build in (enumerate_ideals, spectrum):
-        with pytest.raises(ValueError, match="^the squares of 1 cycle through non-idempotents"):
-            build(cycling)
+    with pytest.raises(ValueError, match="^the squares of 1 cycle through non-idempotents"):
+        enumerate_ideals(cycling)
+    # the spectrum is read off the chain decomposition, which such a table lacks
+    with pytest.raises(ValueError, match=r"^spectrum: .*\(no chain decomposition\)$"):
+        spectrum(cycling)
 
 
 def test_prime_detection_in_square():
@@ -206,6 +210,44 @@ def test_prime_test_oracle_on_hypothesis_tables(data):
     product = chain_product(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
     rest = data.draw(st.permutations(range(1, product.size)))
     assert_primes_by_definition(permuted_copy(product, [0, *rest]))
+
+
+def carriers_algebras(seed: int) -> list[FiniteMVAlgebra]:
+    """The algebras the benchmark's carriers workload defines at one seed:
+    its tables as given, its chain products as products of chains."""
+    sys.path.insert(0, str(Path(SRC).parent / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+    out = []
+    for line in workloads.build("carriers", seed).script.splitlines():
+        if line.startswith("algebra "):
+            body = line.split(" = ", 1)[1]
+            if body.startswith("table "):
+                out.append(algebra_from_json(json.loads(body.removeprefix("table "))))
+            else:
+                out.append(chain_product([int(f.split()[1]) for f in body.split(" * ")]))
+    return out
+
+
+def test_closed_form_spectrum_and_star_quotients_match_the_enumeration():
+    # the primes read off the chain decomposition are the proper ideals that
+    # pass the primality test, and each star quotient is quotient(A, P)
+    generated = generated_algebras(81)
+    algebras = generated + carriers_algebras(3) + carriers_algebras(11)
+    algebras += [relabelled(a, seed) for seed, a in enumerate(generated)]
+    algebras += [relabelled(a, seed + 1000) for seed, a in enumerate(generated)]
+    assert max(a.size for a in algebras) > 81  # the carriers tables are in
+    for algebra in algebras:
+        spec = spectrum(algebra)
+        assert list(spec.primes) == primes_by_enumeration(algebra)
+        star = star_algebra(algebra)
+        assert star.spec is spec and len(star.quotients) == len(spec)
+        for prime, got in zip(spec.primes, star.quotients):
+            expected = quotient(algebra, prime)
+            assert got.quotient is expected.quotient
+            assert got.class_of == expected.class_of
 
 
 def test_quotient_by_zero_is_identity_indexed():
@@ -292,13 +334,18 @@ def test_quotient_is_shared_between_equal_inputs():
 
 def test_sweep_reuses_quotients():
     # In a fresh interpreter: in this one, caches warmed by other tests
-    # answer a sweep before it reaches `quotient` at all.
+    # answer a sweep before it reaches `quotient` at all.  The stars take
+    # no quotient (they read the chain decomposition), and the sweep
+    # computes each distinct quotient it asks for once.
     code = (
+        "from mvgamma.equivalence import star_algebra\n"
         "from mvgamma.spectrum import quotient\n"
-        "from mvgamma.sweeps import run_all_checks\n"
-        "hits = quotient.cache_info().hits\n"
+        "from mvgamma.sweeps import generated_algebras, run_all_checks\n"
+        "stars = [star_algebra(a) for a in generated_algebras(16)]\n"
+        "before = quotient.cache_info()\n"
         "assert all(suite.ok for suite in run_all_checks(6, 4))\n"
-        "print(hits, quotient.cache_info().hits)\n"
+        "after = quotient.cache_info()\n"
+        "print(before.hits + before.misses, after.misses, after.currsize)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -306,8 +353,9 @@ def test_sweep_reuses_quotients():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    before, after = map(int, proc.stdout.split())
-    assert after > before
+    star_calls, computed, distinct = map(int, proc.stdout.split())
+    assert star_calls == 0
+    assert computed == distinct > 0
 
 
 def test_quotient_rejects_non_ideal_and_improper():
