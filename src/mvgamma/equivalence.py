@@ -1,21 +1,21 @@
 """Round trips between finite MV-algebras and unital products of chain groups.
 
-One direction starts from an algebra A: quotient by each prime ideal to get
-chains, take the carry-pair group over each chain, and place A inside the
-product of those groups as the box of per-prime class pairs ("a_circle").
-The subgroup generated by that box is the enveloping group of A, and the box
-recovers A as the unit segment.  The other direction starts from a group with
-a chosen positive unit, takes its unit segment as an algebra, and rebuilds
-the group from the segment's enveloping group.  Both bridging maps live here:
-iota (algebra into its star ambient) and upsilon (star ambient of a segment
-back onto the original group), together with checkers that certify that they
-are inverse to each other.
+One direction starts from an algebra A: read its chain decomposition, one
+chain per prime, take the carry-pair group over each chain, and place A in
+the product of those groups as the box of its coordinates ("a_circle").  The
+subgroup generated by that box is the enveloping group of A, and the box
+recovers A as the unit segment.  The other direction starts from a group
+with a chosen positive unit, takes its unit segment as an algebra, and
+rebuilds the group from the segment's enveloping group.  Both bridging maps
+live here: iota (algebra into its star ambient) and upsilon (star ambient of
+a segment back onto the original group), together with checkers that
+certify that they are inverse to each other.
 
-Everything is exact integer arithmetic, and every verdict holds on the whole
-group: each fiber of a map here is a `FiberMap`, which gains its step when s
-gains its period, so one period decides it on all of ℤ.  Operations on
-product groups act coordinatewise, so quantifiers factor through the fibers;
-checkers that exploit the factorization document it on the spot.
+Everything is exact integer arithmetic, coordinate by coordinate in the
+product group, and every verdict holds on the whole group: each fiber of a
+map here is a `FiberMap`, which gains its step when s gains its period, so
+one period decides it on all of ℤ.  No map here is induced on congruence
+classes: a star map's fibers are `chain_scaling`s, Łn -> Łm extended.
 """
 
 from __future__ import annotations
@@ -45,21 +45,17 @@ from .mv_core import (
 )
 from .snf import matrix_rank
 from .spectrum import (
-    Ideal,
     QuotientResult,
     Spectrum,
-    class_values,
     ideal_violations,
-    induced_morphism,
     preimage_ideal,
-    prime_alignment,
     prime_quotients,
-    quotient,
     spectrum,
 )
 
 __all__ = [
     "FiberMap",
+    "chain_scaling",
     "StarAlgebra",
     "star_algebra",
     "canonical_entries",
@@ -94,8 +90,8 @@ __all__ = [
 class FiberMap(NamedTuple):
     """One fiber of a coordinatewise map between chain groups, as a value:
     s -> (s div period)·step + table[s mod period].  Both maps of the
-    equivalence have this shape, the extension of a chain morphism
-    (`extension`) and the evaluation of a star fiber (`_segment_lifts`).
+    equivalence have this shape, the star of a chain morphism
+    (`chain_scaling`) and the evaluation of a star fiber (`_segment_lifts`).
     """
 
     period: int
@@ -110,16 +106,13 @@ class FiberMap(NamedTuple):
         """The composite s -> g(self(s)), built once per pair of values."""
         return _composite(self, g)
 
-    @classmethod
-    def extension(cls, hom: MVMorphism, dom: ChangChainGroup, cod: ChangChainGroup) -> FiberMap:
-        """Extend a morphism h between the chains of dom and cod, of heights
-        n and n', to their groups: the carry pair (m, a) goes to (m, h(a)),
-        t -> (t // n)·n' + rank'(h(by_rank(t mod n))).  Chain morphisms have
-        kernel {0}, so h(a) = top forces a = top; below the top the image
-        stays below the top and the copy index passes through untouched.
-        """
-        table = tuple(cod.rank[hom.map[a]] for a in dom.by_rank[: dom.height])
-        return cls(dom.height, cod.height, table)
+
+@functools.cache
+def chain_scaling(n: int, m: int, /) -> FiberMap | None:
+    """The star of the one morphism Łn -> Łm, a -> a·m/n, on the groups:
+    the carry pair (k, a) goes to (k, a·m/n), so t -> t·m/n; None unless
+    n | m, when no such morphism exists (CDM ch. 3)."""
+    return None if m % n else FiberMap(n, m, tuple(range(0, m, m // n)))
 
 
 @functools.cache
@@ -390,9 +383,9 @@ class LGroupMap(NamedTuple):
     """A coordinatewise map between unital products of chain groups.
 
     Codomain fiber j reads domain fiber `source_fiber[j]` through the
-    `FiberMap` `fiber_maps[j]`: the extension of a chain morphism for star
-    and generated maps, the evaluation of one star fiber for the evaluation
-    map, and the composite fiber map for a composite (`then`).
+    `FiberMap` `fiber_maps[j]`: a `chain_scaling` for star and generated
+    maps, the evaluation of one star fiber for the evaluation map, and the
+    composite fiber map for a composite (`then`).
     """
 
     dom: ProductLuGroup
@@ -425,8 +418,11 @@ def star_morphism(hom: MVMorphism, /) -> LGroupMap:
     """Ambient-level extension of an algebra morphism: the map between the
     star ambients of its endpoints.
 
-    Each codomain fiber j is fed from the domain fiber holding the preimage
-    prime, through the extension of the induced chain morphism.
+    Each codomain fiber j, of height m, is fed from the domain fiber i
+    holding the preimage prime, of height n.  The morphism induces one
+    Łn -> Łm on the quotients, and that morphism is unique, so fiber j is
+    `chain_scaling(n, m)`.  The iota square (`iota_naturality`) certifies
+    the map on all of A, and so on A*, which A generates.
     """
     dom_star, cod_star = star_algebra(hom.dom), star_algebra(hom.cod)
     source_fiber = []
@@ -439,11 +435,11 @@ def star_morphism(hom: MVMorphism, /) -> LGroupMap:
             raise InternalInvariantError(
                 "preimage of a prime is missing from the canonical listing"
             ) from exc
-        induced = induced_morphism(hom, dom_star.quotients[i], cod_star.quotients[j])
+        fm = chain_scaling(dom_star.ambient.fibers[i].height, cod_star.ambient.fibers[j].height)
+        if fm is None:
+            raise InternalInvariantError("the heights of a prime and its preimage do not divide")
         source_fiber.append(i)
-        fiber_maps.append(
-            FiberMap.extension(induced, dom_star.ambient.fibers[i], cod_star.ambient.fibers[j])
-        )
+        fiber_maps.append(fm)
     return LGroupMap(
         dom=dom_star.ambient,
         cod=cod_star.ambient,
@@ -458,36 +454,25 @@ def star_morphism(hom: MVMorphism, /) -> LGroupMap:
 @functools.cache
 def _segment_lifts(u: GroupElement, /) -> tuple[GammaSegment, StarAlgebra, tuple]:
     """The segment of unit u, its star, and per fiber t the evaluation of
-    star fiber t onto group fiber t with its validated lift in rank order.
+    star fiber t onto group fiber t with its lift in rank order.
 
-    The primes of the segment algebra are its coordinate zero sets, and star
-    fiber t lies over the zero set of group fiber t.  The lift sends a
-    quotient class to the common t-th coordinate of its members (checked to
-    be constant, and distinct across classes); the pair (m, c) evaluates to
-    m·u_t plus the lift of c.  The lift keeps the top class.  Class c has
-    rank c (checked): classes are numbered by first appearance in the segment.
+    One check: the chain decomposition of the segment algebra is the
+    identity with heights u.  Then prime t is the zero set of fiber t, and
+    the class of x in star fiber t is x_t, of rank x_t, so the lift is
+    0..u_t and the pair (m, r) evaluates to m·u_t + r.  The segment lists
+    elements row-major, first fiber slowest, so for j < l the largest
+    element vanishing on fiber l lies above every element vanishing on
+    fiber j: in the spectrum's bitmask order, star fiber t is fiber t's.
     """
     segment = unit_segment(u)
+    if chain_decomposition(segment.algebra) != (tuple(range(segment.algebra.size)), u):
+        raise InternalInvariantError("the segment algebra is not the product of its unit's chains")
     star = star_algebra(segment.algebra)
-    # The segment lists elements row-major, first fiber slowest, so for
-    # j < l the largest element vanishing on fiber l lies above every
-    # element vanishing on fiber j: in the spectrum's bitmask order the
-    # zero set of fiber j comes first, and prime t is fiber t's.
-    if prime_alignment(segment.algebra, segment.zero_sets) != tuple(range(len(u))):
-        raise InternalInvariantError(
-            "primes of the segment algebra are not the coordinate zero sets in order"
-        )
-    fibers = []
-    for j, (q, sf) in enumerate(zip(star.quotients, star.ambient.fibers)):
-        if sf.by_rank != list(range(sf.height + 1)):
-            raise InternalInvariantError("star fiber classes are not numbered in rank order")
-        lift = class_values(q, [x[j] for x in segment.elements])
-        if lift is None:
-            raise InternalInvariantError("coordinate is not constant on a quotient class")
-        if len(set(lift)) != len(lift):
-            raise InternalInvariantError("two quotient classes share a coordinate value")
-        fibers.append((FiberMap(sf.height, u[j], lift[:-1]), lift))
-    return segment, star, tuple(fibers)
+    fibers = tuple(
+        (FiberMap(sf.height, up, tuple(range(up))), tuple(range(up + 1)))
+        for sf, up in zip(star.ambient.fibers, u)
+    )
+    return segment, star, fibers
 
 
 def _evaluation(group: ProductLuGroup) -> tuple[GammaSegment, LGroupMap]:
@@ -558,8 +543,8 @@ def upsilon(u: GroupElement, /) -> UpsilonResult:
     """Build the evaluation map of a group with unit u and certify it on the
     whole group; it reads only u, so it runs once per unit.
 
-    Building it (`_segment_lifts`) validates the prime alignment and the
-    lifts.  Each fiber then gets its certificate
+    Building it (`_segment_lifts`) checks that the segment is its own
+    product of chains.  Each fiber then gets its certificate
     (`_fiber_certificate`: additivity, order embedding, unit and zero, the
     segment identity `evaluate(iota(x)) = x` on that fiber's classes,
     surjectivity one residue of the unit at a time).  On the
@@ -582,8 +567,9 @@ class SegmentIdealReport(NamedTuple):
     The ideal consists of the group elements vanishing on `zero_fibers`; its
     trace on [0, u] must be an algebra ideal, the quotient by that trace must
     match the segment of the restricted group (restriction to the named
-    coordinates), and the coordinate zero sets must list exactly the primes
-    of the segment algebra (a fact of the segment, shared by its reports).
+    coordinates) by the first isomorphism theorem, and the coordinate zero
+    sets must be exactly the primes of the segment algebra (a fact of the
+    segment, shared by its reports).
     """
 
     zero_fibers: tuple[int, ...]
@@ -604,39 +590,29 @@ def coordinate_ideal_checks(u: GroupElement, /) -> tuple[SegmentIdealReport, ...
     One report per nonempty set of zero fibers, by size and then
     lexicographically; the ideal named by a set is the kernel of the
     projection onto those coordinates, so its quotient keeps those fibers.
+    By the first isomorphism theorem the quotient is the kept segment when
+    the projection onto it is a morphism (`check_morphism` reads the
+    tables), is onto, and has the trace as its kernel.  The spectrum
+    bijection compares the set of zero sets, all distinct, with the primes.
     """
     segment = unit_segment(u)
-    algebra = segment.algebra
-    zero_sets = segment.zero_sets
-    spectrum_bijection_ok = prime_alignment(algebra, zero_sets) is not None
+    algebra, zero_sets = segment.algebra, segment.zero_sets
+    primes = {p.members for p in spectrum(algebra).primes}
+    spectrum_bijection_ok = len(set(zero_sets)) == len(zero_sets) and set(zero_sets) == primes
     reports = []
     for r in range(1, len(u) + 1):
         for zf in itertools.combinations(range(len(u)), r):
             members = frozenset.intersection(*(zero_sets[j] for j in zf))
             ideal_ok = not ideal_violations(algebra, members)
-            quotient_iso_ok = False
-            if ideal_ok:
-                q = quotient(algebra, Ideal(algebra, members))
-                kept_segment = unit_segment(tuple(u[j] for j in zf))
-                assignment = class_values(
-                    q,
-                    [kept_segment.index[tuple(x[j] for j in zf)] for x in segment.elements],
-                )
-                if assignment is not None:
-                    restriction = MVMorphism(q.quotient, kept_segment.algebra, assignment)
-                    quotient_iso_ok = bool(
-                        check_morphism(restriction).ok
-                        and restriction.is_injective()
-                        and restriction.is_surjective()
-                    )
-            reports.append(
-                SegmentIdealReport(
-                    zero_fibers=zf,
-                    ideal_ok=ideal_ok,
-                    quotient_iso_ok=quotient_iso_ok,
-                    spectrum_bijection_ok=spectrum_bijection_ok,
-                )
+            kept = unit_segment(tuple(u[j] for j in zf))
+            image = tuple(kept.index[tuple(x[j] for j in zf)] for x in segment.elements)
+            projection = MVMorphism(algebra, kept.algebra, image)
+            quotient_iso_ok = (
+                check_morphism(projection).ok
+                and projection.is_surjective()
+                and {x for x, y in enumerate(image) if y == 0} == members
             )
+            reports.append(SegmentIdealReport(zf, ideal_ok, quotient_iso_ok, spectrum_bijection_ok))
     return tuple(reports)
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "prime_quotients",
     "quotient",
     "preimage_ideal",
-    "prime_alignment",
     "class_values",
     "induced_morphism",
     "restrict_morphism",
@@ -212,17 +211,6 @@ def preimage_ideal(h: MVMorphism, ideal: Ideal) -> Ideal:
         raise ValueError("ideal does not live in the morphism codomain")
     members = frozenset(a for a in range(h.dom.size) if h.map[a] in ideal.members)
     return Ideal(h.dom, members)
-
-
-def prime_alignment(
-    algebra: FiniteMVAlgebra, zero_sets: Sequence[frozenset[int]]
-) -> tuple[int, ...] | None:
-    """For each prime of the algebra, in spectrum order, the index of the zero
-    set equal to it; None unless primes and zero sets match one to one."""
-    primes = [p.members for p in spectrum(algebra).primes]
-    if len(set(zero_sets)) != len(zero_sets) or set(zero_sets) != set(primes):
-        return None
-    return tuple(zero_sets.index(p) for p in primes)
 
 
 def class_values(q: QuotientResult, values: Sequence[Hashable]) -> tuple | None:

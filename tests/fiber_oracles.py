@@ -4,7 +4,9 @@ subdirect embedding that `equivalence.star_algebra` builds as iota.
 
 `ChainStarMap` extends a chain morphism by re-reading the morphism and both
 chains on every call; `UpsilonMap` evaluates a star fiber through `evaluate`
-with the lifts read straight off the segment's quotients, in class order.
+with the lifts read straight off the segment's quotients, in class order,
+once `prime_alignment` has matched star fiber t with the zero set of
+group fiber t (the package reads both off the segment's decomposition).
 Tests compare the package's `FiberMap` values against them point by point,
 and mutants are injected into both.  `evaluate` is looked up on this module
 at call time, so a test can patch it.  `canonical_embedding` is the map into
@@ -35,6 +37,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
+from congruence_oracles import prime_alignment
 from mvgamma import equivalence
 from mvgamma.equivalence import FiberMap, StarAlgebra, generated_membership, star_algebra
 from mvgamma.lgroup import (
@@ -86,6 +89,8 @@ class UpsilonMap:
         self.group = group
         self.segment = gamma_segment(group)
         self.star = star_algebra(self.segment.algebra)
+        if prime_alignment(self.segment.algebra, self.segment.zero_sets) != tuple(range(group.k)):
+            raise AssertionError("the segment's primes are not its zero sets in fiber order")
         self.lifts = tuple(
             class_values(q, [x[j] for x in self.segment.elements])
             for j, q in enumerate(self.star.quotients)

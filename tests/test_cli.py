@@ -1014,6 +1014,25 @@ def test_large_presentations_report_matches_golden(capsys):
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 
+@pytest.mark.parametrize(
+    "argv", [["check-all", "--max-size", "6"], ["run", str(REPO / "demos" / "tour.mvg")]]
+)
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path, argv):
+    # a report is the same bytes under every string hash seed; each run is
+    # a fresh interpreter, and the tour exports into its own directory
+    outputs = []
+    for seed in ("0", "1"):
+        cwd = tmp_path / seed
+        (cwd / "demos" / "out").mkdir(parents=True)
+        env = {**source_env(), "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvgamma", *argv], cwd=cwd, env=env, capture_output=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_python_m_mvgamma_matches_main(capsys):
     assert main(["check-all", "--max-size", "6"]) == 0
     expected = capsys.readouterr().out.encode("utf-8")

@@ -14,6 +14,7 @@ from mvgamma.equivalence import (
     SegmentIdealReport,
     canonical_entries,
     canonical_good_sequence,
+    chain_scaling,
     coordinate_ideal_checks,
     free_quotient_experiment,
     gamma_restriction,
@@ -35,14 +36,13 @@ from mvgamma import interp, snf
 from mvgamma.interp import RunConfig, execute
 from mvgamma.script import parse_script
 from fiber_oracles import (
-    ChainStarMap,
     UpsilonMap,
     fiber_certificate_on_window,
     members_match_by_membership,
     segment_generation_check,
     window,
 )
-from test_mv_core import chain_product, relabelled
+from test_mv_core import chain_product, relabelled, reversed_copy, with_reversed_copies
 from smith_oracle import dense_factors, factors_of, relation_diagonal, relation_matrix
 from mvgamma.errors import InternalInvariantError
 from mvgamma.lgroup import (
@@ -50,10 +50,12 @@ from mvgamma.lgroup import (
     ProductLuGroup,
     gamma_segment,
     make_product_group,
+    unit_segment,
 )
 from mvgamma.mv_core import (
     FiniteMVAlgebra,
     MVMorphism,
+    chain_decomposition,
     check_morphism,
     check_mv_axioms,
     compose,
@@ -65,10 +67,11 @@ from mvgamma.spectrum import (
     Ideal,
     class_values,
     ideal_violations,
-    prime_alignment,
+    preimage_ideal,
     quotient,
     restrict_morphism,
 )
+from congruence_oracles import extension, prime_alignment
 from mvgamma.sweeps import (
     SweepContext,
     generated_algebras,
@@ -93,7 +96,7 @@ def z2_group(u0, u1):
 
 
 def chain_star_map(h):
-    return FiberMap.extension(h, ChangChainGroup(h.dom), ChangChainGroup(h.cod))
+    return extension(h, ChangChainGroup(h.dom), ChangChainGroup(h.cod))
 
 
 def test_star_chain_is_the_pair_group():
@@ -133,9 +136,12 @@ def test_chain_star_map_preserves_structure_on_a_window():
 
 
 def test_chain_star_maps_match_the_pair_rule():
+    # and the package's closed form is that map, or None with no morphism
     total = 0
     for n, n2 in itertools.product(range(1, 5), repeat=2):
-        for h in find_morphisms(make_chain(n), make_chain(n2)):
+        homs = find_morphisms(make_chain(n), make_chain(n2))
+        assert chain_scaling(n, n2) == (chain_star_map(homs[0]) if homs else None)
+        for h in homs:
             hs = chain_star_map(h)
             assert [hs(t) for t in range(-3 * n, 3 * n + 1)] == [
                 pair_star(h, t) for t in range(-3 * n, 3 * n + 1)
@@ -533,24 +539,27 @@ def test_star_morphism_of_a_projection():
 
 
 def test_star_morphism_fiber_maps_match_restrict_morphism():
-    # every fiber of every star morphism, point by point on window 2,
-    # against the old extension of the restricted chain morphism
-    algebras = generated_algebras(6)
+    # every fiber of every star morphism against the congruence route: the
+    # morphism induced on the quotients by the prime and its preimage, read
+    # through both chains' ranks; the reversed copies have decompositions
+    # that are no identity, so a misread permutation shows here
+    algebras = with_reversed_copies(generated_algebras(12))
     total = fibers = 0
     for dom, cod in itertools.product(algebras, repeat=2):
-        dom_ambient, cod_ambient = star_algebra(dom).ambient, star_algebra(cod).ambient
+        dom_star, cod_star = star_algebra(dom), star_algebra(cod)
         for h in find_morphisms(dom, cod):
             sm = star_morphism(h)
-            for j, prime in enumerate(star_algebra(cod).spec.primes):
+            assert iota_naturality(h).ok
+            for j, prime in enumerate(cod_star.spec.primes):
                 i = sm.source_fiber[j]
-                old = ChainStarMap(
-                    restrict_morphism(h, prime), dom_ambient.fibers[i], cod_ambient.fibers[j]
-                )
-                window = range(-2 * dom_ambient.u[i], 2 * dom_ambient.u[i] + 1)
-                assert [sm.fiber_maps[j](t) for t in window] == [old(t) for t in window]
+                assert dom_star.spec.primes[i] == preimage_ideal(h, prime)
+                induced = restrict_morphism(h, prime)
+                dom_fiber, cod_fiber = dom_star.ambient.fibers[i], cod_star.ambient.fibers[j]
+                assert (induced.dom, induced.cod) == (dom_fiber.chain, cod_fiber.chain)
+                assert sm.fiber_maps[j] == extension(induced, dom_fiber, cod_fiber)
                 fibers += 1
             total += 1
-    assert (total, fibers) == (40, 53)
+    assert (len(algebras), total, fibers) == (29, 641, 947)
 
 
 def test_iota_naturality_for_all_small_homs():
@@ -996,22 +1005,45 @@ def test_segment_lifts_miss_once_per_unit(fresh_memos):
     assert (sums.misses, sums.misses + sums.hits) == (7, 67)
 
 
-def test_segment_lifts_require_star_classes_in_rank_order(monkeypatch, fresh_memos):
-    # on every unit class c of a star fiber has rank c, so the lifts are read
-    # in class order; a star fiber listed out of rank order must raise
-    g = SweepContext.group((1, 2), (2, 2))
-    build = eq.star_algebra
+SEGMENT_UNITS = [
+    u
+    for k in (1, 2, 3)
+    for u in itertools.product(range(1, 6), repeat=k)
+    if math.prod(t + 1 for t in u) <= 400
+]
 
-    def out_of_rank_order(algebra):
-        star = build(algebra)
-        fibers = star.ambient.fibers
-        assert fibers[0].height == 2
-        fibers = (ChangChainGroup(reversed_chain(2)),) + fibers[1:]
-        return star._replace(ambient=ProductLuGroup(fibers, star.ambient.u))
 
-    monkeypatch.setattr(eq, "star_algebra", out_of_rank_order)
-    with pytest.raises(InternalInvariantError, match="rank order"):
-        eq._segment_lifts(g.u)
+def test_every_segment_is_its_own_product_of_chains():
+    # the fact `_segment_lifts` checks and then relies on: the decomposition
+    # of the segment of u is the identity with heights u, unsorted units too
+    for u in SEGMENT_UNITS:
+        algebra = unit_segment(u).algebra
+        assert chain_decomposition(algebra) == (tuple(range(algebra.size)), u)
+    assert len(SEGMENT_UNITS) == 155 and (3, 1, 2) in SEGMENT_UNITS
+
+
+def relabelled_table(segment):
+    """The segment with its table relabelled, labels 1..s-1 reversed, and
+    its elements listed as before."""
+    return segment._replace(algebra=reversed_copy(segment.algebra))
+
+
+def heights_reversed(segment):
+    """The segment of the unit read in reverse order."""
+    return unit_segment(segment.u[::-1])
+
+
+@pytest.mark.parametrize("mutate", [relabelled_table, heights_reversed])
+def test_segment_lifts_require_the_identity_decomposition(mutate, monkeypatch, fresh_memos):
+    # the lifts 0..u_t are read off the segment's decomposition being the
+    # identity with heights u; a table listed in another order, or the
+    # chains of another unit, must raise before any lift is handed out
+    u = (2, 3)
+    assert [lift for _, lift in eq._segment_lifts(u)[2]] == [(0, 1, 2), (0, 1, 2, 3)]
+    fresh_memos()
+    monkeypatch.setattr(eq, "unit_segment", lambda unit: mutate(unit_segment(unit)))
+    with pytest.raises(InternalInvariantError, match="product of its unit's chains"):
+        eq._segment_lifts(u)
 
 
 def test_upsilon_matches_direct_product_window():
@@ -1171,7 +1203,7 @@ def swap_map(g):
         dom=g,
         cod=g,
         source_fiber=(1, 0),
-        fiber_maps=(FiberMap.extension(ident, f, f), FiberMap.extension(ident, f, f)),
+        fiber_maps=(extension(ident, f, f), extension(ident, f, f)),
     )
 
 
@@ -1196,7 +1228,7 @@ def test_upsilon_naturality_doubling():
     dom = make_product_group([f1], [(1, 0)])
     cod = make_product_group([f2], [(1, 0)])
     h = MVMorphism(make_chain(1), make_chain(2), (0, 2))
-    phi = LGroupMap(dom, cod, source_fiber=(0,), fiber_maps=(FiberMap.extension(h, f1, f2),))
+    phi = LGroupMap(dom, cod, source_fiber=(0,), fiber_maps=(extension(h, f1, f2),))
     assert phi.unital
     report = upsilon_naturality(phi)
     assert report.ok and report.checked > 0
@@ -1207,7 +1239,7 @@ def test_upsilon_naturality_rejects_non_unital():
     dom = make_product_group([f1], [(2, 0)])
     cod = make_product_group([f1], [(1, 0)])
     ident = MVMorphism(f1.chain, f1.chain, (0, 1))
-    ident_map = FiberMap.extension(ident, f1, f1)
+    ident_map = extension(ident, f1, f1)
     phi = LGroupMap(dom=dom, cod=cod, source_fiber=(0,), fiber_maps=(ident_map,))
     assert not phi.unital
     with pytest.raises(ValueError):

@@ -65,6 +65,18 @@ def permuted_copy(algebra: FiniteMVAlgebra, perm: list[int]) -> FiniteMVAlgebra:
     )
 
 
+def reversed_copy(algebra: FiniteMVAlgebra) -> FiniteMVAlgebra:
+    """The algebra with the labels 1..s-1 reversed: a fixed relabelling that
+    keeps 0 and takes no random numbers."""
+    return permuted_copy(algebra, [0, *range(algebra.size - 1, 0, -1)])
+
+
+def with_reversed_copies(algebras: list[FiniteMVAlgebra]) -> list[FiniteMVAlgebra]:
+    """The algebras, then the reversed copy of each, every algebra once (the
+    two-element chain is its own copy)."""
+    return list(dict.fromkeys(algebras + [reversed_copy(a) for a in algebras]))
+
+
 # -- chains -----------------------------------------------------------------
 
 

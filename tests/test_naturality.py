@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiber_oracles
+from congruence_oracles import extension
 from fiber_oracles import ChainStarMap, UpsilonMap
 from mvgamma import equivalence as eq
 from mvgamma import mv_core, sweeps
@@ -251,7 +252,7 @@ def square_group():
 
 def identity_map(g):
     f = g.fibers[0]
-    ident = FiberMap.extension(identity(f.chain), f, f)
+    ident = extension(identity(f.chain), f, f)
     return LGroupMap(dom=g, cod=g, source_fiber=(0, 1), fiber_maps=(ident, ident))
 
 
@@ -326,13 +327,13 @@ def test_routes_reading_different_fibers_match_the_oracle(
         assert on_one_fiber(fast.failure[0])
 
 
-EXTENSION = FiberMap.extension
+SCALING = eq.chain_scaling
 
 
-def one_step_high(cls, hom, dom, cod):
-    """`FiberMap.extension`, but every star map it builds reads its input
+def one_step_high(n, m):
+    """`chain_scaling`, but every star map built from it reads its input
     one step high: s -> fm(s + 1), the same period and step."""
-    fm = EXTENSION(hom, dom, cod)
+    fm = SCALING(n, m)
     return FiberMap(fm.period, fm.step, tuple(fm(r + 1) for r in range(fm.period)))
 
 
@@ -340,7 +341,7 @@ def test_star_map_off_by_one_fails_every_square(monkeypatch, fresh_memos):
     # fresh_memos: a map cached by another test before the patch would hide it
     first, then = identity(SQUARE), identity(SQUARE)
     phi = identity_map(square_group())
-    monkeypatch.setattr(FiberMap, "extension", classmethod(one_step_high))
+    monkeypatch.setattr(eq, "chain_scaling", one_step_high)
     try:
         assert not eq.iota_naturality(first).ok
         assert not eq.star_functoriality(first, then).ok
@@ -518,8 +519,7 @@ def test_a_star_map_reading_a_wrong_fiber_fails_certificate_and_walk(monkeypatch
     def patched(hom):
         return misread_one_fiber(original(hom)) if hom == target else original(hom)
 
-    for module in (eq, sweeps):
-        monkeypatch.setattr(module, "star_morphism", patched)
+    monkeypatch.setattr(eq, "star_morphism", patched)
     # both fibers have height 2, so the misread fiber is still a scaling; the
     # iota square, which fixes the fiber each output reads, rejects it
     suite = certify(monkeypatch, [SQUARE])
@@ -528,24 +528,24 @@ def test_a_star_map_reading_a_wrong_fiber_fails_certificate_and_walk(monkeypatch
 
 
 def test_a_star_map_off_its_scaling_fails_certificate_and_walk(monkeypatch, fresh_memos):
-    # fiber 0 of the identity's star maps rank 1 to 0: one table entry off
+    # fiber 0 of the identity's star maps rank 1 to 0: one table entry off;
+    # the iota square reads every rank of every fiber, so it rejects it
     target = identity(SQUARE)
     original = eq.star_morphism
 
     def patched(hom):
         return wrong_hom(original(hom)) if hom == target else original(hom)
 
-    for module in (eq, sweeps):
-        monkeypatch.setattr(module, "star_morphism", patched)
+    monkeypatch.setattr(eq, "star_morphism", patched)
     suite = certify(monkeypatch, [SQUARE])
-    assert "star of a map 0->0 is not its chain scalings" in suite.failures
+    assert suite.failures == ["iota square fails for a map 0->0"]
     assert not pair_walk([SQUARE]).ok
 
 
 def test_a_composite_one_high_fails_certificate_and_walk(monkeypatch, fresh_memos):
     # the scaling of the chain of height 2 onto itself, composed with itself,
     # gets its first table entry one high
-    composite, ident = eq._composite, sweeps._scaling(2, 2)
+    composite, ident = eq._composite, eq.chain_scaling(2, 2)
 
     def bumped(f, g):
         h = composite(f, g)

@@ -38,6 +38,7 @@ from mvgamma.script import (
 )
 from mvgamma.spectrum import Ideal, quotient, spectrum
 from mvgamma.sweeps import SuiteResult
+from congruence_oracles import extension
 
 A = make_product(make_chain(1), make_chain(2))
 
@@ -100,7 +101,7 @@ def test_cache_keys_built_apart_are_equal_and_hash_alike():
     f = chain_fiber(2)
     pairs = [
         (MVMorphism(A, A, tuple(range(6))), identity(A)),
-        (FiberMap.extension(identity(f.chain), f, f), FiberMap(2, 2, (0, 1))),
+        (extension(identity(f.chain), f, f), FiberMap(2, 2, (0, 1))),
         (Ideal(A, frozenset([0, 1, 2])), spectrum(A).primes[0]),
     ]
     for left, right in pairs:
